@@ -2,8 +2,8 @@
 
 Pieces: a tape-autograd tensor core, a top-2-routed MoE transformer, LoRA
 adapters over 4-bit-quantized frozen weights, a three-source chat-data
-pipeline, an SFT trainer with bit-exact checkpoints, and a few-shot
-multiple-choice evaluation harness.
+pipeline, and an SFT trainer with bit-exact checkpoints and greedy or
+sampled decoding.
 """
 
 __version__ = "0.1.0"

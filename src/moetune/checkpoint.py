@@ -5,6 +5,10 @@ JSON header, raw payload. The header maps tensor names to {dtype, shape,
 offset, length} plus the config blocks and trainer cursor. f32 tensors are
 raw little-endian floats; "q4_sym_b64" tensors are packed 4-bit codes
 followed by f32 scales (block size 64, row-major element order).
+
+Version 2 stores each adapter as `lora_a` [d_in, rank] and `lora_b`
+[rank, d_out], in the [d_in, d_out] orientation of the kernel it sits on.
+Version 1 stored them transposed and is rejected.
 """
 
 from __future__ import annotations
@@ -16,24 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, IntegrityError
-from .lora import LoraConfig, attach_adapters
+from .lora import LoraConfig, adapter_config, attach_adapters
 from .model import DecoderModel, ModelConfig, init_model
-from .quant import QuantizedAdam, QuantizedMatrix, QuantizedOptimState
+from .quant import QuantizedMatrix, QuantizedOptimState
 
 MAGIC = b"AURC"
-VERSION = 1
+VERSION = 2
 Q4_BLOCK = 64
 Q4_DTYPE = "q4_sym_b64"
 
 
 @dataclass
 class TrainState:
-    """Everything needed to resume training bit-exactly."""
+    """Everything needed to resume training bit-exactly.
+
+    The adapter config is the one attached to `model`; `optim_state` holds
+    the Adam moments and step counts by parameter name.
+    """
 
     model: DecoderModel
-    lora_config: LoraConfig | None = None
     train_config: dict | None = None
-    optimizer: QuantizedAdam | None = None
+    optim_state: dict[str, QuantizedOptimState] | None = None
     step: int = 0
     epoch: int = 0
     cursor: int = 0  # optimizer steps completed within the current epoch
@@ -80,8 +87,8 @@ def save_checkpoint(state: TrainState, path) -> None:
     for name, q in model.named_quantized().items():
         entries.append((name, Q4_DTYPE, q))
     optim_steps: dict[str, int] = {}
-    if state.optimizer is not None:
-        for pname, opt_state in state.optimizer.state.items():
+    if state.optim_state is not None:
+        for pname, opt_state in state.optim_state.items():
             entries.append((f"optim.{pname}.m", Q4_DTYPE, opt_state.m))
             entries.append((f"optim.{pname}.v", Q4_DTYPE, opt_state.v))
             optim_steps[pname] = opt_state.step
@@ -92,10 +99,11 @@ def save_checkpoint(state: TrainState, path) -> None:
         else:
             put(name, Q4_DTYPE, obj.shape, _q4_payload(obj))
 
+    lora_cfg = adapter_config(model)
     header = {
         "configs": {
             "model": model.config.to_dict(),
-            "lora": state.lora_config.to_dict() if state.lora_config else None,
+            "lora": lora_cfg.to_dict() if lora_cfg else None,
             "train": state.train_config,
             "trainer_state": {"step": state.step, "epoch": state.epoch,
                               "cursor": state.cursor, "seed": state.seed,
@@ -130,6 +138,8 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         header = json.loads(raw[16:16 + header_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: unreadable header ({e})") from e
+    if not isinstance(header, dict) or not {"configs", "tensors"} <= header.keys():
+        raise FormatError(f"{path}: header lacks configs or tensors")
     payload = raw[16 + header_len:]
 
     configs = header["configs"]
@@ -182,37 +192,21 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         raise IntegrityError(f"{path}: missing tensors {sorted(missing)[:4]}")
 
     ts = configs.get("trainer_state") or {}
-    state = TrainState(model=model, lora_config=lora_cfg,
-                       train_config=configs.get("train"),
+    state = TrainState(model=model, train_config=configs.get("train"),
                        step=ts.get("step", 0), epoch=ts.get("epoch", 0),
                        cursor=ts.get("cursor", 0), seed=ts.get("seed", 0))
 
     optim_names = {n for n in tensors if n.startswith("optim.")}
     if with_optimizer and optim_names:
-        train_cfg = configs.get("train") or {}
-        opt = QuantizedAdam(model.trainable_parameters(),
-                            lr=train_cfg.get("lr", 0.0))
         optim_steps = ts.get("optim_steps", {})
-        for pname in opt.params:
+        state.optim_state = {}
+        for pname in model.trainable_parameters():
             m_name, v_name = f"optim.{pname}.m", f"optim.{pname}.v"
             if m_name not in tensors or v_name not in tensors:
                 raise IntegrityError(f"{path}: missing optimizer state for {pname}")
             m_meta, v_meta = tensors[m_name], tensors[v_name]
-            opt.state[pname] = QuantizedOptimState(
+            state.optim_state[pname] = QuantizedOptimState(
                 m=_q4_restore(tuple(m_meta["shape"]), tensor_bytes(m_name, m_meta)),
                 v=_q4_restore(tuple(v_meta["shape"]), tensor_bytes(v_name, v_meta)),
                 step=optim_steps.get(pname, 0))
-        state.optimizer = opt
     return state
-
-
-def frozen_weight_bytes(model: DecoderModel) -> int:
-    """Serialized bytes of the frozen base weights (f32 vs q4 accounting)."""
-    total = 0
-    for name, t in model.named_parameters().items():
-        if name.endswith(("lora_a", "lora_b")):
-            continue
-        total += 4 * t.data.size
-    for q in model.named_quantized().values():
-        total += q.payload_nbytes()
-    return total

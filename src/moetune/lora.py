@@ -1,6 +1,8 @@
 """Low-rank adaptation: frozen base weights plus trainable A/B factors.
 
-The adapted projection computes y = W·x + (alpha/rank)·B·(A·x). B starts at
+For a row-vector input x the adapted projection computes
+y = x·W + (alpha/rank)·(x·A)·B, with W [d_in, d_out], A [d_in, rank] and
+B [rank, d_out] (Hu et al., arXiv 2106.09685, in row-vector form). B starts at
 zero so a freshly attached adapter leaves the model output unchanged; W
 never receives gradient. Adapters attach to the decoder's attention
 (q/k/v/o) and expert (up/gate/down) projections; the router stays frozen.
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, DimensionError
-from .model import DecoderModel, Linear
-from .quant import QuantizedMatrix
+from .errors import ConfigError
+from .model import DecoderModel
 from .tensor import Tensor
 
 ALL_TARGETS = ("q", "k", "v", "o", "up", "gate", "down")
@@ -58,62 +59,36 @@ class LoraConfig:
 
 
 class LoraPair:
-    """Trainable factors A [r, d_in] and B [d_out, r] over a frozen base.
+    """Trainable factors A [d_in, r] and B [r, d_out] beside a frozen kernel.
 
-    `w` is the frozen [d_out, d_in] base for standalone use; pairs attached
-    to a model Linear leave it None (the Linear owns the base weight).
+    Both factors share the [d_in, d_out] orientation of the model's Linear
+    kernels, so the branch and the merge need no transpose.
     """
 
-    def __init__(self, a: Tensor, b: Tensor, cfg: LoraConfig,
-                 w: np.ndarray | None = None):
+    def __init__(self, a: Tensor, b: Tensor, cfg: LoraConfig):
         self.a = a
         self.b = b
         self.cfg = cfg
-        self.w = w
 
     @classmethod
     def init(cls, d_in: int, d_out: int, cfg: LoraConfig,
-             rng: np.random.Generator, w: np.ndarray | None = None) -> "LoraPair":
-        a = Tensor(rng.normal(0.0, 0.02, (cfg.rank, d_in)).astype(np.float32),
+             rng: np.random.Generator) -> "LoraPair":
+        a = Tensor(rng.normal(0.0, 0.02, (d_in, cfg.rank)).astype(np.float32),
                    requires_grad=True)
-        b = Tensor(np.zeros((d_out, cfg.rank), dtype=np.float32),
+        b = Tensor(np.zeros((cfg.rank, d_out), dtype=np.float32),
                    requires_grad=True)
-        return cls(a, b, cfg, w)
+        return cls(a, b, cfg)
 
     def branch(self, x: Tensor, training: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
-        """Adapter contribution (alpha/r)·(x Aᵀ) Bᵀ for row-vector inputs."""
+        """Adapter contribution (alpha/r)·(x A) B for row-vector inputs."""
         h = x
         if training and self.cfg.dropout_p > 0.0:
             if rng is None:
                 raise ConfigError("training-mode dropout needs a generator")
             h = tz.dropout(h, self.cfg.dropout_p, rng)
-        low = tz.matmul(h, tz.transpose(self.a))
-        up = tz.matmul(low, tz.transpose(self.b))
+        up = tz.matmul(tz.matmul(h, self.a), self.b)
         return tz.scale(up, self.cfg.scaling)
-
-
-def lora_forward(x, pair: LoraPair, cfg: LoraConfig, training: bool = False,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Single-vector adapted projection: y = W·x + (alpha/r)·B·(A·x)."""
-    x = np.asarray(x, dtype=np.float32)
-    if pair.w is None:
-        raise DimensionError("lora_forward needs a pair with a base W")
-    if x.shape != (pair.w.shape[1],):
-        raise DimensionError(f"x shape {x.shape} vs W {pair.w.shape}")
-    h = x
-    if training and cfg.dropout_p > 0.0:
-        keep = (rng.random(x.shape) >= cfg.dropout_p).astype(np.float32)
-        h = x * keep / (1.0 - cfg.dropout_p)
-    adapter = pair.b.data @ (pair.a.data @ h)
-    return pair.w @ x + cfg.scaling * adapter
-
-
-def merge_lora(pair: LoraPair, cfg: LoraConfig) -> np.ndarray:
-    """Fold the adapter into a dense weight: W' = W + (alpha/r)·B·A."""
-    if pair.w is None:
-        raise DimensionError("merge_lora needs a pair with a base W")
-    return pair.w + cfg.scaling * (pair.b.data @ pair.a.data)
 
 
 def attach_adapters(model: DecoderModel, cfg: LoraConfig, seed: int = 0) -> int:
@@ -137,6 +112,14 @@ def attach_adapters(model: DecoderModel, cfg: LoraConfig, seed: int = 0) -> int:
     return count
 
 
+def adapter_config(model: DecoderModel) -> LoraConfig | None:
+    """The config of the adapters attached to the model; None without any."""
+    for _, _, lin in model._projections():
+        if lin.adapter is not None:
+            return lin.adapter.cfg
+    return None
+
+
 def merge_adapters(model: DecoderModel) -> int:
     """Fold every attached adapter into its base kernel (dense f32 result).
 
@@ -148,10 +131,8 @@ def merge_adapters(model: DecoderModel) -> int:
         if lin.adapter is None:
             continue
         pair = lin.adapter
-        kernel = (lin.kernel.dequant() if isinstance(lin.kernel, QuantizedMatrix)
-                  else lin.kernel.data)
-        # kernel is [d_in, d_out]; delta = ((alpha/r)·B·A)ᵀ = (alpha/r)·Aᵀ Bᵀ
-        delta = pair.cfg.scaling * (pair.a.data.T @ pair.b.data.T)
+        kernel = lin.kernel.dequant() if lin.is_quantized else lin.kernel.data
+        delta = pair.cfg.scaling * (pair.a.data @ pair.b.data)
         lin.kernel = Tensor(kernel + delta, requires_grad=False)
         lin.adapter = None
         merged += 1

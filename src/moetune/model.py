@@ -20,11 +20,7 @@ from .tensor import Tensor
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters.
-
-    `activation` selects the FFN nonlinearity and its paired normalization:
-    silu runs with RMSNorm, gelu with LayerNorm.
-    """
+    """Architecture hyperparameters (SiLU experts, RMSNorm, as in Mixtral)."""
 
     n_layers: int = 4
     d_model: int = 128
@@ -35,7 +31,6 @@ class ModelConfig:
     vocab_size: int = 262
     max_seq_len: int = 512
     norm_eps: float = 1e-5
-    activation: str = "silu"
     rope_base: float = 10000.0
 
     def validate(self) -> "ModelConfig":
@@ -47,8 +42,6 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ConfigError("head dim must be even for rotary pairs")
-        if self.activation not in ("silu", "gelu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -104,34 +97,27 @@ class Linear:
 
 
 class Norm:
-    """RMSNorm (weight only) or LayerNorm (weight + bias) per config."""
+    """RMSNorm with a learned gain."""
 
-    def __init__(self, kind: str, d: int, eps: float):
-        self.kind = kind
+    def __init__(self, d: int, eps: float):
         self.eps = eps
         self.weight = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
-        self.bias = (Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
-                     if kind == "layer" else None)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.kind == "rms":
-            return tz.rms_norm(x, self.weight, self.eps)
-        return tz.layer_norm(x, self.weight, self.bias, self.eps)
+        return tz.rms_norm(x, self.weight, self.eps)
 
 
 class Expert:
-    """Gated FFN: act(x @ w_gate) * (x @ w_up) @ w_down."""
+    """Gated FFN: silu(x @ w_gate) * (x @ w_up) @ w_down."""
 
-    def __init__(self, w_gate: Linear, w_up: Linear, w_down: Linear,
-                 activation: str):
+    def __init__(self, w_gate: Linear, w_up: Linear, w_down: Linear):
         self.w_gate = w_gate
         self.w_up = w_up
         self.w_down = w_down
-        self.act = tz.silu if activation == "silu" else tz.gelu
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        gate = self.act(self.w_gate.forward(x, training, rng))
+        gate = tz.silu(self.w_gate.forward(x, training, rng))
         up = self.w_up.forward(x, training, rng)
         return self.w_down.forward(tz.mul(gate, up), training, rng)
 
@@ -277,8 +263,6 @@ class DecoderModel:
             for norm_name, norm in (("attn_norm", layer.attn_norm),
                                     ("ffn_norm", layer.ffn_norm)):
                 params[f"layers.{i}.{norm_name}.weight"] = norm.weight
-                if norm.bias is not None:
-                    params[f"layers.{i}.{norm_name}.bias"] = norm.bias
             params[f"layers.{i}.moe.router"] = layer.moe.router
         for name, _, lin in self._projections():
             if not lin.is_quantized:
@@ -287,8 +271,6 @@ class DecoderModel:
                 params[f"{name}.lora_a"] = lin.adapter.a
                 params[f"{name}.lora_b"] = lin.adapter.b
         params["final_norm.weight"] = self.final_norm.weight
-        if self.final_norm.bias is not None:
-            params["final_norm.bias"] = self.final_norm.bias
         params["lm_head.weight"] = self.lm_head.kernel
         return params
 
@@ -319,7 +301,6 @@ def init_model(config: ModelConfig, seed: int = 0) -> DecoderModel:
     config.validate()
     rng = np.random.default_rng(seed)
     d, ff, e_n = config.d_model, config.d_ff, config.n_experts
-    norm_kind = "rms" if config.activation == "silu" else "layer"
 
     def proj(d_in: int, d_out: int) -> Linear:
         w = rng.normal(0.0, d_in ** -0.5, (d_in, d_out)).astype(np.float32)
@@ -331,16 +312,16 @@ def init_model(config: ModelConfig, seed: int = 0) -> DecoderModel:
                        .astype(np.float32), requires_grad=True)
     layers = []
     for _ in range(config.n_layers):
-        attn_norm = Norm(norm_kind, d, config.norm_eps)
+        attn_norm = Norm(d, config.norm_eps)
         wq, wk, wv, wo = proj(d, d), proj(d, d), proj(d, d), proj(d, d)
-        ffn_norm = Norm(norm_kind, d, config.norm_eps)
+        ffn_norm = Norm(d, config.norm_eps)
         router = Tensor(rng.normal(0.0, d ** -0.5, (d, e_n)).astype(np.float32),
                         requires_grad=True)
-        experts = [Expert(proj(d, ff), proj(d, ff), proj(ff, d),
-                          config.activation) for _ in range(e_n)]
+        experts = [Expert(proj(d, ff), proj(d, ff), proj(ff, d))
+                   for _ in range(e_n)]
         layers.append(DecoderLayer(attn_norm, wq, wk, wv, wo, ffn_norm,
                                    MoELayer(router, experts, config.top_k)))
-    final_norm = Norm(norm_kind, d, config.norm_eps)
+    final_norm = Norm(d, config.norm_eps)
     lm_head = proj(d, config.vocab_size)
     return DecoderModel(config, embedding, layers, final_norm, lm_head)
 
@@ -357,14 +338,10 @@ def count_active_params(model: DecoderModel) -> tuple[int, int]:
     expert_total = 0
     non_moe = model.embedding.data.size + n_elems(model.lm_head)
     non_moe += model.final_norm.weight.data.size
-    if model.final_norm.bias is not None:
-        non_moe += model.final_norm.bias.data.size
     router_total = 0
     for layer in model.layers:
         for norm in (layer.attn_norm, layer.ffn_norm):
             non_moe += norm.weight.data.size
-            if norm.bias is not None:
-                non_moe += norm.bias.data.size
         for lin in (layer.wq, layer.wk, layer.wv, layer.wo):
             non_moe += n_elems(lin)
         router_total += layer.moe.router.data.size

@@ -14,7 +14,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     DimensionError,
@@ -77,11 +76,34 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate ``.grad`` on every reachable tensor with requires_grad."""
+        """Populate ``.grad`` on every reachable tensor with requires_grad.
+
+        The tape lists every reachable tensor with inputs before users, so
+        the reverse sweep visits each node exactly once with its output
+        gradient fully accumulated.
+        """
         if self.data.shape != ():
             raise RankError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
-        Graph.trace(self).run_backward()
+        tape: list[Tensor] = []
+        visited: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                tape.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in visited:
+                    stack.append((parent, False))
+        _accum(self, np.ones_like(self.data))
+        for node in reversed(tape):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -94,44 +116,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-class Graph:
-    """Topologically ordered tape of recorded operations.
-
-    ``nodes`` lists every tensor reachable from the root with inputs before
-    users; the reverse sweep therefore visits each node exactly once with its
-    output gradient fully accumulated.
-    """
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Graph":
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        return cls(order)
-
-    def run_backward(self) -> None:
-        root = self.nodes[-1]
-        _accum(root, np.ones_like(root.data))
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +180,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return Tensor._from_op(out_data, (a, b), backward, "matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose requires 2-D, got {a.data.shape}")
-    out_data = np.ascontiguousarray(a.data.T)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g.T)
-
-    return Tensor._from_op(out_data, (a,), backward, "transpose")
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise DimensionError("concat of empty sequence")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g: np.ndarray) -> None:
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accum(t, piece)
-
-    return Tensor._from_op(out_data, tuple(tensors), backward, "concat")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -349,22 +308,6 @@ def silu(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward, "silu")
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GeLU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out_data = (x.data * cdf).astype(x.data.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf).astype(x.data.dtype))
-
-    return Tensor._from_op(out_data, (x,), backward, "gelu")
-
-
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise RMS normalization with learned gain: y = x / rms(x) * w."""
     if x.data.ndim != 2 or weight.data.shape != (x.data.shape[1],):
@@ -390,34 +333,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     return Tensor._from_op(out_data, (x, weight), backward, "rms_norm")
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise LayerNorm: y = (x - mean) / sqrt(var + eps) * w + b."""
-    if x.data.ndim != 2 or weight.data.shape != (x.data.shape[1],):
-        raise DimensionError(
-            f"layer_norm: x {x.data.shape} vs weight {weight.data.shape}")
-    d = x.data.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    xc64 = xc.astype(np.float64)
-    var = (xc64 * xc64).mean(axis=1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = xc * inv
-    out_data = xhat * weight.data + bias.data
-
-    def backward(g: np.ndarray) -> None:
-        if weight.requires_grad:
-            _accum(weight, (g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
-        if x.requires_grad:
-            gw = g * weight.data
-            s1 = gw.sum(axis=1, keepdims=True)
-            s2 = (gw * xhat).sum(axis=1, keepdims=True)
-            _accum(x, inv * (gw - s1 / d - xhat * s2 / d))
-
-    return Tensor._from_op(out_data, (x, weight, bias), backward, "layer_norm")
-
-
 # ---------------------------------------------------------------------------
 # Softmax family
 
@@ -426,19 +341,6 @@ def _stable_softmax(rows: np.ndarray) -> np.ndarray:
     shifted = rows - rows.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def row_softmax(x: Tensor) -> Tensor:
-    """Softmax over each row, computed with max-subtraction."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"row_softmax requires 2-D, got {x.data.shape}")
-    s = _stable_softmax(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * s).sum(axis=1, keepdims=True)
-        _accum(x, s * (g - dot))
-
-    return Tensor._from_op(s, (x,), backward, "row_softmax")
 
 
 def masked_row_softmax(x: Tensor, select_mask: np.ndarray) -> Tensor:

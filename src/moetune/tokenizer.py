@@ -12,10 +12,9 @@ closing each assistant turn.
 
 from __future__ import annotations
 
-import codecs
 from dataclasses import dataclass
 
-from .errors import VocabError
+from .errors import DimensionError, VocabError
 
 PAD_ID = 256
 BOS_ID = 257
@@ -74,7 +73,10 @@ class TokenizedSample:
     loss_mask: list[int]
 
     def __post_init__(self):
-        assert len(self.token_ids) == len(self.loss_mask)
+        if len(self.token_ids) != len(self.loss_mask):
+            raise DimensionError(
+                f"{len(self.token_ids)} token ids vs {len(self.loss_mask)} "
+                "loss-mask entries")
 
 
 def render_chat(turns: list[tuple[str, str]]) -> TokenizedSample:
@@ -140,18 +142,3 @@ def render_text(turns: list[tuple[str, str]]) -> str:
         elif role == "assistant":
             parts.append(f"<|assistant|>\n{text}<eot>\n")
     return "".join(parts)
-
-
-class ByteStreamDecoder:
-    """Incremental UTF-8 decoder for streaming generated byte tokens."""
-
-    def __init__(self):
-        self._decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-
-    def feed(self, token_id: int) -> str:
-        if 0 <= token_id < 256:
-            return self._decoder.decode(bytes([token_id]))
-        return ""
-
-    def flush(self) -> str:
-        return self._decoder.decode(b"", final=True)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
-from .data import tokenize_corpus  # noqa: F401  (re-export convenience)
 from .errors import ConfigError, LengthError, TrainingAborted
+from .lora import LoraConfig, adapter_config
 from .model import DecoderModel
 from .quant import QuantizedAdam
 from .tokenizer import EOT_ID, PAD_ID, TokenizedSample
@@ -126,7 +126,7 @@ def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
 
 
 def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
-          out_dir=None, lora_config=None,
+          out_dir=None, lora_config: LoraConfig | None = None,
           resume: TrainState | None = None
           ) -> tuple[TrainState, list[LossLogRow]]:
     """Run SFT; returns the final state and per-step loss log.
@@ -134,9 +134,17 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     Saves a checkpoint every cfg.save_every optimizer steps and at the end
     when out_dir is given. Pass the loaded TrainState as `resume` to
     continue a run; the subsequent loss sequence matches uninterrupted
-    training bit for bit.
+    training bit for bit. The optimizer always takes its hyperparameters
+    from `cfg`; a resumed state contributes only its moments and step
+    counts. `lora_config`, when given, must equal the config of the
+    adapters attached to the model, which is what checkpoints record.
     """
     cfg.validate()
+    if lora_config is not None:
+        attached = adapter_config(model)
+        if attached is None or attached.to_dict() != lora_config.to_dict():
+            raise ConfigError(
+                "lora_config does not match the adapters attached to the model")
     if not corpus:
         raise ConfigError("training corpus is empty")
     trainable = model.trainable_parameters()
@@ -152,22 +160,23 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
 
+    optimizer = QuantizedAdam(trainable, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     if resume is not None:
-        optimizer = resume.optimizer or QuantizedAdam(
-            trainable, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+        if resume.optim_state is None:
+            raise ConfigError("resume state carries no optimizer moments "
+                              "(load it with with_optimizer=True)")
+        optimizer.state = resume.optim_state
         global_step = resume.step
         start_epoch = resume.epoch
         start_cursor = resume.cursor
     else:
-        optimizer = QuantizedAdam(trainable, cfg.lr, cfg.beta1, cfg.beta2,
-                                  cfg.eps)
         global_step = 0
         start_epoch = 0
         start_cursor = 0
 
     log: list[LossLogRow] = []
-    state = TrainState(model=model, lora_config=lora_config,
-                       train_config=cfg.to_dict(), optimizer=optimizer,
+    state = TrainState(model=model, train_config=cfg.to_dict(),
+                       optim_state=optimizer.state,
                        step=global_step, epoch=start_epoch,
                        cursor=start_cursor, seed=cfg.seed)
 

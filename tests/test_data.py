@@ -18,7 +18,7 @@ from moetune.data import (
     tokenize_corpus,
     write_corpus,
 )
-from moetune.errors import ParseError, RecordError
+from moetune.errors import DimensionError, ParseError, RecordError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -208,6 +208,11 @@ def test_render_round_trip_lossless():
     turns = [("system", "你是助手"), ("user", "写诗"), ("assistant", "春眠不觉晓")]
     ts = tok.render_chat(turns)
     assert tok.decode_tokens(ts.token_ids) == tok.render_text(turns)
+
+
+def test_tokenized_sample_rejects_mask_length_mismatch():
+    with pytest.raises(DimensionError):
+        tok.TokenizedSample([tok.BOS_ID, 65, tok.EOT_ID], [0, 1])
 
 
 def test_render_prompt_ends_open():

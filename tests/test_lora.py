@@ -9,12 +9,10 @@ from moetune.lora import (
     LoraConfig,
     LoraPair,
     attach_adapters,
-    lora_forward,
     merge_adapters,
-    merge_lora,
     trainable_parameter_report,
 )
-from moetune.model import ModelConfig, init_model, route_top_k
+from moetune.model import Linear, ModelConfig, init_model, route_top_k
 from moetune.quant import QuantizedAdam
 from moetune.tensor import Tensor
 
@@ -23,74 +21,91 @@ TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24, n_experts=4,
 
 
 def toy_pair():
-    # W = 0 (2x2), r=1, alpha=1, A=[[1,0]], B=[[1],[0]]
+    # r=1, alpha=1, A=[[1],[0]] (d_in 2 x r), B=[[1,0]] (r x d_out 2)
     cfg = LoraConfig(rank=1, alpha=1.0, dropout_p=0.0)
-    pair = LoraPair(a=Tensor([[1.0, 0.0]], requires_grad=True),
-                    b=Tensor([[1.0], [0.0]], requires_grad=True),
-                    cfg=cfg, w=np.zeros((2, 2), dtype=np.float32))
-    return pair, cfg
+    return LoraPair(a=Tensor([[1.0], [0.0]], requires_grad=True),
+                    b=Tensor([[1.0, 0.0]], requires_grad=True), cfg=cfg)
+
+
+def toy_model():
+    """Model with 2x2 projections; only wq carries the toy adapter over W = 0."""
+    cfg = ModelConfig(n_layers=1, d_model=2, n_heads=1, d_ff=2, n_experts=1,
+                      top_k=1, vocab_size=8, max_seq_len=4)
+    model = init_model(cfg, seed=0)
+    lin = model.layers[0].wq
+    lin.kernel = Tensor(np.zeros((2, 2)))
+    lin.adapter = toy_pair()
+    return model, lin
+
+
+def random_adapter(d_in, d_out, cfg, rng):
+    """Adapter with a non-zero B, so its branch contributes."""
+    pair = LoraPair.init(d_in, d_out, cfg, rng)
+    pair.b.data[:] = rng.standard_normal(pair.b.shape).astype(np.float32)
+    return pair
 
 
 def test_fresh_pair_is_identity():
     rng = np.random.default_rng(0)
     cfg = LoraConfig(rank=4, alpha=8.0, dropout_p=0.0)
-    w = rng.standard_normal((6, 5)).astype(np.float32)
-    pair = LoraPair.init(5, 6, cfg, rng, w=w)
-    x = rng.standard_normal(5).astype(np.float32)
-    assert np.max(np.abs(lora_forward(x, pair, cfg) - w @ x)) == 0.0
+    lin = Linear(Tensor(rng.standard_normal((5, 6))))
+    x = Tensor(rng.standard_normal((3, 5)))
+    before = lin.forward(x).data
+    lin.adapter = LoraPair.init(5, 6, cfg, rng)
+    assert np.max(np.abs(lin.forward(x).data - before)) == 0.0
 
 
 def test_hand_matrix_chain_oracle():
-    pair, cfg = toy_pair()
-    y = lora_forward(np.array([3.0, 5.0], dtype=np.float32), pair, cfg)
-    assert np.array_equal(y, [3.0, 0.0])  # B·(A·x) = [3, 0], W = 0
+    y = toy_pair().branch(Tensor([[3.0, 5.0]]))
+    assert np.array_equal(y.data, [[3.0, 0.0]])  # (x·A)·B = [[3]]·[[1, 0]]
 
 
 def test_alpha_scales_adapter_branch_linearly():
     rng = np.random.default_rng(1)
     cfg1 = LoraConfig(rank=2, alpha=4.0, dropout_p=0.0)
     cfg2 = LoraConfig(rank=2, alpha=8.0, dropout_p=0.0)
-    w = rng.standard_normal((4, 3)).astype(np.float32)
-    pair = LoraPair.init(3, 4, cfg1, rng, w=w)
-    pair.b.data[:] = rng.standard_normal((4, 2)).astype(np.float32)
-    x = rng.standard_normal(3).astype(np.float32)
-    base = w @ x
-    y1 = lora_forward(x, pair, cfg1) - base
-    y2 = lora_forward(x, pair, cfg2) - base
-    assert np.allclose(y2, 2.0 * y1, atol=1e-6)
+    pair1 = random_adapter(3, 4, cfg1, rng)
+    pair2 = LoraPair(pair1.a, pair1.b, cfg2)
+    x = Tensor(rng.standard_normal((2, 3)))
+    assert np.allclose(pair2.branch(x).data, 2.0 * pair1.branch(x).data,
+                       atol=1e-6)
 
 
 def test_merge_zero_adapter_is_w_bitwise():
-    rng = np.random.default_rng(2)
-    cfg = LoraConfig(rank=3, dropout_p=0.0)
-    w = rng.standard_normal((4, 4)).astype(np.float32)
-    pair = LoraPair.init(4, 4, cfg, rng, w=w)
-    assert np.array_equal(merge_lora(pair, cfg), w)
+    model = init_model(TINY, seed=2)
+    attach_adapters(model, LoraConfig(rank=3, dropout_p=0.0), seed=3)
+    before = {name: lin.kernel.data.copy()
+              for name, _, lin in model._projections()}
+    merge_adapters(model)
+    for name, _, lin in model._projections():
+        assert np.array_equal(lin.kernel.data, before[name]), name
 
 
 def test_merge_toy_outer_product():
-    pair, cfg = toy_pair()
-    merged = merge_lora(pair, cfg)
-    assert np.array_equal(merged, [[1.0, 0.0], [0.0, 0.0]])  # B·A added to W=0
+    model, lin = toy_model()
+    assert merge_adapters(model) == 1
+    assert np.array_equal(lin.kernel.data, [[1.0, 0.0], [0.0, 0.0]])  # A·B
 
 
 def test_merged_forward_agrees_on_100_vectors():
     rng = np.random.default_rng(3)
-    cfg = LoraConfig(rank=2, alpha=6.0, dropout_p=0.0)
-    w = rng.standard_normal((7, 5)).astype(np.float32)
-    pair = LoraPair.init(5, 7, cfg, rng, w=w)
-    pair.b.data[:] = rng.standard_normal((7, 2)).astype(np.float32)
-    merged = merge_lora(pair, cfg)
-    for _ in range(100):
-        x = rng.standard_normal(5).astype(np.float32)
-        assert np.allclose(merged @ x, lora_forward(x, pair, cfg), atol=1e-5)
+    model = init_model(TINY, seed=3)
+    attach_adapters(model, LoraConfig(rank=2, alpha=6.0, targets=("q",),
+                                      dropout_p=0.0), seed=4)
+    lin = model.layers[0].wq
+    lin.adapter = random_adapter(16, 16, lin.adapter.cfg, rng)
+    x = Tensor(rng.standard_normal((100, 16)))
+    adapted = lin.forward(x).data
+    merge_adapters(model)
+    assert lin.adapter is None
+    assert np.allclose(lin.forward(x).data, adapted, atol=1e-5)
 
 
 def test_adapter_gradients_pass_finite_difference():
     rng = np.random.default_rng(4)
     cfg = LoraConfig(rank=2, alpha=4.0, dropout_p=0.0)
-    a = Tensor(rng.standard_normal((2, 5)), requires_grad=True, dtype=np.float64)
-    b = Tensor(rng.standard_normal((4, 2)), requires_grad=True, dtype=np.float64)
+    a = Tensor(rng.standard_normal((5, 2)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng.standard_normal((2, 4)), requires_grad=True, dtype=np.float64)
     pair = LoraPair(a, b, cfg)
     x = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
     ref = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
@@ -136,7 +151,7 @@ def test_report_no_adapters():
 
 
 def test_report_single_projection_arithmetic():
-    # one adapted 4x6 projection at r=2 contributes 2*6 + 4*2 = 20
+    # one adapted 6 -> 4 projection at r=2 contributes 6*2 + 2*4 = 20
     cfg = LoraConfig(rank=2, dropout_p=0.0)
     rng = np.random.default_rng(8)
     pair = LoraPair.init(6, 4, cfg, rng)
@@ -151,9 +166,9 @@ def test_report_full_census():
     assert n == 2 * (4 + 4 * 3)
     trainable, frozen, ratio = trainable_parameter_report(model)
     d, ff, r = 16, 24, 8
-    per_attn = r * d + d * r            # A [r,d] + B [d,r]
-    per_gate_up = r * d + ff * r        # in d -> out ff
-    per_down = r * ff + d * r
+    per_attn = d * r + r * d            # A [d,r] + B [r,d]
+    per_gate_up = d * r + r * ff        # in d -> out ff
+    per_down = ff * r + r * d
     expected = 2 * (4 * per_attn + 4 * (2 * per_gate_up + per_down))
     assert trainable == expected
     assert 0.0 < ratio < 1.0

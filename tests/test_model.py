@@ -29,7 +29,7 @@ def make_moe_layer(rng, d, ff, n_experts, top_k, dtype=np.float32,
         router_rows if router_rows is not None
         else rng.standard_normal((d, n_experts)),
         requires_grad=True, dtype=dtype)
-    experts = [Expert(lin(d, ff), lin(d, ff), lin(ff, d), "silu")
+    experts = [Expert(lin(d, ff), lin(d, ff), lin(ff, d))
                for _ in range(n_experts)]
     return MoELayer(router, experts, top_k)
 
@@ -276,7 +276,7 @@ def test_active_ratio_top2_of_8():
 
 def test_hand_counted_census():
     cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=4, n_experts=2,
-                      top_k=1, vocab_size=11, max_seq_len=8, activation="silu")
+                      top_k=1, vocab_size=11, max_seq_len=8)
     total, active = count_active_params(init_model(cfg))
     # embedding 11*8 + lm_head 8*11 + final_norm 8 + 2 layer norms 8+8
     # + 4 attn projections 8*8 + router 8*2 + 2 experts * (32+32+32)
@@ -290,4 +290,4 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(d_model=10, n_heads=3).validate()
     with pytest.raises(ConfigError):
-        ModelConfig(activation="relu").validate()
+        ModelConfig(d_model=6, n_heads=2).validate()  # odd head dim

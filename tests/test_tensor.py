@@ -57,18 +57,23 @@ def test_matmul_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# row_softmax
+# row softmax: masked_row_softmax with every entry selected
+
+
+def row_softmax(rows):
+    x = T.Tensor(rows)
+    return T.masked_row_softmax(x, np.ones(x.shape))
 
 
 def test_row_softmax_uniform():
-    out = T.row_softmax(T.Tensor([[0.0, 0.0, 0.0, 0.0]]))
+    out = row_softmax([[0.0, 0.0, 0.0, 0.0]])
     assert np.allclose(out.data, 0.25)
 
 
 def test_row_softmax_hand_oracle():
     # e^2/(e^2+e^1) and e^1/(e^2+e^1)
     e2, e1 = math.exp(2), math.exp(1)
-    out = T.row_softmax(T.Tensor([[2.0, 1.0]]))
+    out = row_softmax([[2.0, 1.0]])
     assert abs(out.data[0, 0] - e2 / (e2 + e1)) < 1e-4
     assert abs(out.data[0, 1] - e1 / (e2 + e1)) < 1e-4
     assert abs(out.data[0, 0] - 0.7311) < 1e-4
@@ -76,7 +81,7 @@ def test_row_softmax_hand_oracle():
 
 
 def test_row_softmax_large_logits_no_overflow():
-    out = T.row_softmax(T.Tensor([[1000.0, 0.0]]))
+    out = row_softmax([[1000.0, 0.0]])
     assert np.all(np.isfinite(out.data))
     assert out.data[0, 0] > 0.999
     assert out.data[0, 1] < 1e-6
@@ -85,8 +90,8 @@ def test_row_softmax_large_logits_no_overflow():
 def test_row_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 7)).astype(np.float32)
-    s1 = T.row_softmax(T.Tensor(x)).data
-    s2 = T.row_softmax(T.Tensor(x + 3.25)).data
+    s1 = row_softmax(x).data
+    s2 = row_softmax(x + 3.25).data
     assert np.allclose(s1.sum(axis=1), 1.0, atol=1e-6)
     assert np.allclose(s1, s2, atol=1e-6)
 
@@ -207,18 +212,10 @@ def test_grad_add_mul_scale():
     check(lambda: T.sum_all(T.scale(a, 1.7)), [a])
 
 
-def test_grad_matmul_transpose():
+def test_grad_matmul():
     rng = np.random.default_rng(11)
     a, b = rand64(rng, 3, 5), rand64(rng, 5, 2)
     check(lambda: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
-    check(lambda: T.sum_all(T.matmul(T.transpose(b), T.transpose(a))), [a, b])
-
-
-def test_grad_concat():
-    rng = np.random.default_rng(12)
-    a, b = rand64(rng, 2, 3), rand64(rng, 4, 3)
-    check(lambda: T.sum_all(T.mul(T.concat([a, b], axis=0),
-                                  T.concat([a, b], axis=0))), [a, b])
 
 
 def test_grad_embedding():
@@ -239,7 +236,6 @@ def test_grad_softmaxes():
     rng = np.random.default_rng(14)
     x = rand64(rng, 4, 6)
     w = rand64(rng, 4, 6)
-    check(lambda: T.sum_all(T.mul(T.row_softmax(x), w)), [x])
     mask = (rng.random((4, 6)) < 0.5).astype(np.float64)
     mask[:, 0] = 1  # every row selects something
     check(lambda: T.sum_all(T.mul(T.masked_row_softmax(x, mask), w)), [x])
@@ -248,17 +244,13 @@ def test_grad_softmaxes():
 def test_grad_norms():
     rng = np.random.default_rng(15)
     x, w = rand64(rng, 4, 8), rand64(rng, 8)
-    b = rand64(rng, 8)
     check(lambda: T.sum_all(T.mul(T.rms_norm(x, w), T.rms_norm(x, w))), [x, w])
-    check(lambda: T.sum_all(T.mul(T.layer_norm(x, w, b),
-                                  T.layer_norm(x, w, b))), [x, w, b])
 
 
 def test_grad_activations():
     rng = np.random.default_rng(16)
     x = rand64(rng, 5, 5)
     check(lambda: T.sum_all(T.mul(T.silu(x), x)), [x])
-    check(lambda: T.sum_all(T.mul(T.gelu(x), x)), [x])
 
 
 def test_grad_cross_entropy():
@@ -328,7 +320,7 @@ def test_grad_three_layer_mlp():
 
     def loss():
         h1 = T.silu(T.matmul(x, w1))
-        h2 = T.gelu(T.matmul(h1, w2))
+        h2 = T.silu(T.matmul(h1, w2))
         return T.masked_cross_entropy(T.matmul(h2, w3), targets, [1, 1, 1, 1])
 
     check(loss, [x, w1, w2, w3])
