@@ -143,10 +143,13 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     payload = raw[16 + header_len:]
 
     configs = header["configs"]
-    model_cfg = ModelConfig.from_dict(configs["model"])
+    try:
+        model_cfg = ModelConfig.from_dict(configs["model"])
+        lora_cfg = (LoraConfig.from_dict(configs["lora"])
+                    if configs.get("lora") else None)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise FormatError(f"{path}: malformed configs block ({e!r})") from e
     model = init_model(model_cfg, seed=0)
-    lora_cfg = (LoraConfig.from_dict(configs["lora"])
-                if configs.get("lora") else None)
     if lora_cfg is not None:
         attach_adapters(model, lora_cfg, seed=0)
 

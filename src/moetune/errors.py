@@ -50,7 +50,10 @@ class IntegrityError(MoetuneError, ValueError):
 
 
 class TrainingAborted(MoetuneError, RuntimeError):
-    """Training stopped due to a non-finite loss; carries the step index."""
+    """Training stopped on a non-finite loss or op output; carries the step.
+
+    `step` is the number of optimizer steps completed before the failing one.
+    """
 
     def __init__(self, step: int, message: str):
         super().__init__(message)

@@ -8,7 +8,7 @@ across experts; positions are encoded with rotary embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -191,6 +191,30 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
     return out
 
 
+@dataclass
+class KVCache:
+    """Post-rotary keys and values of every decoder layer, for decoding.
+
+    `keys[i]` and `values[i]` are layer i's [length, d_model] rows for the
+    `length` positions seen so far; the next token sits at position
+    `length`. Start with an empty cache and pass it to every
+    `DecoderModel.forward` call of one sequence.
+    """
+
+    keys: list[np.ndarray] = field(default_factory=list)
+    values: list[np.ndarray] = field(default_factory=list)
+    length: int = 0
+
+    def joined(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Layer `layer`'s cached rows followed by the new k and v rows."""
+        if self.length == 0:
+            return k, v
+        keys = np.concatenate([self.keys[layer], k.data])
+        values = np.concatenate([self.values[layer], v.data])
+        return (Tensor(keys, dtype=keys.dtype),
+                Tensor(values, dtype=values.dtype))
+
+
 class DecoderLayer:
     def __init__(self, attn_norm: Norm, wq: Linear, wk: Linear, wv: Linear,
                  wo: Linear, ffn_norm: Norm, moe: MoELayer):
@@ -215,32 +239,55 @@ class DecoderModel:
         self.lm_head = lm_head
 
     def forward(self, token_ids, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Logits [T, vocab_size] for a token-id sequence."""
+                rng: np.random.Generator | None = None,
+                cache: KVCache | None = None) -> Tensor:
+        """Logits [T, vocab_size] for a token-id sequence.
+
+        With a `cache`, `token_ids` are the next T tokens after the
+        `cache.length` it already holds: they run at positions
+        cache.length .. cache.length + T - 1, attend to the cached keys and
+        values, and are appended to the cache. Causal prefix stability
+        makes the result bitwise equal to the last T rows of a forward over
+        the whole sequence. Cached rows carry no tape, so a cache cannot be
+        combined with training.
+        """
         ids = np.asarray(token_ids, dtype=np.int64)
         cfg = self.config
+        start = 0 if cache is None else cache.length
+        if cache is not None and training:
+            raise ConfigError("a key/value cache is for inference only")
         if ids.size == 0:
             raise LengthError("empty token sequence")
-        if ids.size > cfg.max_seq_len:
+        if start + ids.size > cfg.max_seq_len:
             raise LengthError(
-                f"sequence length {ids.size} > max_seq_len {cfg.max_seq_len}")
+                f"sequence length {start + ids.size} > max_seq_len {cfg.max_seq_len}")
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise VocabError(f"token id out of range [0, {cfg.vocab_size})")
 
+        new_keys: list[np.ndarray] = []
+        new_values: list[np.ndarray] = []
         x = tz.embedding(self.embedding, ids)
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             h = layer.attn_norm.forward(x)
             q = tz.rotary(layer.wq.forward(h, training, rng), cfg.n_heads,
-                          cfg.rope_base)
+                          cfg.rope_base, offset=start)
             k = tz.rotary(layer.wk.forward(h, training, rng), cfg.n_heads,
-                          cfg.rope_base)
+                          cfg.rope_base, offset=start)
             v = layer.wv.forward(h, training, rng)
+            if cache is not None:
+                k, v = cache.joined(i, k, v)
+                new_keys.append(k.data)
+                new_values.append(v.data)
             attn = tz.causal_attention(q, k, v, cfg.n_heads)
             x = tz.add(x, layer.wo.forward(attn, training, rng))
             h = layer.ffn_norm.forward(x)
             x = tz.add(x, moe_forward(h, layer.moe, training, rng))
         x = self.final_norm.forward(x)
-        return self.lm_head.forward(x, training, rng)
+        logits = self.lm_head.forward(x, training, rng)
+        if cache is not None:
+            cache.keys, cache.values = new_keys, new_values
+            cache.length += ids.size
+        return logits
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -25,7 +25,9 @@ from .errors import (
 
 DTYPE = np.float32
 
-# Toggled off only by benchmarks; tests rely on the checks being on.
+# When on, every op output is checked for NaN/Inf and a non-finite value
+# raises NumericError at the op that produced it, instead of surfacing later
+# as a NaN loss. On by default; the tests rely on it being on.
 FINITE_CHECKS = True
 
 
@@ -412,10 +414,13 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 # Attention kernels
 
 
-def rotary(x: Tensor, n_heads: int, base: float = 10000.0) -> Tensor:
+def rotary(x: Tensor, n_heads: int, base: float = 10000.0,
+           offset: int = 0) -> Tensor:
     """Rotary position embedding applied per head to [T, d].
 
-    Row index is the position; within each head, consecutive (even, odd)
+    Row t sits at position offset + t, so rotary(x[s:], offset=s) equals
+    rotary(x)[s:] bitwise; a decoder with a key/value cache passes the
+    number of cached positions. Within each head, consecutive (even, odd)
     channel pairs are rotated by angle pos * base^(-2i/head_dim). The
     transform is orthogonal, so the backward pass applies the inverse
     rotation to the gradient.
@@ -427,7 +432,8 @@ def rotary(x: Tensor, n_heads: int, base: float = 10000.0) -> Tensor:
     if hd % 2 != 0:
         raise DimensionError(f"head_dim {hd} must be even for rotary pairs")
     inv_freq = base ** (-np.arange(0, hd, 2, dtype=np.float64) / hd)
-    angles = np.arange(t_len, dtype=np.float64)[:, None] * inv_freq[None, :]
+    positions = np.arange(offset, offset + t_len, dtype=np.float64)
+    angles = positions[:, None] * inv_freq[None, :]
     cos = np.cos(angles).astype(x.data.dtype)  # [T, hd/2]
     sin = np.sin(angles).astype(x.data.dtype)
 
@@ -452,49 +458,57 @@ def rotary(x: Tensor, n_heads: int, base: float = 10000.0) -> Tensor:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head softmax(QKᵀ/√hd + causal mask)·V over [T, d] inputs.
+    """Multi-head softmax(QKᵀ/√hd + causal mask)·V.
 
-    Position t attends to positions <= t only. Heads are contiguous channel
-    slices; outputs are concatenated back to [T, d].
+    q is [T_q, d]; k and v are [T_k, d] with T_k >= T_q. The queries are the
+    last T_q of the T_k positions, so query row i attends to key positions
+    <= T_k - T_q + i. With T_k == T_q this is plain causal self-attention;
+    with T_k > T_q the keys and values of the earlier positions come from a
+    cache, and each output row equals the matching row of the attention
+    over all T_k queries bitwise (every row sums over T_k entries either
+    way). Heads are contiguous channel slices; outputs are concatenated
+    back to [T_q, d].
     """
-    t_len, d = q.data.shape
-    if k.data.shape != (t_len, d) or v.data.shape != (t_len, d):
+    t_q, d = q.data.shape
+    t_k = k.data.shape[0]
+    if k.data.shape != (t_k, d) or v.data.shape != (t_k, d) or t_k < t_q:
         raise DimensionError(
-            f"attention shapes differ: {q.data.shape} {k.data.shape} {v.data.shape}")
+            f"attention needs q [T_q, d] and k, v [T_k, d] with T_k >= T_q; "
+            f"got {q.data.shape} {k.data.shape} {v.data.shape}")
     if d % n_heads != 0:
         raise DimensionError(f"d_model {d} not divisible by n_heads {n_heads}")
     hd = d // n_heads
     inv_sqrt = 1.0 / math.sqrt(hd)
 
-    qh = q.data.reshape(t_len, n_heads, hd).transpose(1, 0, 2)  # [H, T, hd]
-    kh = k.data.reshape(t_len, n_heads, hd).transpose(1, 0, 2)
-    vh = v.data.reshape(t_len, n_heads, hd).transpose(1, 0, 2)
+    qh = q.data.reshape(t_q, n_heads, hd).transpose(1, 0, 2)  # [H, T_q, hd]
+    kh = k.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)  # [H, T_k, hd]
+    vh = v.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)
 
     scores = np.einsum("hid,hjd->hij", qh, kh) * inv_sqrt
-    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
+    causal = np.tril(np.ones((t_q, t_k), dtype=bool), t_k - t_q)
     scores = np.where(causal[None, :, :], scores, -np.inf)
     shifted = scores - scores.max(axis=2, keepdims=True)
     e = np.where(causal[None, :, :], np.exp(shifted), 0.0)
-    attn = e / e.sum(axis=2, keepdims=True)  # [H, T, T]
+    attn = e / e.sum(axis=2, keepdims=True)  # [H, T_q, T_k]
 
     out_h = np.einsum("hij,hjd->hid", attn, vh)
-    out_data = out_h.transpose(1, 0, 2).reshape(t_len, d).astype(q.data.dtype)
+    out_data = out_h.transpose(1, 0, 2).reshape(t_q, d).astype(q.data.dtype)
 
     def backward(g: np.ndarray) -> None:
-        gh = g.reshape(t_len, n_heads, hd).transpose(1, 0, 2)
+        gh = g.reshape(t_q, n_heads, hd).transpose(1, 0, 2)
         if v.requires_grad:
             gv = np.einsum("hij,hid->hjd", attn, gh)
-            _accum(v, gv.transpose(1, 0, 2).reshape(t_len, d))
+            _accum(v, gv.transpose(1, 0, 2).reshape(t_k, d))
         da = np.einsum("hid,hjd->hij", gh, vh)
         # softmax backward; masked entries have attn == 0, so ds == 0 there
         dot = (da * attn).sum(axis=2, keepdims=True)
         ds = attn * (da - dot) * inv_sqrt
         if q.requires_grad:
             gq = np.einsum("hij,hjd->hid", ds, kh)
-            _accum(q, gq.transpose(1, 0, 2).reshape(t_len, d))
+            _accum(q, gq.transpose(1, 0, 2).reshape(t_q, d))
         if k.requires_grad:
             gk = np.einsum("hij,hid->hjd", ds, qh)
-            _accum(k, gk.transpose(1, 0, 2).reshape(t_len, d))
+            _accum(k, gk.transpose(1, 0, 2).reshape(t_k, d))
 
     return Tensor._from_op(out_data, (q, k, v), backward, "causal_attention")
 

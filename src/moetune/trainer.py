@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
-from .errors import ConfigError, LengthError, TrainingAborted
+from .errors import ConfigError, LengthError, NumericError, TrainingAborted
 from .lora import LoraConfig, adapter_config
-from .model import DecoderModel
+from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam
 from .tokenizer import EOT_ID, PAD_ID, TokenizedSample
 
@@ -138,6 +138,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     from `cfg`; a resumed state contributes only its moments and step
     counts. `lora_config`, when given, must equal the config of the
     adapters attached to the model, which is what checkpoints record.
+    A non-finite loss, or a NumericError from the step's forward or
+    backward, raises TrainingAborted with the step index.
     """
     cfg.validate()
     if lora_config is not None:
@@ -199,18 +201,22 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             chunk = micros[pos:pos + cfg.grad_accum_steps]
             pos += len(chunk)
             optimizer.zero_grad()
-            total = None
-            for micro_idx, micro in enumerate(chunk):
-                rng = np.random.default_rng([cfg.seed, global_step, micro_idx])
-                samples = [corpus[i] for i in micro]
-                loss = batch_loss(model, samples, rng)
-                total = loss if total is None else tz.add(total, loss)
-            step_loss = tz.scale(total, 1.0 / len(chunk))
-            loss_value = float(step_loss.data)
-            if not math.isfinite(loss_value):
-                raise TrainingAborted(global_step,
-                                      f"non-finite loss at step {global_step}")
-            step_loss.backward()
+            try:
+                total = None
+                for micro_idx, micro in enumerate(chunk):
+                    rng = np.random.default_rng([cfg.seed, global_step, micro_idx])
+                    samples = [corpus[i] for i in micro]
+                    loss = batch_loss(model, samples, rng)
+                    total = loss if total is None else tz.add(total, loss)
+                step_loss = tz.scale(total, 1.0 / len(chunk))
+                loss_value = float(step_loss.data)
+                if not math.isfinite(loss_value):
+                    raise TrainingAborted(global_step,
+                                          f"non-finite loss at step {global_step}")
+                step_loss.backward()
+            except NumericError as e:
+                raise TrainingAborted(
+                    global_step, f"step {global_step}: {e}") from e
             _clip_gradients(trainable, cfg.max_grad_norm)
             global_step += 1
             step_in_epoch += 1
@@ -252,6 +258,10 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
              stop_id: int = EOT_ID) -> list[int]:
     """Autoregressive decoding; stops at <eot> or after max_new tokens.
 
+    One forward over the prompt fills a key/value cache and gives the first
+    token's logits; every further token runs as a single row against that
+    cache. The logits are bitwise equal to the last row of a forward over
+    the whole prefix, so the tokens are those a full-prefix loop would pick.
     greedy is deterministic (ties pick the lowest id); temperature sampling
     converges to greedy as temperature approaches 0.
     """
@@ -263,10 +273,11 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     if mode not in ("greedy", "temperature", "top_p"):
         raise ConfigError(f"unknown decode mode {mode!r}")
     rng = np.random.default_rng(seed)
-    ids = list(prompt)
+    cache = KVCache()
+    step_ids = prompt
     out: list[int] = []
-    for _ in range(max_new):
-        logits = model.forward(ids).data[-1]
+    while len(out) < max_new:
+        logits = model.forward(step_ids, cache=cache).data[-1]
         if mode == "greedy":
             nxt = int(np.argmax(logits))
         elif mode == "temperature":
@@ -281,8 +292,8 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
             keep = order[:cut]
             kp = probs[keep] / probs[keep].sum()
             nxt = int(rng.choice(keep, p=kp))
-        ids.append(nxt)
         out.append(nxt)
         if nxt == stop_id:
             break
+        step_ids = [nxt]
     return out

@@ -80,3 +80,41 @@ def test_header_without_configs_or_tensors(tmp_path, header):
     write_container(path, VERSION, header)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def edit_header(src, dst, edit) -> None:
+    """Copy a checkpoint with its JSON header changed by edit(header)."""
+    raw = read(src)
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + header_len])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    with open(dst, "wb") as f:
+        f.write(raw[:8] + struct.pack("<Q", len(new)) + new
+                + raw[16 + header_len:])
+
+
+def saved_and_edited(tmp_path, edit):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_checkpoint(tiny_state(), good)
+    edit_header(good, bad, edit)
+    return bad
+
+
+def test_configs_without_model(tmp_path):
+    path = saved_and_edited(tmp_path, lambda h: h["configs"].pop("model"))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_model_config_with_unknown_key(tmp_path):
+    path = saved_and_edited(
+        tmp_path, lambda h: h["configs"]["model"].update(activation="silu"))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_lora_config_without_alpha(tmp_path):
+    path = saved_and_edited(tmp_path, lambda h: h["configs"]["lora"].pop("alpha"))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)

@@ -5,9 +5,11 @@ import pytest
 
 from moetune import tensor as T
 from moetune.errors import ConfigError, LengthError, VocabError
+from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import (
     DecoderModel,
     Expert,
+    KVCache,
     Linear,
     ModelConfig,
     MoELayer,
@@ -228,6 +230,48 @@ def test_forward_deterministic():
     model = init_model(TINY, seed=3)
     ids = [5, 9, 250, 3]
     assert np.array_equal(model.forward(ids).data, model.forward(ids).data)
+
+
+@pytest.fixture(scope="module")
+def tuned_default_model():
+    """Default config, q4 kernels, adapters with non-zero A and B."""
+    model = init_model(ModelConfig(), seed=5)
+    model.quantize_frozen(64)
+    attach_adapters(model, LoraConfig(), seed=6)
+    rng = np.random.default_rng(7)
+    for t in model.trainable_parameters().values():
+        t.data[:] = 0.05 * rng.standard_normal(t.data.shape)
+    return model
+
+
+# 8, 128 and the ~300 of a long chat history straddle the block edges of
+# numpy's pairwise sums
+@pytest.mark.parametrize("prompt_len", [1, 7, 8, 9, 127, 128, 129, 301])
+def test_cached_decode_is_bitwise_equal_to_full_forward(tuned_default_model,
+                                                        prompt_len):
+    model = tuned_default_model
+    ids = np.random.default_rng(prompt_len).integers(0, 262, prompt_len + 3)
+    cache = KVCache()
+    prefill = model.forward(ids[:prompt_len], cache=cache).data
+    assert np.array_equal(prefill, model.forward(ids[:prompt_len]).data)
+    for t in range(prompt_len, len(ids)):
+        step = model.forward(ids[t:t + 1], cache=cache).data
+        assert step.shape == (1, 262)
+        assert np.array_equal(step[0], model.forward(ids[:t + 1]).data[-1]), t
+    assert cache.length == len(ids)
+
+
+def test_cache_rejects_training_and_overflow():
+    model = init_model(TINY, seed=8)
+    cache = KVCache()
+    with pytest.raises(ConfigError):
+        model.forward([1, 2], training=True, cache=cache)
+    model.forward(np.arange(30), cache=cache)
+    with pytest.raises(LengthError):
+        model.forward([1, 2, 3], cache=cache)
+    assert cache.length == 30
+    model.forward([1, 2], cache=cache)
+    assert cache.length == 32
 
 
 def test_end_to_end_gradient_check():

@@ -263,9 +263,38 @@ def test_grad_cross_entropy():
 
 def test_grad_causal_attention():
     rng = np.random.default_rng(18)
-    q, k, v = rand64(rng, 5, 8), rand64(rng, 5, 8), rand64(rng, 5, 8)
-    w = rand64(rng, 5, 8)
-    check(lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)), [q, k, v])
+    k, v = rand64(rng, 5, 8), rand64(rng, 5, 8)
+    # t_q < 5: the queries are the last t_q of the 5 key positions
+    for t_q in (5, 2, 1):
+        q, w = rand64(rng, t_q, 8), rand64(rng, t_q, 8)
+        check(lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)),
+              [q, k, v])
+
+
+@pytest.mark.parametrize("t_k", [1, 7, 8, 9, 127, 128, 129, 300])
+def test_attention_on_last_query_rows_is_bitwise_equal(t_k):
+    rng = np.random.default_rng(t_k)
+    q, k, v = (T.Tensor(rng.standard_normal((t_k, 16))) for _ in range(3))
+    full = T.causal_attention(q, k, v, 4).data
+    for t_q in sorted({1, min(2, t_k), t_k // 2 + 1, t_k}):
+        part = T.causal_attention(T.Tensor(q.data[-t_q:]), k, v, 4).data
+        assert np.array_equal(part, full[-t_q:]), (t_k, t_q)
+
+
+def test_attention_rejects_more_queries_than_keys():
+    rng = np.random.default_rng(3)
+    q, kv = T.Tensor(rng.standard_normal((3, 8))), T.Tensor(rng.standard_normal((2, 8)))
+    with pytest.raises(DimensionError):
+        T.causal_attention(q, kv, kv, 2)
+
+
+def test_rotary_offset_is_bitwise_equal_to_slicing():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((300, 16)).astype(np.float32)
+    full = T.rotary(T.Tensor(x), 4).data
+    for s in (0, 1, 7, 128, 299):
+        part = T.rotary(T.Tensor(x[s:]), 4, offset=s).data
+        assert np.array_equal(part, full[s:]), s
 
 
 def test_grad_rotary():

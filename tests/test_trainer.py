@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moetune.checkpoint import load_checkpoint
-from moetune.errors import ConfigError
+from moetune.errors import ConfigError, NumericError, TrainingAborted
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 from moetune.tokenizer import render_chat
@@ -62,3 +62,12 @@ def test_resume_without_moments_is_rejected(tmp_path):
     resumed = load_checkpoint(tmp_path / "ckpt_step1.bin", with_optimizer=False)
     with pytest.raises(ConfigError):
         train(resumed.model, CORPUS, cfg, resume=resumed)
+
+
+def test_nan_adapter_aborts_at_step_0():
+    model = adapted_model()
+    model.layers[0].wq.adapter.b.data[:] = np.nan
+    with pytest.raises(TrainingAborted) as info:
+        train(model, CORPUS, TrainConfig(epochs=1, batch_size=2))
+    assert info.value.step == 0
+    assert isinstance(info.value.__cause__, NumericError)
