@@ -9,6 +9,11 @@ followed by f32 scales (block size 64, row-major element order).
 Version 2 stores each adapter as `lora_a` [d_in, rank] and `lora_b`
 [rank, d_out], in the [d_in, d_out] orientation of the kernel it sits on.
 Version 1 stored them transposed and is rejected.
+
+The loader checks every tensor entry up front, then builds the model from
+the file through `model.build_model` and `lora.load_adapters`: each weight
+they ask for is read once, at the shape they ask for. A weight the file
+lacks, or a non-`optim.` entry that no one asks for, is an IntegrityError.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, IntegrityError
-from .lora import LoraConfig, adapter_config, attach_adapters
-from .model import DecoderModel, ModelConfig, init_model
+from .lora import LoraConfig, adapter_config, load_adapters
+from .model import DecoderModel, ModelConfig, build_model
 from .quant import QuantizedMatrix, QuantizedOptimState
 
 MAGIC = b"AURC"
@@ -54,50 +59,62 @@ def _q4_payload(q: QuantizedMatrix) -> bytes:
     return q.codes.tobytes() + q.scales.astype("<f4").tobytes()
 
 
-def _q4_restore(shape: tuple[int, ...], raw: bytes) -> QuantizedMatrix:
-    rows, cols = shape
-    n = rows * cols
+def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
+    """The tensor of one header entry.
+
+    FormatError unless the entry is a dict whose dtype is "f32" or
+    "q4_sym_b64" and whose offset, length and shape (2-D for q4) are
+    non-negative ints; IntegrityError if its length does not fit its dtype
+    and shape or it runs past the payload.
+    """
+    def count(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    if not isinstance(meta, dict):
+        raise FormatError(f"{where}: entry is not a dict")
+    dtype, shape = meta.get("dtype"), meta.get("shape")
+    start, length = meta.get("offset"), meta.get("length")
+    if not (dtype in ("f32", Q4_DTYPE) and count(start) and count(length)
+            and isinstance(shape, list) and all(map(count, shape))
+            and (dtype == "f32" or len(shape) == 2)):
+        raise FormatError(f"{where}: malformed entry {meta}")
+    n = int(np.prod(shape))
     n_codes = (n + 1) // 2
-    n_scales = (n + Q4_BLOCK - 1) // Q4_BLOCK
-    if len(raw) != n_codes + 4 * n_scales:
+    want = (n_codes + 4 * ((n + Q4_BLOCK - 1) // Q4_BLOCK)
+            if dtype == Q4_DTYPE else 4 * n)
+    if length != want:
         raise IntegrityError(
-            f"q4 payload length {len(raw)} != {n_codes + 4 * n_scales}")
+            f"{where}: length {length} != {want} for {dtype} {shape}")
+    if start + length > len(payload):
+        raise IntegrityError(f"{where}: truncated payload")
+    raw = payload[start:start + length]
+    if dtype == "f32":
+        return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
     codes = np.frombuffer(raw[:n_codes], dtype=np.uint8).copy()
     scales = np.frombuffer(raw[n_codes:], dtype="<f4").astype(np.float32)
-    return QuantizedMatrix(rows, cols, Q4_BLOCK, codes, scales)
+    return QuantizedMatrix(shape[0], shape[1], Q4_BLOCK, codes, scales)
 
 
 def save_checkpoint(state: TrainState, path) -> None:
     """Serialize model weights, adapters, optimizer moments and the cursor."""
+    model = state.model
+    entries = [(n, "f32", t.data) for n, t in model.named_parameters().items()]
+    entries += [(n, Q4_DTYPE, q) for n, q in model.named_quantized().items()]
+    optim_steps: dict[str, int] = {}
+    for pname, opt_state in (state.optim_state or {}).items():
+        entries.append((f"optim.{pname}.m", Q4_DTYPE, opt_state.m))
+        entries.append((f"optim.{pname}.v", Q4_DTYPE, opt_state.v))
+        optim_steps[pname] = opt_state.step
+
     tensors: dict[str, dict] = {}
     blobs: list[bytes] = []
     offset = 0
-
-    def put(name: str, dtype: str, shape, raw: bytes) -> None:
-        nonlocal offset
-        tensors[name] = {"dtype": dtype, "shape": list(shape),
+    for name, dtype, obj in sorted(entries, key=lambda e: e[0]):
+        raw = obj.astype("<f4").tobytes() if dtype == "f32" else _q4_payload(obj)
+        tensors[name] = {"dtype": dtype, "shape": list(obj.shape),
                          "offset": offset, "length": len(raw)}
         blobs.append(raw)
         offset += len(raw)
-
-    model = state.model
-    entries: list[tuple[str, str, object]] = []
-    for name, t in model.named_parameters().items():
-        entries.append((name, "f32", t))
-    for name, q in model.named_quantized().items():
-        entries.append((name, Q4_DTYPE, q))
-    optim_steps: dict[str, int] = {}
-    if state.optim_state is not None:
-        for pname, opt_state in state.optim_state.items():
-            entries.append((f"optim.{pname}.m", Q4_DTYPE, opt_state.m))
-            entries.append((f"optim.{pname}.v", Q4_DTYPE, opt_state.v))
-            optim_steps[pname] = opt_state.step
-
-    for name, dtype, obj in sorted(entries):
-        if dtype == "f32":
-            put(name, "f32", obj.data.shape, obj.data.astype("<f4").tobytes())
-        else:
-            put(name, Q4_DTYPE, obj.shape, _q4_payload(obj))
 
     lora_cfg = adapter_config(model)
     header = {
@@ -142,74 +159,50 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         raise FormatError(f"{path}: header lacks configs or tensors")
     payload = raw[16 + header_len:]
 
-    configs = header["configs"]
+    configs, tensors = header["configs"], header["tensors"]
     try:
         model_cfg = ModelConfig.from_dict(configs["model"])
         lora_cfg = (LoraConfig.from_dict(configs["lora"])
                     if configs.get("lora") else None)
     except (AttributeError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed configs block ({e!r})") from e
-    model = init_model(model_cfg, seed=0)
-    if lora_cfg is not None:
-        attach_adapters(model, lora_cfg, seed=0)
-
-    tensors = header["tensors"]
-
-    def tensor_bytes(name: str, meta: dict) -> bytes:
-        start, length = meta["offset"], meta["length"]
-        if start + length > len(payload):
-            raise IntegrityError(f"{path}: truncated payload for {name}")
-        return payload[start:start + length]
-
-    # quantize the projections that the checkpoint stores as q4
-    proj_by_name = {name: lin for name, _, lin in model._projections()}
-    for name, meta in tensors.items():
-        if meta["dtype"] == Q4_DTYPE and not name.startswith("optim."):
-            base = name.removesuffix(".weight")
-            lin = proj_by_name.get(base)
-            if lin is None:
-                raise IntegrityError(f"{path}: unknown quantized tensor {name}")
-            if list(lin.shape) != meta["shape"]:
-                raise IntegrityError(
-                    f"{path}: {name} shape {meta['shape']} != model {list(lin.shape)}")
-            lin.kernel = _q4_restore(tuple(meta["shape"]),
-                                     tensor_bytes(name, meta))
-
-    params = model.named_parameters()
-    for name, meta in tensors.items():
-        if name.startswith("optim.") or meta["dtype"] != "f32":
-            continue
-        t = params.get(name)
-        if t is None:
-            raise IntegrityError(f"{path}: unknown tensor {name}")
-        if list(t.data.shape) != meta["shape"]:
-            raise IntegrityError(
-                f"{path}: {name} shape {meta['shape']} != model "
-                f"{list(t.data.shape)}")
-        arr = np.frombuffer(tensor_bytes(name, meta), dtype="<f4")
-        if arr.size != t.data.size:
-            raise IntegrityError(f"{path}: {name} payload size mismatch")
-        t.data = arr.astype(np.float32).reshape(t.data.shape)
-    missing = set(params) - {n for n in tensors if not n.startswith("optim.")}
-    if missing:
-        raise IntegrityError(f"{path}: missing tensors {sorted(missing)[:4]}")
-
     ts = configs.get("trainer_state") or {}
+    if not (isinstance(ts, dict)
+            and isinstance(ts.get("optim_steps", {}), dict)):
+        raise FormatError(f"{path}: trainer_state must be a dict")
+    if not isinstance(tensors, dict):
+        raise FormatError(f"{path}: tensors must be a dict")
+    stored = {name: _decode(f"{path}: {name}", meta, payload)
+              for name, meta in tensors.items()}
+    unused = {n for n in stored if not n.startswith("optim.")}
+
+    def weight(name: str, shape: tuple[int, ...]):
+        if name not in stored:
+            raise IntegrityError(f"{path}: missing tensor {name}")
+        if stored[name].shape != tuple(shape):
+            raise IntegrityError(f"{path}: {name} shape "
+                                 f"{stored[name].shape} != {tuple(shape)}")
+        unused.discard(name)
+        return stored[name]
+
+    model = build_model(model_cfg, weight)
+    if lora_cfg is not None:
+        load_adapters(model, lora_cfg, weight)
+    if unused:
+        raise IntegrityError(f"{path}: unknown tensors {sorted(unused)[:4]}")
+
     state = TrainState(model=model, train_config=configs.get("train"),
                        step=ts.get("step", 0), epoch=ts.get("epoch", 0),
                        cursor=ts.get("cursor", 0), seed=ts.get("seed", 0))
-
-    optim_names = {n for n in tensors if n.startswith("optim.")}
-    if with_optimizer and optim_names:
-        optim_steps = ts.get("optim_steps", {})
+    if with_optimizer and any(n.startswith("optim.") for n in stored):
         state.optim_state = {}
-        for pname in model.trainable_parameters():
-            m_name, v_name = f"optim.{pname}.m", f"optim.{pname}.v"
-            if m_name not in tensors or v_name not in tensors:
-                raise IntegrityError(f"{path}: missing optimizer state for {pname}")
-            m_meta, v_meta = tensors[m_name], tensors[v_name]
+        for pname, t in model.trainable_parameters().items():
+            m, v = (weight(f"optim.{pname}.{k}", (1, t.data.size))
+                    for k in "mv")
+            if not (isinstance(m, QuantizedMatrix)
+                    and isinstance(v, QuantizedMatrix)):
+                raise IntegrityError(f"{path}: optimizer state for {pname} "
+                                     f"is not {Q4_DTYPE}")
             state.optim_state[pname] = QuantizedOptimState(
-                m=_q4_restore(tuple(m_meta["shape"]), tensor_bytes(m_name, m_meta)),
-                v=_q4_restore(tuple(v_meta["shape"]), tensor_bytes(v_name, v_meta)),
-                step=optim_steps.get(pname, 0))
+                m, v, step=ts.get("optim_steps", {}).get(pname, 0))
     return state

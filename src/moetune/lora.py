@@ -17,6 +17,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ConfigError
 from .model import DecoderModel
+from .quant import QuantizedMatrix
 from .tensor import Tensor
 
 ALL_TARGETS = ("q", "k", "v", "o", "up", "gate", "down")
@@ -91,25 +92,47 @@ class LoraPair:
         return tz.scale(up, self.cfg.scaling)
 
 
+def _attach(model: DecoderModel, cfg: LoraConfig, make_pair) -> int:
+    """Freeze the base and set `make_pair(name, d_in, d_out)` on each target."""
+    cfg.validate()
+    model.freeze_base()
+    count = 0
+    for name, pname, lin in model._projections():
+        if pname in cfg.targets:
+            lin.adapter = make_pair(name, *lin.shape)
+            count += 1
+    if count == 0:
+        raise ConfigError("no projections matched the adapter targets")
+    return count
+
+
 def attach_adapters(model: DecoderModel, cfg: LoraConfig, seed: int = 0) -> int:
     """Freeze every base parameter and add fresh adapters to the targets.
 
     Returns the number of adapted projections. Freshly attached adapters do
     not change any model output (B is zero).
     """
-    cfg.validate()
-    model.freeze_base()
     rng = np.random.default_rng(seed)
-    count = 0
-    for _, pname, lin in model._projections():
-        if pname not in cfg.targets:
-            continue
-        d_in, d_out = lin.shape
-        lin.adapter = LoraPair.init(d_in, d_out, cfg, rng)
-        count += 1
-    if count == 0:
-        raise ConfigError("no projections matched the adapter targets")
-    return count
+    return _attach(model, cfg, lambda _, d_in, d_out:
+                   LoraPair.init(d_in, d_out, cfg, rng))
+
+
+def load_adapters(model: DecoderModel, cfg: LoraConfig, weight) -> int:
+    """Freeze every base parameter and attach adapters read from a source.
+
+    `weight(name, shape)` returns the f32 factors `{projection}.lora_a`
+    [d_in, rank] and `{projection}.lora_b` [rank, d_out], asked in
+    `attach_adapters` order. Returns the number of adapted projections.
+    """
+    def pair(name: str, d_in: int, d_out: int) -> LoraPair:
+        a = weight(f"{name}.lora_a", (d_in, cfg.rank))
+        b = weight(f"{name}.lora_b", (cfg.rank, d_out))
+        if isinstance(a, QuantizedMatrix) or isinstance(b, QuantizedMatrix):
+            raise ConfigError(f"{name}: adapter factors must be f32")
+        return LoraPair(Tensor(a, requires_grad=True),
+                        Tensor(b, requires_grad=True), cfg)
+
+    return _attach(model, cfg, pair)
 
 
 def adapter_config(model: DecoderModel) -> LoraConfig | None:
@@ -138,21 +161,3 @@ def merge_adapters(model: DecoderModel) -> int:
         merged += 1
     return merged
 
-
-def trainable_parameter_report(model: DecoderModel) -> tuple[int, int, float]:
-    """(trainable, frozen, ratio): trainable counts exactly the A/B matrices.
-
-    A model without adapters reports 0 trainable; everything else, quantized
-    or f32, counts as frozen.
-    """
-    trainable = 0
-    frozen = 0
-    for name, t in model.named_parameters().items():
-        if name.endswith(("lora_a", "lora_b")):
-            trainable += t.data.size
-        else:
-            frozen += t.data.size
-    for q in model.named_quantized().values():
-        frozen += q.n_elements
-    ratio = trainable / (trainable + frozen) if trainable + frozen else 0.0
-    return trainable, frozen, ratio

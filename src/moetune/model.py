@@ -74,16 +74,11 @@ class Linear:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.kernel.shape if isinstance(self.kernel, QuantizedMatrix) \
-            else self.kernel.data.shape
+        return self.kernel.shape
 
     @property
     def is_quantized(self) -> bool:
         return isinstance(self.kernel, QuantizedMatrix)
-
-    def quantize(self, block_size: int) -> None:
-        if not self.is_quantized:
-            self.kernel = quantize_4bit(self.kernel.data, block_size)
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -99,9 +94,9 @@ class Linear:
 class Norm:
     """RMSNorm with a learned gain."""
 
-    def __init__(self, d: int, eps: float):
+    def __init__(self, weight: Tensor, eps: float):
         self.eps = eps
-        self.weight = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
+        self.weight = weight
 
     def forward(self, x: Tensor) -> Tensor:
         return tz.rms_norm(x, self.weight, self.eps)
@@ -335,7 +330,8 @@ class DecoderModel:
         Embeddings, norms, the router, the lm head and any adapters stay f32.
         """
         for _, _, lin in self._projections():
-            lin.quantize(block_size)
+            if not lin.is_quantized:
+                lin.kernel = quantize_4bit(lin.kernel.data, block_size)
 
     def freeze_base(self) -> None:
         """Mark every current parameter as frozen (no gradient)."""
@@ -343,59 +339,67 @@ class DecoderModel:
             t.requires_grad = False
 
 
-def init_model(config: ModelConfig, seed: int = 0) -> DecoderModel:
-    """Seeded Gaussian init; projections scale with 1/sqrt(d_in)."""
+def build_model(config: ModelConfig, weight) -> DecoderModel:
+    """Assemble a model whose every tensor comes from `weight(name, shape)`.
+
+    Names are those of `named_parameters` and `named_quantized`. The source
+    returns an f32 array of the given shape, or a QuantizedMatrix for an
+    attention or expert kernel. It is asked once per name, in this order:
+    embedding, then per layer attn_norm, wq, wk, wv, wo, ffn_norm, router and
+    each expert's w_gate, w_up, w_down, then final_norm and lm_head. Every
+    f32 tensor is trainable.
+    """
     config.validate()
-    rng = np.random.default_rng(seed)
-    d, ff, e_n = config.d_model, config.d_ff, config.n_experts
+    d, ff = config.d_model, config.d_ff
 
-    def proj(d_in: int, d_out: int) -> Linear:
-        w = rng.normal(0.0, d_in ** -0.5, (d_in, d_out)).astype(np.float32)
-        return Linear(Tensor(w, requires_grad=True))
+    def param(name: str, shape: tuple[int, ...]) -> Tensor:
+        w = weight(name, shape)
+        if isinstance(w, QuantizedMatrix):
+            raise ConfigError(f"{name}: only attention and expert kernels "
+                              "are quantized")
+        return Tensor(w, requires_grad=True)
 
-    # unit-norm embedding rows: the first norm layer rescales anyway, and
-    # O(1) row norms keep finite-difference checks in the smooth regime
-    embedding = Tensor(rng.normal(0.0, d ** -0.5, (config.vocab_size, d))
-                       .astype(np.float32), requires_grad=True)
+    def proj(name: str, d_in: int, d_out: int) -> Linear:
+        w = weight(f"{name}.weight", (d_in, d_out))
+        return Linear(w if isinstance(w, QuantizedMatrix)
+                      else Tensor(w, requires_grad=True))
+
+    def norm(name: str) -> Norm:
+        return Norm(param(f"{name}.weight", (d,)), config.norm_eps)
+
+    embedding = param("embedding", (config.vocab_size, d))
     layers = []
-    for _ in range(config.n_layers):
-        attn_norm = Norm(d, config.norm_eps)
-        wq, wk, wv, wo = proj(d, d), proj(d, d), proj(d, d), proj(d, d)
-        ffn_norm = Norm(d, config.norm_eps)
-        router = Tensor(rng.normal(0.0, d ** -0.5, (d, e_n)).astype(np.float32),
-                        requires_grad=True)
-        experts = [Expert(proj(d, ff), proj(d, ff), proj(ff, d))
-                   for _ in range(e_n)]
+    for i in range(config.n_layers):
+        pre = f"layers.{i}"
+        attn_norm = norm(f"{pre}.attn_norm")
+        wq, wk, wv, wo = (proj(f"{pre}.attn.w{p}", d, d) for p in "qkvo")
+        ffn_norm = norm(f"{pre}.ffn_norm")
+        router = param(f"{pre}.moe.router", (d, config.n_experts))
+        experts = [Expert(proj(f"{pre}.moe.experts.{e}.w_gate", d, ff),
+                          proj(f"{pre}.moe.experts.{e}.w_up", d, ff),
+                          proj(f"{pre}.moe.experts.{e}.w_down", ff, d))
+                   for e in range(config.n_experts)]
         layers.append(DecoderLayer(attn_norm, wq, wk, wv, wo, ffn_norm,
                                    MoELayer(router, experts, config.top_k)))
-    final_norm = Norm(d, config.norm_eps)
-    lm_head = proj(d, config.vocab_size)
+    final_norm = norm("final_norm")
+    lm_head = Linear(param("lm_head.weight", (d, config.vocab_size)))
     return DecoderModel(config, embedding, layers, final_norm, lm_head)
 
 
-def count_active_params(model: DecoderModel) -> tuple[int, int]:
-    """(total, active-per-token): active counts non-MoE params, the router,
-    and a top_k/n_experts share of the (identically shaped) expert params."""
-    cfg = model.config
+def init_model(config: ModelConfig, seed: int = 0) -> DecoderModel:
+    """A fresh trainable f32 model: unit norm gains, seeded Gaussian weights.
 
-    def n_elems(lin: Linear) -> int:
-        r, c = lin.shape
-        return r * c
+    Projections and the router draw with std 1/sqrt(d_in), in the order
+    `build_model` asks for them, so a seed fixes every value.
+    """
+    rng = np.random.default_rng(seed)
 
-    expert_total = 0
-    non_moe = model.embedding.data.size + n_elems(model.lm_head)
-    non_moe += model.final_norm.weight.data.size
-    router_total = 0
-    for layer in model.layers:
-        for norm in (layer.attn_norm, layer.ffn_norm):
-            non_moe += norm.weight.data.size
-        for lin in (layer.wq, layer.wk, layer.wv, layer.wo):
-            non_moe += n_elems(lin)
-        router_total += layer.moe.router.data.size
-        for expert in layer.moe.experts:
-            expert_total += (n_elems(expert.w_gate) + n_elems(expert.w_up)
-                             + n_elems(expert.w_down))
+    def gaussian(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.endswith("norm.weight"):
+            return np.ones(shape, dtype=np.float32)
+        # unit-norm embedding rows: the first norm layer rescales anyway, and
+        # O(1) row norms keep finite-difference checks in the smooth regime
+        std = config.d_model ** -0.5 if name == "embedding" else shape[0] ** -0.5
+        return rng.normal(0.0, std, shape).astype(np.float32)
 
-    total = non_moe + router_total + expert_total
-    active = non_moe + router_total + (expert_total * cfg.top_k) // cfg.n_experts
-    return total, active
+    return build_model(config, gaussian)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError, NumericError
-from .tensor import Tensor
+from .tensor import Tensor, matmul
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -137,22 +137,12 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
 def qmatmul(x: Tensor, q: QuantizedMatrix) -> Tensor:
     """x [m,k] times a quantized [k,n] matrix.
 
-    Reference semantics: bitwise equal to matmul(x, dequantize(q)). The
-    quantized side is frozen; gradient flows to x only.
+    Runs `matmul(x, dequantize(q))`, so the result is bitwise equal to it.
+    The quantized side is frozen; gradient flows to x only.
     """
     if x.data.ndim != 2 or x.data.shape[1] != q.rows:
         raise DimensionError(f"qmatmul: {x.data.shape} x {q.shape}")
-    w = q.dequant()
-    # einsum keeps rows bitwise independent of batch size, matching matmul
-    out_data = np.einsum("ij,jk->ik", x.data, w)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad += g @ w.T
-
-    return Tensor._from_op(out_data, (x,), backward, "qmatmul")
+    return matmul(x, Tensor(q.dequant()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from moetune.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from moetune.errors import FormatError
+from moetune.errors import FormatError, IntegrityError
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 
@@ -118,3 +118,88 @@ def test_lora_config_without_alpha(tmp_path):
     path = saved_and_edited(tmp_path, lambda h: h["configs"]["lora"].pop("alpha"))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+MISSING = object()
+KERNEL = "layers.0.attn.wq.weight"
+
+
+def set_entry(name, key, value):
+    """Header edit: set (or, with value MISSING, drop) one field of an entry."""
+    def edit(header):
+        entry = header["tensors"][name]
+        if value is MISSING:
+            entry.pop(key)
+        else:
+            entry[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(tensors=list(h["tensors"].values())),
+    lambda h: h["configs"].update(trainer_state=[3, 1, 1, 4]),
+    lambda h: h["configs"]["trainer_state"].update(optim_steps=[0]),
+    lambda h: h["tensors"].update(embedding=[0, 64]),
+    set_entry("embedding", "dtype", "bf16"),
+    set_entry(KERNEL, "dtype", "q4_sym_b32"),
+    set_entry("embedding", "dtype", MISSING),
+    set_entry("embedding", "offset", MISSING),
+    set_entry(KERNEL, "length", MISSING),
+    set_entry("final_norm.weight", "shape", MISSING),
+    set_entry("final_norm.weight", "offset", -1024),
+    set_entry("final_norm.weight", "offset", True),
+    set_entry("final_norm.weight", "offset", "0"),
+    set_entry("final_norm.weight", "length", -4),
+    set_entry("final_norm.weight", "shape", [-16]),
+    set_entry("final_norm.weight", "shape", "16"),
+], ids=["tensors-list", "trainer-state-list", "optim-steps-list",
+        "entry-list", "unknown-dtype", "unknown-q4-block", "no-dtype",
+        "no-offset", "no-length", "no-shape", "negative-offset",
+        "bool-offset", "str-offset", "negative-length", "negative-shape",
+        "str-shape"])
+def test_malformed_header_is_a_format_error(tmp_path, edit):
+    with pytest.raises(FormatError):
+        load_checkpoint(saved_and_edited(tmp_path, edit))
+
+
+@pytest.mark.parametrize("name", ["final_norm.weight", KERNEL,
+                                  "layers.0.moe.experts.1.w_up.lora_b"])
+def test_missing_tensor_is_an_integrity_error(tmp_path, name):
+    path = saved_and_edited(tmp_path, lambda h: h["tensors"].pop(name))
+    with pytest.raises(IntegrityError):
+        load_checkpoint(path)
+
+
+def test_unknown_tensor_is_an_integrity_error(tmp_path):
+    path = saved_and_edited(tmp_path, lambda h: h["tensors"].update(
+        {"layers.0.extra.weight": dict(h["tensors"]["final_norm.weight"])}))
+    with pytest.raises(IntegrityError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    set_entry("final_norm.weight", "length", 60),
+    set_entry("final_norm.weight", "offset", 10 ** 9),
+    set_entry("final_norm.weight", "shape", [4, 4]),
+])
+def test_entry_that_does_not_fit_is_an_integrity_error(tmp_path, edit):
+    with pytest.raises(IntegrityError):
+        load_checkpoint(saved_and_edited(tmp_path, edit))
+
+
+def test_bare_checkpoint_loads_with_init_model_trainables(tmp_path):
+    path = tmp_path / "bare.bin"
+    save_checkpoint(TrainState(model=init_model(TINY, seed=5)), path)
+    loaded = load_checkpoint(path).model
+    assert (list(loaded.trainable_parameters())
+            == list(init_model(TINY, seed=0).trainable_parameters()))
+
+
+def test_adapted_checkpoint_trains_only_the_adapters(tmp_path):
+    state = tiny_state()
+    path = tmp_path / "tuned.bin"
+    save_checkpoint(state, path)
+    trainable = load_checkpoint(path).model.trainable_parameters()
+    assert list(trainable) == list(state.model.trainable_parameters())
+    assert trainable and all(n.endswith((".lora_a", ".lora_b"))
+                             for n in trainable)

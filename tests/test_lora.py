@@ -9,11 +9,11 @@ from moetune.lora import (
     LoraConfig,
     LoraPair,
     attach_adapters,
+    load_adapters,
     merge_adapters,
-    trainable_parameter_report,
 )
 from moetune.model import Linear, ModelConfig, init_model, route_top_k
-from moetune.quant import QuantizedAdam
+from moetune.quant import QuantizedAdam, quantize_4bit
 from moetune.tensor import Tensor
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24, n_experts=4,
@@ -142,14 +142,6 @@ def test_attach_leaves_outputs_bitwise_unchanged():
     assert np.max(np.abs(after - before)) == 0.0
 
 
-def test_report_no_adapters():
-    model = init_model(TINY, seed=7)
-    trainable, frozen, ratio = trainable_parameter_report(model)
-    assert trainable == 0
-    assert ratio == 0.0
-    assert frozen == sum(t.data.size for t in model.named_parameters().values())
-
-
 def test_report_single_projection_arithmetic():
     # one adapted 6 -> 4 projection at r=2 contributes 6*2 + 2*4 = 20
     cfg = LoraConfig(rank=2, dropout_p=0.0)
@@ -164,14 +156,44 @@ def test_report_full_census():
     n = attach_adapters(model, cfg, seed=10)
     # 2 layers x (4 attention + 4 experts x 3) = 32 projections
     assert n == 2 * (4 + 4 * 3)
-    trainable, frozen, ratio = trainable_parameter_report(model)
+    trainable = model.trainable_parameters()
+    assert len(trainable) == 2 * n
+    assert all(name.endswith((".lora_a", ".lora_b")) for name in trainable)
     d, ff, r = 16, 24, 8
     per_attn = d * r + r * d            # A [d,r] + B [r,d]
     per_gate_up = d * r + r * ff        # in d -> out ff
     per_down = ff * r + r * d
     expected = 2 * (4 * per_attn + 4 * (2 * per_gate_up + per_down))
-    assert trainable == expected
-    assert 0.0 < ratio < 1.0
+    assert sum(t.data.size for t in trainable.values()) == expected
+
+
+def test_load_adapters_takes_every_factor_from_the_source():
+    cfg = LoraConfig(rank=4, targets=("q", "down"))
+    want = init_model(TINY, seed=14)
+    attach_adapters(want, cfg, seed=15)
+    factors = want.trainable_parameters()
+    model = init_model(TINY, seed=14)
+    asked = []
+
+    def source(name, shape):
+        asked.append(name)
+        assert factors[name].data.shape == shape
+        return factors[name].data.copy()
+
+    assert load_adapters(model, cfg, source) == 2 * (1 + 4)
+    assert asked == list(factors)
+    got = model.trainable_parameters()
+    assert list(got) == list(factors)
+    for name, t in factors.items():
+        assert np.array_equal(got[name].data, t.data), name
+
+
+def test_load_adapters_rejects_a_quantized_factor():
+    def source(name, shape):
+        return quantize_4bit(np.zeros(shape, dtype=np.float32))
+
+    with pytest.raises(ConfigError):
+        load_adapters(init_model(TINY, seed=0), LoraConfig(rank=2), source)
 
 
 def test_frozen_weights_bitwise_constant_under_training():

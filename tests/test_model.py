@@ -13,11 +13,12 @@ from moetune.model import (
     Linear,
     ModelConfig,
     MoELayer,
-    count_active_params,
+    build_model,
     init_model,
     moe_forward,
     route_top_k,
 )
+from moetune.quant import quantize_4bit
 from moetune.tensor import Tensor
 
 
@@ -295,37 +296,36 @@ def test_end_to_end_gradient_check():
     T.gradient_check(loss, check_list, eps=1e-3, rtol=1e-3)
 
 
-# ---------------------------------------------------------------------------
-# parameter census
+def test_build_model_asks_for_every_weight_once():
+    cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=4, n_experts=2,
+                      top_k=1, vocab_size=11, max_seq_len=8)
+    asked = []
+
+    def kernels_quantized(name, shape):
+        asked.append(name)
+        w = np.ones(shape, dtype=np.float32)
+        return quantize_4bit(w) if ".attn." in name or ".experts." in name \
+            else w
+
+    model = build_model(cfg, kernels_quantized)
+    assert len(asked) == len(set(asked))
+    assert set(asked) == (set(model.named_parameters())
+                          | set(model.named_quantized()))
+    assert len(model.named_quantized()) == 2 * (4 + 2 * 3)
 
 
-def test_active_equals_total_when_dense():
-    cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=8, n_experts=4,
-                      top_k=4, vocab_size=16, max_seq_len=8)
-    total, active = count_active_params(init_model(cfg))
-    assert total == active
-
-
-def test_active_ratio_top2_of_8():
-    cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=8, n_experts=8,
-                      top_k=2, vocab_size=16, max_seq_len=8)
-    model = init_model(cfg)
-    total, active = count_active_params(model)
-    expert_total = sum(
-        e.w_gate.kernel.data.size + e.w_up.kernel.data.size
-        + e.w_down.kernel.data.size
-        for layer in model.layers for e in layer.moe.experts)
-    assert total - active == expert_total - expert_total * 2 // 8
-
-
-def test_hand_counted_census():
+@pytest.mark.parametrize("quantized", ["embedding", "final_norm.weight",
+                                       "layers.0.moe.router", "lm_head.weight"])
+def test_build_model_rejects_a_quantized_non_kernel(quantized):
     cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=4, n_experts=2,
                       top_k=1, vocab_size=11, max_seq_len=8)
-    total, active = count_active_params(init_model(cfg))
-    # embedding 11*8 + lm_head 8*11 + final_norm 8 + 2 layer norms 8+8
-    # + 4 attn projections 8*8 + router 8*2 + 2 experts * (32+32+32)
-    assert total == 88 + 88 + 8 + 16 + 256 + 16 + 192
-    assert active == total - 192 + 96
+
+    def source(name, shape):
+        w = np.ones(shape, dtype=np.float32)
+        return quantize_4bit(w.reshape(shape[0], -1)) if name == quantized else w
+
+    with pytest.raises(ConfigError):
+        build_model(cfg, source)
 
 
 def test_config_validation():
