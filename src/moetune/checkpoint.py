@@ -19,6 +19,7 @@ lacks, or a non-`optim.` entry that no one asks for, is an IntegrityError.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -59,6 +60,11 @@ def _q4_payload(q: QuantizedMatrix) -> bytes:
     return q.codes.tobytes() + q.scales.astype("<f4").tobytes()
 
 
+def _is_count(v) -> bool:
+    """A non-negative int; bools, which JSON keeps apart, are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
     """The tensor of one header entry.
 
@@ -67,15 +73,13 @@ def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
     non-negative ints; IntegrityError if its length does not fit its dtype
     and shape or it runs past the payload.
     """
-    def count(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
     if not isinstance(meta, dict):
         raise FormatError(f"{where}: entry is not a dict")
     dtype, shape = meta.get("dtype"), meta.get("shape")
     start, length = meta.get("offset"), meta.get("length")
-    if not (dtype in ("f32", Q4_DTYPE) and count(start) and count(length)
-            and isinstance(shape, list) and all(map(count, shape))
+    if not (dtype in ("f32", Q4_DTYPE) and _is_count(start)
+            and _is_count(length)
+            and isinstance(shape, list) and all(map(_is_count, shape))
             and (dtype == "f32" or len(shape) == 2)):
         raise FormatError(f"{where}: malformed entry {meta}")
     n = int(np.prod(shape))
@@ -96,7 +100,11 @@ def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Serialize model weights, adapters, optimizer moments and the cursor."""
+    """Serialize model weights, adapters, optimizer moments and the cursor.
+
+    The file at `path` is replaced atomically: it holds either the previous
+    checkpoint or the new one, never a partial write.
+    """
     model = state.model
     entries = [(n, "f32", t.data) for n, t in model.named_parameters().items()]
     entries += [(n, Q4_DTYPE, q) for n, q in model.named_quantized().items()]
@@ -130,13 +138,19 @@ def save_checkpoint(state: TrainState, path) -> None:
     }
     header_bytes = json.dumps(header, ensure_ascii=False,
                               sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+    # write a sibling file and rename it over the target, so that a crash
+    # or a failed write leaves the previous checkpoint whole
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join([MAGIC, struct.pack("<I", VERSION),
+                              struct.pack("<Q", len(header_bytes)),
+                              header_bytes, *blobs]))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
@@ -167,9 +181,15 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     except (AttributeError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed configs block ({e!r})") from e
     ts = configs.get("trainer_state") or {}
-    if not (isinstance(ts, dict)
-            and isinstance(ts.get("optim_steps", {}), dict)):
+    if not isinstance(ts, dict):
         raise FormatError(f"{path}: trainer_state must be a dict")
+    step, epoch, cursor, seed = (ts.get(k, 0)
+                                 for k in ("step", "epoch", "cursor", "seed"))
+    optim_steps = ts.get("optim_steps", {})
+    if not (isinstance(optim_steps, dict) and all(map(
+            _is_count, [step, epoch, cursor, seed, *optim_steps.values()]))):
+        raise FormatError(f"{path}: trainer_state counters and optim_steps "
+                          f"must be non-negative ints")
     if not isinstance(tensors, dict):
         raise FormatError(f"{path}: tensors must be a dict")
     stored = {name: _decode(f"{path}: {name}", meta, payload)
@@ -192,8 +212,7 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         raise IntegrityError(f"{path}: unknown tensors {sorted(unused)[:4]}")
 
     state = TrainState(model=model, train_config=configs.get("train"),
-                       step=ts.get("step", 0), epoch=ts.get("epoch", 0),
-                       cursor=ts.get("cursor", 0), seed=ts.get("seed", 0))
+                       step=step, epoch=epoch, cursor=cursor, seed=seed)
     if with_optimizer and any(n.startswith("optim.") for n in stored):
         state.optim_state = {}
         for pname, t in model.trainable_parameters().items():
@@ -204,5 +223,5 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
                 raise IntegrityError(f"{path}: optimizer state for {pname} "
                                      f"is not {Q4_DTYPE}")
             state.optim_state[pname] = QuantizedOptimState(
-                m, v, step=ts.get("optim_steps", {}).get(pname, 0))
+                m, v, step=optim_steps.get(pname, 0))
     return state

@@ -4,8 +4,10 @@ Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
 tape and replays it in reverse, accumulating gradients into ``.grad``.
 Forward outputs are checked for NaN/Inf: overflow raises instead of
-propagating silently. All reductions use numpy's sequential order, so
-gradients are bit-reproducible run to run.
+propagating silently. The matmul forward and backward and the attention
+backward run on BLAS, which repeats its arithmetic exactly for a given
+shape and thread count, so values and gradients are bit-reproducible run
+to run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .errors import (
 )
 
 DTYPE = np.float32
+
+# Rows per BLAS call in the matmul forward. Every call multiplies a
+# [TILE, K] block, so the result of a row never depends on how many rows the
+# caller passed; changing TILE changes every forward value at the ulp level.
+TILE = 8
 
 # When on, every op output is checked for NaN/Inf and a non-finite value
 # raises NumericError at the op that produced it, instead of surfacing later
@@ -163,9 +170,15 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product with dA = g.Bᵀ, dB = Aᵀ.g.
 
-    Forward uses einsum, whose per-row accumulation order is independent of
-    the number of rows; BLAS blocks by shape, which would break the bitwise
-    prefix-stability the causal decoder guarantees. Backward keeps BLAS.
+    The forward is batch-invariant: the rows of a are zero-padded to a
+    multiple of TILE and multiplied as a stack of [TILE, K] tiles in one
+    batched BLAS call, so every gemm has the same shape whatever the row
+    count, and BLAS never switches to gemv or re-blocks as T grows. Each
+    output row is then bitwise the same whether it is computed alone, in a
+    prefix, or at any position of its tile, which is the causal decoder's
+    prefix stability. The guarantee rests on the BLAS and is checked
+    empirically by tests/test_tensor.py. Tiled results are not bitwise
+    equal to an untiled product. Backward runs plain BLAS.
     """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(
@@ -173,7 +186,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul: inner dims {a.data.shape} x {b.data.shape}")
-    out_data = np.einsum("ij,jk->ik", a.data, b.data)
+    (t, k), n = a.data.shape, b.data.shape[1]
+    n_tiles = -(-t // TILE)
+    xp = np.zeros((n_tiles * TILE, k), dtype=a.data.dtype)
+    xp[:t] = a.data
+    out_data = (xp.reshape(n_tiles, TILE, k) @ b.data).reshape(-1, n)[:t]
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -468,6 +485,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     over all T_k queries bitwise (every row sums over T_k entries either
     way). Heads are contiguous channel slices; outputs are concatenated
     back to [T_q, d].
+
+    The forward contracts with einsum, not BLAS: plain BLAS is not prefix
+    stable here, since OpenBLAS splits the sum of P·V differently once
+    T_k reaches 258 and computes single-query score rows differently at
+    every length. The backward carries no prefix guarantee and runs its four
+    contractions as batched BLAS products over the heads.
     """
     t_q, d = q.data.shape
     t_k = k.data.shape[0]
@@ -497,17 +520,17 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gh = g.reshape(t_q, n_heads, hd).transpose(1, 0, 2)
         if v.requires_grad:
-            gv = np.einsum("hij,hid->hjd", attn, gh)
+            gv = attn.transpose(0, 2, 1) @ gh
             _accum(v, gv.transpose(1, 0, 2).reshape(t_k, d))
-        da = np.einsum("hid,hjd->hij", gh, vh)
+        da = gh @ vh.transpose(0, 2, 1)
         # softmax backward; masked entries have attn == 0, so ds == 0 there
         dot = (da * attn).sum(axis=2, keepdims=True)
         ds = attn * (da - dot) * inv_sqrt
         if q.requires_grad:
-            gq = np.einsum("hij,hjd->hid", ds, kh)
+            gq = ds @ kh
             _accum(q, gq.transpose(1, 0, 2).reshape(t_q, d))
         if k.requires_grad:
-            gk = np.einsum("hij,hid->hjd", ds, qh)
+            gk = ds.transpose(0, 2, 1) @ qh
             _accum(k, gk.transpose(1, 0, 2).reshape(t_k, d))
 
     return Tensor._from_op(out_data, (q, k, v), backward, "causal_attention")

@@ -65,18 +65,24 @@ class TrainConfig:
 
 @dataclass
 class LossLogRow:
+    """One optimizer step: its loss, learning rate, and the global gradient
+    norm before clipping, with whether clipping scaled the gradients."""
+
     step: int
     epoch: int
     loss: float
     lr: float
+    grad_norm: float
+    clipped: bool
 
 
 def write_loss_log(rows: list[LossLogRow], path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["step", "epoch", "loss", "lr"])
+        writer.writerow(["step", "epoch", "loss", "lr", "grad_norm", "clipped"])
         for r in rows:
-            writer.writerow([r.step, r.epoch, repr(r.loss), r.lr])
+            writer.writerow([r.step, r.epoch, repr(r.loss), r.lr,
+                             repr(r.grad_norm), r.clipped])
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -97,7 +103,9 @@ def _lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     return cfg.lr
 
 
-def _clip_gradients(params: dict, max_norm: float) -> None:
+def _clip_gradients(params: dict, max_norm: float) -> float:
+    """Scale the gradients to a global norm of at most max_norm; returns the
+    norm they had before."""
     total = 0.0
     for t in params.values():
         if t.grad is not None:
@@ -108,6 +116,7 @@ def _clip_gradients(params: dict, max_norm: float) -> None:
         for t in params.values():
             if t.grad is not None:
                 t.grad *= factor
+    return total
 
 
 def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
@@ -217,12 +226,13 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             except NumericError as e:
                 raise TrainingAborted(
                     global_step, f"step {global_step}: {e}") from e
-            _clip_gradients(trainable, cfg.max_grad_norm)
+            grad_norm = _clip_gradients(trainable, cfg.max_grad_norm)
             global_step += 1
             step_in_epoch += 1
             lr_t = _lr_at(cfg, global_step, total_steps)
             optimizer.step(lr_t)
-            log.append(LossLogRow(global_step, epoch, loss_value, lr_t))
+            log.append(LossLogRow(global_step, epoch, loss_value, lr_t,
+                                  grad_norm, grad_norm > cfg.max_grad_norm))
             state.step = global_step
             state.epoch = epoch
             state.cursor = step_in_epoch

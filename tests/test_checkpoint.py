@@ -1,11 +1,13 @@
 """AURC checkpoints: bitwise round trips and typed errors on bad files."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from moetune import checkpoint
 from moetune.checkpoint import (
     MAGIC,
     VERSION,
@@ -62,6 +64,50 @@ def test_save_load_save_is_bitwise(tmp_path):
     assert got["layers.0.moe.experts.0.w_down.lora_a"].shape == (24, 2)
     assert got["layers.0.moe.experts.0.w_down.lora_b"].shape == (2, 16)
     assert (loaded.step, loaded.epoch, loaded.cursor, loaded.seed) == (3, 1, 1, 4)
+
+
+class FailingWriter:
+    """A binary file whose writes fail with ENOSPC past `budget` bytes."""
+
+    def __init__(self, f, budget: int):
+        self.f, self.budget = f, budget
+
+    def write(self, data: bytes) -> int:
+        if len(data) > self.budget:
+            self.f.write(data[:self.budget])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(tiny_state(), path)
+    before = read(path)
+    newer = tiny_state()
+    newer.step = 4
+    for t in newer.model.trainable_parameters().values():
+        t.data *= 2
+    monkeypatch.setattr(checkpoint, "open", raising=False,
+                        value=lambda *a, **k: FailingWriter(open(*a, **k),
+                                                            len(before) // 2))
+    with pytest.raises(OSError):
+        save_checkpoint(newer, path)
+    monkeypatch.undo()
+    assert read(path) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
+    assert read(tmp_path / "again.bin") == before
 
 
 def test_version_1_is_rejected(tmp_path):
@@ -152,11 +198,17 @@ def set_entry(name, key, value):
     set_entry("final_norm.weight", "length", -4),
     set_entry("final_norm.weight", "shape", [-16]),
     set_entry("final_norm.weight", "shape", "16"),
+    lambda h: h["configs"]["trainer_state"].update(step="3"),
+    lambda h: h["configs"]["trainer_state"].update(cursor=-5),
+    lambda h: h["configs"]["trainer_state"].update(epoch=True),
+    lambda h: h["configs"]["trainer_state"]["optim_steps"].update(
+        {"layers.0.attn.wq.lora_a": "2"}),
 ], ids=["tensors-list", "trainer-state-list", "optim-steps-list",
         "entry-list", "unknown-dtype", "unknown-q4-block", "no-dtype",
         "no-offset", "no-length", "no-shape", "negative-offset",
         "bool-offset", "str-offset", "negative-length", "negative-shape",
-        "str-shape"])
+        "str-shape", "str-step", "negative-cursor", "bool-epoch",
+        "str-optim-step"])
 def test_malformed_header_is_a_format_error(tmp_path, edit):
     with pytest.raises(FormatError):
         load_checkpoint(saved_and_edited(tmp_path, edit))

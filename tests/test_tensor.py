@@ -1,6 +1,10 @@
 """Autograd core: forward oracles and finite-difference gradient checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,45 @@ def test_matmul_zeros():
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
+
+
+# Every [K, N] operand of matmul in a forward of the default model: attention
+# and expert kernels, lm head, router, and both LoRA factors at rank 8.
+KERNEL_SHAPES = [(128, 128), (128, 256), (256, 128), (128, 262), (128, 8),
+                 (256, 8), (8, 128), (8, 256)]
+ROW_COUNTS = list(range(1, 3 * T.TILE + 1)) + [127, 128, 129, 511]
+
+
+def test_matmul_rows_are_batch_invariant():
+    """Each output row of matmul is bitwise independent of the call's rows.
+
+    For every kernel shape, a call on the first t rows equals the first t
+    rows of the largest call, and a call on rows that start mid-tile equals
+    the same rows of the largest call.
+    """
+    rng = np.random.default_rng(0)
+    for k, n in KERNEL_SHAPES:
+        x = rng.standard_normal((max(ROW_COUNTS) + T.TILE, k)).astype(np.float32)
+        w = T.Tensor(rng.standard_normal((k, n)).astype(np.float32))
+        full = T.matmul(T.Tensor(x), w).data
+        for t in ROW_COUNTS:
+            prefix = T.matmul(T.Tensor(x[:t]), w).data
+            assert np.array_equal(prefix, full[:t]), (k, n, t)
+            s = 1 + t % (T.TILE - 1)
+            inner = T.matmul(T.Tensor(x[s:s + t]), w).data
+            assert np.array_equal(inner, full[s:s + t]), (k, n, t, s)
+
+
+def test_matmul_rows_are_batch_invariant_on_one_blas_thread():
+    # BLAS reads its thread count when numpy loads, so run in a fresh process
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_matmul_rows_are_batch_invariant"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +312,42 @@ def test_grad_causal_attention():
         q, w = rand64(rng, t_q, 8), rand64(rng, t_q, 8)
         check(lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)),
               [q, k, v])
+
+
+def attention_grads_einsum64(q, k, v, g, n_heads):
+    """float64 einsum reference for the gradients of causal_attention."""
+    q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
+    (t_q, d), t_k = q.shape, k.shape[0]
+    hd = d // n_heads
+    qh, kh, vh, gh = (a.reshape(len(a), n_heads, hd).transpose(1, 0, 2)
+                      for a in (q, k, v, g))
+    scores = np.einsum("hid,hjd->hij", qh, kh) / math.sqrt(hd)
+    causal = np.tril(np.ones((t_q, t_k), dtype=bool), t_k - t_q)
+    scores = np.where(causal, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    attn = e / e.sum(axis=2, keepdims=True)
+    gv = np.einsum("hij,hid->hjd", attn, gh)
+    da = np.einsum("hid,hjd->hij", gh, vh)
+    ds = attn * (da - (da * attn).sum(axis=2, keepdims=True)) / math.sqrt(hd)
+    gq = np.einsum("hij,hjd->hid", ds, kh)
+    gk = np.einsum("hij,hid->hjd", ds, qh)
+    return [a.transpose(1, 0, 2).reshape(-1, d) for a in (gq, gk, gv)]
+
+
+@pytest.mark.parametrize("t_q", [300, 1])
+def test_attention_grads_at_length_match_einsum64(t_q):
+    rng = np.random.default_rng(t_q)
+    q = T.Tensor(rng.standard_normal((t_q, 128)), requires_grad=True)
+    k, v = (T.Tensor(rng.standard_normal((300, 128)), requires_grad=True)
+            for _ in range(2))
+    g = T.Tensor(rng.standard_normal((t_q, 128)))
+    T.sum_all(T.mul(T.causal_attention(q, k, v, 4), g)).backward()
+    want = attention_grads_einsum64(q.data, k.data, v.data, g.data, 4)
+    for name, got, ref in zip("qkv", (q.grad, k.grad, v.grad), want):
+        # f32 rounding is relative to the largest entries, not to each entry
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, ref, rtol=1e-5,
+                                   atol=1e-5 * np.abs(ref).max(), err_msg=name)
 
 
 @pytest.mark.parametrize("t_k", [1, 7, 8, 9, 127, 128, 129, 300])

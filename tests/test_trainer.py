@@ -1,5 +1,7 @@
 """SFT loop: checkpoints it writes load back, and resume is bit-exact."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,8 @@ def test_mid_epoch_resume_reproduces_loss_tail_at_beta2_095(tmp_path):
     resumed = load_checkpoint(tmp_path / "ckpt_step2.bin")
     assert (resumed.step, resumed.cursor) == (2, 2)
     _, tail = train(resumed.model, CORPUS, cfg, resume=resumed)
-    assert [r.loss for r in tail] == [r.loss for r in log[2:]]
+    assert ([(r.loss, r.grad_norm) for r in tail]
+            == [(r.loss, r.grad_norm) for r in log[2:]])
 
 
 def test_resume_without_moments_is_rejected(tmp_path):
@@ -71,3 +74,15 @@ def test_nan_adapter_aborts_at_step_0():
         train(model, CORPUS, TrainConfig(epochs=1, batch_size=2))
     assert info.value.step == 0
     assert isinstance(info.value.__cause__, NumericError)
+
+
+@pytest.mark.parametrize("max_norm, clipped", [(1e-6, True), (1e9, False)])
+def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_grad_norm=max_norm)
+    _, log = train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
+    assert len(log) == 3
+    assert all(r.clipped is clipped and r.grad_norm > 1e-6 for r in log)
+    with open(tmp_path / "loss_log.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(r["grad_norm"]) for r in rows] == [r.grad_norm for r in log]
+    assert [r["clipped"] for r in rows] == [str(clipped)] * 3
