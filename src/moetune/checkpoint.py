@@ -28,12 +28,11 @@ import numpy as np
 from .errors import FormatError, IntegrityError
 from .lora import LoraConfig, adapter_config, load_adapters
 from .model import DecoderModel, ModelConfig, build_model
-from .quant import QuantizedMatrix, QuantizedOptimState
+from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, QuantizedOptimState
 
 MAGIC = b"AURC"
 VERSION = 2
-Q4_BLOCK = 64
-Q4_DTYPE = "q4_sym_b64"
+Q4_DTYPE = f"q4_sym_b{DEFAULT_BLOCK_SIZE}"
 
 
 @dataclass
@@ -54,7 +53,7 @@ class TrainState:
 
 
 def _q4_payload(q: QuantizedMatrix) -> bytes:
-    if q.block_size != Q4_BLOCK:
+    if q.block_size != DEFAULT_BLOCK_SIZE:
         raise FormatError(
             f"checkpoint stores {Q4_DTYPE}; got block_size {q.block_size}")
     return q.codes.tobytes() + q.scales.astype("<f4").tobytes()
@@ -84,7 +83,7 @@ def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
         raise FormatError(f"{where}: malformed entry {meta}")
     n = int(np.prod(shape))
     n_codes = (n + 1) // 2
-    want = (n_codes + 4 * ((n + Q4_BLOCK - 1) // Q4_BLOCK)
+    want = (n_codes + 4 * ((n + DEFAULT_BLOCK_SIZE - 1) // DEFAULT_BLOCK_SIZE)
             if dtype == Q4_DTYPE else 4 * n)
     if length != want:
         raise IntegrityError(
@@ -96,7 +95,7 @@ def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
         return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
     codes = np.frombuffer(raw[:n_codes], dtype=np.uint8).copy()
     scales = np.frombuffer(raw[n_codes:], dtype="<f4").astype(np.float32)
-    return QuantizedMatrix(shape[0], shape[1], Q4_BLOCK, codes, scales)
+    return QuantizedMatrix(shape[0], shape[1], DEFAULT_BLOCK_SIZE, codes, scales)
 
 
 def save_checkpoint(state: TrainState, path) -> None:

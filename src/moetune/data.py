@@ -1,9 +1,10 @@
-"""Three-source instruction corpus: ingest, clean/filter, stats, JSONL IO.
+"""Three-source instruction corpus: ingest, clean/filter and tokenize.
 
 Sources: two alpaca-format files (single-round instruction/output pairs)
-and one sharegpt-format file (multi-round conversations). Ingest preserves
-file order; the merged corpus concatenates sources in the fixed order
-alpaca_zh, alpaca_gpt4_zh, sharegpt so output is deterministic.
+and one sharegpt-format file (multi-round conversations). Each ingest keeps
+its file's record order. The caller concatenates the sources; since
+`clean_filter` keeps the first copy of a duplicate, that order decides
+which source a duplicate is counted against.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ParseError, RecordError
 from .tokenizer import TokenizedSample, render_chat
-
-SOURCE_ORDER = ("alpaca_zh", "alpaca_gpt4_zh", "sharegpt")
 
 
 @dataclass
@@ -35,10 +32,6 @@ class ChatSample:
     turns: list[Turn]
     source: str
     category: str = "unknown"
-
-    @property
-    def n_rounds(self) -> int:
-        return sum(1 for t in self.turns if t.role == "assistant")
 
     def is_valid(self) -> bool:
         body = [t for t in self.turns if t.role != "system"]
@@ -234,75 +227,6 @@ def clean_filter(samples: list[ChatSample],
         kept.append(cleaned)
     report.total_kept = len(kept)
     return kept, report
-
-
-# ---------------------------------------------------------------------------
-# stats
-
-
-def dataset_stats(samples: list[ChatSample]) -> dict:
-    """Deterministic corpus report: per-source counts, round split, category
-    histogram and rendered-length percentiles."""
-    per_source: dict[str, int] = {}
-    categories: dict[str, int] = {}
-    single = 0
-    multi = 0
-    lengths: list[int] = []
-    for s in samples:
-        per_source[s.source] = per_source.get(s.source, 0) + 1
-        categories[s.category] = categories.get(s.category, 0) + 1
-        if s.n_rounds == 1:
-            single += 1
-        else:
-            multi += 1
-        lengths.append(rendered_length(s))
-    if lengths:
-        arr = np.asarray(lengths)
-        pct = {"p50": int(np.percentile(arr, 50, method="nearest")),
-               "p90": int(np.percentile(arr, 90, method="nearest")),
-               "p99": int(np.percentile(arr, 99, method="nearest")),
-               "max": int(arr.max())}
-    else:
-        pct = {"p50": 0, "p90": 0, "p99": 0, "max": 0}
-    return {
-        "total": len(samples),
-        "per_source": dict(sorted(per_source.items())),
-        "single_round": single,
-        "multi_round": multi,
-        "categories": dict(sorted(categories.items())),
-        "length_percentiles": pct,
-    }
-
-
-# ---------------------------------------------------------------------------
-# corpus JSONL IO
-
-
-def write_corpus(samples: list[ChatSample], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            rec = {"turns": [{"role": t.role, "text": t.text} for t in s.turns],
-                   "source": s.source, "category": s.category}
-            f.write(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
-            f.write("\n")
-
-
-def read_corpus(path) -> list[ChatSample]:
-    samples: list[ChatSample] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno + 1}: {e}") from e
-            samples.append(ChatSample(
-                turns=[Turn(t["role"], t["text"]) for t in rec["turns"]],
-                source=rec.get("source", "unknown"),
-                category=rec.get("category", "unknown")))
-    return samples
 
 
 def tokenize_corpus(samples: list[ChatSample]) -> list[TokenizedSample]:

@@ -63,7 +63,7 @@ class LoraPair:
     """Trainable factors A [d_in, r] and B [r, d_out] beside a frozen kernel.
 
     Both factors share the [d_in, d_out] orientation of the model's Linear
-    kernels, so the branch and the merge need no transpose.
+    kernels, so the branch needs no transpose.
     """
 
     def __init__(self, a: Tensor, b: Tensor, cfg: LoraConfig):
@@ -141,23 +141,4 @@ def adapter_config(model: DecoderModel) -> LoraConfig | None:
         if lin.adapter is not None:
             return lin.adapter.cfg
     return None
-
-
-def merge_adapters(model: DecoderModel) -> int:
-    """Fold every attached adapter into its base kernel (dense f32 result).
-
-    Quantized kernels are dequantized before merging; the merged projection
-    is a plain frozen Linear with no adapter.
-    """
-    merged = 0
-    for _, _, lin in model._projections():
-        if lin.adapter is None:
-            continue
-        pair = lin.adapter
-        kernel = lin.kernel.dequant() if lin.is_quantized else lin.kernel.data
-        delta = pair.cfg.scaling * (pair.a.data @ pair.b.data)
-        lin.kernel = Tensor(kernel + delta, requires_grad=False)
-        lin.adapter = None
-        merged += 1
-    return merged
 

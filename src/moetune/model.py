@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError, LengthError, VocabError
-from .quant import QuantizedMatrix, qmatmul, quantize_4bit
+from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 
 
@@ -50,15 +50,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d).validate()
-
-
-@dataclass
-class RoutingDecision:
-    """Per-token routing outcome: expert_ids sorted by descending router
-    logit (ties broken by ascending index), gate weights summing to 1."""
-
-    expert_ids: list[int]
-    gate_weights: list[float]
 
 
 class Linear:
@@ -128,33 +119,6 @@ class MoELayer:
         self.experts = experts
         self.top_k = top_k
 
-    @property
-    def n_experts(self) -> int:
-        return len(self.experts)
-
-
-def _top_k_by_logit(logits: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries per row, descending, ties by
-    ascending index (stable sort on negated logits)."""
-    return np.argsort(-logits, axis=-1, kind="stable")[..., :k]
-
-
-def route_top_k(hidden: np.ndarray | Tensor, layer: MoELayer,
-                top_k: int | None = None) -> RoutingDecision:
-    """Route one token: logits = routerᵀ·hidden, gate = softmax over the
-    selected logits (equal to the full softmax renormalized to that set)."""
-    k = layer.top_k if top_k is None else top_k
-    if k > layer.n_experts:
-        raise ConfigError(f"top_k {k} > n_experts {layer.n_experts}")
-    h = hidden.data if isinstance(hidden, Tensor) else np.asarray(hidden)
-    logits = h @ layer.router.data
-    ids = _top_k_by_logit(logits, k)
-    sel = logits[ids].astype(np.float64)
-    e = np.exp(sel - sel.max())
-    gates = e / e.sum()
-    return RoutingDecision(expert_ids=[int(i) for i in ids],
-                           gate_weights=[float(g) for g in gates])
-
 
 def moe_forward(hidden_states: Tensor, layer: MoELayer,
                 training: bool = False,
@@ -168,7 +132,8 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
     """
     t_len = hidden_states.data.shape[0]
     router_logits = tz.matmul(hidden_states, layer.router)  # [T, E]
-    ids = _top_k_by_logit(router_logits.data, layer.top_k)  # [T, k]
+    # [T, k]: the top_k largest logits per row, ties by ascending index
+    ids = np.argsort(-router_logits.data, axis=-1, kind="stable")[:, :layer.top_k]
     sel_mask = np.zeros_like(router_logits.data)
     np.put_along_axis(sel_mask, ids, 1.0, axis=1)
     gates = tz.masked_row_softmax(router_logits, sel_mask)  # zeros off-selection
@@ -324,7 +289,7 @@ class DecoderModel:
         return {n: t for n, t in self.named_parameters().items()
                 if t.requires_grad}
 
-    def quantize_frozen(self, block_size: int = 64) -> None:
+    def quantize_frozen(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         """Quantize attention and expert projections in place.
 
         Embeddings, norms, the router, the lm head and any adapters stay f32.

@@ -3,8 +3,7 @@
 Matrices are flattened row-major and split into fixed-size blocks; each
 block stores one f32 scale (absmax/7) and one 4-bit code per element.
 Codes are unsigned 0..14 with value = (code - 7) * scale, so the grid is
-15 symmetric levels and reconstruction error is bounded by scale/2. The
-codebook is linear; swap `CODEBOOK` for an NF4-style table if needed.
+15 symmetric levels and reconstruction error is bounded by scale/2.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from .errors import DimensionError, FormatError, NumericError
 from .tensor import Tensor, matmul
 
 DEFAULT_BLOCK_SIZE = 64
-
-# value = CODEBOOK[code] * scale; linear grid centered on code 7
-CODEBOOK = np.arange(-7, 8, dtype=np.float32)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -63,11 +59,6 @@ class QuantizedMatrix:
     @property
     def n_elements(self) -> int:
         return self.rows * self.cols
-
-    def payload_nbytes(self) -> int:
-        """Serialized payload size: ceil(n/2) codes + 4 bytes per scale."""
-        n = self.n_elements
-        return (n + 1) // 2 + 4 * self.scales.size
 
     def dequant(self) -> np.ndarray:
         """Reconstruct the f32 matrix; cached, the matrix is immutable."""
@@ -162,9 +153,9 @@ class QuantizedOptimState:
     step: int = 0
 
     @classmethod
-    def zeros(cls, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> "QuantizedOptimState":
+    def zeros(cls, n: int) -> "QuantizedOptimState":
         z = np.zeros((1, n), dtype=np.float32)
-        return cls(m=quantize_4bit(z, block_size), v=quantize_4bit(z, block_size))
+        return cls(m=quantize_4bit(z), v=quantize_4bit(z))
 
 
 def adam_step_quantized(param: np.ndarray, grad: np.ndarray,
@@ -207,16 +198,14 @@ class QuantizedAdam:
     """Adam over a list of named f32 tensors with 4-bit moment storage."""
 
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 block_size: int = DEFAULT_BLOCK_SIZE):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.block_size = block_size
         self.state: dict[str, QuantizedOptimState] = {
-            name: QuantizedOptimState.zeros(t.data.size, block_size)
+            name: QuantizedOptimState.zeros(t.data.size)
             for name, t in params.items()
         }
 
@@ -228,7 +217,3 @@ class QuantizedAdam:
                 continue
             adam_step_quantized(t.data, t.grad, self.state[name], use_lr,
                                 self.beta1, self.beta2, self.eps)
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None

@@ -33,8 +33,6 @@ SPECIAL_NAMES = {
     ASSISTANT_ID: "<|assistant|>",
 }
 
-ROLE_MARKERS = {"system": SYSTEM_ID, "user": USER_ID, "assistant": ASSISTANT_ID}
-
 _NL = list("\n".encode("utf-8"))
 
 
@@ -113,21 +111,9 @@ def render_chat(turns: list[tuple[str, str]]) -> TokenizedSample:
 
 
 def render_prompt(turns: list[tuple[str, str]]) -> list[int]:
-    """Render history for generation: ends with '<|assistant|>\\n' so the
-    model continues with assistant bytes."""
-    ids: list[int] = [BOS_ID]
-    for role, text in turns:
-        if role == "system":
-            if text:
-                ids += [SYSTEM_ID] + _NL + encode_text(text) + _NL
-        elif role == "user":
-            ids += [USER_ID] + _NL + encode_text(text) + _NL
-        elif role == "assistant":
-            ids += [ASSISTANT_ID] + _NL + encode_text(text) + [EOT_ID] + _NL
-        else:
-            raise VocabError(f"unknown role {role!r}")
-    ids += [ASSISTANT_ID] + _NL
-    return ids
+    """Render history for generation: the chat template followed by
+    '<|assistant|>\\n', so the model continues with assistant bytes."""
+    return render_chat(turns).token_ids + [ASSISTANT_ID] + _NL
 
 
 def render_text(turns: list[tuple[str, str]]) -> str:

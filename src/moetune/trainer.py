@@ -209,7 +209,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         while pos < len(micros):
             chunk = micros[pos:pos + cfg.grad_accum_steps]
             pos += len(chunk)
-            optimizer.zero_grad()
+            for t in trainable.values():
+                t.grad = None
             try:
                 total = None
                 for micro_idx, micro in enumerate(chunk):

@@ -1,4 +1,4 @@
-"""Ingest, cleaning, template rendering and corpus statistics."""
+"""Ingest, cleaning and template rendering."""
 
 import json
 from pathlib import Path
@@ -11,16 +11,17 @@ from moetune.data import (
     CleaningRules,
     Turn,
     clean_filter,
-    dataset_stats,
     ingest_alpaca,
     ingest_sharegpt,
-    read_corpus,
     tokenize_corpus,
-    write_corpus,
 )
 from moetune.errors import DimensionError, ParseError, RecordError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def n_rounds(sample):
+    return sum(1 for t in sample.turns if t.role == "assistant")
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ def test_alpaca_minimal_record(tmp_path):
     (sample,) = result.samples
     assert [(t.role, t.text) for t in sample.turns] == \
         [("user", "你好"), ("assistant", "你好！")]
-    assert sample.n_rounds == 1
+    assert n_rounds(sample) == 1
 
 
 def test_alpaca_input_concatenation(tmp_path):
@@ -83,7 +84,7 @@ def test_sharegpt_single_round(tmp_path):
         {"from": "human", "value": "hi"}, {"from": "gpt", "value": "hello"}]}]),
         encoding="utf-8")
     (sample,) = ingest_sharegpt(p).samples
-    assert sample.n_rounds == 1
+    assert n_rounds(sample) == 1
 
 
 def test_sharegpt_three_rounds(tmp_path):
@@ -94,7 +95,7 @@ def test_sharegpt_three_rounds(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps([{"conversations": convo}]), encoding="utf-8")
     (sample,) = ingest_sharegpt(p).samples
-    assert sample.n_rounds == 3
+    assert n_rounds(sample) == 3
 
 
 def test_sharegpt_trailing_human_dropped():
@@ -102,8 +103,8 @@ def test_sharegpt_trailing_human_dropped():
     assert len(result.samples) == 4
     # second fixture record ends with a dangling human turn
     assert result.samples[1].turns[-1].role == "assistant"
-    assert result.samples[1].n_rounds == 1
-    rounds = [s.n_rounds for s in result.samples]
+    assert n_rounds(result.samples[1]) == 1
+    rounds = [n_rounds(s) for s in result.samples]
     assert sum(1 for r in rounds if r == 1) == 2
     assert sum(1 for r in rounds if r > 1) == 2
 
@@ -221,43 +222,29 @@ def test_render_prompt_ends_open():
     assert ids[-1] == ord("\n")
 
 
-# ---------------------------------------------------------------------------
-# stats and corpus IO
+def prompt_histories():
+    """Single-turn, system and empty-system histories, then each sharegpt
+    fixture conversation and every prefix of it that ends with a user turn."""
+    histories = [[("user", "问")],
+                 [("system", "你是助手"), ("user", "写诗")],
+                 [("system", ""), ("user", "a")]]
+    roles = {"human": "user", "gpt": "assistant", "system": "system"}
+    with open(FIXTURES / "sharegpt_fixture.json", encoding="utf-8") as f:
+        for rec in json.load(f):
+            turns = [(roles[t["from"]], t["value"]) for t in rec["conversations"]]
+            histories.append(turns)
+            histories += [turns[:i + 1] for i, (role, _) in enumerate(turns)
+                          if role == "user"]
+    return histories
 
 
-def test_stats_empty():
-    stats = dataset_stats([])
-    assert stats["total"] == 0
-    assert stats["single_round"] == 0 and stats["multi_round"] == 0
-    assert stats["length_percentiles"]["max"] == 0
-
-
-def test_stats_three_single_two_multi():
-    samples = [sample_of(("user", f"q{i}"), ("assistant", f"a{i}"))
-               for i in range(3)]
-    samples += [sample_of(("user", "q"), ("assistant", "a"),
-                          ("user", "q2"), ("assistant", "a2"),
-                          source="sharegpt") for _ in range(2)]
-    stats = dataset_stats(samples)
-    assert stats["single_round"] == 3
-    assert stats["multi_round"] == 2
-    assert stats["per_source"] == {"alpaca_zh": 3, "sharegpt": 2}
-
-
-def test_corpus_jsonl_round_trip(tmp_path):
-    samples = [
-        sample_of(("system", "系统"), ("user", "你好"), ("assistant", "答")),
-        sample_of(("user", "q"), ("assistant", "a"), source="sharegpt"),
-    ]
-    p = tmp_path / "corpus.jsonl"
-    write_corpus(samples, p)
-    back = read_corpus(p)
-    assert [(s.source, [(t.role, t.text) for t in s.turns]) for s in back] == \
-        [(s.source, [(t.role, t.text) for t in s.turns]) for s in samples]
-    # byte-identical rerun
-    p2 = tmp_path / "corpus2.jsonl"
-    write_corpus(samples, p2)
-    assert p.read_bytes() == p2.read_bytes()
+def test_render_prompt_is_the_chat_template_plus_an_open_assistant_turn():
+    histories = prompt_histories()
+    assert sum(1 for h in histories
+               if sum(r == "assistant" for r, _ in h) >= 2) == 2
+    for turns in histories:
+        assert tok.render_prompt(turns) == \
+            tok.render_chat(turns).token_ids + [tok.ASSISTANT_ID, ord("\n")]
 
 
 def test_tokenize_corpus_masks_positive():

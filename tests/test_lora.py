@@ -1,20 +1,16 @@
-"""LoRA adapters: identity at init, merging, freezing, gradient flow."""
+"""LoRA adapters: identity at init, freezing, gradient flow."""
 
 import numpy as np
 import pytest
 
 from moetune import tensor as T
 from moetune.errors import ConfigError
-from moetune.lora import (
-    LoraConfig,
-    LoraPair,
-    attach_adapters,
-    load_adapters,
-    merge_adapters,
-)
-from moetune.model import Linear, ModelConfig, init_model, route_top_k
+from moetune.lora import LoraConfig, LoraPair, attach_adapters, load_adapters
+from moetune.model import Linear, ModelConfig, init_model
 from moetune.quant import QuantizedAdam, quantize_4bit
 from moetune.tensor import Tensor
+
+from gradcheck import gradient_check
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=280, max_seq_len=32)
@@ -25,17 +21,6 @@ def toy_pair():
     cfg = LoraConfig(rank=1, alpha=1.0, dropout_p=0.0)
     return LoraPair(a=Tensor([[1.0], [0.0]], requires_grad=True),
                     b=Tensor([[1.0, 0.0]], requires_grad=True), cfg=cfg)
-
-
-def toy_model():
-    """Model with 2x2 projections; only wq carries the toy adapter over W = 0."""
-    cfg = ModelConfig(n_layers=1, d_model=2, n_heads=1, d_ff=2, n_experts=1,
-                      top_k=1, vocab_size=8, max_seq_len=4)
-    model = init_model(cfg, seed=0)
-    lin = model.layers[0].wq
-    lin.kernel = Tensor(np.zeros((2, 2)))
-    lin.adapter = toy_pair()
-    return model, lin
 
 
 def random_adapter(d_in, d_out, cfg, rng):
@@ -71,36 +56,6 @@ def test_alpha_scales_adapter_branch_linearly():
                        atol=1e-6)
 
 
-def test_merge_zero_adapter_is_w_bitwise():
-    model = init_model(TINY, seed=2)
-    attach_adapters(model, LoraConfig(rank=3, dropout_p=0.0), seed=3)
-    before = {name: lin.kernel.data.copy()
-              for name, _, lin in model._projections()}
-    merge_adapters(model)
-    for name, _, lin in model._projections():
-        assert np.array_equal(lin.kernel.data, before[name]), name
-
-
-def test_merge_toy_outer_product():
-    model, lin = toy_model()
-    assert merge_adapters(model) == 1
-    assert np.array_equal(lin.kernel.data, [[1.0, 0.0], [0.0, 0.0]])  # A·B
-
-
-def test_merged_forward_agrees_on_100_vectors():
-    rng = np.random.default_rng(3)
-    model = init_model(TINY, seed=3)
-    attach_adapters(model, LoraConfig(rank=2, alpha=6.0, targets=("q",),
-                                      dropout_p=0.0), seed=4)
-    lin = model.layers[0].wq
-    lin.adapter = random_adapter(16, 16, lin.adapter.cfg, rng)
-    x = Tensor(rng.standard_normal((100, 16)))
-    adapted = lin.forward(x).data
-    merge_adapters(model)
-    assert lin.adapter is None
-    assert np.allclose(lin.forward(x).data, adapted, atol=1e-5)
-
-
 def test_adapter_gradients_pass_finite_difference():
     rng = np.random.default_rng(4)
     cfg = LoraConfig(rank=2, alpha=4.0, dropout_p=0.0)
@@ -113,7 +68,7 @@ def test_adapter_gradients_pass_finite_difference():
     def loss():
         return T.sum_all(T.mul(pair.branch(x), ref))
 
-    T.gradient_check(loss, [a, b], eps=1e-3, rtol=1e-3)
+    gradient_check(loss, [a, b], eps=1e-3, rtol=1e-3)
 
 
 def test_config_validation():
@@ -201,7 +156,8 @@ def test_frozen_weights_bitwise_constant_under_training():
     attach_adapters(model, LoraConfig(rank=4, dropout_p=0.0), seed=12)
     frozen_before = {n: t.data.copy() for n, t in model.named_parameters().items()
                      if not t.requires_grad}
-    opt = QuantizedAdam(model.trainable_parameters(), lr=0.05)
+    trainable = model.trainable_parameters()
+    opt = QuantizedAdam(trainable, lr=0.05)
     rng = np.random.default_rng(13)
     for _ in range(10):
         ids = rng.integers(0, 280, 6)
@@ -209,41 +165,10 @@ def test_frozen_weights_bitwise_constant_under_training():
         loss = T.masked_cross_entropy(model.forward(ids, training=True,
                                                     rng=np.random.default_rng(0)),
                                       targets, np.ones(6))
-        opt.zero_grad()
+        for t in trainable.values():
+            t.grad = None
         loss.backward()
         opt.step()
     for name, before in frozen_before.items():
         t = model.named_parameters()[name]
         assert np.array_equal(t.data, before), f"{name} drifted"
-
-
-def test_router_decisions_stable_when_router_frozen():
-    model = init_model(TINY, seed=14)
-    attach_adapters(model, LoraConfig(rank=4, dropout_p=0.0), seed=15)
-    layer = model.layers[0].moe
-    h = np.random.default_rng(16).standard_normal(16).astype(np.float32)
-    before = route_top_k(h, layer)
-    opt = QuantizedAdam(model.trainable_parameters(), lr=0.1)
-    loss = T.masked_cross_entropy(model.forward([1, 2, 3]), [2, 3, 4], [1, 1, 1])
-    loss.backward()
-    opt.step()
-    after = route_top_k(h, layer)
-    assert before.expert_ids == after.expert_ids
-    assert np.array_equal(before.gate_weights, after.gate_weights)
-
-
-def test_merge_adapters_matches_adapter_forward():
-    model = init_model(TINY, seed=17)
-    attach_adapters(model, LoraConfig(rank=4, alpha=8.0, dropout_p=0.0), seed=18)
-    rng = np.random.default_rng(19)
-    # give the adapters non-trivial B so merging actually changes weights
-    for _, _, lin in model._projections():
-        if lin.adapter is not None:
-            lin.adapter.b.data[:] = 0.1 * rng.standard_normal(
-                lin.adapter.b.data.shape).astype(np.float32)
-    ids = [9, 250, 77]
-    with_adapters = model.forward(ids).data.copy()
-    merged = merge_adapters(model)
-    assert merged == 32
-    after_merge = model.forward(ids).data
-    assert np.allclose(after_merge, with_adapters, atol=1e-5)

@@ -16,10 +16,11 @@ from moetune.model import (
     build_model,
     init_model,
     moe_forward,
-    route_top_k,
 )
 from moetune.quant import quantize_4bit
 from moetune.tensor import Tensor
+
+from gradcheck import gradient_check
 
 
 def make_moe_layer(rng, d, ff, n_experts, top_k, dtype=np.float32,
@@ -65,16 +66,21 @@ def dense_dispatch_oracle(hidden, layer):
 
 
 # ---------------------------------------------------------------------------
-# route_top_k
+# routing, through moe_forward
+
+
+def expert_out(layer, e, h):
+    return layer.experts[e].forward(Tensor(h)).data.astype(np.float64)
 
 
 def test_route_all_zero_logits_tie_break():
+    # every logit ties at 0: the two lowest indices win with equal gates
     rng = np.random.default_rng(0)
     layer = make_moe_layer(rng, 4, 8, 8, 2,
                            router_rows=np.zeros((4, 8), dtype=np.float32))
-    decision = route_top_k(np.ones(4, dtype=np.float32), layer)
-    assert decision.expert_ids == [0, 1]
-    assert np.allclose(decision.gate_weights, [0.5, 0.5])
+    h = rng.standard_normal((5, 4)).astype(np.float32)
+    oracle = 0.5 * expert_out(layer, 0, h) + 0.5 * expert_out(layer, 1, h)
+    assert np.allclose(moe_forward(Tensor(h), layer).data, oracle, atol=1e-6)
 
 
 def test_route_hand_oracle():
@@ -83,57 +89,33 @@ def test_route_hand_oracle():
     router = np.zeros((1, 8), dtype=np.float32)
     router[0, 0], router[0, 1] = 2.0, 1.0
     layer = make_moe_layer(rng, 1, 4, 8, 2, router_rows=router)
-    decision = route_top_k(np.ones(1, dtype=np.float32), layer)
-    assert decision.expert_ids == [0, 1]
-    assert abs(decision.gate_weights[0] - 0.7311) < 1e-4
-    assert abs(decision.gate_weights[1] - 0.2689) < 1e-4
+    h = np.ones((1, 1), dtype=np.float32)
+    e = np.e
+    oracle = (e / (e + 1)) * expert_out(layer, 0, h) \
+        + (1 / (e + 1)) * expert_out(layer, 1, h)
+    assert np.allclose(moe_forward(Tensor(h), layer).data, oracle, atol=1e-6)
 
 
 def test_route_top_k_equals_full_softmax():
     rng = np.random.default_rng(2)
     layer = make_moe_layer(rng, 6, 4, 5, 5)
-    h = rng.standard_normal(6).astype(np.float32)
-    decision = route_top_k(h, layer, top_k=5)
-    logits = h @ layer.router.data
-    full = np.exp(logits - logits.max())
-    full /= full.sum()
-    for i, e in enumerate(decision.expert_ids):
-        assert abs(decision.gate_weights[i] - full[e]) < 1e-6
-
-
-def test_route_top_k_too_large():
-    rng = np.random.default_rng(3)
-    layer = make_moe_layer(rng, 4, 4, 4, 2)
-    with pytest.raises(ConfigError):
-        route_top_k(np.ones(4, dtype=np.float32), layer, top_k=5)
-
-
-def test_route_invariants_random():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        n_e = int(rng.integers(2, 9))
-        k = int(rng.integers(1, n_e + 1))
-        layer = make_moe_layer(rng, 5, 4, n_e, k)
-        h = rng.standard_normal(5).astype(np.float32)
-        d = route_top_k(h, layer)
-        assert len(set(d.expert_ids)) == k
-        assert abs(sum(d.gate_weights) - 1.0) < 1e-6
-        assert all(g >= 0 for g in d.gate_weights)
-        # descending logit order
-        logits = h @ layer.router.data
-        sel = [logits[i] for i in d.expert_ids]
-        assert all(sel[i] >= sel[i + 1] for i in range(len(sel) - 1))
+    h = rng.standard_normal((3, 6)).astype(np.float32)
+    logits = h.astype(np.float64) @ layer.router.data.astype(np.float64)
+    full = np.exp(logits - logits.max(axis=1, keepdims=True))
+    full /= full.sum(axis=1, keepdims=True)
+    oracle = sum(full[:, e:e + 1] * expert_out(layer, e, h) for e in range(5))
+    assert np.allclose(moe_forward(Tensor(h), layer).data, oracle, atol=1e-5)
 
 
 def test_route_shift_invariance():
     rng = np.random.default_rng(5)
-    router = rng.standard_normal((1, 6)).astype(np.float32)
-    layer = make_moe_layer(rng, 1, 4, 6, 3, router_rows=router)
-    d1 = route_top_k(np.ones(1, dtype=np.float32), layer)
-    layer.router.data += 7.5  # shifts every logit by the same constant
-    d2 = route_top_k(np.ones(1, dtype=np.float32), layer)
-    assert d1.expert_ids == d2.expert_ids
-    assert np.allclose(d1.gate_weights, d2.gate_weights, atol=1e-5)
+    layer = make_moe_layer(rng, 4, 4, 6, 3)
+    h = Tensor(rng.standard_normal((5, 4)).astype(np.float32))
+    before = moe_forward(h, layer).data
+    # the same column added to every expert's router column shifts all of a
+    # token's logits by one constant, h . shift
+    layer.router.data += rng.standard_normal((4, 1)).astype(np.float32)
+    assert np.allclose(moe_forward(h, layer).data, before, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +168,7 @@ def test_moe_router_gradient_finite_difference():
 
     params = [layer.router, h,
               layer.experts[0].w_gate.kernel, layer.experts[1].w_down.kernel]
-    T.gradient_check(loss, params, eps=1e-3, rtol=1e-3)
+    gradient_check(loss, params, eps=1e-3, rtol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +275,7 @@ def test_end_to_end_gradient_check():
                   params["layers.0.moe.experts.0.w_gate.weight"],
                   params["layers.0.attn_norm.weight"],
                   params["lm_head.weight"]]
-    T.gradient_check(loss, check_list, eps=1e-3, rtol=1e-3)
+    gradient_check(loss, check_list, eps=1e-3, rtol=1e-3)
 
 
 def test_build_model_asks_for_every_weight_once():

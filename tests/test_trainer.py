@@ -1,4 +1,5 @@
-"""SFT loop: checkpoints it writes load back, and resume is bit-exact."""
+"""SFT loop: checkpoints it writes load back, resume is bit-exact, and the
+accumulation and schedule knobs do what they claim."""
 
 import csv
 
@@ -10,7 +11,7 @@ from moetune.errors import ConfigError, NumericError, TrainingAborted
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 from moetune.tokenizer import render_chat
-from moetune.trainer import TrainConfig, train
+from moetune.trainer import TrainConfig, _lr_at, train
 
 TINY = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=262, max_seq_len=32)
@@ -20,10 +21,10 @@ CORPUS = [render_chat([("user", q), ("assistant", a)])
                        ("name?", "moe"), ("yes?", "no"), ("up?", "down")]]
 
 
-def adapted_model():
+def adapted_model(adapters=ADAPTERS):
     model = init_model(TINY, seed=0)
     model.quantize_frozen(64)
-    attach_adapters(model, ADAPTERS, seed=0)
+    attach_adapters(model, adapters, seed=0)
     return model
 
 
@@ -86,3 +87,32 @@ def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
         rows = list(csv.DictReader(f))
     assert [float(r["grad_norm"]) for r in rows] == [r.grad_norm for r in log]
     assert [r["clipped"] for r in rows] == [str(clipped)] * 3
+
+
+@pytest.mark.parametrize("batch_size, accum", [(2, 2), (1, 4)])
+def test_grad_accumulation_sees_the_objective_of_one_large_batch(
+        batch_size, accum):
+    # dropout off: its draws depend on the micro-batch index
+    no_dropout = LoraConfig(rank=2, dropout_p=0.0)
+    _, (want,) = train(adapted_model(no_dropout), CORPUS,
+                       TrainConfig(batch_size=4, max_steps=1))
+    _, (got,) = train(adapted_model(no_dropout), CORPUS,
+                      TrainConfig(batch_size=batch_size,
+                                  grad_accum_steps=accum, max_steps=1))
+    assert got.loss == pytest.approx(want.loss, rel=1e-6)
+    assert got.grad_norm == pytest.approx(want.grad_norm, rel=1e-6)
+
+
+@pytest.mark.parametrize("schedule", ["constant", "cosine"])
+def test_lr_warms_up_linearly_then_never_rises(schedule):
+    cfg = TrainConfig(lr=3e-4, warmup_steps=4, schedule=schedule)
+    lrs = [_lr_at(cfg, step, 20) for step in range(1, 23)]
+    assert lrs[:4] == pytest.approx([3e-4 * s / 4 for s in range(1, 5)])
+    after = lrs[3:]
+    assert after[0] == 3e-4
+    assert all(a >= b for a, b in zip(after, after[1:]))
+    assert min(after) >= 0.0
+    if schedule == "constant":
+        assert after == [3e-4] * len(after)
+    else:
+        assert after[1] < 3e-4 and after[-1] == 0.0
