@@ -91,6 +91,8 @@ def ingest_alpaca(path, source: str = "alpaca_zh",
             if not isinstance(instruction, str) or not isinstance(output, str):
                 raise RecordError(f"{path}[{idx}]: fields must be strings")
             extra = rec.get("input") or ""
+            if not isinstance(extra, str):
+                raise RecordError(f"{path}[{idx}]: input must be a string")
             user_text = instruction + ("\n" + extra if extra else "")
             samples.append(ChatSample(
                 turns=[Turn("user", user_text), Turn("assistant", output)],
@@ -123,12 +125,19 @@ def ingest_sharegpt(path, source: str = "sharegpt",
         try:
             if not isinstance(rec, dict) or "conversations" not in rec:
                 raise RecordError(f"{path}[{idx}]: missing 'conversations'")
+            if not isinstance(rec["conversations"], list):
+                raise RecordError(
+                    f"{path}[{idx}]: 'conversations' is not a list")
             turns: list[Turn] = []
             for turn in rec["conversations"]:
-                role = _SHAREGPT_ROLES.get(turn.get("from"))
+                if not isinstance(turn, dict):
+                    raise RecordError(f"{path}[{idx}]: turn is not an object")
+                speaker = turn.get("from")
+                role = (_SHAREGPT_ROLES.get(speaker)
+                        if isinstance(speaker, str) else None)
                 if role is None:
                     raise RecordError(
-                        f"{path}[{idx}]: unknown role {turn.get('from')!r}")
+                        f"{path}[{idx}]: unknown role {speaker!r}")
                 value = turn.get("value")
                 if not isinstance(value, str):
                     raise RecordError(f"{path}[{idx}]: non-string value")

@@ -4,10 +4,11 @@ Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
 tape and replays it in reverse, accumulating gradients into ``.grad``.
 Forward outputs are checked for NaN/Inf: overflow raises instead of
-propagating silently. The matmul forward and backward and the attention
-backward run on BLAS, which repeats its arithmetic exactly for a given
-shape and thread count, so values and gradients are bit-reproducible run
-to run.
+propagating silently. The matmul and the attention run on BLAS, forward
+and backward. BLAS repeats its arithmetic exactly for a given shape and
+thread count, so values and gradients are bit-reproducible run to run. The
+matmul and attention forwards call it only on fixed-shape tiles, so an
+output row is also bitwise the same whatever the other rows of the call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ DTYPE = np.float32
 # [TILE, K] block, so the result of a row never depends on how many rows the
 # caller passed; changing TILE changes every forward value at the ulp level.
 TILE = 8
+
+# Keys per block in the attention forward. Blocks start at key position 0,
+# so a row meets the same blocks whatever T_k is; changing KEY_BLOCK changes
+# every attention value at the ulp level.
+KEY_BLOCK = 64
 
 # When on, every op output is checked for NaN/Inf and a non-finite value
 # raises NumericError at the op that produced it, instead of surfacing later
@@ -478,16 +484,27 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     last T_q of the T_k positions, so query row i attends to key positions
     <= T_k - T_q + i. With T_k == T_q this is plain causal self-attention;
     with T_k > T_q the keys and values of the earlier positions come from a
-    cache, and each output row equals the matching row of the attention
-    over all T_k queries bitwise (every row sums over T_k entries either
-    way). Heads are contiguous channel slices; outputs are concatenated
+    cache. Heads are contiguous channel slices; outputs are concatenated
     back to [T_q, d].
 
-    The forward contracts with einsum, not BLAS: plain BLAS is not prefix
-    stable here, since OpenBLAS splits the sum of P·V differently once
-    T_k reaches 258 and computes single-query score rows differently at
-    every length. The backward carries no prefix guarantee and runs its four
-    contractions as batched BLAS products over the heads.
+    The forward runs on fixed-shape BLAS tiles: the key-block tiling of
+    FlashAttention under the batch-invariance rule of `matmul`. Queries,
+    pre-scaled by 1/√hd, go in zero-padded tiles of TILE rows; keys and
+    values are zero-padded into blocks of KEY_BLOCK positions anchored at
+    key position 0, not at T_k. Every score product is a [TILE, hd] @
+    [hd, KEY_BLOCK] gemm and every value product a [TILE, KEY_BLOCK] @
+    [KEY_BLOCK, hd] gemm, whatever T_q and T_k are. Each row takes its max
+    over its unmasked keys, sums each block's KEY_BLOCK exponentials, then
+    adds up the block sums, and later the blocks' value products, left to
+    right; the blocks past its position contribute exact zeros. A row's
+    arithmetic thus depends only on its position and on the inputs up to
+    it, so a cached decode row and every prefix are bitwise equal to the
+    matching rows of the full forward. The guarantee rests on the BLAS and
+    is checked empirically by tests/test_tensor.py.
+
+    The backward carries no prefix guarantee. It reads the [H, T_q, T_k]
+    attention weights back from the tiles and runs its four contractions
+    as batched BLAS products over the heads.
     """
     t_q, d = q.data.shape
     t_k = k.data.shape[0]
@@ -499,22 +516,50 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         raise DimensionError(f"d_model {d} not divisible by n_heads {n_heads}")
     hd = d // n_heads
     inv_sqrt = 1.0 / math.sqrt(hd)
+    dtype = q.data.dtype
+    n_qt, n_kb = -(-t_q // TILE), -(-t_k // KEY_BLOCK)
+    tq_pad, tk_pad = n_qt * TILE, n_kb * KEY_BLOCK
 
-    qh = q.data.reshape(t_q, n_heads, hd).transpose(1, 0, 2)  # [H, T_q, hd]
-    kh = k.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)  # [H, T_k, hd]
-    vh = v.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)
+    qp = np.zeros((tq_pad, d), dtype=dtype)
+    np.multiply(q.data, dtype.type(inv_sqrt), out=qp[:t_q])
+    kp = np.zeros((tk_pad, d), dtype=dtype)
+    kp[:t_k] = k.data
+    vp = np.zeros((tk_pad, d), dtype=dtype)
+    vp[:t_k] = v.data
+    # strided views whose last two axes are one head's BLAS operand
+    q_tiles = qp.reshape(n_qt, TILE, n_heads, hd).transpose(2, 0, 1, 3)
+    k_blocks = kp.reshape(n_kb, KEY_BLOCK, n_heads, hd).transpose(2, 0, 3, 1)
+    v_blocks = vp.reshape(n_kb, KEY_BLOCK, n_heads, hd).transpose(2, 0, 1, 3)
 
-    scores = np.einsum("hid,hjd->hij", qh, kh) * inv_sqrt
-    causal = np.tril(np.ones((t_q, t_k), dtype=bool), t_k - t_q)
-    scores = np.where(causal[None, :, :], scores, -np.inf)
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    e = np.where(causal[None, :, :], np.exp(shifted), 0.0)
-    attn = e / e.sum(axis=2, keepdims=True)  # [H, T_q, T_k]
-
-    out_h = np.einsum("hij,hjd->hid", attn, vh)
-    out_data = out_h.transpose(1, 0, 2).reshape(t_q, d).astype(q.data.dtype)
+    # The score gemms write their [TILE, KEY_BLOCK] tiles straight into the
+    # [H, T_q, T_k] layout that the softmax and the backward read.
+    attn = np.empty((n_heads, tq_pad, tk_pad), dtype=dtype)
+    a_tiles = attn.reshape(n_heads, n_qt, TILE, n_kb, KEY_BLOCK)
+    a_tiles = a_tiles.transpose(0, 1, 3, 2, 4)  # [H, q tile, k block, ...]
+    np.matmul(q_tiles[:, :, None], k_blocks[:, None], out=a_tiles)
+    q_pos = t_k - t_q + np.arange(tq_pad)
+    np.copyto(attn, -np.inf, where=np.arange(tk_pad) > q_pos[:, None])
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    # An explicit loop, not np.sum over the block axis: numpy sums 8 or more
+    # blocks pairwise, in an order that depends on the number of blocks.
+    block_sums = attn.reshape(n_heads, tq_pad, n_kb, KEY_BLOCK).sum(axis=3)
+    total = block_sums[:, :, 0].copy()
+    for b in range(1, n_kb):
+        total += block_sums[:, :, b]
+    attn /= total[:, :, None]
+    pv = a_tiles @ v_blocks[:, None]  # [H, q tile, k block, TILE, hd]
+    out_h = pv[:, :, 0].copy()
+    for b in range(1, n_kb):
+        out_h += pv[:, :, b]
+    out_data = (out_h.reshape(n_heads, tq_pad, hd)[:, :t_q]
+                .transpose(1, 0, 2).reshape(t_q, d))
+    attn = attn[:, :t_q, :t_k]
 
     def backward(g: np.ndarray) -> None:
+        qh = q.data.reshape(t_q, n_heads, hd).transpose(1, 0, 2)
+        kh = k.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)
+        vh = v.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)
         gh = g.reshape(t_q, n_heads, hd).transpose(1, 0, 2)
         if v.requires_grad:
             gv = attn.transpose(0, 2, 1) @ gh

@@ -65,6 +65,18 @@ def test_alpaca_missing_field_strict_vs_lenient(tmp_path):
     assert result.skipped == 1
 
 
+def test_alpaca_non_string_input_strict_vs_lenient(tmp_path):
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps([{"instruction": "x", "input": 5, "output": "y"},
+                             {"instruction": "x", "output": "y"}]),
+                 encoding="utf-8")
+    with pytest.raises(RecordError) as err:
+        ingest_alpaca(p)
+    assert "[0]" in str(err.value)
+    result = ingest_alpaca(p, lenient=True)
+    assert len(result.samples) == 1 and result.skipped == 1
+
+
 def test_alpaca_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("[{", encoding="utf-8")
@@ -118,6 +130,28 @@ def test_sharegpt_alternation_violation(tmp_path):
         ingest_sharegpt(p)
     result = ingest_sharegpt(p, lenient=True)
     assert result.samples == [] and result.skipped == 1
+
+
+GOOD_CONVERSATION = [{"from": "human", "value": "hi"},
+                     {"from": "gpt", "value": "hello"}]
+
+
+@pytest.mark.parametrize("conversations", [
+    ["hi"],  # a turn that is a string, not an object
+    5,  # not a list of turns
+    [{"from": ["human"], "value": "hi"}, {"from": "gpt", "value": "hello"}],
+], ids=["string_turn", "number", "list_speaker"])
+def test_sharegpt_malformed_conversations_strict_vs_lenient(tmp_path,
+                                                            conversations):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps([{"conversations": GOOD_CONVERSATION},
+                             {"conversations": conversations}]),
+                 encoding="utf-8")
+    with pytest.raises(RecordError) as err:
+        ingest_sharegpt(p)
+    assert "[1]" in str(err.value)
+    result = ingest_sharegpt(p, lenient=True)
+    assert len(result.samples) == 1 and result.skipped == 1
 
 
 # ---------------------------------------------------------------------------

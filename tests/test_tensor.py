@@ -89,16 +89,21 @@ def test_matmul_rows_are_batch_invariant():
             assert np.array_equal(inner, full[s:s + t]), (k, n, t, s)
 
 
-def test_matmul_rows_are_batch_invariant_on_one_blas_thread():
+def run_on_one_blas_thread(*tests):
+    """Run tests of this file in a pytest subprocess on one BLAS thread."""
     # BLAS reads its thread count when numpy loads, so run in a fresh process
     src = str(Path(T.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_matmul_rows_are_batch_invariant"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + [f"{__file__}::{name}" for name in tests],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_matmul_rows_are_batch_invariant_on_one_blas_thread():
+    run_on_one_blas_thread("test_matmul_rows_are_batch_invariant")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +321,33 @@ def test_grad_causal_attention():
               [q, k, v])
 
 
+def attention_einsum64(q, k, v, n_heads):
+    """float64 einsum reference for the forward of causal_attention."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    (t_q, d), t_k = q.shape, k.shape[0]
+    hd = d // n_heads
+    qh, kh, vh = (a.reshape(len(a), n_heads, hd).transpose(1, 0, 2)
+                  for a in (q, k, v))
+    scores = np.einsum("hid,hjd->hij", qh, kh) / math.sqrt(hd)
+    causal = np.tril(np.ones((t_q, t_k), dtype=bool), t_k - t_q)
+    scores = np.where(causal, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    out = np.einsum("hij,hjd->hid", e / e.sum(axis=2, keepdims=True), vh)
+    return out.transpose(1, 0, 2).reshape(t_q, d)
+
+
+@pytest.mark.parametrize("t_q", [300, 1])
+def test_attention_forward_at_length_matches_einsum64(t_q):
+    rng = np.random.default_rng(100 + t_q)
+    q = T.Tensor(rng.standard_normal((t_q, 128)))
+    k, v = (T.Tensor(rng.standard_normal((300, 128))) for _ in range(2))
+    got = T.causal_attention(q, k, v, 4).data
+    ref = attention_einsum64(q.data, k.data, v.data, 4)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, ref, rtol=1e-5,
+                               atol=1e-5 * np.abs(ref).max())
+
+
 def attention_grads_einsum64(q, k, v, g, n_heads):
     """float64 einsum reference for the gradients of causal_attention."""
     q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
@@ -352,7 +384,9 @@ def test_attention_grads_at_length_match_einsum64(t_q):
                                    atol=1e-5 * np.abs(ref).max(), err_msg=name)
 
 
-@pytest.mark.parametrize("t_k", [1, 7, 8, 9, 127, 128, 129, 300])
+# key counts on both sides of one, two, three and eight key blocks
+@pytest.mark.parametrize("t_k", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 192,
+                                 193, 300, 511, 512])
 def test_attention_on_last_query_rows_is_bitwise_equal(t_k):
     rng = np.random.default_rng(t_k)
     q, k, v = (T.Tensor(rng.standard_normal((t_k, 16))) for _ in range(3))
@@ -360,6 +394,27 @@ def test_attention_on_last_query_rows_is_bitwise_equal(t_k):
     for t_q in sorted({1, min(2, t_k), t_k // 2 + 1, t_k}):
         part = T.causal_attention(T.Tensor(q.data[-t_q:]), k, v, 4).data
         assert np.array_equal(part, full[-t_q:]), (t_k, t_q)
+
+
+# three key blocks, the last one holding 2 keys; and eight blocks, past which
+# numpy's np.sum over the block axis would regroup the block sums pairwise
+@pytest.mark.parametrize("t", [2 * T.KEY_BLOCK + 2, 8 * T.KEY_BLOCK])
+def test_attention_on_every_prefix_is_bitwise_equal(t):
+    rng = np.random.default_rng(t)
+    q, k, v = (rng.standard_normal((t, 16)).astype(np.float32)
+               for _ in range(3))
+    full = T.causal_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4).data
+    for n in range(1, t + 1):
+        prefix = T.causal_attention(T.Tensor(q[:n]), T.Tensor(k[:n]),
+                                    T.Tensor(v[:n]), 4).data
+        assert np.array_equal(prefix, full[:n]), n
+
+
+def test_attention_bitwise_tests_pass_on_one_blas_thread():
+    # a row's tiles must give the same bits on one BLAS thread as on several
+    run_on_one_blas_thread(
+        "test_attention_on_last_query_rows_is_bitwise_equal",
+        "test_attention_on_every_prefix_is_bitwise_equal")
 
 
 def test_attention_rejects_more_queries_than_keys():
