@@ -48,8 +48,7 @@ class TrainState:
     optim_state: dict[str, QuantizedOptimState] | None = None
     step: int = 0
     epoch: int = 0
-    cursor: int = 0  # optimizer steps completed within the current epoch
-    seed: int = 0
+    cursor: int = 0  # steps done in `epoch`, all of them once it has ended
 
 
 def _q4_payload(q: QuantizedMatrix) -> bytes:
@@ -130,7 +129,7 @@ def save_checkpoint(state: TrainState, path) -> None:
             "lora": lora_cfg.to_dict() if lora_cfg else None,
             "train": state.train_config,
             "trainer_state": {"step": state.step, "epoch": state.epoch,
-                              "cursor": state.cursor, "seed": state.seed,
+                              "cursor": state.cursor,
                               "optim_steps": optim_steps},
         },
         "tensors": tensors,
@@ -182,11 +181,11 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     ts = configs.get("trainer_state") or {}
     if not isinstance(ts, dict):
         raise FormatError(f"{path}: trainer_state must be a dict")
-    step, epoch, cursor, seed = (ts.get(k, 0)
-                                 for k in ("step", "epoch", "cursor", "seed"))
+    # files of earlier builds also hold a "seed", which train_config repeats
+    step, epoch, cursor = (ts.get(k, 0) for k in ("step", "epoch", "cursor"))
     optim_steps = ts.get("optim_steps", {})
     if not (isinstance(optim_steps, dict) and all(map(
-            _is_count, [step, epoch, cursor, seed, *optim_steps.values()]))):
+            _is_count, [step, epoch, cursor, *optim_steps.values()]))):
         raise FormatError(f"{path}: trainer_state counters and optim_steps "
                           f"must be non-negative ints")
     if not isinstance(tensors, dict):
@@ -211,7 +210,7 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         raise IntegrityError(f"{path}: unknown tensors {sorted(unused)[:4]}")
 
     state = TrainState(model=model, train_config=configs.get("train"),
-                       step=step, epoch=epoch, cursor=cursor, seed=seed)
+                       step=step, epoch=epoch, cursor=cursor)
     if with_optimizer and any(n.startswith("optim.") for n in stored):
         state.optim_state = {}
         for pname, t in model.trainable_parameters().items():

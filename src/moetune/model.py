@@ -8,7 +8,7 @@ across experts; positions are encoded with rotary embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from . import tensor as tz
 from .errors import ConfigError, LengthError, VocabError
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
+from .tokenizer import VOCAB_SIZE
 
 
 @dataclass
@@ -28,7 +29,7 @@ class ModelConfig:
     d_ff: int = 256
     n_experts: int = 8
     top_k: int = 2
-    vocab_size: int = 262
+    vocab_size: int = VOCAB_SIZE
     max_seq_len: int = 512
     norm_eps: float = 1e-5
     rope_base: float = 10000.0
@@ -155,24 +156,15 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
 class KVCache:
     """Post-rotary keys and values of every decoder layer, for decoding.
 
-    `keys[i]` and `values[i]` are layer i's [length, d_model] rows for the
-    `length` positions seen so far; the next token sits at position
-    `length`. Start with an empty cache and pass it to every
+    `keys` and `values` are [n_layers, max_seq_len, d_model] buffers made by
+    the first cached forward; layer i's rows [:length] hold the positions
+    seen so far. Start with an empty cache and pass it to every
     `DecoderModel.forward` call of one sequence.
     """
 
-    keys: list[np.ndarray] = field(default_factory=list)
-    values: list[np.ndarray] = field(default_factory=list)
+    keys: np.ndarray | None = None
+    values: np.ndarray | None = None
     length: int = 0
-
-    def joined(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Layer `layer`'s cached rows followed by the new k and v rows."""
-        if self.length == 0:
-            return k, v
-        keys = np.concatenate([self.keys[layer], k.data])
-        values = np.concatenate([self.values[layer], v.data])
-        return (Tensor(keys, dtype=keys.dtype),
-                Tensor(values, dtype=values.dtype))
 
 
 class DecoderLayer:
@@ -214,18 +206,20 @@ class DecoderModel:
         ids = np.asarray(token_ids, dtype=np.int64)
         cfg = self.config
         start = 0 if cache is None else cache.length
+        end = start + ids.size
         if cache is not None and training:
             raise ConfigError("a key/value cache is for inference only")
         if ids.size == 0:
             raise LengthError("empty token sequence")
-        if start + ids.size > cfg.max_seq_len:
+        if end > cfg.max_seq_len:
             raise LengthError(
-                f"sequence length {start + ids.size} > max_seq_len {cfg.max_seq_len}")
+                f"sequence length {end} > max_seq_len {cfg.max_seq_len}")
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise VocabError(f"token id out of range [0, {cfg.vocab_size})")
 
-        new_keys: list[np.ndarray] = []
-        new_values: list[np.ndarray] = []
+        if cache is not None and cache.keys is None:
+            cache.keys, cache.values = np.empty(
+                (2, cfg.n_layers, cfg.max_seq_len, cfg.d_model), dtype=tz.DTYPE)
         x = tz.embedding(self.embedding, ids)
         for i, layer in enumerate(self.layers):
             h = layer.attn_norm.forward(x)
@@ -235,9 +229,12 @@ class DecoderModel:
                           cfg.rope_base, offset=start)
             v = layer.wv.forward(h, training, rng)
             if cache is not None:
-                k, v = cache.joined(i, k, v)
-                new_keys.append(k.data)
-                new_values.append(v.data)
+                # rows past `length` are unused until a forward completes,
+                # so one that raises leaves the cache as it was
+                cache.keys[i, start:end] = k.data
+                cache.values[i, start:end] = v.data
+                k = Tensor(cache.keys[i, :end])
+                v = Tensor(cache.values[i, :end])
             attn = tz.causal_attention(q, k, v, cfg.n_heads)
             x = tz.add(x, layer.wo.forward(attn, training, rng))
             h = layer.ffn_norm.forward(x)
@@ -245,8 +242,7 @@ class DecoderModel:
         x = self.final_norm.forward(x)
         logits = self.lm_head.forward(x, training, rng)
         if cache is not None:
-            cache.keys, cache.values = new_keys, new_values
-            cache.length += ids.size
+            cache.length = end
         return logits
 
     # -- parameter plumbing ------------------------------------------------

@@ -359,12 +359,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
 # Softmax family
 
 
-def _stable_softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def masked_row_softmax(x: Tensor, select_mask: np.ndarray) -> Tensor:
     """Softmax restricted per row to entries where select_mask is 1.
 
@@ -413,8 +407,9 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
         raise EmptyMaskError("masked_cross_entropy: mask selects no positions")
 
     row_max = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - row_max
-    lse = np.log(np.exp(shifted).sum(axis=1)) + row_max[:, 0]
+    e = np.exp(logits.data - row_max)
+    sums = e.sum(axis=1, keepdims=True)
+    lse = np.log(sums[:, 0]) + row_max[:, 0]
     picked = logits.data[np.arange(t_count), targets]
     per_pos = lse - picked
     loss = (per_pos * mask_arr).sum() / n_masked
@@ -422,7 +417,7 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
-            soft = _stable_softmax(logits.data)
+            soft = e / sums
             soft[np.arange(t_count), targets] -= 1.0
             coef = (mask_arr / n_masked)[:, None] * g
             _accum(logits, soft * coef)

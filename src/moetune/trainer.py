@@ -6,6 +6,12 @@ per-sample masked cross entropies; gradient accumulation averages micro
 losses, so batch 8 and batch 2 x accum 4 see the same objective. Dropout
 draws from a generator keyed by (seed, step, micro), independent of when
 the process started.
+
+A run's position lives in its TrainState: after a step, `epoch` is the
+epoch the step ran in and `cursor` the steps done in it. An epoch that ends
+leaves (e, its step count), which resumes as (e + 1, 0) does. A resumed run
+keeps the seed, batch_size and grad_accum_steps it was saved with, since
+they fix which samples each step takes.
 """
 
 from __future__ import annotations
@@ -43,24 +49,29 @@ class TrainConfig:
     eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.save_every < 1:
-            raise ConfigError(f"save_every must be >= 1, got {self.save_every}")
-        if self.batch_size < 1 or self.grad_accum_steps < 1:
-            raise ConfigError("batch_size and grad_accum_steps must be >= 1")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+        # each rule holds only for a valid value, so NaN fails it
+        rules = [("epochs", ">= 1", self.epochs >= 1),
+                 ("lr", ">= 0", self.lr >= 0),
+                 ("save_every", ">= 1", self.save_every >= 1),
+                 ("batch_size", ">= 1", self.batch_size >= 1),
+                 ("grad_accum_steps", ">= 1", self.grad_accum_steps >= 1),
+                 ("schedule", "'constant' or 'cosine'",
+                  self.schedule in ("constant", "cosine")),
+                 ("max_steps", "None or >= 1",
+                  self.max_steps is None or self.max_steps >= 1),
+                 ("max_grad_norm", "> 0", self.max_grad_norm > 0),
+                 ("warmup_steps", ">= 0", self.warmup_steps >= 0),
+                 ("beta1", "in [0, 1)", 0 <= self.beta1 < 1),
+                 ("beta2", "in [0, 1)", 0 <= self.beta2 < 1),
+                 ("eps", "> 0", self.eps > 0)]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d).validate()
 
 
 @dataclass
@@ -89,8 +100,8 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
-def _micro_batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+def _micro_batches(items, size: int) -> list:
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def _lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -134,6 +145,19 @@ def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
     return tz.scale(total, 1.0 / len(samples))
 
 
+def _steps(cfg: TrainConfig, n: int, epoch: int, cursor: int):
+    """Yield (epoch, cursor after the step, micro-batches) for every optimizer
+    step from `cursor` steps into `epoch` to the end of the last epoch.
+
+    A cursor at or past an epoch's step count yields nothing for it.
+    """
+    for e in range(epoch, cfg.epochs):
+        micros = _micro_batches(_epoch_order(cfg.seed, e, n), cfg.batch_size)
+        chunks = _micro_batches(micros, cfg.grad_accum_steps)
+        for c in range(cursor if e == epoch else 0, len(chunks)):
+            yield e, c + 1, chunks[c]
+
+
 def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
           out_dir=None, lora_config: LoraConfig | None = None,
           resume: TrainState | None = None
@@ -143,9 +167,11 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     Saves a checkpoint every cfg.save_every optimizer steps and at the end
     when out_dir is given. Pass the loaded TrainState as `resume` to
     continue a run; the subsequent loss sequence matches uninterrupted
-    training bit for bit. The optimizer always takes its hyperparameters
-    from `cfg`; a resumed state contributes only its moments and step
-    counts. `lora_config`, when given, must equal the config of the
+    training bit for bit. `cfg` must keep the state's seed, batch_size and
+    grad_accum_steps, or ConfigError is raised; the rest may change. The
+    optimizer takes its hyperparameters from `cfg`, the state only its
+    moments, step counts and position (see the module docstring).
+    `lora_config`, when given, must equal the config of the
     adapters attached to the model, which is what checkpoints record.
     A non-finite loss, or a NumericError from the step's forward or
     backward, raises TrainingAborted with the step index.
@@ -172,84 +198,67 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         total_steps = min(total_steps, cfg.max_steps)
 
     optimizer = QuantizedAdam(trainable, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    state = TrainState(model=model, train_config=cfg.to_dict(),
+                       optim_state=optimizer.state)
     if resume is not None:
-        if resume.optim_state is None:
-            raise ConfigError("resume state carries no optimizer moments "
-                              "(load it with with_optimizer=True)")
-        optimizer.state = resume.optim_state
-        global_step = resume.step
-        start_epoch = resume.epoch
-        start_cursor = resume.cursor
-    else:
-        global_step = 0
-        start_epoch = 0
-        start_cursor = 0
+        _check_resume(cfg, resume)
+        optimizer.state = state.optim_state = resume.optim_state
+        state.step, state.epoch, state.cursor = (resume.step, resume.epoch,
+                                                 resume.cursor)
+
+    def maybe_save(name: str) -> None:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            save_checkpoint(state, os.path.join(out_dir, name))
 
     log: list[LossLogRow] = []
-    state = TrainState(model=model, train_config=cfg.to_dict(),
-                       optim_state=optimizer.state,
-                       step=global_step, epoch=start_epoch,
-                       cursor=start_cursor, seed=cfg.seed)
-
-    def maybe_save(name: str | None = None) -> None:
-        if out_dir is None:
-            return
-        os.makedirs(out_dir, exist_ok=True)
-        fname = name or f"ckpt_step{state.step}.bin"
-        save_checkpoint(state, os.path.join(out_dir, fname))
-
-    done = False
-    for epoch in range(start_epoch, cfg.epochs):
-        order = _epoch_order(cfg.seed, epoch, len(corpus))
-        micros = _micro_batches(order, cfg.batch_size)
-        cursor = start_cursor if epoch == start_epoch else 0
-        consumed = min(cursor * cfg.grad_accum_steps, len(micros))
-        pos = consumed
-        step_in_epoch = cursor
-        while pos < len(micros):
-            chunk = micros[pos:pos + cfg.grad_accum_steps]
-            pos += len(chunk)
-            for t in trainable.values():
-                t.grad = None
-            try:
-                total = None
-                for micro_idx, micro in enumerate(chunk):
-                    rng = np.random.default_rng([cfg.seed, global_step, micro_idx])
-                    samples = [corpus[i] for i in micro]
-                    loss = batch_loss(model, samples, rng)
-                    total = loss if total is None else tz.add(total, loss)
-                step_loss = tz.scale(total, 1.0 / len(chunk))
-                loss_value = float(step_loss.data)
-                if not math.isfinite(loss_value):
-                    raise TrainingAborted(global_step,
-                                          f"non-finite loss at step {global_step}")
-                step_loss.backward()
-            except NumericError as e:
-                raise TrainingAborted(
-                    global_step, f"step {global_step}: {e}") from e
-            grad_norm = _clip_gradients(trainable, cfg.max_grad_norm)
-            global_step += 1
-            step_in_epoch += 1
-            lr_t = _lr_at(cfg, global_step, total_steps)
-            optimizer.step(lr_t)
-            log.append(LossLogRow(global_step, epoch, loss_value, lr_t,
-                                  grad_norm, grad_norm > cfg.max_grad_norm))
-            state.step = global_step
-            state.epoch = epoch
-            state.cursor = step_in_epoch
-            if global_step % cfg.save_every == 0:
-                maybe_save()
-            if cfg.max_steps is not None and global_step >= cfg.max_steps:
-                done = True
-                break
-        if done:
+    for epoch, cursor, chunk in _steps(cfg, len(corpus), state.epoch,
+                                       state.cursor):
+        if cfg.max_steps is not None and state.step >= cfg.max_steps:
             break
-        state.epoch = epoch + 1
-        state.cursor = 0
+        for t in trainable.values():
+            t.grad = None
+        try:
+            total = None
+            for micro_idx, micro in enumerate(chunk):
+                rng = np.random.default_rng([cfg.seed, state.step, micro_idx])
+                loss = batch_loss(model, [corpus[i] for i in micro], rng)
+                total = loss if total is None else tz.add(total, loss)
+            step_loss = tz.scale(total, 1.0 / len(chunk))
+            loss_value = float(step_loss.data)
+            if not math.isfinite(loss_value):
+                raise TrainingAborted(
+                    state.step, f"non-finite loss at step {state.step}")
+            step_loss.backward()
+        except NumericError as e:
+            raise TrainingAborted(state.step, f"step {state.step}: {e}") from e
+        grad_norm = _clip_gradients(trainable, cfg.max_grad_norm)
+        state.step, state.epoch, state.cursor = state.step + 1, epoch, cursor
+        lr_t = _lr_at(cfg, state.step, total_steps)
+        optimizer.step(lr_t)
+        log.append(LossLogRow(state.step, epoch, loss_value, lr_t,
+                              grad_norm, grad_norm > cfg.max_grad_norm))
+        if state.step % cfg.save_every == 0:
+            maybe_save(f"ckpt_step{state.step}.bin")
     maybe_save("ckpt_final.bin")
     if out_dir is not None:
         write_loss_log(log, os.path.join(out_dir, "loss_log.csv"))
     return state, log
+
+
+def _check_resume(cfg: TrainConfig, resume: TrainState) -> None:
+    """ConfigError unless `resume` has moments and was saved with the seed,
+    batch_size and grad_accum_steps of `cfg`."""
+    if resume.optim_state is None:
+        raise ConfigError("resume state carries no optimizer moments "
+                          "(load it with with_optimizer=True)")
+    saved = resume.train_config
+    if not isinstance(saved, dict):
+        raise ConfigError("resume state carries no train_config")
+    for key in ("seed", "batch_size", "grad_accum_steps"):
+        if saved.get(key) != getattr(cfg, key):
+            raise ConfigError(f"a resumed run keeps the saved {key} "
+                              f"{saved.get(key)!r}, got {getattr(cfg, key)!r}")
 
 
 # ---------------------------------------------------------------------------

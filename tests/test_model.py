@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moetune import model as model_module
 from moetune import tensor as T
 from moetune.errors import ConfigError, LengthError, VocabError
 from moetune.lora import LoraConfig, attach_adapters
@@ -242,6 +243,29 @@ def test_cached_decode_is_bitwise_equal_to_full_forward(tuned_default_model,
         assert step.shape == (1, 262)
         assert np.array_equal(step[0], model.forward(ids[:t + 1]).data[-1]), t
     assert cache.length == len(ids)
+
+
+def test_cached_forward_that_raises_leaves_the_cache_as_it_was(
+        tuned_default_model, monkeypatch):
+    model = tuned_default_model
+    ids = np.random.default_rng(11).integers(0, 262, 12)
+    cache = KVCache()
+    model.forward(ids[:10], cache=cache)
+    broken, real = model.layers[2].moe, model_module.moe_forward
+
+    def moe_forward(h, layer, *args):
+        if layer is broken:
+            raise RuntimeError("expert failed")
+        return real(h, layer, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "moe_forward", moe_forward)
+        with pytest.raises(RuntimeError):
+            model.forward([(ids[10] + 1) % 262], cache=cache)
+    assert cache.length == 10
+    step = model.forward(ids[10:12], cache=cache).data
+    assert np.array_equal(step, model.forward(ids).data[10:])
+    assert cache.length == 12
 
 
 def test_cache_rejects_training_and_overflow():

@@ -2,6 +2,7 @@
 accumulation and schedule knobs do what they claim."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -58,6 +59,87 @@ def test_mid_epoch_resume_reproduces_loss_tail_at_beta2_095(tmp_path):
     _, tail = train(resumed.model, CORPUS, cfg, resume=resumed)
     assert ([(r.loss, r.grad_norm) for r in tail]
             == [(r.loss, r.grad_norm) for r in log[2:]])
+
+
+def test_resume_from_every_periodic_checkpoint_with_accumulation(tmp_path):
+    # 6 micro-batches of 1 in chunks of 2: 3 steps per epoch, 9 in all, so
+    # steps 3, 6 and 9 end an epoch
+    cfg = TrainConfig(epochs=3, batch_size=1, grad_accum_steps=2, lr=1e-2,
+                      warmup_steps=2, schedule="cosine", save_every=1)
+    _, log = train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
+    assert [r.epoch for r in log] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    for k in range(1, 10):
+        resumed = load_checkpoint(tmp_path / f"ckpt_step{k}.bin")
+        assert (resumed.step, resumed.epoch, resumed.cursor) == (
+            k, (k - 1) // 3, (k - 1) % 3 + 1)
+        _, tail = train(resumed.model, CORPUS, cfg, resume=resumed)
+        assert tail == log[k:], k
+
+
+def test_epoch_end_state_resumes_like_the_next_epoch_start(tmp_path):
+    # (0, 3) is the state the end of epoch 0 leaves; (1, 0) is how earlier
+    # builds recorded it
+    cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-2, save_every=3)
+    train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
+    tails = []
+    for epoch, cursor in [(0, 3), (1, 0)]:
+        resumed = load_checkpoint(tmp_path / "ckpt_step3.bin")
+        resumed.epoch, resumed.cursor = epoch, cursor
+        tails.append(train(resumed.model, CORPUS, cfg, resume=resumed)[1])
+    assert len(tails[0]) == 3
+    assert tails[0] == tails[1]
+
+
+def test_max_steps_holds_on_resume(tmp_path):
+    cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-2, save_every=2,
+                      max_steps=2)
+    state, log = train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
+    assert len(log) == 2 and (state.step, state.epoch, state.cursor) == (2, 0, 2)
+    resumed = load_checkpoint(tmp_path / "ckpt_step2.bin")
+    state, tail = train(resumed.model, CORPUS, cfg, resume=resumed)
+    assert tail == [] and state.step == 2
+
+
+def test_completed_run_ends_at_its_last_epoch_and_step_count():
+    cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-2)
+    state, log = train(adapted_model(), CORPUS, cfg)
+    assert len(log) == 6
+    assert (state.step, state.epoch, state.cursor) == (6, 1, 3)
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 1}, {"batch_size": 3}, {"grad_accum_steps": 2},
+    {"train_config": None}, {"train_config": [["seed", 0]]}],
+    ids=["seed", "batch_size", "grad_accum_steps", "no-train-config",
+         "train-config-list"])
+def test_resume_must_keep_what_fixes_the_samples(change):
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
+    state, _ = train(adapted_model(), CORPUS, cfg)
+    if "train_config" in change:
+        state.train_config = change["train_config"]
+    else:
+        cfg = dataclasses.replace(cfg, **change)
+    with pytest.raises(ConfigError):
+        train(state.model, CORPUS, cfg, resume=state)
+
+
+def test_resume_may_change_the_optimizer_and_the_stopping_point():
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
+    state, _ = train(adapted_model(), CORPUS, cfg)
+    later = dataclasses.replace(cfg, lr=3e-3, beta1=0.8, beta2=0.95,
+                                eps=1e-6, epochs=2, max_steps=4)
+    state, tail = train(state.model, CORPUS, later, resume=state)
+    assert [r.step for r in tail] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_steps", 0), ("max_steps", -1), ("max_grad_norm", 0.0),
+    ("max_grad_norm", -1.0), ("max_grad_norm", float("nan")),
+    ("warmup_steps", -1), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
+    ("beta2", float("nan")), ("eps", 0.0), ("eps", -1e-8)])
+def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
+    with pytest.raises(ConfigError):
+        TrainConfig(**{field: value}).validate()
 
 
 def test_resume_without_moments_is_rejected(tmp_path):
