@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError
+from .errors import ConfigError, FormatError, IntegrityError
 from .lora import LoraConfig, adapter_config, load_adapters
 from .model import DecoderModel, ModelConfig, build_model
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, QuantizedOptimState
@@ -176,7 +176,7 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         model_cfg = ModelConfig.from_dict(configs["model"])
         lora_cfg = (LoraConfig.from_dict(configs["lora"])
                     if configs.get("lora") else None)
-    except (AttributeError, KeyError, TypeError) as e:
+    except (AttributeError, ConfigError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed configs block ({e!r})") from e
     ts = configs.get("trainer_state") or {}
     if not isinstance(ts, dict):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, LengthError, VocabError
+from .errors import ConfigError, DimensionError, LengthError, VocabError
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
@@ -35,14 +35,24 @@ class ModelConfig:
     rope_base: float = 10000.0
 
     def validate(self) -> "ModelConfig":
-        if not 1 <= self.top_k <= self.n_experts:
-            raise ConfigError(
-                f"top_k must be in [1, n_experts], got {self.top_k}/{self.n_experts}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if (self.d_model // self.n_heads) % 2 != 0:
-            raise ConfigError("head dim must be even for rotary pairs")
+        # each rule holds only for a valid value, so NaN fails it; the head
+        # rules divide by n_heads only once n_heads >= 1 holds
+        heads = self.n_heads >= 1
+        rules = [(name, ">= 1", getattr(self, name) >= 1)
+                 for name in ("n_layers", "d_model", "n_heads", "d_ff",
+                              "n_experts", "vocab_size", "max_seq_len")]
+        rules += [("top_k", f"in [1, n_experts = {self.n_experts}]",
+                   1 <= self.top_k <= self.n_experts),
+                  ("d_model", f"divisible by n_heads = {self.n_heads}",
+                   heads and self.d_model % self.n_heads == 0),
+                  ("d_model", "n_heads times an even head dim (rotary pairs)",
+                   heads and self.d_model // self.n_heads % 2 == 0),
+                  ("norm_eps", "> 0", self.norm_eps > 0),
+                  ("rope_base", "> 0", self.rope_base > 0)]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -127,11 +137,11 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
     """Sparse-dispatch forward over [T, d_model].
 
     Tokens are grouped by selected expert so each expert runs once on its
-    sub-batch; outputs are scattered back weighted by the routing gates.
-    Only selected experts are evaluated for a token. Gradients flow to the
-    router through the gate softmax.
+    sub-batch, and only selected experts are evaluated for a token. One
+    `combine_rows` weights every expert's rows by their routing gates and
+    adds them up per token, in expert order. Gradients flow to the router
+    through the gate softmax.
     """
-    t_len = hidden_states.data.shape[0]
     router_logits = tz.matmul(hidden_states, layer.router)  # [T, E]
     # [T, k]: the top_k largest logits per row, ties by ascending index
     ids = np.argsort(-router_logits.data, axis=-1, kind="stable")[:, :layer.top_k]
@@ -139,17 +149,13 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
     np.put_along_axis(sel_mask, ids, 1.0, axis=1)
     gates = tz.masked_row_softmax(router_logits, sel_mask)  # zeros off-selection
 
-    out: Tensor | None = None
+    parts = []
     for e, expert in enumerate(layer.experts):
-        token_idx = np.nonzero(sel_mask[:, e] > 0)[0]
-        if token_idx.size == 0:
-            continue
-        xe = tz.index_rows(hidden_states, token_idx)
-        ye = expert.forward(xe, training, rng)
-        ge = tz.gather_column(gates, token_idx, e)
-        piece = tz.scatter_rows(tz.scale_rows(ye, ge), token_idx, t_len)
-        out = piece if out is None else tz.add(out, piece)
-    return out
+        rows = np.nonzero(sel_mask[:, e] > 0)[0]
+        if rows.size:
+            xe = tz.index_rows(hidden_states, rows)
+            parts.append((e, rows, expert.forward(xe, training, rng)))
+    return tz.combine_rows(gates, parts, hidden_states.data.shape[0])
 
 
 @dataclass
@@ -204,6 +210,8 @@ class DecoderModel:
         combined with training.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise DimensionError(f"token_ids must be 1-D, got {ids.shape}")
         cfg = self.config
         start = 0 if cache is None else cache.length
         end = start + ids.size
@@ -220,7 +228,7 @@ class DecoderModel:
         if cache is not None and cache.keys is None:
             cache.keys, cache.values = np.empty(
                 (2, cfg.n_layers, cfg.max_seq_len, cfg.d_model), dtype=tz.DTYPE)
-        x = tz.embedding(self.embedding, ids)
+        x = tz.index_rows(self.embedding, ids)
         for i, layer in enumerate(self.layers):
             h = layer.attn_norm.forward(x)
             q = tz.rotary(layer.wq.forward(h, training, rng), cfg.n_heads,

@@ -3,6 +3,9 @@
 Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
 tape and replays it in reverse, accumulating gradients into ``.grad``.
+The decoder has one gather, ``index_rows``, which looks up token embeddings
+and hands each expert its rows; ``combine_rows`` weights the experts'
+outputs by their gates and sums them back in one op.
 Forward outputs are checked for NaN/Inf: overflow raises instead of
 propagating silently. The matmul and the attention run on BLAS, forward
 and backward. BLAS repeats its arithmetic exactly for a given shape and
@@ -130,6 +133,16 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+def _accum_at(t: Tensor, idx, g: np.ndarray) -> None:
+    """Scatter-add ``g`` into ``t.grad`` at ``idx``, repeated indices adding
+    up, allocating zeros on first touch."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    np.add.at(t.grad, idx, g)
+
+
 # ---------------------------------------------------------------------------
 # Elementwise and structural ops
 
@@ -213,81 +226,49 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "sum")
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup: ids (length T) -> [T, d]. Gradient scatter-adds by id."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise DimensionError(f"embedding ids must be 1-D, got {ids.shape}")
-    vocab = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        raise VocabError(f"token id out of range [0, {vocab})")
-    out_data = table.data[ids]
-
-    def backward(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
-
-    return Tensor._from_op(out_data, (table,), backward, "embedding")
-
-
 def index_rows(x: Tensor, idx) -> Tensor:
     """Gather rows x[idx]; backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.int64)
     out_data = x.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, idx, g)
+        _accum_at(x, idx, g)
 
     return Tensor._from_op(out_data, (x,), backward, "index_rows")
 
 
-def scatter_rows(y: Tensor, idx, n_rows: int) -> Tensor:
-    """Place rows of y at positions idx in a zero [n_rows, d] tensor.
+def combine_rows(gates: Tensor, parts, n_rows: int) -> Tensor:
+    """Gate-weighted sum of row blocks: the mixture-of-experts combine.
 
-    idx must be unique (each destination written once).
+    Each part is (col, rows, y): y [len(rows), d] holds one expert's outputs
+    for the unique row indices `rows`, weighted by gates[rows, col]. Output
+    row r adds y * gate of every part that picks r, in list order, into a
+    zero [n_rows, d] array. Backward: y gets g[rows] * gate, and gates gets
+    (g[rows] * y).sum(axis=1) at (rows, col).
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    out_data = np.zeros((n_rows,) + y.data.shape[1:], dtype=y.data.dtype)
-    out_data[idx] = y.data
+    if not parts:
+        raise DimensionError("combine_rows needs at least one part")
+    d = parts[0][2].data.shape[1]
+    if any(y.data.shape != (len(rows), d) for _, rows, y in parts):
+        raise DimensionError(f"combine_rows: every part must be [len(rows), {d}]")
+    weights = [gates.data[rows, col][:, None] for col, rows, _ in parts]
+    out_data = np.zeros((n_rows, d), dtype=gates.data.dtype)
+    with np.errstate(over="ignore"):
+        for (_, rows, y), w in zip(parts, weights):
+            out_data[rows] += y.data * w
 
     def backward(g: np.ndarray) -> None:
-        _accum(y, g[idx])
+        for (col, rows, y), w in zip(parts, weights):
+            g_rows = g[rows]
+            _accum(y, g_rows * w)
+            if gates.requires_grad:
+                _accum_at(gates, (rows, col), (g_rows * y.data).sum(axis=1))
 
-    return Tensor._from_op(out_data, (y,), backward, "scatter_rows")
-
-
-def gather_column(x: Tensor, row_idx, col: int) -> Tensor:
-    """Pick x[row_idx, col] as an [n, 1] column tensor."""
-    row_idx = np.asarray(row_idx, dtype=np.int64)
-    out_data = x.data[row_idx, col][:, None].copy()
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, (row_idx, col), g[:, 0])
-
-    return Tensor._from_op(out_data, (x,), backward, "gather_column")
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply each row of x [n, d] by the scalar s[i] from s [n, 1]."""
-    if s.data.shape != (x.data.shape[0], 1):
-        raise DimensionError(
-            f"scale_rows: scales {s.data.shape} vs rows {x.data.shape}")
-    out_data = x.data * s.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g * s.data)
-        if s.requires_grad:
-            _accum(s, (g * x.data).sum(axis=1, keepdims=True))
-
-    return Tensor._from_op(out_data, (x, s), backward, "scale_rows")
+    # Parents are listed experts first, gates last: this fixes the order in
+    # which the backward sweep reaches the router and the experts, and so the
+    # order in which the hidden states' gradient is summed.
+    parents = tuple(y for _, _, y in parts) + (gates,)
+    return Tensor._from_op(out_data, parents, backward, "combine_rows")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -173,6 +173,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     moments, step counts and position (see the module docstring).
     `lora_config`, when given, must equal the config of the
     adapters attached to the model, which is what checkpoints record.
+    Every sample needs a target: at least 2 tokens and a non-zero
+    loss_mask[1:], or ConfigError is raised before the first step.
     A non-finite loss, or a NumericError from the step's forward or
     backward, raises TrainingAborted with the step index.
     """
@@ -187,9 +189,11 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     trainable = model.trainable_parameters()
     if not trainable:
         raise ConfigError("no trainable parameters (attach adapters first)")
-    for s in corpus:
-        if sum(s.loss_mask) == 0:
-            raise ConfigError("corpus sample with all-zero loss mask")
+    for i, s in enumerate(corpus):
+        # position 0 is never a target, so its mask bit does not count
+        if len(s.token_ids) < 2 or not any(s.loss_mask[1:]):
+            raise ConfigError(f"corpus sample {i} has no target to learn: "
+                              "fewer than 2 tokens or loss_mask[1:] all 0")
 
     n_micros = (len(corpus) + cfg.batch_size - 1) // cfg.batch_size
     steps_per_epoch = (n_micros + cfg.grad_accum_steps - 1) // cfg.grad_accum_steps
@@ -286,6 +290,8 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     converges to greedy as temperature approaches 0.
     """
     prompt = [int(t) for t in prompt_tokens]
+    if max_new < 0:
+        raise ConfigError(f"max_new must be >= 0, got {max_new}")
     if len(prompt) + max_new > model.config.max_seq_len:
         raise LengthError(
             f"prompt {len(prompt)} + max_new {max_new} exceeds "

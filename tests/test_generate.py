@@ -88,3 +88,8 @@ def test_prompt_plus_max_new_over_max_seq_len(model):
 def test_unknown_mode(model):
     with pytest.raises(ConfigError):
         generate(model, PROMPT, 4, mode="beam")
+
+
+def test_negative_max_new(model):
+    with pytest.raises(ConfigError):
+        generate(model, PROMPT, -1)

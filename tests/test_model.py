@@ -5,7 +5,7 @@ import pytest
 
 from moetune import model as model_module
 from moetune import tensor as T
-from moetune.errors import ConfigError, LengthError, VocabError
+from moetune.errors import ConfigError, DimensionError, LengthError, VocabError
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import (
     DecoderModel,
@@ -157,6 +157,26 @@ def test_moe_forward_matches_dense_dispatch_oracle():
         assert np.allclose(out.data, oracle, atol=1e-5)
 
 
+def test_moe_forward_adds_gated_expert_rows_in_expert_order_bitwise():
+    # the tiled matmul makes an expert's row independent of the other rows,
+    # so running each expert on all rows gives the rows moe_forward uses
+    rng = np.random.default_rng(12)
+    for n_e, k, t_len in [(1, 1, 5), (4, 2, 9), (4, 3, 17), (6, 4, 8),
+                          (8, 8, 13)]:
+        layer = make_moe_layer(rng, 8, 12, n_e, k)
+        h = Tensor(rng.standard_normal((t_len, 8)).astype(np.float32))
+        logits = T.matmul(h, layer.router)
+        top = np.argsort(-logits.data, axis=1, kind="stable")[:, :k]
+        sel = np.zeros_like(logits.data)
+        np.put_along_axis(sel, top, 1.0, axis=1)
+        gates = T.masked_row_softmax(logits, sel).data
+        want = np.zeros_like(h.data)
+        for e, expert in enumerate(layer.experts):
+            rows = np.nonzero(sel[:, e])[0]
+            want[rows] += expert.forward(h).data[rows] * gates[rows, e:e + 1]
+        assert np.array_equal(moe_forward(h, layer).data, want), (n_e, k)
+
+
 def test_moe_router_gradient_finite_difference():
     rng = np.random.default_rng(9)
     layer = make_moe_layer(rng, 5, 6, 4, 2, dtype=np.float64)
@@ -208,6 +228,12 @@ def test_token_out_of_range():
     model = init_model(TINY, seed=2)
     with pytest.raises(VocabError):
         model.forward([0, 300])
+
+
+def test_token_ids_must_be_one_dimensional():
+    model = init_model(TINY, seed=2)
+    with pytest.raises(DimensionError):
+        model.forward([[1, 2], [3, 4]])
 
 
 def test_forward_deterministic():
@@ -341,3 +367,13 @@ def test_config_validation():
         ModelConfig(d_model=10, n_heads=3).validate()
     with pytest.raises(ConfigError):
         ModelConfig(d_model=6, n_heads=2).validate()  # odd head dim
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -4),
+    ("d_ff", 0), ("n_experts", 0), ("vocab_size", 0), ("max_seq_len", 0),
+    ("norm_eps", 0.0), ("norm_eps", float("nan")), ("rope_base", -1.0),
+    ("rope_base", float("nan")), ("d_model", float("nan"))])
+def test_config_rejects_empty_sizes_and_bad_constants(field, value):
+    with pytest.raises(ConfigError):
+        ModelConfig(**{field: value}).validate()

@@ -268,20 +268,6 @@ def test_grad_matmul():
     check(lambda: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
 
 
-def test_grad_embedding():
-    rng = np.random.default_rng(13)
-    table = rand64(rng, 7, 4)
-    ids = [3, 1, 3, 0]  # repeated id exercises scatter-add
-    check(lambda: T.sum_all(T.mul(T.embedding(table, ids),
-                                  T.embedding(table, ids))), [table])
-
-
-def test_embedding_out_of_range():
-    table = T.Tensor(np.zeros((4, 2)))
-    with pytest.raises(VocabError):
-        T.embedding(table, [0, 4])
-
-
 def test_grad_softmaxes():
     rng = np.random.default_rng(14)
     x = rand64(rng, 4, 6)
@@ -451,19 +437,30 @@ def test_rotary_is_orthogonal():
 def test_grad_row_routing_ops():
     rng = np.random.default_rng(21)
     x = rand64(rng, 6, 4)
-    gates = rand64(rng, 6, 3)
-    s = rand64(rng, 3, 1)
-    idx = [4, 0, 2]
+    idx = [4, 0, 4, 2]  # a repeated row exercises the scatter-add
     check(lambda: T.sum_all(T.mul(T.index_rows(x, idx), T.index_rows(x, idx))),
           [x])
-    y = rand64(rng, 3, 4)
-    check(lambda: T.sum_all(T.mul(T.scatter_rows(y, idx, 6),
-                                  T.scatter_rows(y, idx, 6))), [y])
-    check(lambda: T.sum_all(T.mul(T.gather_column(gates, idx, 1),
-                                  T.gather_column(gates, idx, 1))), [gates])
-    yy = rand64(rng, 3, 4)
-    check(lambda: T.sum_all(T.mul(T.scale_rows(yy, s), T.scale_rows(yy, s))),
-          [yy, s])
+    # row 2 is picked by two parts, part 1 has one row, column 1 gets none
+    gates = rand64(rng, 6, 4)
+    ys = [rand64(rng, 3, 4), rand64(rng, 1, 4), rand64(rng, 2, 4)]
+    rows = [np.array([4, 0, 2]), np.array([5]), np.array([2, 3])]
+    w = rand64(rng, 6, 4)
+
+    def loss():
+        parts = [(0, rows[0], ys[0]), (2, rows[1], ys[1]), (3, rows[2], ys[2])]
+        return T.sum_all(T.mul(T.combine_rows(gates, parts, 6), w))
+
+    check(loss, [gates, *ys])
+
+
+def test_combine_rows_rejects_no_parts_and_misshapen_parts():
+    gates = T.Tensor(np.ones((4, 2)))
+    with pytest.raises(DimensionError):
+        T.combine_rows(gates, [], 4)
+    y = T.Tensor(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        T.combine_rows(gates, [(0, np.array([0, 1]), y),
+                               (1, np.array([2]), y)], 4)
 
 
 def test_grad_dropout_fixed_mask():

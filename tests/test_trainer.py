@@ -11,7 +11,7 @@ from moetune.checkpoint import load_checkpoint
 from moetune.errors import ConfigError, NumericError, TrainingAborted
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
-from moetune.tokenizer import render_chat
+from moetune.tokenizer import TokenizedSample, render_chat
 from moetune.trainer import TrainConfig, _lr_at, train
 
 TINY = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24, n_experts=4,
@@ -140,6 +140,15 @@ def test_resume_may_change_the_optimizer_and_the_stopping_point():
 def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("sample", [TokenizedSample([5], [1]),
+                                    TokenizedSample([5, 6], [1, 0])])
+def test_corpus_sample_without_a_target_is_rejected_before_step_0(sample):
+    # position 0 is never a target, whatever its mask bit
+    cfg = TrainConfig(epochs=1, batch_size=2)
+    with pytest.raises(ConfigError):
+        train(adapted_model(), [*CORPUS, sample], cfg)
 
 
 def test_resume_without_moments_is_rejected(tmp_path):
