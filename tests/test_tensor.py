@@ -268,6 +268,15 @@ def test_grad_matmul():
     check(lambda: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
 
 
+def test_grad_embedding():
+    # the model's token lookup is index_rows on the embedding table
+    rng = np.random.default_rng(13)
+    table = rand64(rng, 7, 4)
+    ids = [3, 1, 3, 0]  # repeated id exercises scatter-add
+    check(lambda: T.sum_all(T.mul(T.index_rows(table, ids),
+                                  T.index_rows(table, ids))), [table])
+
+
 def test_grad_softmaxes():
     rng = np.random.default_rng(14)
     x = rand64(rng, 4, 6)
