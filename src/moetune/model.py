@@ -1,9 +1,10 @@
 """Decoder-only transformer with sparse top-k-routed mixture-of-experts FFNs.
 
-Every feed-forward block holds `n_experts` gated-FFN experts; a router picks
-the `top_k` highest-logit experts per token and combines their outputs with
-softmax weights renormalized over the selected set. Attention is shared
-across experts; positions are encoded with rotary embeddings.
+Every feed-forward block holds `n_experts` SwiGLU experts, each gating its
+up projection with one fused `tensor.swiglu` op; a router picks the `top_k`
+highest-logit experts per token and combines their outputs with softmax
+weights renormalized over the selected set. Attention is shared across
+experts; positions are encoded with rotary embeddings.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ class Norm:
 
 
 class Expert:
-    """Gated FFN: silu(x @ w_gate) * (x @ w_up) @ w_down."""
+    """SwiGLU FFN: silu(x @ w_gate) * (x @ w_up) @ w_down.
+
+    The gate's activation and product are one `tensor.swiglu` op.
+    """
 
     def __init__(self, w_gate: Linear, w_up: Linear, w_down: Linear):
         self.w_gate = w_gate
@@ -114,9 +118,9 @@ class Expert:
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        gate = tz.silu(self.w_gate.forward(x, training, rng))
+        gate_pre = self.w_gate.forward(x, training, rng)
         up = self.w_up.forward(x, training, rng)
-        return self.w_down.forward(tz.mul(gate, up), training, rng)
+        return self.w_down.forward(tz.swiglu(gate_pre, up), training, rng)
 
 
 class MoELayer:

@@ -4,8 +4,9 @@ Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
 tape and replays it in reverse, accumulating gradients into ``.grad``.
 The decoder has one gather, ``index_rows``, which looks up token embeddings
-and hands each expert its rows; ``combine_rows`` weights the experts'
-outputs by their gates and sums them back in one op.
+and hands each expert its rows; ``swiglu`` is each expert's activation and
+gate product in one op; ``combine_rows`` weights the experts' outputs by
+their gates and sums them back in one op.
 Forward outputs are checked for NaN/Inf: overflow raises instead of
 propagating silently. The matmul and the attention run on BLAS, forward
 and backward. BLAS repeats its arithmetic exactly for a given shape and
@@ -217,15 +218,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward, "matmul")
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, np.full_like(a.data, g))
-
-    return Tensor._from_op(out_data, (a,), backward, "sum")
-
-
 def index_rows(x: Tensor, idx) -> Tensor:
     """Gather rows x[idx]; backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -291,24 +283,32 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # Activations and normalization
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (no overflow at either tail)."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def swiglu(gate_pre: Tensor, up: Tensor) -> Tensor:
+    """SwiGLU gate: silu(gate_pre) * up, with silu(x) = x * sigmoid(x).
 
-
-def silu(x: Tensor) -> Tensor:
-    sig = _sigmoid(x.data)
-    out_data = x.data * sig
+    sigmoid(x) = exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e) for x >= 0
+    and e / (1 + e) below, with e = exp(-|x|) <= 1, so neither tail
+    overflows. Both exponentials run over the whole array; selecting either
+    branch by a mask (indexing or np.where) costs more than the arithmetic.
+    Backward: up gets g * silu(gate_pre), and gate_pre gets
+    (g * up) * sig * (1 + x * (1 - sig)).
+    """
+    if gate_pre.data.shape != up.data.shape:
+        raise DimensionError(
+            f"swiglu: shapes {gate_pre.data.shape} != {up.data.shape}")
+    x = gate_pre.data
+    sig = np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+    act = x * sig
+    with np.errstate(over="ignore"):
+        out_data = act * up.data
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+        if gate_pre.requires_grad:
+            _accum(gate_pre, g * up.data * sig * (1.0 + x * (1.0 - sig)))
+        if up.requires_grad:
+            _accum(up, g * act)
 
-    return Tensor._from_op(out_data, (x,), backward, "silu")
+    return Tensor._from_op(out_data, (gate_pre, up), backward, "swiglu")
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:

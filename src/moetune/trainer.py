@@ -174,7 +174,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     `lora_config`, when given, must equal the config of the
     adapters attached to the model, which is what checkpoints record.
     Every sample needs a target: at least 2 tokens and a non-zero
-    loss_mask[1:], or ConfigError is raised before the first step.
+    loss_mask[1:], or ConfigError is raised before the first step; a
+    sample longer than max_seq_len + 1 tokens raises LengthError there.
     A non-finite loss, or a NumericError from the step's forward or
     backward, raises TrainingAborted with the step index.
     """
@@ -194,6 +195,11 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         if len(s.token_ids) < 2 or not any(s.loss_mask[1:]):
             raise ConfigError(f"corpus sample {i} has no target to learn: "
                               "fewer than 2 tokens or loss_mask[1:] all 0")
+        # the forward reads every token but the last
+        if len(s.token_ids) - 1 > model.config.max_seq_len:
+            raise LengthError(
+                f"corpus sample {i} has {len(s.token_ids)} tokens; the model "
+                f"reads at most max_seq_len + 1 = {model.config.max_seq_len + 1}")
 
     n_micros = (len(corpus) + cfg.batch_size - 1) // cfg.batch_size
     steps_per_epoch = (n_micros + cfg.grad_accum_steps - 1) // cfg.grad_accum_steps

@@ -1,4 +1,5 @@
-"""Finite-difference gradient oracle for the autograd tests."""
+"""Finite-difference gradient oracle and the scalar loss the autograd tests
+reduce to."""
 
 from __future__ import annotations
 
@@ -6,7 +7,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from moetune.tensor import Tensor
+from moetune.tensor import Tensor, _accum
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of every element as a 0-d tensor; backward spreads g to all."""
+    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
+
+    def backward(g: np.ndarray) -> None:
+        _accum(a, np.full_like(a.data, g))
+
+    return Tensor._from_op(out_data, (a,), backward, "sum")
 
 
 def finite_difference_grad(loss_fn: Callable[[], Tensor], param: Tensor,

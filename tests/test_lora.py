@@ -10,7 +10,7 @@ from moetune.model import Linear, ModelConfig, init_model
 from moetune.quant import QuantizedAdam, quantize_4bit
 from moetune.tensor import Tensor
 
-from gradcheck import gradient_check
+from gradcheck import gradient_check, sum_all
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=280, max_seq_len=32)
@@ -66,7 +66,7 @@ def test_adapter_gradients_pass_finite_difference():
     ref = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
 
     def loss():
-        return T.sum_all(T.mul(pair.branch(x), ref))
+        return sum_all(T.mul(pair.branch(x), ref))
 
     gradient_check(loss, [a, b], eps=1e-3, rtol=1e-3)
 

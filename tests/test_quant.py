@@ -7,6 +7,8 @@ from moetune import quant as Q
 from moetune import tensor as T
 from moetune.errors import DimensionError, FormatError, NumericError
 
+from gradcheck import sum_all
+
 
 def nearest_code_oracle(values, scale):
     """Exhaustive search over the 15 codes for the closest dequant value."""
@@ -152,7 +154,7 @@ def test_qmatmul_gradient_to_x_only():
     w = rng.standard_normal((4, 3)).astype(np.float32)
     q = Q.quantize_4bit(w, block_size=4)
     x = T.Tensor(rng.standard_normal((2, 4)).astype(np.float32), requires_grad=True)
-    T.sum_all(Q.qmatmul(x, q)).backward()
+    sum_all(Q.qmatmul(x, q)).backward()
     assert np.allclose(x.grad, np.ones((2, 3)) @ Q.dequantize(q).T)
 
 
@@ -249,3 +251,40 @@ def test_optimizer_lr_zero_leaves_params_bitwise():
         t.grad = rng.standard_normal((4, 4)).astype(np.float32)
         opt.step()
     assert np.array_equal(t.data, before)
+
+
+def test_optimizer_skips_a_parameter_without_grad_and_keeps_its_own_step():
+    # an expert no token picked has grad None: its value, moments and step
+    # count stay put, and its next update bias-corrects with its own t
+    rng = np.random.default_rng(19)
+    a = T.Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+    b = T.Tensor(rng.standard_normal((2, 5)).astype(np.float32), requires_grad=True)
+    opt = Q.QuantizedAdam({"a": a, "b": b}, lr=0.01)
+
+    def grad(t):
+        return rng.standard_normal(t.data.shape).astype(np.float32)
+
+    a.grad, b.grad = grad(a), grad(b)
+    opt.step()
+    kept = b.data.copy()
+    sb = opt.state["b"]
+    moments = [arr.copy() for arr in (sb.m.codes, sb.m.scales,
+                                      sb.v.codes, sb.v.scales)]
+
+    a.grad, b.grad = grad(a), None
+    opt.step()
+    assert np.array_equal(b.data, kept)
+    assert all(np.array_equal(x, y) for x, y in
+               zip(moments, (sb.m.codes, sb.m.scales, sb.v.codes, sb.v.scales)))
+    assert (opt.state["a"].step, sb.step) == (2, 1)
+
+    a.grad, b.grad = grad(a), grad(b)
+    own_t = Q.QuantizedOptimState(sb.m, sb.v, step=1)
+    global_t = Q.QuantizedOptimState(sb.m, sb.v, step=2)
+    want, wrong = kept.copy(), kept.copy()
+    Q.adam_step_quantized(want, b.grad, own_t, lr=0.01)
+    Q.adam_step_quantized(wrong, b.grad, global_t, lr=0.01)
+    opt.step()
+    assert sb.step == 2
+    assert np.array_equal(b.data, want)
+    assert not np.array_equal(b.data, wrong)

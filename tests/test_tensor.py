@@ -18,7 +18,7 @@ from moetune.errors import (
     VocabError,
 )
 
-from gradcheck import gradient_check
+from gradcheck import gradient_check, sum_all
 
 
 def t64(data, requires_grad=True):
@@ -147,6 +147,65 @@ def test_row_softmax_rows_sum_to_one_and_shift_invariant():
 
 
 # ---------------------------------------------------------------------------
+# swiglu against the masked-sigmoid silu-then-mul it replaced
+
+
+def masked_sigmoid(x):
+    """The masked stable sigmoid that silu used before swiglu."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def silu_then_mul(x, u, g):
+    """Forward and gradients of the silu op followed by a mul op, evaluated
+    in the order that tape did: mul hands g * u to silu, which multiplies by
+    sig * (1 + x * (1 - sig))."""
+    sig = masked_sigmoid(x)
+    act = x * sig
+    return act * u, g * u * sig * (1.0 + x * (1.0 - sig)), g * act
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_swiglu_is_bitwise_silu_then_mul(dtype):
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        rows, sigma = int(rng.integers(1, 506)), float(rng.uniform(0.1, 100.0))
+        shape = (rows, int(rng.choice([16, 64, 256])))
+        x = T.Tensor(rng.standard_normal(shape) * sigma, requires_grad=True,
+                     dtype=dtype)
+        u = T.Tensor(rng.standard_normal(shape), requires_grad=True,
+                     dtype=dtype)
+        g = T.Tensor(rng.standard_normal(shape), dtype=dtype)
+        out = T.swiglu(x, u)
+        sum_all(T.mul(out, g)).backward()
+        want_out, want_gx, want_gu = silu_then_mul(x.data, u.data, g.data)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_gx)
+        assert np.array_equal(u.grad, want_gu)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_swiglu_is_finite_at_large_magnitudes(dtype):
+    x = T.Tensor([[1e4, -1e4, 0.0, -0.0]], requires_grad=True, dtype=dtype)
+    u = T.Tensor([[2.0, -3.0, 5.0, 7.0]], requires_grad=True, dtype=dtype)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        out = T.swiglu(x, u)
+        sum_all(out).backward()
+    assert np.array_equal(out.data, [[2e4, 0.0, 0.0, 0.0]])
+    assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(u.grad))
+    assert np.array_equal(u.grad, [[1e4, 0.0, 0.0, 0.0]])
+
+
+def test_swiglu_shape_mismatch():
+    with pytest.raises(DimensionError):
+        T.swiglu(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
+
+
+# ---------------------------------------------------------------------------
 # masked_cross_entropy
 
 
@@ -201,13 +260,13 @@ def test_cross_entropy_bad_target_raises():
 
 def test_backward_sum_gives_ones():
     x = T.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-    T.sum_all(x).backward()
+    sum_all(x).backward()
     assert np.array_equal(x.grad, np.ones((2, 3), dtype=np.float32))
 
 
 def test_backward_elementwise_square():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    T.sum_all(T.mul(x, x)).backward()
+    sum_all(T.mul(x, x)).backward()
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
@@ -225,7 +284,7 @@ def test_backward_deterministic_bitwise():
     def run():
         w.grad = None
         x.grad = None
-        T.sum_all(T.silu(T.matmul(x, w))).backward()
+        sum_all(T.swiglu(T.matmul(x, w), x)).backward()
         return w.grad.copy(), x.grad.copy()
 
     gw1, gx1 = run()
@@ -236,8 +295,8 @@ def test_backward_deterministic_bitwise():
 
 def test_grad_accumulates_across_backward_calls():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    T.sum_all(x).backward()
-    T.sum_all(x).backward()
+    sum_all(x).backward()
+    sum_all(x).backward()
     assert np.allclose(x.grad, [2.0, 2.0])
 
 
@@ -258,14 +317,14 @@ def check(loss_fn, params):
 def test_grad_add_mul_scale():
     rng = np.random.default_rng(10)
     a, b = rand64(rng, 3, 4), rand64(rng, 3, 4)
-    check(lambda: T.sum_all(T.mul(T.add(a, b), b)), [a, b])
-    check(lambda: T.sum_all(T.scale(a, 1.7)), [a])
+    check(lambda: sum_all(T.mul(T.add(a, b), b)), [a, b])
+    check(lambda: sum_all(T.scale(a, 1.7)), [a])
 
 
 def test_grad_matmul():
     rng = np.random.default_rng(11)
     a, b = rand64(rng, 3, 5), rand64(rng, 5, 2)
-    check(lambda: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
+    check(lambda: sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
 
 
 def test_grad_embedding():
@@ -273,8 +332,8 @@ def test_grad_embedding():
     rng = np.random.default_rng(13)
     table = rand64(rng, 7, 4)
     ids = [3, 1, 3, 0]  # repeated id exercises scatter-add
-    check(lambda: T.sum_all(T.mul(T.index_rows(table, ids),
-                                  T.index_rows(table, ids))), [table])
+    check(lambda: sum_all(T.mul(T.index_rows(table, ids),
+                                T.index_rows(table, ids))), [table])
 
 
 def test_grad_softmaxes():
@@ -283,19 +342,20 @@ def test_grad_softmaxes():
     w = rand64(rng, 4, 6)
     mask = (rng.random((4, 6)) < 0.5).astype(np.float64)
     mask[:, 0] = 1  # every row selects something
-    check(lambda: T.sum_all(T.mul(T.masked_row_softmax(x, mask), w)), [x])
+    check(lambda: sum_all(T.mul(T.masked_row_softmax(x, mask), w)), [x])
 
 
 def test_grad_norms():
     rng = np.random.default_rng(15)
     x, w = rand64(rng, 4, 8), rand64(rng, 8)
-    check(lambda: T.sum_all(T.mul(T.rms_norm(x, w), T.rms_norm(x, w))), [x, w])
+    check(lambda: sum_all(T.mul(T.rms_norm(x, w), T.rms_norm(x, w))), [x, w])
 
 
 def test_grad_activations():
     rng = np.random.default_rng(16)
-    x = rand64(rng, 5, 5)
-    check(lambda: T.sum_all(T.mul(T.silu(x), x)), [x])
+    x, u = rand64(rng, 5, 5), rand64(rng, 5, 5)
+    check(lambda: sum_all(T.swiglu(x, u)), [x, u])
+    check(lambda: sum_all(T.swiglu(x, x)), [x])
 
 
 def test_grad_cross_entropy():
@@ -312,7 +372,7 @@ def test_grad_causal_attention():
     # t_q < 5: the queries are the last t_q of the 5 key positions
     for t_q in (5, 2, 1):
         q, w = rand64(rng, t_q, 8), rand64(rng, t_q, 8)
-        check(lambda: T.sum_all(T.mul(T.causal_attention(q, k, v, 2), w)),
+        check(lambda: sum_all(T.mul(T.causal_attention(q, k, v, 2), w)),
               [q, k, v])
 
 
@@ -370,7 +430,7 @@ def test_attention_grads_at_length_match_einsum64(t_q):
     k, v = (T.Tensor(rng.standard_normal((300, 128)), requires_grad=True)
             for _ in range(2))
     g = T.Tensor(rng.standard_normal((t_q, 128)))
-    T.sum_all(T.mul(T.causal_attention(q, k, v, 4), g)).backward()
+    sum_all(T.mul(T.causal_attention(q, k, v, 4), g)).backward()
     want = attention_grads_einsum64(q.data, k.data, v.data, g.data, 4)
     for name, got, ref in zip("qkv", (q.grad, k.grad, v.grad), want):
         # f32 rounding is relative to the largest entries, not to each entry
@@ -432,7 +492,7 @@ def test_grad_rotary():
     rng = np.random.default_rng(19)
     x = rand64(rng, 6, 8)
     w = rand64(rng, 6, 8)
-    check(lambda: T.sum_all(T.mul(T.rotary(x, 2), w)), [x])
+    check(lambda: sum_all(T.mul(T.rotary(x, 2), w)), [x])
 
 
 def test_rotary_is_orthogonal():
@@ -447,7 +507,7 @@ def test_grad_row_routing_ops():
     rng = np.random.default_rng(21)
     x = rand64(rng, 6, 4)
     idx = [4, 0, 4, 2]  # a repeated row exercises the scatter-add
-    check(lambda: T.sum_all(T.mul(T.index_rows(x, idx), T.index_rows(x, idx))),
+    check(lambda: sum_all(T.mul(T.index_rows(x, idx), T.index_rows(x, idx))),
           [x])
     # row 2 is picked by two parts, part 1 has one row, column 1 gets none
     gates = rand64(rng, 6, 4)
@@ -457,7 +517,7 @@ def test_grad_row_routing_ops():
 
     def loss():
         parts = [(0, rows[0], ys[0]), (2, rows[1], ys[1]), (3, rows[2], ys[2])]
-        return T.sum_all(T.mul(T.combine_rows(gates, parts, 6), w))
+        return sum_all(T.mul(T.combine_rows(gates, parts, 6), w))
 
     check(loss, [gates, *ys])
 
@@ -478,7 +538,7 @@ def test_grad_dropout_fixed_mask():
 
     def loss():
         # same generator seed each call keeps the mask fixed for the check
-        return T.sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(7)), x))
+        return sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(7)), x))
 
     check(loss, [x])
 
@@ -490,8 +550,10 @@ def test_grad_three_layer_mlp():
     targets = rng.integers(0, 3, 4)
 
     def loss():
-        h1 = T.silu(T.matmul(x, w1))
-        h2 = T.silu(T.matmul(h1, w2))
+        a1 = T.matmul(x, w1)
+        h1 = T.swiglu(a1, a1)
+        a2 = T.matmul(h1, w2)
+        h2 = T.swiglu(a2, a2)
         return T.masked_cross_entropy(T.matmul(h2, w3), targets, [1, 1, 1, 1])
 
     check(loss, [x, w1, w2, w3])

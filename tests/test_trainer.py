@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from moetune.checkpoint import load_checkpoint
-from moetune.errors import ConfigError, NumericError, TrainingAborted
+from moetune.errors import ConfigError, LengthError, NumericError, TrainingAborted
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 from moetune.tokenizer import TokenizedSample, render_chat
@@ -149,6 +149,20 @@ def test_corpus_sample_without_a_target_is_rejected_before_step_0(sample):
     cfg = TrainConfig(epochs=1, batch_size=2)
     with pytest.raises(ConfigError):
         train(adapted_model(), [*CORPUS, sample], cfg)
+
+
+def test_corpus_sample_past_max_seq_len_is_rejected_before_step_0():
+    # shuffle seed 1 puts the 40-token sample after a short one, so a check
+    # made only inside the step loop would raise after an update
+    short = TokenizedSample(list(range(5, 16)), [0] + [1] * 10)
+    long = TokenizedSample(list(range(5, 45)), [0] + [1] * 39)
+    model = adapted_model()
+    before = {n: t.data.copy() for n, t in model.trainable_parameters().items()}
+    cfg = TrainConfig(epochs=1, batch_size=1, lr=1e-2, seed=1, warmup_steps=0)
+    with pytest.raises(LengthError, match="sample 2"):
+        train(model, [short, short, long], cfg)
+    for name, t in model.trainable_parameters().items():
+        assert np.array_equal(t.data, before[name]), name
 
 
 def test_resume_without_moments_is_rejected(tmp_path):
