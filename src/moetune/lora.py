@@ -6,10 +6,14 @@ B [rank, d_out] (Hu et al., arXiv 2106.09685, in row-vector form). B starts at
 zero so a freshly attached adapter leaves the model output unchanged; W
 never receives gradient. Adapters attach to the decoder's attention
 (q/k/v/o) and expert (up/gate/down) projections; the router stays frozen.
+Each adapted projection (base product, training-mode dropout on x and the
+branch) is one `tensor.lora_linear` op, so it records one tape op.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +35,25 @@ class LoraConfig:
     dropout_p: float = 0.05
 
     def validate(self) -> "LoraConfig":
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not self.targets:
-            raise ConfigError("targets must be non-empty")
-        unknown = set(self.targets) - set(ALL_TARGETS)
-        if unknown:
-            raise ConfigError(f"unknown adapter targets: {sorted(unknown)}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        # each rule holds only for a valid value, so NaN fails it; a bool is
+        # not a number here, and the range rules run only on numbers
+        def number(v, kind=numbers.Real) -> bool:
+            return isinstance(v, kind) and not isinstance(v, bool)
+
+        rank_int = number(self.rank, numbers.Integral)
+        rules = [("rank", "an int", rank_int),
+                 ("rank", ">= 1", rank_int and self.rank >= 1),
+                 ("alpha", "a finite number > 0",
+                  number(self.alpha) and 0 < self.alpha < math.inf),
+                 ("targets", "non-empty", bool(self.targets)),
+                 ("targets", f"a subset of {ALL_TARGETS}",
+                  set(self.targets) <= set(ALL_TARGETS)),
+                 ("dropout_p", "in [0, 1)",
+                  number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0)]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
     @property
@@ -80,16 +92,16 @@ class LoraPair:
                    requires_grad=True)
         return cls(a, b, cfg)
 
-    def branch(self, x: Tensor, training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Adapter contribution (alpha/r)·(x A) B for row-vector inputs."""
-        h = x
-        if training and self.cfg.dropout_p > 0.0:
-            if rng is None:
-                raise ConfigError("training-mode dropout needs a generator")
-            h = tz.dropout(h, self.cfg.dropout_p, rng)
-        up = tz.matmul(tz.matmul(h, self.a), self.b)
-        return tz.scale(up, self.cfg.scaling)
+    def project(self, x: Tensor, w: Tensor, training: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        """x·W plus this adapter's branch, as one `tensor.lora_linear` op.
+
+        Dropout runs in training only, on a generator the caller supplies.
+        """
+        p = self.cfg.dropout_p if training else 0.0
+        if p > 0.0 and rng is None:
+            raise ConfigError("training-mode dropout needs a generator")
+        return tz.lora_linear(x, w, self.a, self.b, self.cfg.scaling, p, rng)
 
 
 def _attach(model: DecoderModel, cfg: LoraConfig, make_pair) -> int:

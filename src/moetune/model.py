@@ -67,8 +67,11 @@ class ModelConfig:
 class Linear:
     """Projection y = x @ kernel with kernel [d_in, d_out].
 
-    The kernel may be an f32 Tensor or a frozen QuantizedMatrix. An optional
-    adapter (see lora module) contributes an additive low-rank branch.
+    The kernel may be an f32 Tensor or a frozen QuantizedMatrix; a quantized
+    kernel enters through `quant.qmatmul`, once per call. An optional
+    adapter (see lora module) adds its low-rank branch inside the same op:
+    an adapted projection records one `tensor.lora_linear` op and an
+    unadapted one a single `tensor.matmul`.
     """
 
     def __init__(self, kernel: Tensor | QuantizedMatrix):
@@ -86,12 +89,10 @@ class Linear:
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         if self.is_quantized:
-            out = qmatmul(x, self.kernel)
-        else:
-            out = tz.matmul(x, self.kernel)
-        if self.adapter is not None:
-            out = tz.add(out, self.adapter.branch(x, training=training, rng=rng))
-        return out
+            return qmatmul(x, self.kernel, self.adapter, training, rng)
+        if self.adapter is None:
+            return tz.matmul(x, self.kernel)
+        return self.adapter.project(x, self.kernel, training, rng)
 
 
 class Norm:

@@ -125,15 +125,21 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     return (levels * scales_per_elem).reshape(q.rows, q.cols)
 
 
-def qmatmul(x: Tensor, q: QuantizedMatrix) -> Tensor:
-    """x [m,k] times a quantized [k,n] matrix.
+def qmatmul(x: Tensor, q: QuantizedMatrix, adapter=None, training: bool = False,
+            rng: np.random.Generator | None = None) -> Tensor:
+    """x [m,k] times a quantized [k,n] matrix, plus an optional LoRA adapter.
 
-    Runs `matmul(x, dequantize(q))`, so the result is bitwise equal to it.
-    The quantized side is frozen; gradient flows to x only.
+    Without an adapter this runs `matmul(x, dequantize(q))`, so the result
+    is bitwise equal to it. With one it runs `adapter.project` on the
+    dequantized kernel: one `lora_linear` op, dropout in training only.
+    The quantized side is frozen; gradient flows to x and the adapter.
     """
     if x.data.ndim != 2 or x.data.shape[1] != q.rows:
         raise DimensionError(f"qmatmul: {x.data.shape} x {q.shape}")
-    return matmul(x, Tensor(q.dequant()))
+    w = Tensor(q.dequant())
+    if adapter is None:
+        return matmul(x, w)
+    return adapter.project(x, w, training, rng)
 
 
 # ---------------------------------------------------------------------------

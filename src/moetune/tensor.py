@@ -6,7 +6,8 @@ tape and replays it in reverse, accumulating gradients into ``.grad``.
 The decoder has one gather, ``index_rows``, which looks up token embeddings
 and hands each expert its rows; ``swiglu`` is each expert's activation and
 gate product in one op; ``combine_rows`` weights the experts' outputs by
-their gates and sums them back in one op.
+their gates and sums them back in one op. ``lora_linear`` is one adapted
+projection, frozen base product plus dropout and low-rank branch, as one op.
 Forward outputs are checked for NaN/Inf: overflow raises instead of
 propagating silently. The matmul and the attention run on BLAS, forward
 and backward. BLAS repeats its arithmetic exactly for a given shape and
@@ -161,19 +162,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul: shapes {a.data.shape} != {b.data.shape}")
-    with np.errstate(over="ignore"):
-        out_data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return Tensor._from_op(out_data, (a, b), backward, "mul")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant (no gradient for ``c``)."""
     out_data = a.data * a.data.dtype.type(c)
@@ -203,11 +191,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul: inner dims {a.data.shape} x {b.data.shape}")
-    (t, k), n = a.data.shape, b.data.shape[1]
-    n_tiles = -(-t // TILE)
-    xp = np.zeros((n_tiles * TILE, k), dtype=a.data.dtype)
-    xp[:t] = a.data
-    out_data = (xp.reshape(n_tiles, TILE, k) @ b.data).reshape(-1, n)[:t]
+    out_data = _tiled_matmul(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -216,6 +200,77 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return Tensor._from_op(out_data, (a, b), backward, "matmul")
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on the rows of a zero-padded to whole [TILE, K] tiles, as one
+    batched BLAS call: the forward kernel of `matmul` and `lora_linear`."""
+    (t, k), n = a.shape, b.shape[1]
+    n_tiles = -(-t // TILE)
+    ap = np.zeros((n_tiles * TILE, k), dtype=a.dtype)
+    ap[:t] = a
+    return (ap.reshape(n_tiles, TILE, k) @ b).reshape(-1, n)[:t]
+
+
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
+                p: float, rng: np.random.Generator | None) -> Tensor:
+    """Adapted projection x·W + scaling·(dropout_p(x)·A)·B as one op.
+
+    Row-vector LoRA: W [d_in, d_out], A [d_in, r], B [r, d_out]. Every
+    product runs on the tiles of `matmul`, so each output row keeps its
+    prefix stability. With p > 0 the dropout mask is drawn from `rng` as
+    ``rng.random(x.shape) >= p`` and kept entries are scaled by 1 / (1 - p)
+    (inverted dropout); with p == 0 nothing is drawn. The forward evaluates
+    the expressions of the matmul, dropout, matmul, matmul, scale, add
+    chain it replaces, in its order, so values are bitwise those of the
+    chain; so are the gradients, which the backward hands out in the
+    order the chain's tape did: x gets g·Wᵀ (and W its gradient, if it
+    requires one), then B, then A, then x the dropout path's share.
+
+    One finiteness check on the output stands for the chain's six: once
+    an intermediate holds a NaN or an Inf, every later `@`, `*` and `+`
+    keeps it non-finite (Inf·0 is NaN), so the output holds one too.
+    """
+    if not (x.data.ndim == w.data.ndim == a.data.ndim == b.data.ndim == 2
+            and x.data.shape[1] == w.data.shape[0] == a.data.shape[0]
+            and b.data.shape == (a.data.shape[1], w.data.shape[1])):
+        raise DimensionError(
+            f"lora_linear: x {x.data.shape}, W {w.data.shape}, "
+            f"A {a.data.shape}, B {b.data.shape}")
+    if not 0.0 <= p < 1.0:
+        raise DimensionError(f"dropout p must be in [0, 1), got {p}")
+    dtype = x.data.dtype
+    keep = None
+    h = x.data
+    with np.errstate(over="ignore"):
+        base = _tiled_matmul(x.data, w.data)
+        if p > 0.0:
+            keep = (rng.random(x.data.shape) >= p).astype(dtype)
+            factor = dtype.type(1.0 / (1.0 - p))
+            h = x.data * keep * factor
+        ha = _tiled_matmul(h, a.data)
+        hab = _tiled_matmul(ha, b.data)
+        c = hab.dtype.type(scaling)
+        out_data = base + hab * c
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        g_hab = g * c
+        if b.requires_grad:
+            _accum(b, ha.T @ g_hab)
+        if not (a.requires_grad or x.requires_grad):
+            return
+        g_ha = g_hab @ b.data.T
+        if a.requires_grad:
+            _accum(a, h.T @ g_ha)
+        if x.requires_grad:
+            g_h = g_ha @ a.data.T
+            _accum(x, g_h if keep is None else g_h * keep * factor)
+
+    return Tensor._from_op(out_data, (x, w, a, b), backward, "lora_linear")
 
 
 def index_rows(x: Tensor, idx) -> Tensor:
@@ -261,22 +316,6 @@ def combine_rows(gates: Tensor, parts, n_rows: int) -> Tensor:
     # order in which the hidden states' gradient is summed.
     parents = tuple(y for _, _, y in parts) + (gates,)
     return Tensor._from_op(out_data, parents, backward, "combine_rows")
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a caller-supplied generator (training only)."""
-    if not 0.0 <= p < 1.0:
-        raise DimensionError(f"dropout p must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    factor = x.data.dtype.type(1.0 / (1.0 - p))
-    out_data = x.data * keep * factor
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g * keep * factor)
-
-    return Tensor._from_op(out_data, (x,), backward, "dropout")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Finite-difference gradient oracle and the scalar loss the autograd tests
-reduce to."""
+"""Finite-difference gradient oracle, and the elementwise product and the
+scalar loss the autograd tests reduce to."""
 
 from __future__ import annotations
 
@@ -7,7 +7,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from moetune.errors import DimensionError
 from moetune.tensor import Tensor, _accum
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; backward gives a g * b and b g * a."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"mul: shapes {a.data.shape} != {b.data.shape}")
+    with np.errstate(over="ignore"):
+        out_data = a.data * b.data
+
+    def backward(g: np.ndarray) -> None:
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
+
+    return Tensor._from_op(out_data, (a, b), backward, "mul")
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -204,12 +204,17 @@ def set_entry(name, key, value):
     lambda h: h["configs"]["trainer_state"]["optim_steps"].update(
         {"layers.0.attn.wq.lora_a": "2"}),
     lambda h: h["configs"]["model"].update(n_heads=0),
+    lambda h: h["configs"]["lora"].update(alpha=float("nan")),
+    lambda h: h["configs"]["lora"].update(alpha=float("inf")),
+    lambda h: h["configs"]["lora"].update(rank=2.5),
+    lambda h: h["configs"]["lora"].update(rank=True),
 ], ids=["tensors-list", "trainer-state-list", "optim-steps-list",
         "entry-list", "unknown-dtype", "unknown-q4-block", "no-dtype",
         "no-offset", "no-length", "no-shape", "negative-offset",
         "bool-offset", "str-offset", "negative-length", "negative-shape",
         "str-shape", "str-step", "negative-cursor", "bool-epoch",
-        "str-optim-step", "zero-heads"])
+        "str-optim-step", "zero-heads", "nan-alpha", "inf-alpha",
+        "fractional-rank", "bool-rank"])
 def test_malformed_header_is_a_format_error(tmp_path, edit):
     with pytest.raises(FormatError):
         load_checkpoint(saved_and_edited(tmp_path, edit))

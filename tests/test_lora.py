@@ -1,5 +1,7 @@
 """LoRA adapters: identity at init, freezing, gradient flow."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from moetune.model import Linear, ModelConfig, init_model
 from moetune.quant import QuantizedAdam, quantize_4bit
 from moetune.tensor import Tensor
 
-from gradcheck import gradient_check, sum_all
+from gradcheck import gradient_check, mul, sum_all
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=280, max_seq_len=32)
@@ -41,8 +43,10 @@ def test_fresh_pair_is_identity():
 
 
 def test_hand_matrix_chain_oracle():
-    y = toy_pair().branch(Tensor([[3.0, 5.0]]))
-    assert np.array_equal(y.data, [[3.0, 0.0]])  # (x·A)·B = [[3]]·[[1, 0]]
+    w = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    y = toy_pair().project(Tensor([[3.0, 5.0]]), w)
+    # x·W + (x·A)·B = [[18, 26]] + [[3]]·[[1, 0]]
+    assert np.array_equal(y.data, [[21.0, 26.0]])
 
 
 def test_alpha_scales_adapter_branch_linearly():
@@ -52,8 +56,9 @@ def test_alpha_scales_adapter_branch_linearly():
     pair1 = random_adapter(3, 4, cfg1, rng)
     pair2 = LoraPair(pair1.a, pair1.b, cfg2)
     x = Tensor(rng.standard_normal((2, 3)))
-    assert np.allclose(pair2.branch(x).data, 2.0 * pair1.branch(x).data,
-                       atol=1e-6)
+    w = Tensor(np.zeros((3, 4)))  # a zero base leaves the branch alone
+    assert np.allclose(pair2.project(x, w).data,
+                       2.0 * pair1.project(x, w).data, atol=1e-6)
 
 
 def test_adapter_gradients_pass_finite_difference():
@@ -63,12 +68,48 @@ def test_adapter_gradients_pass_finite_difference():
     b = Tensor(rng.standard_normal((2, 4)), requires_grad=True, dtype=np.float64)
     pair = LoraPair(a, b, cfg)
     x = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
+    w = Tensor(rng.standard_normal((5, 4)), dtype=np.float64)
     ref = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
 
     def loss():
-        return sum_all(T.mul(pair.branch(x), ref))
+        return sum_all(mul(pair.project(x, w), ref))
 
     gradient_check(loss, [a, b], eps=1e-3, rtol=1e-3)
+
+
+def op_count(out):
+    """Ops on the tape that out.backward() would replay."""
+    seen, stack, n = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        n += t._backward is not None
+        stack.extend(t._parents)
+    return n
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("training", [False, True])
+def test_adapted_projection_records_one_op(quantized, training):
+    rng = np.random.default_rng(2)
+    kernel = rng.standard_normal((16, 24)).astype(np.float32)
+    lin = Linear(quantize_4bit(kernel) if quantized else Tensor(kernel))
+    lin.adapter = random_adapter(16, 24, LoraConfig(rank=4), rng)
+    x = Tensor(rng.standard_normal((9, 16)), requires_grad=True)
+    out = lin.forward(x, training=training, rng=np.random.default_rng(3))
+    assert op_count(out) == 1
+
+
+def test_training_dropout_without_a_generator_is_a_config_error():
+    rng = np.random.default_rng(3)
+    lin = Linear(quantize_4bit(rng.standard_normal((6, 4))))
+    lin.adapter = LoraPair.init(6, 4, LoraConfig(rank=2, dropout_p=0.1), rng)
+    x = Tensor(rng.standard_normal((2, 6)))
+    lin.forward(x)  # eval draws nothing
+    with pytest.raises(ConfigError):
+        lin.forward(x, training=True)
 
 
 def test_config_validation():
@@ -82,6 +123,12 @@ def test_config_validation():
         LoraConfig(targets=("q", "router")).validate()
     with pytest.raises(ConfigError):
         LoraConfig(dropout_p=1.0).validate()
+    for field, value in [("rank", 2.5), ("rank", True), ("rank", "8"),
+                         ("alpha", math.nan), ("alpha", math.inf),
+                         ("alpha", True), ("alpha", "16"),
+                         ("dropout_p", math.nan)]:
+        with pytest.raises(ConfigError):
+            LoraConfig(**{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------

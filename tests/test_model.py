@@ -21,7 +21,7 @@ from moetune.model import (
 from moetune.quant import quantize_4bit
 from moetune.tensor import Tensor
 
-from gradcheck import gradient_check, sum_all
+from gradcheck import gradient_check, mul, sum_all
 
 
 def make_moe_layer(rng, d, ff, n_experts, top_k, dtype=np.float32,
@@ -185,7 +185,7 @@ def test_moe_router_gradient_finite_difference():
     w = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
 
     def loss():
-        return sum_all(T.mul(moe_forward(h, layer), w))
+        return sum_all(mul(moe_forward(h, layer), w))
 
     params = [layer.router, h,
               layer.experts[0].w_gate.kernel, layer.experts[1].w_down.kernel]

@@ -18,7 +18,7 @@ from moetune.errors import (
     VocabError,
 )
 
-from gradcheck import gradient_check, sum_all
+from gradcheck import gradient_check, mul, sum_all
 
 
 def t64(data, requires_grad=True):
@@ -181,7 +181,7 @@ def test_swiglu_is_bitwise_silu_then_mul(dtype):
                      dtype=dtype)
         g = T.Tensor(rng.standard_normal(shape), dtype=dtype)
         out = T.swiglu(x, u)
-        sum_all(T.mul(out, g)).backward()
+        sum_all(mul(out, g)).backward()
         want_out, want_gx, want_gu = silu_then_mul(x.data, u.data, g.data)
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(x.grad, want_gx)
@@ -203,6 +203,109 @@ def test_swiglu_is_finite_at_large_magnitudes(dtype):
 def test_swiglu_shape_mismatch():
     with pytest.raises(DimensionError):
         T.swiglu(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
+
+
+# ---------------------------------------------------------------------------
+# lora_linear against the six-op chain it replaced
+
+
+def dropout(x, p, rng):
+    """The inverted-dropout op that the adapter branch used before
+    lora_linear, kept here as the chain's oracle."""
+    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
+    factor = x.data.dtype.type(1.0 / (1.0 - p))
+
+    def backward(g):
+        T._accum(x, g * keep * factor)
+
+    return T.Tensor._from_op(x.data * keep * factor, (x,), backward, "dropout")
+
+
+def lora_chain(x, w, a, b, scaling, p, rng):
+    """matmul, dropout, matmul, matmul, scale, add: the adapted projection
+    as the tape recorded it before lora_linear."""
+    h = dropout(x, p, rng) if p > 0 else x
+    branch = T.scale(T.matmul(T.matmul(h, a), b), scaling)
+    return T.add(T.matmul(x, w), branch)
+
+
+def lora_operands(rng, rows, dtype, x_grad, w_grad, d_in=128, d_out=256,
+                  rank=8):
+    x = T.Tensor(rng.standard_normal((rows, d_in)), requires_grad=x_grad,
+                 dtype=dtype)
+    w = T.Tensor(rng.standard_normal((d_in, d_out)) * 0.1,
+                 requires_grad=w_grad, dtype=dtype)
+    a = T.Tensor(rng.normal(0.0, 0.02, (d_in, rank)), requires_grad=True,
+                 dtype=dtype)
+    b = T.Tensor(rng.standard_normal((rank, d_out)), requires_grad=True,
+                 dtype=dtype)
+    return x, w, a, b
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 130, 505])
+@pytest.mark.parametrize("p", [0.0, 0.05])
+@pytest.mark.parametrize("needs_grad", ["adapter", "x", "x and w"])
+def test_lora_linear_is_bitwise_the_six_op_chain(rows, p, needs_grad):
+    scaling = 16.0 / 3.0
+    grads = []
+    outs = []
+    for op in (lora_chain, T.lora_linear):
+        rng = np.random.default_rng(rows)
+        x, w, a, b = lora_operands(rng, rows, np.float32,
+                                   x_grad=needs_grad != "adapter",
+                                   w_grad=needs_grad == "x and w")
+        g = T.Tensor(rng.standard_normal((rows, 256)), dtype=np.float32)
+        # a gradient that is already there makes the order of the two
+        # shares x gets show in its bits
+        for t in (x, w, a, b):
+            if t.requires_grad:
+                t.grad = rng.standard_normal(t.shape).astype(np.float32)
+        out = op(x, w, a, b, scaling, p, np.random.default_rng(5))
+        sum_all(mul(out, g)).backward()
+        outs.append(out.data)
+        grads.append([t.grad for t in (x, w, a, b)])
+    assert outs[0].tobytes() == outs[1].tobytes()
+    for want, got in zip(*grads):
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert want.tobytes() == got.tobytes()
+
+
+def test_grad_lora_linear():
+    rng = np.random.default_rng(25)
+    x, w, a, b = (rand64(rng, 5, 6), rand64(rng, 6, 4), rand64(rng, 6, 2),
+                  rand64(rng, 2, 4))
+    ref = rand64(rng, 5, 4)
+
+    def loss():
+        # same generator seed each call keeps the mask fixed for the check
+        out = T.lora_linear(x, w, a, b, 1.5, 0.4, np.random.default_rng(7))
+        return sum_all(mul(out, ref))
+
+    check(loss, [x, w, a, b])
+
+
+def test_lora_linear_raises_on_a_non_finite_branch_or_base():
+    rng = np.random.default_rng(26)
+    x, w, a, b = lora_operands(rng, 9, np.float32, x_grad=True, w_grad=False)
+    b.data[0, 3] = np.nan
+    with pytest.raises(NumericError):
+        T.lora_linear(x, w, a, b, 2.0, 0.0, None)
+    b.data[0, 3] = 0.0
+    w.data[:] = 3e38
+    with pytest.raises(NumericError):
+        T.lora_linear(x, w, a, b, 2.0, 0.05, np.random.default_rng(0))
+
+
+def test_lora_linear_shape_mismatch():
+    rng = np.random.default_rng(27)
+    x, w, a, b = lora_operands(rng, 3, np.float32, False, False, 6, 4, 2)
+    for args in [(x, w, a, T.Tensor(np.ones((3, 4)))),
+                 (x, w, T.Tensor(np.ones((5, 2))), b),
+                 (x, T.Tensor(np.ones((6, 5))), a, b),
+                 (T.Tensor(np.ones(6)), w, a, b)]:
+        with pytest.raises(DimensionError):
+            T.lora_linear(*args, 2.0, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +369,14 @@ def test_backward_sum_gives_ones():
 
 def test_backward_elementwise_square():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    sum_all(T.mul(x, x)).backward()
+    sum_all(mul(x, x)).backward()
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_backward_requires_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(RankError):
-        T.mul(x, x).backward()
+        mul(x, x).backward()
 
 
 def test_backward_deterministic_bitwise():
@@ -303,7 +406,7 @@ def test_grad_accumulates_across_backward_calls():
 def test_overflow_is_an_error():
     big = T.Tensor(np.full((2, 2), 3e38), requires_grad=True)
     with pytest.raises(NumericError):
-        T.mul(big, big)
+        mul(big, big)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +420,14 @@ def check(loss_fn, params):
 def test_grad_add_mul_scale():
     rng = np.random.default_rng(10)
     a, b = rand64(rng, 3, 4), rand64(rng, 3, 4)
-    check(lambda: sum_all(T.mul(T.add(a, b), b)), [a, b])
+    check(lambda: sum_all(mul(T.add(a, b), b)), [a, b])
     check(lambda: sum_all(T.scale(a, 1.7)), [a])
 
 
 def test_grad_matmul():
     rng = np.random.default_rng(11)
     a, b = rand64(rng, 3, 5), rand64(rng, 5, 2)
-    check(lambda: sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
+    check(lambda: sum_all(mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
 
 
 def test_grad_embedding():
@@ -332,7 +435,7 @@ def test_grad_embedding():
     rng = np.random.default_rng(13)
     table = rand64(rng, 7, 4)
     ids = [3, 1, 3, 0]  # repeated id exercises scatter-add
-    check(lambda: sum_all(T.mul(T.index_rows(table, ids),
+    check(lambda: sum_all(mul(T.index_rows(table, ids),
                                 T.index_rows(table, ids))), [table])
 
 
@@ -342,13 +445,13 @@ def test_grad_softmaxes():
     w = rand64(rng, 4, 6)
     mask = (rng.random((4, 6)) < 0.5).astype(np.float64)
     mask[:, 0] = 1  # every row selects something
-    check(lambda: sum_all(T.mul(T.masked_row_softmax(x, mask), w)), [x])
+    check(lambda: sum_all(mul(T.masked_row_softmax(x, mask), w)), [x])
 
 
 def test_grad_norms():
     rng = np.random.default_rng(15)
     x, w = rand64(rng, 4, 8), rand64(rng, 8)
-    check(lambda: sum_all(T.mul(T.rms_norm(x, w), T.rms_norm(x, w))), [x, w])
+    check(lambda: sum_all(mul(T.rms_norm(x, w), T.rms_norm(x, w))), [x, w])
 
 
 def test_grad_activations():
@@ -372,7 +475,7 @@ def test_grad_causal_attention():
     # t_q < 5: the queries are the last t_q of the 5 key positions
     for t_q in (5, 2, 1):
         q, w = rand64(rng, t_q, 8), rand64(rng, t_q, 8)
-        check(lambda: sum_all(T.mul(T.causal_attention(q, k, v, 2), w)),
+        check(lambda: sum_all(mul(T.causal_attention(q, k, v, 2), w)),
               [q, k, v])
 
 
@@ -430,7 +533,7 @@ def test_attention_grads_at_length_match_einsum64(t_q):
     k, v = (T.Tensor(rng.standard_normal((300, 128)), requires_grad=True)
             for _ in range(2))
     g = T.Tensor(rng.standard_normal((t_q, 128)))
-    sum_all(T.mul(T.causal_attention(q, k, v, 4), g)).backward()
+    sum_all(mul(T.causal_attention(q, k, v, 4), g)).backward()
     want = attention_grads_einsum64(q.data, k.data, v.data, g.data, 4)
     for name, got, ref in zip("qkv", (q.grad, k.grad, v.grad), want):
         # f32 rounding is relative to the largest entries, not to each entry
@@ -492,7 +595,7 @@ def test_grad_rotary():
     rng = np.random.default_rng(19)
     x = rand64(rng, 6, 8)
     w = rand64(rng, 6, 8)
-    check(lambda: sum_all(T.mul(T.rotary(x, 2), w)), [x])
+    check(lambda: sum_all(mul(T.rotary(x, 2), w)), [x])
 
 
 def test_rotary_is_orthogonal():
@@ -507,7 +610,7 @@ def test_grad_row_routing_ops():
     rng = np.random.default_rng(21)
     x = rand64(rng, 6, 4)
     idx = [4, 0, 4, 2]  # a repeated row exercises the scatter-add
-    check(lambda: sum_all(T.mul(T.index_rows(x, idx), T.index_rows(x, idx))),
+    check(lambda: sum_all(mul(T.index_rows(x, idx), T.index_rows(x, idx))),
           [x])
     # row 2 is picked by two parts, part 1 has one row, column 1 gets none
     gates = rand64(rng, 6, 4)
@@ -517,7 +620,7 @@ def test_grad_row_routing_ops():
 
     def loss():
         parts = [(0, rows[0], ys[0]), (2, rows[1], ys[1]), (3, rows[2], ys[2])]
-        return sum_all(T.mul(T.combine_rows(gates, parts, 6), w))
+        return sum_all(mul(T.combine_rows(gates, parts, 6), w))
 
     check(loss, [gates, *ys])
 
@@ -535,10 +638,14 @@ def test_combine_rows_rejects_no_parts_and_misshapen_parts():
 def test_grad_dropout_fixed_mask():
     rng = np.random.default_rng(22)
     x = rand64(rng, 5, 5)
+    # a zero base leaves the dropout path as x's only path to the loss
+    w = t64(np.zeros((5, 5)), requires_grad=False)
+    a, b = rand64(rng, 5, 3), rand64(rng, 3, 5)
 
     def loss():
         # same generator seed each call keeps the mask fixed for the check
-        return sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(7)), x))
+        out = T.lora_linear(x, w, a, b, 1.0, 0.4, np.random.default_rng(7))
+        return sum_all(mul(out, x))
 
     check(loss, [x])
 
@@ -560,5 +667,12 @@ def test_grad_three_layer_mlp():
 
 
 def test_dropout_eval_identity():
-    x = T.Tensor(np.ones((3, 3)))
-    assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+    rng = np.random.default_rng(28)
+    x, w, a, b = lora_operands(rng, 9, np.float32, True, False)
+    gen = np.random.default_rng(0)
+    before = gen.bit_generator.state
+    out = T.lora_linear(x, w, a, b, 2.0, 0.0, gen)
+    # p == 0 draws nothing and runs the branch on x itself
+    assert gen.bit_generator.state == before
+    want = lora_chain(x, w, a, b, 2.0, 0.0, None)
+    assert out.data.tobytes() == want.data.tobytes()
