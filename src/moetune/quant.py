@@ -160,8 +160,19 @@ class QuantizedOptimState:
 
     @classmethod
     def zeros(cls, n: int) -> "QuantizedOptimState":
-        z = np.zeros((1, n), dtype=np.float32)
-        return cls(m=quantize_4bit(z), v=quantize_4bit(z))
+        return cls(m=_zeros_flat(n), v=_zeros_flat(n))
+
+
+def _zeros_flat(n: int) -> QuantizedMatrix:
+    """quantize_4bit(np.zeros((1, n))), built directly: every block gets
+    scale 0 and every code 7; for odd n the last byte's high nibble is the
+    0 that pack_codes pads with."""
+    codes = np.full((n + 1) // 2, 0x77, dtype=np.uint8)
+    if n % 2:
+        codes[-1] = 0x07
+    n_blocks = (n + DEFAULT_BLOCK_SIZE - 1) // DEFAULT_BLOCK_SIZE
+    return QuantizedMatrix(1, n, DEFAULT_BLOCK_SIZE, codes,
+                           np.zeros(n_blocks, dtype=np.float32))
 
 
 def adam_step_quantized(param: np.ndarray, grad: np.ndarray,

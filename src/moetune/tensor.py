@@ -14,6 +14,9 @@ and backward. BLAS repeats its arithmetic exactly for a given shape and
 thread count, so values and gradients are bit-reproducible run to run. The
 matmul and attention forwards call it only on fixed-shape tiles, so an
 output row is also bitwise the same whatever the other rows of the call.
+``causal_attention`` runs both passes in blocks of query rows over the
+lower triangle only: the key blocks above a row block's last position
+hold nothing but masked, exactly zero weights.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ DTYPE = np.float32
 # caller passed; changing TILE changes every forward value at the ulp level.
 TILE = 8
 
-# Keys per block in the attention forward. Blocks start at key position 0,
-# so a row meets the same blocks whatever T_k is; changing KEY_BLOCK changes
-# every attention value at the ulp level.
+# Keys per block in the attention forward, and query rows per row block of
+# both attention passes (a multiple of TILE, so a row block is whole query
+# tiles). Key blocks start at key position 0, so a row meets the same blocks
+# whatever T_k is; changing KEY_BLOCK changes every attention value at the
+# ulp level.
 KEY_BLOCK = 64
 
 # When on, every op output is checked for NaN/Inf and a non-finite value
@@ -492,6 +497,16 @@ def rotary(x: Tensor, n_heads: int, base: float = 10000.0,
     return Tensor._from_op(out_data, (x,), backward, "rotary")
 
 
+def _row_blocks(t_q: int, t_k: int):
+    """Yield (i0, i1, kend) for each block of KEY_BLOCK query rows, starting
+    at row 0: rows i0..i1-1 attend to key positions below kend, the last
+    row's position plus one. Both passes of `causal_attention` run on these
+    ranges, so the backward reads only weights the forward wrote."""
+    for i0 in range(0, t_q, KEY_BLOCK):
+        i1 = min(i0 + KEY_BLOCK, t_q)
+        yield i0, i1, t_k - t_q + i1
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head softmax(QKᵀ/√hd + causal mask)·V.
 
@@ -502,6 +517,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     cache. Heads are contiguous channel slices; outputs are concatenated
     back to [T_q, d].
 
+    Both passes run on the lower triangle only, as FlashAttention does: the
+    query rows go in blocks of KEY_BLOCK rows from row 0, and a block
+    touches only the key blocks up to its last row's position, where the
+    causal mask makes every weight above them exactly zero.
+
     The forward runs on fixed-shape BLAS tiles: the key-block tiling of
     FlashAttention under the batch-invariance rule of `matmul`. Queries,
     pre-scaled by 1/√hd, go in zero-padded tiles of TILE rows; keys and
@@ -511,15 +531,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     [KEY_BLOCK, hd] gemm, whatever T_q and T_k are. Each row takes its max
     over its unmasked keys, sums each block's KEY_BLOCK exponentials, then
     adds up the block sums, and later the blocks' value products, left to
-    right; the blocks past its position contribute exact zeros. A row's
-    arithmetic thus depends only on its position and on the inputs up to
-    it, so a cached decode row and every prefix are bitwise equal to the
-    matching rows of the full forward. The guarantee rests on the BLAS and
-    is checked empirically by tests/test_tensor.py.
+    right up to its row block's last key block; the blocks between its own
+    position and that one contribute exact zeros. A row's arithmetic thus
+    depends only on its position and on the inputs up to it, so a cached
+    decode row and every prefix are bitwise equal to the matching rows of
+    the full forward. The guarantee rests on the BLAS and is checked
+    empirically by tests/test_tensor.py.
 
-    The backward carries no prefix guarantee. It reads the [H, T_q, T_k]
-    attention weights back from the tiles and runs its four contractions
-    as batched BLAS products over the heads.
+    The backward carries no prefix guarantee. Over the same row blocks it
+    reads the block's weights, computes the softmax gradient ds in one
+    reused [H, KEY_BLOCK, T_k] buffer, writes the block's query gradient
+    and adds its share of the key and value gradients in block order, so
+    a call's gradients repeat bitwise.
     """
     t_q, d = q.data.shape
     t_k = k.data.shape[0]
@@ -547,47 +570,75 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     v_blocks = vp.reshape(n_kb, KEY_BLOCK, n_heads, hd).transpose(2, 0, 1, 3)
 
     # The score gemms write their [TILE, KEY_BLOCK] tiles straight into the
-    # [H, T_q, T_k] layout that the softmax and the backward read.
+    # [H, T_q, T_k] layout that the softmax and the backward read. np.empty:
+    # a row block writes its rows up to its last key block only, and the
+    # backward reads within those ranges, so the rest is never read.
     attn = np.empty((n_heads, tq_pad, tk_pad), dtype=dtype)
     a_tiles = attn.reshape(n_heads, n_qt, TILE, n_kb, KEY_BLOCK)
     a_tiles = a_tiles.transpose(0, 1, 3, 2, 4)  # [H, q tile, k block, ...]
-    np.matmul(q_tiles[:, :, None], k_blocks[:, None], out=a_tiles)
+    out_h = np.empty((n_heads, n_qt, TILE, hd), dtype=dtype)
     q_pos = t_k - t_q + np.arange(tq_pad)
-    np.copyto(attn, -np.inf, where=np.arange(tk_pad) > q_pos[:, None])
-    attn -= attn.max(axis=2, keepdims=True)
-    np.exp(attn, out=attn)
-    # An explicit loop, not np.sum over the block axis: numpy sums 8 or more
-    # blocks pairwise, in an order that depends on the number of blocks.
-    block_sums = attn.reshape(n_heads, tq_pad, n_kb, KEY_BLOCK).sum(axis=3)
-    total = block_sums[:, :, 0].copy()
-    for b in range(1, n_kb):
-        total += block_sums[:, :, b]
-    attn /= total[:, :, None]
-    pv = a_tiles @ v_blocks[:, None]  # [H, q tile, k block, TILE, hd]
-    out_h = pv[:, :, 0].copy()
-    for b in range(1, n_kb):
-        out_h += pv[:, :, b]
+    for i0, i1, kend in _row_blocks(t_q, t_k):
+        t0, t1 = i0 // TILE, -(-i1 // TILE)  # the block's query tiles
+        nb = -(-kend // KEY_BLOCK)
+        rows = slice(t0 * TILE, t1 * TILE)
+        a = attn[:, rows, :nb * KEY_BLOCK]
+        tiles = a_tiles[:, t0:t1, :nb]
+        np.matmul(q_tiles[:, t0:t1, None], k_blocks[:, None, :nb], out=tiles)
+        np.copyto(a, -np.inf,
+                  where=np.arange(nb * KEY_BLOCK) > q_pos[rows, None])
+        a -= a.max(axis=2, keepdims=True)
+        np.exp(a, out=a)
+        # An explicit loop, not np.sum over the block axis: numpy sums 8 or
+        # more blocks pairwise, in an order that depends on the number of
+        # blocks.
+        block_sums = a.reshape(n_heads, -1, nb, KEY_BLOCK).sum(axis=3)
+        total = block_sums[:, :, 0].copy()
+        for b in range(1, nb):
+            total += block_sums[:, :, b]
+        a /= total[:, :, None]
+        pv = tiles @ v_blocks[:, None, :nb]  # [H, q tile, k block, TILE, hd]
+        out_t = out_h[:, t0:t1]
+        out_t[...] = pv[:, :, 0]
+        for b in range(1, nb):
+            out_t += pv[:, :, b]
     out_data = (out_h.reshape(n_heads, tq_pad, hd)[:, :t_q]
                 .transpose(1, 0, 2).reshape(t_q, d))
-    attn = attn[:, :t_q, :t_k]
 
     def backward(g: np.ndarray) -> None:
-        qh = q.data.reshape(t_q, n_heads, hd).transpose(1, 0, 2)
-        kh = k.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)
-        vh = v.data.reshape(t_k, n_heads, hd).transpose(1, 0, 2)
-        gh = g.reshape(t_q, n_heads, hd).transpose(1, 0, 2)
+        qh, kh, vh, gh = (x.reshape(len(x), n_heads, hd).transpose(1, 0, 2)
+                          for x in (q.data, k.data, v.data, g))
+        # gradients laid out [T, H, hd], so [T, d] is a view; BLAS writes
+        # the [H, T, hd] views of them
+        gq = np.empty((t_q, n_heads, hd), dtype=dtype)
+        gk = np.zeros((t_k, n_heads, hd), dtype=dtype)
+        gv = np.zeros((t_k, n_heads, hd), dtype=dtype)
+        gq_h, gk_h, gv_h = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
+        need_ds = q.requires_grad or k.requires_grad
+        ds_buf = np.empty((n_heads, min(KEY_BLOCK, t_q), t_k), dtype=dtype)
+        for i0, i1, kend in _row_blocks(t_q, t_k):
+            w = attn[:, i0:i1, :kend]
+            g_b = gh[:, i0:i1]
+            if v.requires_grad:
+                gv_h[:, :kend] += w.transpose(0, 2, 1) @ g_b
+            if not need_ds:
+                continue
+            # softmax backward, ds = w * (da - rowsum(da * w)) / √hd, built
+            # in place over da = g · vᵀ; masked weights are 0, so is ds
+            ds = ds_buf[:, :i1 - i0, :kend]
+            np.matmul(g_b, vh[:, :kend].transpose(0, 2, 1), out=ds)
+            ds -= (ds * w).sum(axis=2, keepdims=True)
+            ds *= w
+            ds *= dtype.type(inv_sqrt)
+            if q.requires_grad:
+                np.matmul(ds, kh[:, :kend], out=gq_h[:, i0:i1])
+            if k.requires_grad:
+                gk_h[:, :kend] += ds.transpose(0, 2, 1) @ qh[:, i0:i1]
         if v.requires_grad:
-            gv = attn.transpose(0, 2, 1) @ gh
-            _accum(v, gv.transpose(1, 0, 2).reshape(t_k, d))
-        da = gh @ vh.transpose(0, 2, 1)
-        # softmax backward; masked entries have attn == 0, so ds == 0 there
-        dot = (da * attn).sum(axis=2, keepdims=True)
-        ds = attn * (da - dot) * inv_sqrt
+            _accum(v, gv.reshape(t_k, d))
         if q.requires_grad:
-            gq = ds @ kh
-            _accum(q, gq.transpose(1, 0, 2).reshape(t_q, d))
+            _accum(q, gq.reshape(t_q, d))
         if k.requires_grad:
-            gk = ds.transpose(0, 2, 1) @ qh
-            _accum(k, gk.transpose(1, 0, 2).reshape(t_k, d))
+            _accum(k, gk.reshape(t_k, d))
 
     return Tensor._from_op(out_data, (q, k, v), backward, "causal_attention")

@@ -1,5 +1,10 @@
 """MoE routing, sparse dispatch, decoder forward, and parameter census."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -269,6 +274,48 @@ def test_cached_decode_is_bitwise_equal_to_full_forward(tuned_default_model,
         assert step.shape == (1, 262)
         assert np.array_equal(step[0], model.forward(ids[:t + 1]).data[-1]), t
     assert cache.length == len(ids)
+
+
+# Prefix stability and cached decode at the default config, on the model of
+# tuned_default_model; lengths on both sides of the tile, key-block and
+# row-block edges.
+BITWISE_SCRIPT = """
+import numpy as np
+from moetune.lora import LoraConfig, attach_adapters
+from moetune.model import KVCache, ModelConfig, init_model
+
+model = init_model(ModelConfig(), seed=5)
+model.quantize_frozen(64)
+attach_adapters(model, LoraConfig(), seed=6)
+rng = np.random.default_rng(7)
+for t in model.trainable_parameters().values():
+    t.data[:] = 0.05 * rng.standard_normal(t.data.shape)
+ids = rng.integers(0, 262, 133)
+full = model.forward(ids).data
+for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129):
+    assert np.array_equal(model.forward(ids[:n]).data, full[:n]), n
+cache = KVCache()
+model.forward(ids[:63], cache=cache)
+for t in (63, 64, 65):
+    assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
+                          full[t:t + 1]), t
+model.forward(ids[66:129], cache=cache)
+for t in range(129, len(ids)):
+    assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
+                          full[t:t + 1]), t
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_prefix_and_cached_decode_are_bitwise_on_one_and_two_blas_threads(
+        threads):
+    # BLAS reads its thread count when numpy loads, so run in a fresh process
+    src = str(Path(model_module.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", BITWISE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_cached_forward_that_raises_leaves_the_cache_as_it_was(

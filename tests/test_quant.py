@@ -183,6 +183,19 @@ def f32_adam_reference(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 4097])
+def test_zero_state_is_byte_equal_to_quantizing_zeros(n):
+    want = Q.quantize_4bit(np.zeros((1, n), dtype=np.float32))
+    state = Q.QuantizedOptimState.zeros(n)
+    assert state.step == 0
+    for got in (state.m, state.v):
+        assert (got.rows, got.cols, got.block_size) == (1, n, want.block_size)
+        assert got.codes.dtype == want.codes.dtype
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert got.scales.dtype == want.scales.dtype
+        assert got.scales.tobytes() == want.scales.tobytes()
+
+
 def test_adam_zero_grad_step_is_noop():
     p = np.array([1.0, -2.0, 3.0], dtype=np.float32)
     state = Q.QuantizedOptimState.zeros(3)

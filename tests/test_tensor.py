@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,22 @@ def test_backward_deterministic_bitwise():
     assert np.array_equal(gw1, gw2)
     assert np.array_equal(gx1, gx2)
 
+    # attention over three row blocks, with cached keys before the queries:
+    # the key and value gradients are sums over the row blocks
+    q = T.Tensor(rng.standard_normal((130, 16)).astype(np.float32),
+                 requires_grad=True)
+    k, v = (T.Tensor(rng.standard_normal((200, 16)).astype(np.float32),
+                     requires_grad=True) for _ in range(2))
+    g = T.Tensor(rng.standard_normal((130, 16)).astype(np.float32))
+
+    def run_attention():
+        for t in (q, k, v):
+            t.grad = None
+        sum_all(mul(T.causal_attention(q, k, v, 4), g)).backward()
+        return [t.grad.tobytes() for t in (q, k, v)]
+
+    assert run_attention() == run_attention()
+
 
 def test_grad_accumulates_across_backward_calls():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
@@ -526,11 +543,19 @@ def attention_grads_einsum64(q, k, v, g, n_heads):
     return [a.transpose(1, 0, 2).reshape(-1, d) for a in (gq, gk, gv)]
 
 
-@pytest.mark.parametrize("t_q", [300, 1])
-def test_attention_grads_at_length_match_einsum64(t_q):
+# (T_q, T_k) on both sides of the edges of the KEY_BLOCK-row blocks; an id
+# that names one number has T_k = 300
+GRAD_LENGTHS = {"300": (300, 300), "1": (1, 300), "63": (63, 300),
+                "64": (64, 300), "65": (65, 300), "130-130": (130, 130),
+                "505-505": (505, 505)}
+
+
+@pytest.mark.parametrize("t_q, t_k", list(GRAD_LENGTHS.values()),
+                         ids=list(GRAD_LENGTHS))
+def test_attention_grads_at_length_match_einsum64(t_q, t_k):
     rng = np.random.default_rng(t_q)
     q = T.Tensor(rng.standard_normal((t_q, 128)), requires_grad=True)
-    k, v = (T.Tensor(rng.standard_normal((300, 128)), requires_grad=True)
+    k, v = (T.Tensor(rng.standard_normal((t_k, 128)), requires_grad=True)
             for _ in range(2))
     g = T.Tensor(rng.standard_normal((t_q, 128)))
     sum_all(mul(T.causal_attention(q, k, v, 4), g)).backward()
@@ -540,6 +565,123 @@ def test_attention_grads_at_length_match_einsum64(t_q):
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, ref, rtol=1e-5,
                                    atol=1e-5 * np.abs(ref).max(), err_msg=name)
+
+
+def attention_whole_matrix(q, k, v, n_heads):
+    """The tiled forward of causal_attention as it ran before row blocks,
+    kept here as the oracle: every query tile meets every key block of the
+    [H, T_q, T_k] matrix, those above the diagonal adding exact zeros.
+    Returns the output and the [H, T_q, T_k] weights."""
+    (t_q, d), t_k = q.shape, k.shape[0]
+    hd = d // n_heads
+    tile, kb = T.TILE, T.KEY_BLOCK
+    n_qt, n_kb = -(-t_q // tile), -(-t_k // kb)
+    tq_pad, tk_pad = n_qt * tile, n_kb * kb
+    qp = np.zeros((tq_pad, d), dtype=np.float32)
+    np.multiply(q, np.float32(1.0 / math.sqrt(hd)), out=qp[:t_q])
+    kp = np.zeros((tk_pad, d), dtype=np.float32)
+    kp[:t_k] = k
+    vp = np.zeros((tk_pad, d), dtype=np.float32)
+    vp[:t_k] = v
+    q_tiles = qp.reshape(n_qt, tile, n_heads, hd).transpose(2, 0, 1, 3)
+    k_blocks = kp.reshape(n_kb, kb, n_heads, hd).transpose(2, 0, 3, 1)
+    v_blocks = vp.reshape(n_kb, kb, n_heads, hd).transpose(2, 0, 1, 3)
+    attn = np.empty((n_heads, tq_pad, tk_pad), dtype=np.float32)
+    a_tiles = attn.reshape(n_heads, n_qt, tile, n_kb, kb)
+    a_tiles = a_tiles.transpose(0, 1, 3, 2, 4)
+    np.matmul(q_tiles[:, :, None], k_blocks[:, None], out=a_tiles)
+    q_pos = t_k - t_q + np.arange(tq_pad)
+    np.copyto(attn, -np.inf, where=np.arange(tk_pad) > q_pos[:, None])
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    block_sums = attn.reshape(n_heads, tq_pad, n_kb, kb).sum(axis=3)
+    total = block_sums[:, :, 0].copy()
+    for b in range(1, n_kb):
+        total += block_sums[:, :, b]
+    attn /= total[:, :, None]
+    pv = a_tiles @ v_blocks[:, None]
+    out_h = pv[:, :, 0].copy()
+    for b in range(1, n_kb):
+        out_h += pv[:, :, b]
+    out = (out_h.reshape(n_heads, tq_pad, hd)[:, :t_q]
+           .transpose(1, 0, 2).reshape(t_q, d))
+    return out, attn[:, :t_q, :t_k]
+
+
+def attention_whole_matrix_grads(q, k, v, g, attn, n_heads):
+    """The backward of causal_attention as it ran before row blocks: four
+    batched products over the whole [H, T_q, T_k] weights."""
+    (t_q, d), t_k = q.shape, k.shape[0]
+    hd = d // n_heads
+    qh, kh, vh, gh = (x.reshape(len(x), n_heads, hd).transpose(1, 0, 2)
+                      for x in (q, k, v, g))
+    gv = attn.transpose(0, 2, 1) @ gh
+    da = gh @ vh.transpose(0, 2, 1)
+    dot = (da * attn).sum(axis=2, keepdims=True)
+    ds = attn * (da - dot) * (1.0 / math.sqrt(hd))
+    gq = ds @ kh
+    gk = ds.transpose(0, 2, 1) @ qh
+    return [x.transpose(1, 0, 2).reshape(-1, d) for x in (gq, gk, gv)]
+
+
+@pytest.mark.parametrize("t_k", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300,
+                                 505, 511, 512])
+def test_attention_forward_is_bitwise_the_whole_matrix_forward(t_k):
+    rng = np.random.default_rng(t_k)
+    q, k, v = (rng.standard_normal((t_k, 128)).astype(np.float32)
+               for _ in range(3))
+    # T_q < T_k: the queries follow T_k - T_q cached positions
+    for t_q in sorted({1, min(2, t_k), t_k // 2 + 1, t_k}):
+        got = T.causal_attention(T.Tensor(q[-t_q:]), T.Tensor(k),
+                                 T.Tensor(v), 4).data
+        want = attention_whole_matrix(q[-t_q:], k, v, 4)[0]
+        # uint32 views: a signed zero counts as a difference
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
+            (t_k, t_q)
+
+
+# One row block: the backward reads the same weights in the same shapes as
+# the whole-matrix backward, so its gradients are bitwise those.
+@pytest.mark.parametrize("t_q", [1, 8, 63, T.KEY_BLOCK])
+@pytest.mark.parametrize("cached", [0, 237])
+def test_attention_grads_on_one_row_block_are_bitwise_the_whole_matrix(
+        t_q, cached):
+    rng = np.random.default_rng(t_q + cached)
+    t_k = t_q + cached
+    q = rng.standard_normal((t_q, 128)).astype(np.float32)
+    k, v = (rng.standard_normal((t_k, 128)).astype(np.float32)
+            for _ in range(2))
+    g = rng.standard_normal((t_q, 128)).astype(np.float32)
+    before = [rng.standard_normal(x.shape).astype(np.float32)
+              for x in (q, k, v)]
+    tensors = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+    for t, x in zip(tensors, before):
+        t.grad = x.copy()
+    out = T.causal_attention(*tensors, 4)
+    out._backward(g)
+    attn = attention_whole_matrix(q, k, v, 4)[1]
+    want = attention_whole_matrix_grads(q, k, v, g, attn, 4)
+    for name, t, x, w in zip("qkv", tensors, before, want):
+        assert np.array_equal(t.grad.view(np.uint32), (x + w).view(np.uint32)), name
+
+
+def test_attention_backward_allocates_less_than_its_weights():
+    t, d, n_heads = 505, 128, 4
+    rng = np.random.default_rng(9)
+    q, k, v = (T.Tensor(rng.standard_normal((t, d)), requires_grad=True)
+               for _ in range(3))
+    for x in (q, k, v):
+        x.grad = np.zeros_like(x.data)
+    out = T.causal_attention(q, k, v, n_heads)
+    g = rng.standard_normal((t, d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one [H, T_q, T_k] f32 array is 4.1 MB here
+    assert peak < n_heads * t * t * 4, peak
 
 
 # key counts on both sides of one, two, three and eight key blocks
