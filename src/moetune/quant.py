@@ -4,23 +4,33 @@ Matrices are flattened row-major and split into fixed-size blocks; each
 block stores one f32 scale (absmax/7) and one 4-bit code per element.
 Codes are unsigned 0..14 with value = (code - 7) * scale, so the grid is
 15 symmetric levels and reconstruction error is bounded by scale/2.
+
+The 4-bit Adam keeps each parameter's moments as two such 1 x n matrices
+plus its own step count. One step updates every parameter that has a
+gradient in one vectorized pass. The live parameters are laid end to end in
+a flat buffer, each padded with zeros to whole blocks, so no block straddles
+two parameters and every code and scale is the one a pass over that
+parameter alone computes; each parameter's new moments are views of the
+pass's packed codes and scales. A parameter without a gradient is skipped:
+it keeps its value, moments and step count, and bias-corrects with its own
+count when it next has a gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, NumericError
+from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .tensor import Tensor, matmul
 
 DEFAULT_BLOCK_SIZE = 64
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (np.round is half-even)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def _n_blocks(n: int, block_size: int) -> int:
+    return (n + block_size - 1) // block_size
 
 
 def pack_codes(codes: np.ndarray) -> np.ndarray:
@@ -28,8 +38,9 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.size % 2:
         codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
-    pairs = codes.reshape(-1, 2)
-    return (pairs[:, 0] | (pairs[:, 1] << 4)).astype(np.uint8)
+    packed = codes[1::2] << 4
+    packed |= codes[0::2]
+    return packed
 
 
 def unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
@@ -84,12 +95,18 @@ def quantize_4bit(m: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quanti
     rows, cols = m.shape
     flat = m.reshape(-1)
     n = flat.size
-    n_blocks = (n + block_size - 1) // block_size
+    n_blocks = _n_blocks(n, block_size)
 
     padded = np.zeros(n_blocks * block_size, dtype=np.float32)
     padded[:n] = flat
-    blocks = padded.reshape(n_blocks, block_size)
+    codes, scales = _quantize_blocks(padded.reshape(n_blocks, block_size))
+    return QuantizedMatrix(rows, cols, block_size,
+                           pack_codes(codes.reshape(-1)[:n]), scales)
 
+
+def _quantize_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes (uint8, the shape of `blocks`) and per-row scales of finite f32
+    blocks [n_blocks, block_size], as quantize_4bit defines them."""
     absmax = np.abs(blocks).max(axis=1).astype(np.float64)
     scales = (absmax / 7.0).astype(np.float32)
     # Canonicalize so quantize(dequantize(q)) reproduces the scale bitwise:
@@ -97,14 +114,16 @@ def quantize_4bit(m: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quanti
     # point of s -> f32(f64(f32(7*s)) / 7) (idempotent after one step).
     scales = ((np.float32(7.0) * scales).astype(np.float64) / 7.0).astype(np.float32)
     # Ratio against the exact absmax/7 in f64 keeps ties (e.g. 3.5) exact.
-    safe = np.where(absmax > 0, absmax, 1.0)
-    ratio = blocks.astype(np.float64) * 7.0 / safe[:, None]
-    codes = _round_half_away(ratio)
-    np.clip(codes, -7, 7, out=codes)
-    codes = np.where(absmax[:, None] > 0, codes, 0.0) + 7
-    codes = codes.astype(np.uint8).reshape(-1)[:n]
-
-    return QuantizedMatrix(rows, cols, block_size, pack_codes(codes), scales)
+    # It lies in [-7, 7]: 7*v is exact, |v| <= absmax and division rounds
+    # monotonically; an all-zero block divides by 1 and gives code 7.
+    ratio = np.multiply(blocks, 7.0, dtype=np.float64)
+    ratio /= np.where(absmax > 0, absmax, 1.0)[:, None]
+    # round half away from zero: r + copysign(0.5, r), truncated by the cast
+    rounded = np.copysign(0.5, ratio)
+    rounded += ratio
+    codes = rounded.astype(np.int8)
+    codes += 7
+    return codes.view(np.uint8), scales
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
@@ -114,15 +133,19 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     if q.codes.size != expected_bytes:
         raise FormatError(
             f"packed codes length {q.codes.size} != expected {expected_bytes}")
-    n_blocks = (n + q.block_size - 1) // q.block_size
+    n_blocks = _n_blocks(n, q.block_size)
     if q.scales.size != n_blocks:
         raise FormatError(f"scale count {q.scales.size} != expected {n_blocks}")
     codes = unpack_codes(q.codes, n)
     if codes.max(initial=0) > 14:
         raise FormatError("corrupt packing: code value 15 is not in the codebook")
-    levels = codes.astype(np.float32) - 7.0
-    scales_per_elem = np.repeat(q.scales, q.block_size)[:n]
-    return (levels * scales_per_elem).reshape(q.rows, q.cols)
+    values = codes.astype(np.float32)
+    values -= 7.0
+    full = n // q.block_size
+    blocks = values[:full * q.block_size].reshape(full, q.block_size)
+    blocks *= q.scales[:full, None]
+    values[full * q.block_size:] *= q.scales[full:]  # a partial last block
+    return values.reshape(q.rows, q.cols)
 
 
 def qmatmul(x: Tensor, q: QuantizedMatrix, adapter=None, training: bool = False,
@@ -146,10 +169,6 @@ def qmatmul(x: Tensor, q: QuantizedMatrix, adapter=None, training: bool = False,
 # 4-bit Adam
 
 
-def _quantize_flat(v: np.ndarray, block_size: int) -> QuantizedMatrix:
-    return quantize_4bit(v.reshape(1, -1), block_size)
-
-
 @dataclass
 class QuantizedOptimState:
     """Per-parameter Adam moments held as 4-bit block arrays plus a step count."""
@@ -170,9 +189,125 @@ def _zeros_flat(n: int) -> QuantizedMatrix:
     codes = np.full((n + 1) // 2, 0x77, dtype=np.uint8)
     if n % 2:
         codes[-1] = 0x07
-    n_blocks = (n + DEFAULT_BLOCK_SIZE - 1) // DEFAULT_BLOCK_SIZE
-    return QuantizedMatrix(1, n, DEFAULT_BLOCK_SIZE, codes,
-                           np.zeros(n_blocks, dtype=np.float32))
+    return QuantizedMatrix(1, n, DEFAULT_BLOCK_SIZE, codes, np.zeros(
+        _n_blocks(n, DEFAULT_BLOCK_SIZE), dtype=np.float32))
+
+
+def _check_lr(lr: float) -> float:
+    if not 0 <= lr < math.inf:  # NaN fails it too
+        raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
+    return lr
+
+
+def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
+                                QuantizedOptimState]],
+               lr: float, beta1: float, beta2: float, eps: float) -> None:
+    """One Adam step for every (name, param, grad, state) in `live`.
+
+    The segments are laid end to end in one flat buffer of whole blocks,
+    each padded to a multiple of the block size (and of 2, so that every
+    segment starts on a byte of packed codes). No block straddles two
+    segments, and pad values are zero like quantize_4bit's, so every code
+    and scale is the one a pass over that parameter alone computes. Each
+    segment bias-corrects with its own step count. A non-finite gradient
+    or moment raises NumericError before anything is written; otherwise
+    every param is updated in place and every state gets views of this
+    pass's new codes and scales, which are never written again.
+    """
+    bs = live[0][3].m.block_size
+    unit = bs * (1 + bs % 2)
+    offsets, pads = [], []
+    g_parts, m_codes, m_scales, v_codes, v_scales = [], [], [], [], []
+    c1, c2, seg_blocks = [], [], []
+    end = 0
+    for name, param, grad, st in live:
+        n = param.size
+        if grad.size != n or st.m.n_elements != n or st.v.n_elements != n:
+            raise DimensionError(
+                f"{name}: param, grad and moments differ in size: {n}, "
+                f"{grad.size}, {st.m.n_elements}, {st.v.n_elements}")
+        if st.m.block_size != bs or st.v.block_size != bs:
+            raise DimensionError(f"{name}: moments are not in blocks of {bs}")
+        seg = _n_blocks(n, unit) * unit
+        offsets.append(end)
+        g_parts.append(np.asarray(grad, dtype=np.float32).reshape(-1))
+        m_codes.append(st.m.codes)
+        v_codes.append(st.v.codes)
+        m_scales.append(st.m.scales)
+        v_scales.append(st.v.scales)
+        if seg > n:
+            pads.append((end + n, end + seg))
+            g_parts.append(np.zeros(seg - n, dtype=np.float32))
+            byte_pad = np.zeros(seg // 2 - (n + 1) // 2, dtype=np.uint8)
+            scale_pad = np.zeros(seg // bs - _n_blocks(n, bs), dtype=np.float32)
+            m_codes.append(byte_pad)
+            v_codes.append(byte_pad)
+            m_scales.append(scale_pad)
+            v_scales.append(scale_pad)
+        t = st.step + 1
+        c1.append(1.0 - beta1 ** t)
+        c2.append(1.0 - beta2 ** t)
+        seg_blocks.append(seg // bs)
+        end += seg
+
+    g = np.concatenate(g_parts).reshape(-1, bs)
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise NumericError(f"4-bit Adam: non-finite gradient for "
+                           f"{_first_false(finite, live, offsets)}")
+    m, v = (dequantize(QuantizedMatrix(1, end, bs, np.concatenate(codes),
+                                       np.concatenate(scales))).reshape(-1, bs)
+            for codes, scales in ((m_codes, m_scales), (v_codes, v_scales)))
+    for lo, hi in pads:  # a pad code, or an odd tail's 0 nibble, reads -7
+        m.reshape(-1)[lo:hi] = 0.0
+        v.reshape(-1)[lo:hi] = 0.0
+
+    # Adam's f32 arithmetic in the per-tensor order, in place:
+    # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    # update = lr (m / c1) / (sqrt(v / c2) + eps), where each segment's bias
+    # correction c = 1 - b**t rounds to f32 as a python float operand does
+    m *= beta1
+    buf = (1.0 - beta1) * g
+    m += buf
+    np.multiply(1.0 - beta2, g, out=buf)
+    buf *= g
+    v *= beta2
+    v += buf
+    if not (np.isfinite(m).all() and np.isfinite(v).all()):
+        finite = np.isfinite(m) & np.isfinite(v)
+        raise NumericError(f"4-bit Adam: non-finite moment for "
+                           f"{_first_false(finite, live, offsets)}")
+    c1, c2 = (np.repeat(np.array(c, dtype=np.float32), seg_blocks)[:, None]
+              for c in (c1, c2))
+    denom = np.divide(v, c2, out=g)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update = np.divide(m, c1, out=buf)
+    update *= lr
+    update /= denom
+    update = update.reshape(-1)
+
+    (mq, ms), (vq, vs) = _quantize_blocks(m), _quantize_blocks(v)
+    for lo, hi in pads:  # pack_codes pads an odd tail with code 0
+        mq.reshape(-1)[lo:hi] = 0
+        vq.reshape(-1)[lo:hi] = 0
+    mq, vq = pack_codes(mq.reshape(-1)), pack_codes(vq.reshape(-1))
+    for (_, param, _, st), lo in zip(live, offsets):
+        n = param.size
+        param -= update[lo:lo + n].reshape(param.shape)
+        nbytes = slice(lo // 2, lo // 2 + (n + 1) // 2)
+        nblocks = slice(lo // bs, lo // bs + _n_blocks(n, bs))
+        st.m = QuantizedMatrix(1, n, bs, mq[nbytes], ms[nblocks])
+        st.v = QuantizedMatrix(1, n, bs, vq[nbytes], vs[nblocks])
+        st.step += 1
+
+
+def _first_false(finite: np.ndarray, live, offsets) -> str:
+    """Name of the segment that holds the first False of `finite`."""
+    first = int(np.argmin(finite.reshape(-1)))
+    return next(name for (name, *_), lo in zip(reversed(live),
+                                                reversed(offsets))
+                if lo <= first)
 
 
 def adam_step_quantized(param: np.ndarray, grad: np.ndarray,
@@ -181,43 +316,35 @@ def adam_step_quantized(param: np.ndarray, grad: np.ndarray,
                         eps: float = 1e-8) -> QuantizedOptimState:
     """One Adam step with bias correction; moments round-trip through 4-bit.
 
-    Dequantizes both moments, applies the standard update to the f32 param
-    in place, then requantizes the moments blockwise. Second moments stay
-    >= 0 because symmetric quantization preserves sign.
+    Dequantizes both moments, applies the standard update to the param in
+    place, then requantizes the moments blockwise; the one-parameter case
+    of QuantizedAdam.step. Second moments stay >= 0 because symmetric
+    quantization preserves sign. An lr that is not a finite number >= 0 is
+    a ConfigError, a non-finite gradient or moment a NumericError that
+    changes nothing.
     """
-    if lr < 0:
-        raise DimensionError(f"lr must be >= 0, got {lr}")
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("adam_step_quantized: non-finite gradient")
-    g = np.asarray(grad, dtype=np.float32).reshape(-1)
-    p = param.reshape(-1)
-    if g.size != p.size:
-        raise DimensionError(f"param/grad size mismatch: {p.size} vs {g.size}")
-
-    block_size = state.m.block_size
-    m = state.m.dequant().reshape(-1)
-    v = state.v.dequant().reshape(-1)
-
-    t = state.step + 1
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
-
-    state.m = _quantize_flat(m, block_size)
-    state.v = _quantize_flat(v, block_size)
-    state.step = t
+    _adam_pass([("param", param, np.asarray(grad), state)], _check_lr(lr),
+               beta1, beta2, eps)
     return state
 
 
 class QuantizedAdam:
-    """Adam over a list of named f32 tensors with 4-bit moment storage."""
+    """Adam over named f32 tensors with 4-bit moment storage.
+
+    `state` maps each name to its own QuantizedOptimState. `step` runs one
+    pass over the parameters that have a gradient (see _adam_pass): each is
+    a segment of one flat buffer, padded to whole blocks, and its new
+    moments are views of that pass's codes and scales. A parameter without
+    a gradient keeps its value, moments (views of the last pass that
+    updated it) and step count; its next update bias-corrects with its own
+    count. Values, codes and scales are bitwise those of one
+    adam_step_quantized call per parameter.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.lr = lr
+        self.lr = _check_lr(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -228,9 +355,8 @@ class QuantizedAdam:
 
     def step(self, lr: float | None = None) -> None:
         """Apply one update to every parameter that has a gradient."""
-        use_lr = self.lr if lr is None else lr
-        for name, t in self.params.items():
-            if t.grad is None:
-                continue
-            adam_step_quantized(t.data, t.grad, self.state[name], use_lr,
-                                self.beta1, self.beta2, self.eps)
+        use_lr = self.lr if lr is None else _check_lr(lr)
+        live = [(name, t.data, t.grad, self.state[name])
+                for name, t in self.params.items() if t.grad is not None]
+        if live:
+            _adam_pass(live, use_lr, self.beta1, self.beta2, self.eps)

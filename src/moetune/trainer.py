@@ -51,7 +51,7 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         # each rule holds only for a valid value, so NaN fails it
         rules = [("epochs", ">= 1", self.epochs >= 1),
-                 ("lr", ">= 0", self.lr >= 0),
+                 ("lr", "a finite number >= 0", 0 <= self.lr < math.inf),
                  ("save_every", ">= 1", self.save_every >= 1),
                  ("batch_size", ">= 1", self.batch_size >= 1),
                  ("grad_accum_steps", ">= 1", self.grad_accum_steps >= 1),
@@ -116,12 +116,18 @@ def _lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
 
 def _clip_gradients(params: dict, max_norm: float) -> float:
     """Scale the gradients to a global norm of at most max_norm; returns the
-    norm they had before."""
+    norm they had before. A non-finite gradient raises NumericError naming
+    the first parameter that has one, and scales nothing."""
     total = 0.0
     for t in params.values():
         if t.grad is not None:
             total += float((t.grad.astype(np.float64) ** 2).sum())
     total = math.sqrt(total)
+    if not math.isfinite(total):
+        # f32 squares cannot overflow an f64 sum, so some gradient is not finite
+        name = next(n for n, t in params.items() if t.grad is not None
+                    and not np.isfinite(t.grad).all())
+        raise NumericError(f"non-finite gradient for {name}")
     if total > max_norm:
         factor = np.float32(max_norm / (total + 1e-6))
         for t in params.values():
@@ -176,8 +182,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     Every sample needs a target: at least 2 tokens and a non-zero
     loss_mask[1:], or ConfigError is raised before the first step; a
     sample longer than max_seq_len + 1 tokens raises LengthError there.
-    A non-finite loss, or a NumericError from the step's forward or
-    backward, raises TrainingAborted with the step index.
+    A non-finite loss or gradient, or a NumericError from the step's
+    forward or backward, raises TrainingAborted with the step index.
     """
     cfg.validate()
     if lora_config is not None:
@@ -240,9 +246,12 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
                 raise TrainingAborted(
                     state.step, f"non-finite loss at step {state.step}")
             step_loss.backward()
+            # the tape holds every intermediate and its gradient; free it
+            # before clipping and the optimizer allocate their own buffers
+            del total, loss, step_loss
+            grad_norm = _clip_gradients(trainable, cfg.max_grad_norm)
         except NumericError as e:
             raise TrainingAborted(state.step, f"step {state.step}: {e}") from e
-        grad_norm = _clip_gradients(trainable, cfg.max_grad_norm)
         state.step, state.epoch, state.cursor = state.step + 1, epoch, cursor
         lr_t = _lr_at(cfg, state.step, total_steps)
         optimizer.step(lr_t)

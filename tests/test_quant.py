@@ -1,11 +1,16 @@
 """Blockwise 4-bit quantization: bounds, round trips, and the 4-bit Adam."""
 
+import math
+
 import numpy as np
 import pytest
 
 from moetune import quant as Q
 from moetune import tensor as T
-from moetune.errors import DimensionError, FormatError, NumericError
+from moetune.checkpoint import TrainState, load_checkpoint, save_checkpoint
+from moetune.errors import ConfigError, DimensionError, FormatError, NumericError
+from moetune.lora import LoraConfig, attach_adapters
+from moetune.model import ModelConfig, init_model
 
 from gradcheck import sum_all
 
@@ -301,3 +306,169 @@ def test_optimizer_skips_a_parameter_without_grad_and_keeps_its_own_step():
     assert sb.step == 2
     assert np.array_equal(b.data, want)
     assert not np.array_equal(b.data, wrong)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+def test_optimizer_rejects_a_nan_infinite_or_negative_lr(lr):
+    t = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    with pytest.raises(ConfigError):
+        Q.QuantizedAdam({"w": t}, lr=lr)
+    opt = Q.QuantizedAdam({"w": t}, lr=0.1)
+    t.grad = np.ones((2, 3), dtype=np.float32)
+    with pytest.raises(ConfigError):
+        opt.step(lr)
+    assert np.array_equal(t.data, np.ones((2, 3))) and opt.state["w"].step == 0
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+def test_adam_step_rejects_a_nan_infinite_or_negative_lr(lr):
+    p = np.ones(3, dtype=np.float32)
+    state = Q.QuantizedOptimState.zeros(3)
+    with pytest.raises(ConfigError):
+        Q.adam_step_quantized(p, np.ones(3, dtype=np.float32), state, lr=lr)
+    assert np.array_equal(p, np.ones(3)) and state.step == 0
+
+
+def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing():
+    rng = np.random.default_rng(23)
+    params = {name: T.Tensor(rng.standard_normal(shape).astype(np.float32),
+                             requires_grad=True)
+              for name, shape in [("a", (3, 4)), ("b", (65, 1)), ("c", (2, 2))]}
+    opt = Q.QuantizedAdam(params, lr=0.01)
+    for t in params.values():
+        t.grad = rng.standard_normal(t.data.shape).astype(np.float32)
+    opt.step()
+    before = {n: (t.data.copy(), opt.state[n].m, opt.state[n].v)
+              for n, t in params.items()}
+    params["b"].grad[40, 0] = np.inf
+    with pytest.raises(NumericError, match="for b"):
+        opt.step()
+    for n, t in params.items():
+        data, m, v = before[n]
+        assert np.array_equal(t.data, data)
+        assert (opt.state[n].m, opt.state[n].v, opt.state[n].step) == (m, v, 1)
+
+
+def per_tensor_adam_step(param, grad, state, lr, beta1=0.9, beta2=0.999,
+                         eps=1e-8):
+    """The per-tensor step that QuantizedAdam.step replaced, kept as the
+    oracle: dequantize both moments, update param, requantize."""
+    g = np.asarray(grad, dtype=np.float32).reshape(-1)
+    p = param.reshape(-1)
+    m = state.m.dequant().reshape(-1)
+    v = state.v.dequant().reshape(-1)
+    t = state.step + 1
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
+    state.m = Q.quantize_4bit(m.reshape(1, -1), state.m.block_size)
+    state.v = Q.quantize_4bit(v.reshape(1, -1), state.m.block_size)
+    state.step = t
+
+
+def mixed_grad(rng, shape):
+    """Gradients over six decades, some blocks with one spike, some zeros."""
+    g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 2)
+    flat = g.reshape(-1)
+    if rng.random() < 0.3:
+        flat[rng.integers(flat.size)] *= 50.0
+    if rng.random() < 0.1:
+        flat[: rng.integers(flat.size + 1)] = 0.0
+    return g.astype(np.float32)
+
+
+def assert_same_as_oracle(params, states, oracle_params, oracle_states):
+    for name, t in params.items():
+        want, got = oracle_states[name], states[name]
+        assert np.array_equal(t.data.view(np.uint32),
+                              oracle_params[name].view(np.uint32)), name
+        assert got.step == want.step, name
+        for q, w in ((got.m, want.m), (got.v, want.v)):
+            assert (q.rows, q.cols, q.block_size) == (w.rows, w.cols,
+                                                      w.block_size), name
+            assert q.codes.tobytes() == w.codes.tobytes(), name
+            assert q.scales.tobytes() == w.scales.tobytes(), name
+
+
+def run_both(params, opt, oracle_params, oracle_states, rng, steps):
+    """Step the optimizer and the per-tensor oracle on the same gradients,
+    skipping each parameter with probability 0.3; compare after each step."""
+    for step in range(steps):
+        lr = 10.0 ** rng.uniform(-4, -1)
+        for name, t in params.items():
+            t.grad = (None if rng.random() < 0.3
+                      else mixed_grad(rng, t.data.shape))
+            if t.grad is not None:
+                per_tensor_adam_step(oracle_params[name], t.grad,
+                                     oracle_states[name], lr)
+        opt.step(lr)
+        assert_same_as_oracle(params, opt.state, oracle_params, oracle_states)
+
+
+SIZES = [1, 3, 10, 63, 64, 65, 130, 1024]
+TINY_CKPT = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24,
+                        n_experts=2, vocab_size=262, max_seq_len=32)
+
+
+def test_flat_pass_is_bitwise_the_per_tensor_loop(tmp_path):
+    rng = np.random.default_rng(29)
+    params = {f"p{n}": T.Tensor(rng.standard_normal((1, n)).astype(np.float32),
+                                requires_grad=True) for n in SIZES}
+    params["square"] = T.Tensor(rng.standard_normal((16, 8)).astype(np.float32),
+                                requires_grad=True)
+    oracle_params = {n: t.data.copy() for n, t in params.items()}
+    oracle_states = {n: Q.QuantizedOptimState.zeros(t.data.size)
+                     for n, t in params.items()}
+    opt = Q.QuantizedAdam(params, lr=1e-3)
+    run_both(params, opt, oracle_params, oracle_states, rng, steps=300)
+    assert min(st.step for st in opt.state.values()) > 150
+
+    model = init_model(TINY_CKPT, seed=0)
+    files = []
+    for states in (opt.state, oracle_states):
+        files.append(tmp_path / f"{len(files)}.bin")
+        save_checkpoint(TrainState(model=model, optim_state=states), files[-1])
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def test_resume_continues_like_the_per_tensor_loop(tmp_path):
+    # rank 3 gives adapters of 48 and 72 elements: every segment is padded
+    def adapted():
+        model = init_model(TINY_CKPT, seed=0)
+        attach_adapters(model, LoraConfig(rank=3), seed=0)
+        return model
+
+    rng = np.random.default_rng(31)
+    model = adapted()
+    params = model.trainable_parameters()
+    oracle_params = {n: t.data.copy() for n, t in params.items()}
+    oracle_states = {n: Q.QuantizedOptimState.zeros(t.data.size)
+                     for n, t in params.items()}
+    opt = Q.QuantizedAdam(params, lr=1e-3)
+    run_both(params, opt, oracle_params, oracle_states, rng, steps=20)
+
+    oracle_model = adapted()
+    for name, t in oracle_model.trainable_parameters().items():
+        t.data[...] = oracle_params[name]
+    mid = tmp_path / "mid.bin"
+    save_checkpoint(TrainState(model=model, optim_state=opt.state), mid)
+    save_checkpoint(TrainState(model=oracle_model, optim_state=oracle_states),
+                    tmp_path / "oracle_mid.bin")
+    assert mid.read_bytes() == (tmp_path / "oracle_mid.bin").read_bytes()
+
+    tail_rng = np.random.default_rng(37)
+    run_both(params, opt, oracle_params, oracle_states, tail_rng, steps=20)
+    resumed = load_checkpoint(mid)
+    resumed_params = resumed.model.trainable_parameters()
+    resumed_opt = Q.QuantizedAdam(resumed_params, lr=1e-3)
+    resumed_opt.state = resumed.optim_state
+    resumed_oracle = load_checkpoint(tmp_path / "oracle_mid.bin")
+    resumed_oracle_params = {n: t.data for n, t in
+                             resumed_oracle.model.trainable_parameters().items()}
+    tail_rng = np.random.default_rng(37)
+    run_both(resumed_params, resumed_opt, resumed_oracle_params,
+             resumed_oracle.optim_state, tail_rng, steps=20)
+    assert_same_as_oracle(resumed_params, resumed_opt.state, oracle_params,
+                          oracle_states)

@@ -3,10 +3,14 @@ accumulation and schedule knobs do what they claim."""
 
 import csv
 import dataclasses
+import gc
+import warnings
 
 import numpy as np
 import pytest
 
+from moetune import quant
+from moetune import tensor as tz
 from moetune.checkpoint import load_checkpoint
 from moetune.errors import ConfigError, LengthError, NumericError, TrainingAborted
 from moetune.lora import LoraConfig, attach_adapters
@@ -136,7 +140,8 @@ def test_resume_may_change_the_optimizer_and_the_stopping_point():
     ("max_steps", 0), ("max_steps", -1), ("max_grad_norm", 0.0),
     ("max_grad_norm", -1.0), ("max_grad_norm", float("nan")),
     ("warmup_steps", -1), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
-    ("beta2", float("nan")), ("eps", 0.0), ("eps", -1e-8)])
+    ("beta2", float("nan")), ("eps", 0.0), ("eps", -1e-8),
+    ("lr", float("inf")), ("lr", float("nan")), ("lr", -1e-3)])
 def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{field: value}).validate()
@@ -181,6 +186,53 @@ def test_nan_adapter_aborts_at_step_0():
     assert info.value.step == 0
     assert isinstance(info.value.__cause__, NumericError)
 
+
+def test_nonfinite_gradient_aborts_and_names_the_parameter(monkeypatch):
+    model = adapted_model()
+    trainable = model.trainable_parameters()
+    name = next(n for n in trainable if n.endswith("lora_a"))
+    backward, calls = tz.Tensor.backward, []
+
+    def poisoned(self):
+        backward(self)
+        calls.append(1)
+        if len(calls) == 2:
+            trainable[name].grad.reshape(-1)[3] = np.inf
+
+    monkeypatch.setattr(tz.Tensor, "backward", poisoned)
+    snapshots = []
+    real_step = quant.QuantizedAdam.step
+
+    def step(self, lr=None):
+        real_step(self, lr)
+        snapshots.append({n: t.data.copy() for n, t in trainable.items()})
+
+    monkeypatch.setattr(quant.QuantizedAdam, "step", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingAborted) as info:
+            train(model, CORPUS, TrainConfig(epochs=1, batch_size=2, lr=1e-2))
+    assert info.value.step == 1
+    assert isinstance(info.value.__cause__, NumericError)
+    assert name in str(info.value.__cause__)
+    assert len(snapshots) == 1
+    assert all(np.array_equal(t.data, snapshots[0][n])
+               for n, t in trainable.items())
+
+
+def test_step_tape_is_released_before_the_optimizer_runs(monkeypatch):
+    # only op outputs have parents: none may be alive once backward is done
+    alive = []
+    real_step = quant.QuantizedAdam.step
+
+    def step(self, lr=None):
+        alive.append(sum(isinstance(o, tz.Tensor) and bool(o._parents)
+                         for o in gc.get_objects()))
+        real_step(self, lr)
+
+    monkeypatch.setattr(quant.QuantizedAdam, "step", step)
+    train(adapted_model(), CORPUS, TrainConfig(epochs=1, batch_size=2))
+    assert alive == [0, 0, 0]
 
 @pytest.mark.parametrize("max_norm, clipped", [(1e-6, True), (1e9, False)])
 def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
