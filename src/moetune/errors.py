@@ -58,3 +58,11 @@ class TrainingAborted(MoetuneError, RuntimeError):
     def __init__(self, step: int, message: str):
         super().__init__(message)
         self.step = step
+
+
+class TapeError(MoetuneError, RuntimeError):
+    """backward() on a tensor that recorded no autograd tape.
+
+    Nothing it depends on requires grad, or it was computed under
+    `tensor.no_tape`, as a cached (inference-only) forward is.
+    """

@@ -9,6 +9,7 @@ experts; positions are encoded with rotary embeddings.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -170,7 +171,9 @@ class KVCache:
     `keys` and `values` are [n_layers, max_seq_len, d_model] buffers made by
     the first cached forward; layer i's rows [:length] hold the positions
     seen so far. Start with an empty cache and pass it to every
-    `DecoderModel.forward` call of one sequence.
+    `DecoderModel.forward` call of one sequence. A forward given a cache
+    records no autograd tape: decoding holds the cache and one op's
+    working set, not the intermediates of the whole forward.
     """
 
     keys: np.ndarray | None = None
@@ -211,8 +214,12 @@ class DecoderModel:
         cache.length .. cache.length + T - 1, attend to the cached keys and
         values, and are appended to the cache. Causal prefix stability
         makes the result bitwise equal to the last T rows of a forward over
-        the whole sequence. Cached rows carry no tape, so a cache cannot be
-        combined with training.
+        the whole sequence. A cached forward is inference only: it raises
+        with `training=True` and runs under `tensor.no_tape`, so its logits
+        have no parents, `requires_grad` is False, backward through them
+        raises TapeError, and no op's intermediates outlive the op. Without
+        a cache the forward records the tape whenever a parameter requires
+        grad, with `training` True or False.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1:
@@ -233,27 +240,28 @@ class DecoderModel:
         if cache is not None and cache.keys is None:
             cache.keys, cache.values = np.empty(
                 (2, cfg.n_layers, cfg.max_seq_len, cfg.d_model), dtype=tz.DTYPE)
-        x = tz.index_rows(self.embedding, ids)
-        for i, layer in enumerate(self.layers):
-            h = layer.attn_norm.forward(x)
-            q = tz.rotary(layer.wq.forward(h, training, rng), cfg.n_heads,
-                          cfg.rope_base, offset=start)
-            k = tz.rotary(layer.wk.forward(h, training, rng), cfg.n_heads,
-                          cfg.rope_base, offset=start)
-            v = layer.wv.forward(h, training, rng)
-            if cache is not None:
-                # rows past `length` are unused until a forward completes,
-                # so one that raises leaves the cache as it was
-                cache.keys[i, start:end] = k.data
-                cache.values[i, start:end] = v.data
-                k = Tensor(cache.keys[i, :end])
-                v = Tensor(cache.values[i, :end])
-            attn = tz.causal_attention(q, k, v, cfg.n_heads)
-            x = tz.add(x, layer.wo.forward(attn, training, rng))
-            h = layer.ffn_norm.forward(x)
-            x = tz.add(x, moe_forward(h, layer.moe, training, rng))
-        x = self.final_norm.forward(x)
-        logits = self.lm_head.forward(x, training, rng)
+        with contextlib.nullcontext() if cache is None else tz.no_tape():
+            x = tz.index_rows(self.embedding, ids)
+            for i, layer in enumerate(self.layers):
+                h = layer.attn_norm.forward(x)
+                q = tz.rotary(layer.wq.forward(h, training, rng), cfg.n_heads,
+                              cfg.rope_base, offset=start)
+                k = tz.rotary(layer.wk.forward(h, training, rng), cfg.n_heads,
+                              cfg.rope_base, offset=start)
+                v = layer.wv.forward(h, training, rng)
+                if cache is not None:
+                    # rows past `length` are unused until a forward completes,
+                    # so one that raises leaves the cache as it was
+                    cache.keys[i, start:end] = k.data
+                    cache.values[i, start:end] = v.data
+                    k = Tensor(cache.keys[i, :end])
+                    v = Tensor(cache.values[i, :end])
+                attn = tz.causal_attention(q, k, v, cfg.n_heads)
+                x = tz.add(x, layer.wo.forward(attn, training, rng))
+                h = layer.ffn_norm.forward(x)
+                x = tz.add(x, moe_forward(h, layer.moe, training, rng))
+            x = self.final_norm.forward(x)
+            logits = self.lm_head.forward(x, training, rng)
         if cache is not None:
             cache.length = end
         return logits

@@ -3,6 +3,9 @@
 Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
 tape and replays it in reverse, accumulating gradients into ``.grad``.
+Inside ``no_tape()`` ops compute the same values but record nothing: their
+outputs keep no parents or closure, so each op's intermediates are freed
+when it returns. The decoder's cached (inference-only) forward runs there.
 The decoder has one gather, ``index_rows``, which looks up token embeddings
 and hands each expert its rows; ``swiglu`` is each expert's activation and
 gate product in one op; ``combine_rows`` weights the experts' outputs by
@@ -21,6 +24,7 @@ hold nothing but masked, exactly zero weights.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from typing import Callable
 
@@ -31,6 +35,7 @@ from .errors import (
     EmptyMaskError,
     NumericError,
     RankError,
+    TapeError,
     VocabError,
 )
 
@@ -52,6 +57,29 @@ KEY_BLOCK = 64
 # raises NumericError at the op that produced it, instead of surfacing later
 # as a NaN loss. On by default; the tests rely on it being on.
 FINITE_CHECKS = True
+
+
+# Whether op outputs record the tape; False only inside `no_tape`. A context
+# variable, so a thread decoding under `no_tape` leaves another thread's
+# training tape alone.
+_RECORDING = contextvars.ContextVar("moetune_recording", default=True)
+
+
+class no_tape:
+    """Context in which ops record no autograd tape.
+
+    Values are bitwise those of a recording op; outputs have requires_grad
+    False and no parents or backward closure, so nothing an op computed
+    outlives it except its output, and `backward` through them raises
+    TapeError. On exit, by return or by exception, recording goes back to
+    what it was on entry, so the contexts nest.
+    """
+
+    def __enter__(self) -> None:
+        self._token = _RECORDING.set(False)
+
+    def __exit__(self, *exc) -> None:
+        _RECORDING.reset(self._token)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -84,7 +112,8 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = (_RECORDING.get()
+                             and any(p.requires_grad for p in parents))
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -102,11 +131,15 @@ class Tensor:
 
         The tape lists every reachable tensor with inputs before users, so
         the reverse sweep visits each node exactly once with its output
-        gradient fully accumulated.
+        gradient fully accumulated. A tensor that recorded no tape (nothing
+        it depends on requires grad, or it was computed under `no_tape`)
+        raises TapeError.
         """
         if self.data.shape != ():
             raise RankError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
+        if not self.requires_grad:
+            raise TapeError("backward on a tensor that recorded no tape")
         tape: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -132,12 +165,14 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, allocating zeros on first touch."""
+    """Add ``g`` into ``t.grad``; the first touch stores ``g + 0``, a copy
+    with the bits of zeros plus ``g`` (-0 becomes +0) in one pass."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g + 0
+    else:
+        t.grad += g
 
 
 def _accum_at(t: Tensor, idx, g: np.ndarray) -> None:
@@ -207,14 +242,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward, "matmul")
 
 
-def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _tiles(a: np.ndarray) -> np.ndarray:
+    """The rows of a zero-padded to whole tiles: [n_tiles, TILE, K]."""
+    t, k = a.shape
+    tiles = np.zeros((-(-t // TILE), TILE, k), dtype=a.dtype)
+    tiles.reshape(-1, k)[:t] = a
+    return tiles
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray,
+                  tiles: np.ndarray | None = None) -> np.ndarray:
     """a @ b on the rows of a zero-padded to whole [TILE, K] tiles, as one
-    batched BLAS call: the forward kernel of `matmul` and `lora_linear`."""
-    (t, k), n = a.shape, b.shape[1]
-    n_tiles = -(-t // TILE)
-    ap = np.zeros((n_tiles * TILE, k), dtype=a.dtype)
-    ap[:t] = a
-    return (ap.reshape(n_tiles, TILE, k) @ b).reshape(-1, n)[:t]
+    batched BLAS call: the forward kernel of `matmul` and `lora_linear`.
+    `tiles` is `_tiles(a)` if the caller already has it."""
+    if tiles is None:
+        tiles = _tiles(a)
+    return (tiles @ b).reshape(-1, b.shape[1])[:a.shape[0]]
 
 
 def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
@@ -248,12 +291,21 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     keep = None
     h = x.data
     with np.errstate(over="ignore"):
-        base = _tiled_matmul(x.data, w.data)
         if p > 0.0:
-            keep = (rng.random(x.data.shape) >= p).astype(dtype)
-            factor = dtype.type(1.0 / (1.0 - p))
-            h = x.data * keep * factor
-        ha = _tiled_matmul(h, a.data)
+            base = _tiled_matmul(x.data, w.data)
+            # keep * factor is 0 or factor, so h and the backward's share
+            # have the bits of (x * keep) * factor
+            keep = ((rng.random(x.data.shape) >= p).astype(dtype)
+                    * dtype.type(1.0 / (1.0 - p)))
+            h = x.data * keep
+            ha = _tiled_matmul(h, a.data)
+        else:
+            # both products read one padded copy of x, freed before the
+            # branch's second product; the backward does not keep it
+            tiles = _tiles(x.data)
+            base = _tiled_matmul(x.data, w.data, tiles)
+            ha = _tiled_matmul(x.data, a.data, tiles)
+            del tiles
         hab = _tiled_matmul(ha, b.data)
         c = hab.dtype.type(scaling)
         out_data = base + hab * c
@@ -273,18 +325,29 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
             _accum(a, h.T @ g_ha)
         if x.requires_grad:
             g_h = g_ha @ a.data.T
-            _accum(x, g_h if keep is None else g_h * keep * factor)
+            _accum(x, g_h if keep is None else g_h * keep)
 
     return Tensor._from_op(out_data, (x, w, a, b), backward, "lora_linear")
 
 
 def index_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows x[idx]; backward scatter-adds into the source rows."""
+    """Gather rows x[idx]; backward scatter-adds into the source rows.
+
+    Strictly increasing rows, as each expert's are, hold no repeat, so the
+    backward adds g with one fancy-indexed `+=`, the same sums as
+    `np.add.at` at a fraction of its cost; repeated ids (token embeddings)
+    go through `np.add.at`.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     out_data = x.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        _accum_at(x, idx, g)
+        if not np.all(idx[1:] > idx[:-1]):
+            _accum_at(x, idx, g)
+        elif x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[idx] += g
 
     return Tensor._from_op(out_data, (x,), backward, "index_rows")
 

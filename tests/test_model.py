@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 
 from moetune import model as model_module
 from moetune import tensor as T
-from moetune.errors import ConfigError, DimensionError, LengthError, VocabError
+from moetune.errors import (
+    ConfigError,
+    DimensionError,
+    LengthError,
+    TapeError,
+    VocabError,
+)
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import (
     DecoderModel,
@@ -336,9 +343,50 @@ def test_cached_forward_that_raises_leaves_the_cache_as_it_was(
         with pytest.raises(RuntimeError):
             model.forward([(ids[10] + 1) % 262], cache=cache)
     assert cache.length == 10
+    assert model.forward(ids[:3]).requires_grad  # recording is back on
     step = model.forward(ids[10:12], cache=cache).data
     assert np.array_equal(step, model.forward(ids).data[10:])
     assert cache.length == 12
+
+
+def test_cached_forward_records_no_tape_and_a_plain_one_does(
+        tuned_default_model):
+    model = tuned_default_model
+    ids = np.random.default_rng(13).integers(0, 262, 10)
+    targets, mask = ids[1:], np.ones(9)
+    cached = model.forward(ids[:-1], cache=KVCache())
+    assert not cached.requires_grad and cached._parents == ()
+    with pytest.raises(TapeError):
+        T.masked_cross_entropy(cached, targets, mask).backward()
+    lora_a = model.trainable_parameters()["layers.0.attn.wq.lora_a"]
+    assert lora_a.grad is None
+    plain = model.forward(ids[:-1])  # training=False
+    assert np.array_equal(plain.data, cached.data)
+    try:
+        T.masked_cross_entropy(plain, targets, mask).backward()
+        assert np.any(lora_a.grad != 0)
+    finally:
+        for t in model.trainable_parameters().values():
+            t.grad = None
+
+
+def test_cached_forward_peaks_under_a_third_of_a_plain_forward(
+        tuned_default_model):
+    model = tuned_default_model
+    ids = np.random.default_rng(14).integers(0, 262, 300)
+    model.forward(ids)  # dequantizes every kernel the prompt routes to
+    peaks = []
+    for cache in (None, KVCache()):
+        tracemalloc.start()
+        try:
+            logits = model.forward(ids, cache=cache)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del logits
+    plain, cached = peaks
+    # the plain forward's tape holds every op's intermediates
+    assert cached < plain / 3, (cached, plain)
 
 
 def test_cache_rejects_training_and_overflow():

@@ -16,6 +16,7 @@ from moetune.errors import (
     EmptyMaskError,
     NumericError,
     RankError,
+    TapeError,
     VocabError,
 )
 
@@ -378,6 +379,47 @@ def test_backward_requires_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(RankError):
         mul(x, x).backward()
+
+
+def test_backward_without_a_tape_raises():
+    with pytest.raises(TapeError):
+        sum_all(T.Tensor(np.ones(3))).backward()
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_tape():
+        loss = sum_all(T.matmul(w, w))
+    assert not loss.requires_grad and loss._parents == ()
+    assert loss._backward is None
+    with pytest.raises(TapeError):
+        loss.backward()
+    assert w.grad is None
+
+
+def test_no_tape_nests_and_restores_recording_on_error():
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+
+    def records() -> bool:
+        return T.matmul(w, w).requires_grad
+
+    with T.no_tape():
+        with T.no_tape():
+            assert not records()
+        assert not records()
+    assert records()
+    with pytest.raises(NumericError):
+        with T.no_tape():
+            T.scale(w, np.inf)
+    assert records()
+
+
+def test_first_gradient_is_bitwise_zeros_plus_g_and_a_copy():
+    g = np.array([-0.0, 0.0, np.nan, -1.5, np.inf], dtype=np.float32)
+    x = T.Tensor(np.ones(5), requires_grad=True)
+    T._accum(x, g)
+    want = np.zeros(5, dtype=np.float32)
+    want += g
+    assert x.grad.tobytes() == want.tobytes()
+    T._accum(x, g)
+    assert g[3] == -1.5  # the stored gradient does not alias g
 
 
 def test_backward_deterministic_bitwise():
@@ -751,9 +793,10 @@ def test_rotary_is_orthogonal():
 def test_grad_row_routing_ops():
     rng = np.random.default_rng(21)
     x = rand64(rng, 6, 4)
-    idx = [4, 0, 4, 2]  # a repeated row exercises the scatter-add
-    check(lambda: sum_all(mul(T.index_rows(x, idx), T.index_rows(x, idx))),
-          [x])
+    for idx in ([4, 0, 4, 2],  # a repeated row exercises the scatter-add
+                [0, 2, 5]):    # increasing rows, as an expert's
+        check(lambda: sum_all(mul(T.index_rows(x, idx),
+                                  T.index_rows(x, idx))), [x])
     # row 2 is picked by two parts, part 1 has one row, column 1 gets none
     gates = rand64(rng, 6, 4)
     ys = [rand64(rng, 3, 4), rand64(rng, 1, 4), rand64(rng, 2, 4)]
@@ -765,6 +808,25 @@ def test_grad_row_routing_ops():
         return sum_all(mul(T.combine_rows(gates, parts, 6), w))
 
     check(loss, [gates, *ys])
+
+
+@pytest.mark.parametrize("grad_before", [False, True])
+def test_index_rows_backward_on_increasing_rows_is_bitwise_add_at(grad_before):
+    # rows with no repeat, as an expert's, skip np.add.at; -0 entries in
+    # the incoming and the existing gradient keep their signs as there
+    rng = np.random.default_rng(27)
+    rows = np.sort(rng.choice(100, 25, replace=False))
+    g = rng.standard_normal((25, 16)).astype(np.float32)
+    g[::2, :3] = -0.0
+    x = T.Tensor(np.zeros((100, 16)), requires_grad=True)
+    want = np.zeros((100, 16), dtype=np.float32)
+    if grad_before:
+        x.grad = rng.standard_normal((100, 16)).astype(np.float32)
+        x.grad[rows[1::2], :6] = -0.0
+        want = x.grad.copy()
+    np.add.at(want, rows, g)
+    T.index_rows(x, rows)._backward(g)
+    assert x.grad.tobytes() == want.tobytes()
 
 
 def test_combine_rows_rejects_no_parts_and_misshapen_parts():
