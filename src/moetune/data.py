@@ -177,10 +177,6 @@ class RejectionReport:
         self.counts.setdefault(rule, {})
         self.counts[rule][source] = self.counts[rule].get(source, 0) + 1
 
-    def to_dict(self) -> dict:
-        return {"total_in": self.total_in, "total_kept": self.total_kept,
-                "by_rule": self.counts}
-
 
 def _normalize_text(text: str) -> str:
     # remove control characters other than \n and \t, then trim the ends
@@ -198,10 +194,6 @@ def _sample_fingerprint(sample: ChatSample) -> str:
         h.update(t.text.encode("utf-8"))
         h.update(b"\x01")
     return h.hexdigest()
-
-
-def rendered_length(sample: ChatSample) -> int:
-    return len(render_chat([(t.role, t.text) for t in sample.turns]).token_ids)
 
 
 def clean_filter(samples: list[ChatSample],
@@ -229,8 +221,8 @@ def clean_filter(samples: list[ChatSample],
             report.add("duplicate", sample.source)
             continue
         seen.add(fp)
-        if rules.max_seq_len is not None and \
-                rendered_length(cleaned) > rules.max_seq_len:
+        if rules.max_seq_len is not None and rules.max_seq_len < len(
+                render_chat([(t.role, t.text) for t in turns]).token_ids):
             report.add("too_long", sample.source)
             continue
         kept.append(cleaned)

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the rule check of the
+config validators."""
+
+import numbers
 
 
 class MoetuneError(Exception):
@@ -66,3 +69,27 @@ class TapeError(MoetuneError, RuntimeError):
     Nothing it depends on requires grad, or it was computed under
     `tensor.no_tape`, as a cached (inference-only) forward is.
     """
+
+
+def is_number(v, kind=numbers.Real) -> bool:
+    """Whether `v` is a `kind` number; a bool is not a number here."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def is_int(v) -> bool:
+    return is_number(v, numbers.Integral)
+
+
+def count_rule(config, name: str, lo: int) -> tuple[str, str, bool]:
+    """The rule that field `name` of `config` is an int >= lo."""
+    v = getattr(config, name)
+    return name, f"an int >= {lo}", is_int(v) and v >= lo
+
+
+def check_rules(config, rules) -> None:
+    """ConfigError for the first (field, rule, ok) of `rules` whose ok is
+    false, naming the field, the rule and the field's value in `config`."""
+    for name, rule, ok in rules:
+        if not ok:
+            raise ConfigError(
+                f"{name} must be {rule}, got {getattr(config, name)!r}")

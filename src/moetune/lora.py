@@ -6,20 +6,20 @@ B [rank, d_out] (Hu et al., arXiv 2106.09685, in row-vector form). B starts at
 zero so a freshly attached adapter leaves the model output unchanged; W
 never receives gradient. Adapters attach to the decoder's attention
 (q/k/v/o) and expert (up/gate/down) projections; the router stays frozen.
-Each adapted projection (base product, training-mode dropout on x and the
-branch) is one `tensor.lora_linear` op, so it records one tape op.
+Each adapted projection (base product, dropout on x and the branch) is one
+`tensor.lora_linear` op, so it records one tape op. Dropout runs only in a
+forward given a generator, as a training forward is.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError
+from .errors import ConfigError, check_rules, count_rule, is_number
 from .model import DecoderModel
 from .quant import QuantizedMatrix
 from .tensor import Tensor
@@ -35,25 +35,17 @@ class LoraConfig:
     dropout_p: float = 0.05
 
     def validate(self) -> "LoraConfig":
-        # each rule holds only for a valid value, so NaN fails it; a bool is
-        # not a number here, and the range rules run only on numbers
-        def number(v, kind=numbers.Real) -> bool:
-            return isinstance(v, kind) and not isinstance(v, bool)
-
-        rank_int = number(self.rank, numbers.Integral)
-        rules = [("rank", "an int", rank_int),
-                 ("rank", ">= 1", rank_int and self.rank >= 1),
-                 ("alpha", "a finite number > 0",
-                  number(self.alpha) and 0 < self.alpha < math.inf),
-                 ("targets", "non-empty", bool(self.targets)),
-                 ("targets", f"a subset of {ALL_TARGETS}",
-                  set(self.targets) <= set(ALL_TARGETS)),
-                 ("dropout_p", "in [0, 1)",
-                  number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0)]
-        for name, rule, ok in rules:
-            if not ok:
-                raise ConfigError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # each rule holds only for a valid value, so NaN fails it, and the
+        # range rules run only on numbers
+        check_rules(self, [
+            count_rule(self, "rank", 1),
+            ("alpha", "a finite number > 0",
+             is_number(self.alpha) and 0 < self.alpha < math.inf),
+            ("targets", "non-empty", bool(self.targets)),
+            ("targets", f"a subset of {ALL_TARGETS}",
+             set(self.targets) <= set(ALL_TARGETS)),
+            ("dropout_p", "in [0, 1)",
+             is_number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0)])
         return self
 
     @property
@@ -92,16 +84,14 @@ class LoraPair:
                    requires_grad=True)
         return cls(a, b, cfg)
 
-    def project(self, x: Tensor, w: Tensor, training: bool = False,
+    def project(self, x: Tensor, w: Tensor,
                 rng: np.random.Generator | None = None) -> Tensor:
         """x·W plus this adapter's branch, as one `tensor.lora_linear` op.
 
-        Dropout runs in training only, on a generator the caller supplies.
+        Dropout at `dropout_p` draws from `rng`; without one nothing is drawn.
         """
-        p = self.cfg.dropout_p if training else 0.0
-        if p > 0.0 and rng is None:
-            raise ConfigError("training-mode dropout needs a generator")
-        return tz.lora_linear(x, w, self.a, self.b, self.cfg.scaling, p, rng)
+        return tz.lora_linear(x, w, self.a, self.b, self.cfg.scaling,
+                              self.cfg.dropout_p, rng)
 
 
 def _attach(model: DecoderModel, cfg: LoraConfig, make_pair) -> int:

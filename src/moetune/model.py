@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, DimensionError, LengthError, VocabError
+from .errors import (ConfigError, DimensionError, LengthError, VocabError,
+                     check_rules, count_rule, is_int, is_number)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
@@ -38,23 +39,24 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         # each rule holds only for a valid value, so NaN fails it; the head
-        # rules divide by n_heads only once n_heads >= 1 holds
-        heads = self.n_heads >= 1
-        rules = [(name, ">= 1", getattr(self, name) >= 1)
+        # rules divide only once d_model and n_heads are ints, n_heads >= 1
+        heads = (is_int(self.d_model) and is_int(self.n_heads)
+                 and self.n_heads >= 1)
+        rules = [count_rule(self, name, 1)
                  for name in ("n_layers", "d_model", "n_heads", "d_ff",
                               "n_experts", "vocab_size", "max_seq_len")]
-        rules += [("top_k", f"in [1, n_experts = {self.n_experts}]",
-                   1 <= self.top_k <= self.n_experts),
+        rules += [("top_k", f"an int in [1, n_experts = {self.n_experts}]",
+                   is_int(self.top_k) and is_int(self.n_experts)
+                   and 1 <= self.top_k <= self.n_experts),
                   ("d_model", f"divisible by n_heads = {self.n_heads}",
                    heads and self.d_model % self.n_heads == 0),
                   ("d_model", "n_heads times an even head dim (rotary pairs)",
                    heads and self.d_model // self.n_heads % 2 == 0),
-                  ("norm_eps", "> 0", self.norm_eps > 0),
-                  ("rope_base", "> 0", self.rope_base > 0)]
-        for name, rule, ok in rules:
-            if not ok:
-                raise ConfigError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
+                  ("norm_eps", "a number > 0",
+                   is_number(self.norm_eps) and self.norm_eps > 0),
+                  ("rope_base", "a number > 0",
+                   is_number(self.rope_base) and self.rope_base > 0)]
+        check_rules(self, rules)
         return self
 
     def to_dict(self) -> dict:
@@ -87,13 +89,13 @@ class Linear:
     def is_quantized(self) -> bool:
         return isinstance(self.kernel, QuantizedMatrix)
 
-    def forward(self, x: Tensor, training: bool = False,
+    def forward(self, x: Tensor,
                 rng: np.random.Generator | None = None) -> Tensor:
         if self.is_quantized:
-            return qmatmul(x, self.kernel, self.adapter, training, rng)
+            return qmatmul(x, self.kernel, self.adapter, rng)
         if self.adapter is None:
             return tz.matmul(x, self.kernel)
-        return self.adapter.project(x, self.kernel, training, rng)
+        return self.adapter.project(x, self.kernel, rng)
 
 
 class Norm:
@@ -118,11 +120,11 @@ class Expert:
         self.w_up = w_up
         self.w_down = w_down
 
-    def forward(self, x: Tensor, training: bool = False,
+    def forward(self, x: Tensor,
                 rng: np.random.Generator | None = None) -> Tensor:
-        gate_pre = self.w_gate.forward(x, training, rng)
-        up = self.w_up.forward(x, training, rng)
-        return self.w_down.forward(tz.swiglu(gate_pre, up), training, rng)
+        gate_pre = self.w_gate.forward(x, rng)
+        up = self.w_up.forward(x, rng)
+        return self.w_down.forward(tz.swiglu(gate_pre, up), rng)
 
 
 class MoELayer:
@@ -138,7 +140,6 @@ class MoELayer:
 
 
 def moe_forward(hidden_states: Tensor, layer: MoELayer,
-                training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
     """Sparse-dispatch forward over [T, d_model].
 
@@ -160,7 +161,7 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
         rows = np.nonzero(sel_mask[:, e] > 0)[0]
         if rows.size:
             xe = tz.index_rows(hidden_states, rows)
-            parts.append((e, rows, expert.forward(xe, training, rng)))
+            parts.append((e, rows, expert.forward(xe, rng)))
     return tz.combine_rows(gates, parts, hidden_states.data.shape[0])
 
 
@@ -204,8 +205,7 @@ class DecoderModel:
         self.final_norm = final_norm
         self.lm_head = lm_head
 
-    def forward(self, token_ids, training: bool = False,
-                rng: np.random.Generator | None = None,
+    def forward(self, token_ids, rng: np.random.Generator | None = None,
                 cache: KVCache | None = None) -> Tensor:
         """Logits [T, vocab_size] for a token-id sequence.
 
@@ -214,12 +214,15 @@ class DecoderModel:
         cache.length .. cache.length + T - 1, attend to the cached keys and
         values, and are appended to the cache. Causal prefix stability
         makes the result bitwise equal to the last T rows of a forward over
-        the whole sequence. A cached forward is inference only: it raises
-        with `training=True` and runs under `tensor.no_tape`, so its logits
-        have no parents, `requires_grad` is False, backward through them
-        raises TapeError, and no op's intermediates outlive the op. Without
-        a cache the forward records the tape whenever a parameter requires
-        grad, with `training` True or False.
+        the whole sequence.
+
+        Adapter dropout runs only when a generator `rng` is given, and draws
+        from it. A cached forward is inference only: given a generator it
+        raises ConfigError, and it runs under `tensor.no_tape`, so its
+        logits have no parents, `requires_grad` is False, backward through
+        them raises TapeError, and no op's intermediates outlive the op.
+        Without a cache the forward records the tape whenever a parameter
+        requires grad.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1:
@@ -227,7 +230,7 @@ class DecoderModel:
         cfg = self.config
         start = 0 if cache is None else cache.length
         end = start + ids.size
-        if cache is not None and training:
+        if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
         if ids.size == 0:
             raise LengthError("empty token sequence")
@@ -244,11 +247,11 @@ class DecoderModel:
             x = tz.index_rows(self.embedding, ids)
             for i, layer in enumerate(self.layers):
                 h = layer.attn_norm.forward(x)
-                q = tz.rotary(layer.wq.forward(h, training, rng), cfg.n_heads,
+                q = tz.rotary(layer.wq.forward(h, rng), cfg.n_heads,
                               cfg.rope_base, offset=start)
-                k = tz.rotary(layer.wk.forward(h, training, rng), cfg.n_heads,
+                k = tz.rotary(layer.wk.forward(h, rng), cfg.n_heads,
                               cfg.rope_base, offset=start)
-                v = layer.wv.forward(h, training, rng)
+                v = layer.wv.forward(h, rng)
                 if cache is not None:
                     # rows past `length` are unused until a forward completes,
                     # so one that raises leaves the cache as it was
@@ -257,11 +260,11 @@ class DecoderModel:
                     k = Tensor(cache.keys[i, :end])
                     v = Tensor(cache.values[i, :end])
                 attn = tz.causal_attention(q, k, v, cfg.n_heads)
-                x = tz.add(x, layer.wo.forward(attn, training, rng))
+                x = tz.add(x, layer.wo.forward(attn, rng))
                 h = layer.ffn_norm.forward(x)
-                x = tz.add(x, moe_forward(h, layer.moe, training, rng))
+                x = tz.add(x, moe_forward(h, layer.moe, rng))
             x = self.final_norm.forward(x)
-            logits = self.lm_head.forward(x, training, rng)
+            logits = self.lm_head.forward(x, rng)
         if cache is not None:
             cache.length = end
         return logits

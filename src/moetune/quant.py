@@ -148,21 +148,22 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     return values.reshape(q.rows, q.cols)
 
 
-def qmatmul(x: Tensor, q: QuantizedMatrix, adapter=None, training: bool = False,
+def qmatmul(x: Tensor, q: QuantizedMatrix, adapter=None,
             rng: np.random.Generator | None = None) -> Tensor:
     """x [m,k] times a quantized [k,n] matrix, plus an optional LoRA adapter.
 
     Without an adapter this runs `matmul(x, dequantize(q))`, so the result
     is bitwise equal to it. With one it runs `adapter.project` on the
-    dequantized kernel: one `lora_linear` op, dropout in training only.
-    The quantized side is frozen; gradient flows to x and the adapter.
+    dequantized kernel: one `lora_linear` op, with dropout only when `rng`
+    is given. The quantized side is frozen; gradient flows to x and the
+    adapter.
     """
     if x.data.ndim != 2 or x.data.shape[1] != q.rows:
         raise DimensionError(f"qmatmul: {x.data.shape} x {q.shape}")
     w = Tensor(q.dequant())
     if adapter is None:
         return matmul(x, w)
-    return adapter.project(x, w, training, rng)
+    return adapter.project(x, w, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +311,6 @@ def _first_false(finite: np.ndarray, live, offsets) -> str:
                 if lo <= first)
 
 
-def adam_step_quantized(param: np.ndarray, grad: np.ndarray,
-                        state: QuantizedOptimState, lr: float,
-                        beta1: float = 0.9, beta2: float = 0.999,
-                        eps: float = 1e-8) -> QuantizedOptimState:
-    """One Adam step with bias correction; moments round-trip through 4-bit.
-
-    Dequantizes both moments, applies the standard update to the param in
-    place, then requantizes the moments blockwise; the one-parameter case
-    of QuantizedAdam.step. Second moments stay >= 0 because symmetric
-    quantization preserves sign. An lr that is not a finite number >= 0 is
-    a ConfigError, a non-finite gradient or moment a NumericError that
-    changes nothing.
-    """
-    _adam_pass([("param", param, np.asarray(grad), state)], _check_lr(lr),
-               beta1, beta2, eps)
-    return state
-
-
 class QuantizedAdam:
     """Adam over named f32 tensors with 4-bit moment storage.
 
@@ -337,8 +320,10 @@ class QuantizedAdam:
     moments are views of that pass's codes and scales. A parameter without
     a gradient keeps its value, moments (views of the last pass that
     updated it) and step count; its next update bias-corrects with its own
-    count. Values, codes and scales are bitwise those of one
-    adam_step_quantized call per parameter.
+    count. Values, codes and scales are bitwise those of a loop that, per
+    parameter, dequantizes both moments, updates the param and requantizes
+    the moments. An lr that is not a finite number >= 0 is a ConfigError,
+    a non-finite gradient or moment a NumericError that changes nothing.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,

@@ -266,9 +266,10 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
 
     Row-vector LoRA: W [d_in, d_out], A [d_in, r], B [r, d_out]. Every
     product runs on the tiles of `matmul`, so each output row keeps its
-    prefix stability. With p > 0 the dropout mask is drawn from `rng` as
-    ``rng.random(x.shape) >= p`` and kept entries are scaled by 1 / (1 - p)
-    (inverted dropout); with p == 0 nothing is drawn. The forward evaluates
+    prefix stability. Dropout runs when a generator is given and p > 0:
+    the mask is drawn from `rng` as ``rng.random(x.shape) >= p`` and kept
+    entries are scaled by 1 / (1 - p) (inverted dropout). Otherwise nothing
+    is drawn and the result is bitwise that of p == 0. The forward evaluates
     the expressions of the matmul, dropout, matmul, matmul, scale, add
     chain it replaces, in its order, so values are bitwise those of the
     chain; so are the gradients, which the backward hands out in the
@@ -291,7 +292,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     keep = None
     h = x.data
     with np.errstate(over="ignore"):
-        if p > 0.0:
+        if rng is not None and p > 0.0:
             base = _tiled_matmul(x.data, w.data)
             # keep * factor is 0 or factor, so h and the backward's share
             # have the bits of (x * keep) * factor

@@ -114,17 +114,3 @@ def render_prompt(turns: list[tuple[str, str]]) -> list[int]:
     """Render history for generation: the chat template followed by
     '<|assistant|>\\n', so the model continues with assistant bytes."""
     return render_chat(turns).token_ids + [ASSISTANT_ID] + _NL
-
-
-def render_text(turns: list[tuple[str, str]]) -> str:
-    """The template as a plain string with literal markers (golden-testable)."""
-    parts = ["<bos>"]
-    for role, text in turns:
-        if role == "system":
-            if text:
-                parts.append(f"<|system|>\n{text}\n")
-        elif role == "user":
-            parts.append(f"<|user|>\n{text}\n")
-        elif role == "assistant":
-            parts.append(f"<|assistant|>\n{text}<eot>\n")
-    return "".join(parts)

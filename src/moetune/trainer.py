@@ -25,7 +25,8 @@ import numpy as np
 
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
-from .errors import ConfigError, LengthError, NumericError, TrainingAborted
+from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
+                     check_rules, count_rule, is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam
@@ -49,25 +50,28 @@ class TrainConfig:
     eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
-        # each rule holds only for a valid value, so NaN fails it
-        rules = [("epochs", ">= 1", self.epochs >= 1),
-                 ("lr", "a finite number >= 0", 0 <= self.lr < math.inf),
-                 ("save_every", ">= 1", self.save_every >= 1),
-                 ("batch_size", ">= 1", self.batch_size >= 1),
-                 ("grad_accum_steps", ">= 1", self.grad_accum_steps >= 1),
-                 ("schedule", "'constant' or 'cosine'",
-                  self.schedule in ("constant", "cosine")),
-                 ("max_steps", "None or >= 1",
-                  self.max_steps is None or self.max_steps >= 1),
-                 ("max_grad_norm", "> 0", self.max_grad_norm > 0),
-                 ("warmup_steps", ">= 0", self.warmup_steps >= 0),
-                 ("beta1", "in [0, 1)", 0 <= self.beta1 < 1),
-                 ("beta2", "in [0, 1)", 0 <= self.beta2 < 1),
-                 ("eps", "> 0", self.eps > 0)]
-        for name, rule, ok in rules:
-            if not ok:
-                raise ConfigError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # each rule holds only for a valid value, so NaN fails it, and the
+        # range rules run only on numbers
+        check_rules(self, [
+            count_rule(self, "epochs", 1),
+            ("lr", "a finite number >= 0",
+             is_number(self.lr) and 0 <= self.lr < math.inf),
+            count_rule(self, "save_every", 1),
+            count_rule(self, "seed", 0),
+            count_rule(self, "batch_size", 1),
+            count_rule(self, "grad_accum_steps", 1),
+            ("schedule", "'constant' or 'cosine'",
+             self.schedule in ("constant", "cosine")),
+            ("max_steps", "None or an int >= 1", self.max_steps is None
+             or is_int(self.max_steps) and self.max_steps >= 1),
+            ("max_grad_norm", "a number > 0",
+             is_number(self.max_grad_norm) and self.max_grad_norm > 0),
+            count_rule(self, "warmup_steps", 0),
+            ("beta1", "in [0, 1)",
+             is_number(self.beta1) and 0 <= self.beta1 < 1),
+            ("beta2", "in [0, 1)",
+             is_number(self.beta2) and 0 <= self.beta2 < 1),
+            ("eps", "a number > 0", is_number(self.eps) and self.eps > 0)])
         return self
 
     def to_dict(self) -> dict:
@@ -137,15 +141,16 @@ def _clip_gradients(params: dict, max_norm: float) -> float:
 
 
 def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
-               rng: np.random.Generator | None, training: bool = True):
-    """Mean per-sample masked CE over a batch padded to its max length."""
+               rng: np.random.Generator | None):
+    """Mean per-sample masked CE over a batch padded to its max length;
+    adapter dropout draws from `rng`, and runs only when it is given."""
     max_len = max(len(s.token_ids) for s in samples)
     total = None
     for s in samples:
         pad = max_len - len(s.token_ids)
         ids = s.token_ids + [PAD_ID] * pad
         mask = s.loss_mask + [0] * pad
-        logits = model.forward(ids[:-1], training=training, rng=rng)
+        logits = model.forward(ids[:-1], rng=rng)
         loss = tz.masked_cross_entropy(logits, ids[1:], mask[1:])
         total = loss if total is None else tz.add(total, loss)
     return tz.scale(total, 1.0 / len(samples))
@@ -302,17 +307,25 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     cache. The logits are bitwise equal to the last row of a forward over
     the whole prefix, so the tokens are those a full-prefix loop would pick.
     greedy is deterministic (ties pick the lowest id); temperature sampling
-    converges to greedy as temperature approaches 0.
+    converges to greedy as temperature approaches 0. A temperature below 0
+    or NaN, a top_p outside [0, 1], or a max_new or seed that is not an
+    int >= 0 is a ConfigError.
     """
     prompt = [int(t) for t in prompt_tokens]
-    if max_new < 0:
-        raise ConfigError(f"max_new must be >= 0, got {max_new}")
+    if not (is_int(max_new) and max_new >= 0):
+        raise ConfigError(f"max_new must be an int >= 0, got {max_new!r}")
     if len(prompt) + max_new > model.config.max_seq_len:
         raise LengthError(
             f"prompt {len(prompt)} + max_new {max_new} exceeds "
             f"max_seq_len {model.config.max_seq_len}")
     if mode not in ("greedy", "temperature", "top_p"):
         raise ConfigError(f"unknown decode mode {mode!r}")
+    if not (is_number(temperature) and temperature >= 0):  # NaN fails it
+        raise ConfigError(f"temperature must be >= 0, got {temperature!r}")
+    if not (is_number(top_p) and 0 <= top_p <= 1):
+        raise ConfigError(f"top_p must be in [0, 1], got {top_p!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     cache = KVCache()
     step_ids = prompt

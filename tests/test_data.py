@@ -242,7 +242,9 @@ def test_empty_system_omitted():
 def test_render_round_trip_lossless():
     turns = [("system", "你是助手"), ("user", "写诗"), ("assistant", "春眠不觉晓")]
     ts = tok.render_chat(turns)
-    assert tok.decode_tokens(ts.token_ids) == tok.render_text(turns)
+    assert tok.decode_tokens(ts.token_ids) == (
+        "<bos><|system|>\n你是助手\n<|user|>\n写诗\n"
+        "<|assistant|>\n春眠不觉晓<eot>\n")
 
 
 def test_tokenized_sample_rejects_mask_length_mismatch():

@@ -1,5 +1,7 @@
 """Decoding: the cached loop picks the tokens a full-prefix loop picks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,29 @@ def test_unknown_mode(model):
 def test_negative_max_new(model):
     with pytest.raises(ConfigError):
         generate(model, PROMPT, -1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "temperature", "temperature": math.nan},
+    {"mode": "temperature", "temperature": -0.5},
+    {"mode": "top_p", "top_p": math.nan},
+    {"mode": "top_p", "top_p": -1.0},
+    {"mode": "top_p", "top_p": 1.5},
+    {"temperature": "0.7"},
+    {"max_new": 1.5},
+    {"max_new": True},
+    {"mode": "top_p", "seed": -1}])
+def test_bad_decode_arguments_raise_before_the_first_forward(
+        model, monkeypatch, kwargs):
+    def forward(*args, **kw):
+        raise AssertionError("generate ran a forward")
+
+    monkeypatch.setattr(model, "forward", forward)
+    with pytest.raises(ConfigError):
+        generate(model, PROMPT, **{"max_new": 4, **kwargs})
+
+
+def test_temperature_zero_is_greedy(model):
+    greedy = generate(model, PROMPT, 12, stop_id=NEVER)
+    assert generate(model, PROMPT, 12, mode="temperature", temperature=0.0,
+                    stop_id=NEVER) == greedy

@@ -91,25 +91,28 @@ def op_count(out):
 
 
 @pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("training", [False, True])
-def test_adapted_projection_records_one_op(quantized, training):
+@pytest.mark.parametrize("with_rng", [False, True])
+def test_adapted_projection_records_one_op(quantized, with_rng):
     rng = np.random.default_rng(2)
     kernel = rng.standard_normal((16, 24)).astype(np.float32)
     lin = Linear(quantize_4bit(kernel) if quantized else Tensor(kernel))
     lin.adapter = random_adapter(16, 24, LoraConfig(rank=4), rng)
     x = Tensor(rng.standard_normal((9, 16)), requires_grad=True)
-    out = lin.forward(x, training=training, rng=np.random.default_rng(3))
+    out = lin.forward(x, np.random.default_rng(3) if with_rng else None)
     assert op_count(out) == 1
 
 
-def test_training_dropout_without_a_generator_is_a_config_error():
+def test_dropout_runs_exactly_when_a_generator_is_given():
     rng = np.random.default_rng(3)
     lin = Linear(quantize_4bit(rng.standard_normal((6, 4))))
-    lin.adapter = LoraPair.init(6, 4, LoraConfig(rank=2, dropout_p=0.1), rng)
-    x = Tensor(rng.standard_normal((2, 6)))
-    lin.forward(x)  # eval draws nothing
-    with pytest.raises(ConfigError):
-        lin.forward(x, training=True)
+    lin.adapter = random_adapter(6, 4, LoraConfig(rank=2, dropout_p=0.5), rng)
+    x = Tensor(rng.standard_normal((8, 6)))
+    plain = lin.forward(x).data
+    g = np.random.default_rng(4)
+    dropped = lin.forward(x, g).data
+    assert not np.array_equal(dropped, plain)
+    again = lin.forward(x, np.random.default_rng(4)).data
+    assert np.array_equal(dropped, again)
 
 
 def test_config_validation():
@@ -198,6 +201,28 @@ def test_load_adapters_rejects_a_quantized_factor():
         load_adapters(init_model(TINY, seed=0), LoraConfig(rank=2), source)
 
 
+@pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+def test_model_forward_given_a_generator_draws_only_at_dropout_p_above_0(
+        dropout_p):
+    model = init_model(TINY, seed=5)
+    attach_adapters(model, LoraConfig(rank=4, dropout_p=dropout_p), seed=6)
+    rng = np.random.default_rng(7)
+    for name, t in model.trainable_parameters().items():
+        if name.endswith("lora_b"):  # a branch that contributes
+            t.data[:] = rng.standard_normal(t.shape) * 0.1
+    ids = [3, 1, 4, 1, 5, 9]
+    plain = model.forward(ids).data
+    g = np.random.default_rng(8)
+    before = g.bit_generator.state
+    out = model.forward(ids, rng=g).data
+    if dropout_p == 0.0:
+        assert out.tobytes() == plain.tobytes()
+        assert g.bit_generator.state == before
+    else:
+        assert not np.array_equal(out, plain)
+        assert g.bit_generator.state != before
+
+
 def test_frozen_weights_bitwise_constant_under_training():
     model = init_model(TINY, seed=11)
     attach_adapters(model, LoraConfig(rank=4, dropout_p=0.0), seed=12)
@@ -209,9 +234,9 @@ def test_frozen_weights_bitwise_constant_under_training():
     for _ in range(10):
         ids = rng.integers(0, 280, 6)
         targets = rng.integers(0, 280, 6)
-        loss = T.masked_cross_entropy(model.forward(ids, training=True,
-                                                    rng=np.random.default_rng(0)),
-                                      targets, np.ones(6))
+        loss = T.masked_cross_entropy(
+            model.forward(ids, rng=np.random.default_rng(0)), targets,
+            np.ones(6))
         for t in trainable.values():
             t.grad = None
         loss.backward()

@@ -393,7 +393,7 @@ def test_cache_rejects_training_and_overflow():
     model = init_model(TINY, seed=8)
     cache = KVCache()
     with pytest.raises(ConfigError):
-        model.forward([1, 2], training=True, cache=cache)
+        model.forward([1, 2], rng=np.random.default_rng(0), cache=cache)
     model.forward(np.arange(30), cache=cache)
     with pytest.raises(LengthError):
         model.forward([1, 2, 3], cache=cache)

@@ -201,13 +201,27 @@ def test_zero_state_is_byte_equal_to_quantizing_zeros(n):
         assert got.scales.tobytes() == want.scales.tobytes()
 
 
+def one_param_adam(p, lr):
+    """A QuantizedAdam over the one parameter `p`, which it updates in place;
+    returns the optimizer and a function that sets p's gradient and steps."""
+    t = T.Tensor(p, requires_grad=True)
+    assert t.data is p
+    opt = Q.QuantizedAdam({"p": t}, lr=lr)
+
+    def step(grad, lr=None):
+        t.grad = np.asarray(grad, dtype=np.float32)
+        opt.step(lr)
+
+    return opt, step
+
+
 def test_adam_zero_grad_step_is_noop():
     p = np.array([1.0, -2.0, 3.0], dtype=np.float32)
-    state = Q.QuantizedOptimState.zeros(3)
+    opt, step = one_param_adam(p, lr=0.1)
     before = p.copy()
-    Q.adam_step_quantized(p, np.zeros(3, dtype=np.float32), state, lr=0.1)
+    step(np.zeros(3, dtype=np.float32))
     assert np.array_equal(p, before)
-    assert state.step == 1
+    assert opt.state["p"].step == 1
 
 
 def test_adam_scalar_one_step_matches_f32():
@@ -216,8 +230,8 @@ def test_adam_scalar_one_step_matches_f32():
     p = np.array([0.5], dtype=np.float32)
     g = np.array([0.3], dtype=np.float32)
     expected = f32_adam_reference(p, [g], lr=0.01)
-    state = Q.QuantizedOptimState.zeros(1)
-    Q.adam_step_quantized(p, g, state, lr=0.01)
+    _, step = one_param_adam(p, lr=0.01)
+    step(g)
     assert np.allclose(p, expected, atol=1e-7)
 
 
@@ -225,13 +239,13 @@ def test_adam_quadratic_trajectory_close_to_f32():
     # minimize (x - 3)^2 for 100 steps; quantized moments stay within 5%
     def run(quantized):
         x = np.array([0.0], dtype=np.float32)
-        state = Q.QuantizedOptimState.zeros(1)
+        _, step = one_param_adam(x, lr=0.05)
         m = np.zeros(1, dtype=np.float32)
         v = np.zeros(1, dtype=np.float32)
         for t in range(1, 101):
             g = 2.0 * (x - 3.0)
             if quantized:
-                Q.adam_step_quantized(x, g, state, lr=0.05)
+                step(g)
             else:
                 m = 0.9 * m + 0.1 * g
                 v = 0.999 * v + 0.001 * g * g
@@ -246,18 +260,17 @@ def test_adam_quadratic_trajectory_close_to_f32():
 def test_adam_second_moment_nonnegative():
     rng = np.random.default_rng(21)
     p = rng.standard_normal(130).astype(np.float32)
-    state = Q.QuantizedOptimState.zeros(130)
+    opt, step = one_param_adam(p, lr=0.01)
     for _ in range(5):
-        Q.adam_step_quantized(p, rng.standard_normal(130).astype(np.float32),
-                              state, lr=0.01)
-        assert np.all(state.v.dequant() >= 0.0)
+        step(rng.standard_normal(130).astype(np.float32))
+        assert np.all(opt.state["p"].v.dequant() >= 0.0)
 
 
 def test_adam_rejects_nonfinite_grad():
     p = np.ones(2, dtype=np.float32)
-    state = Q.QuantizedOptimState.zeros(2)
+    _, step = one_param_adam(p, lr=0.1)
     with pytest.raises(NumericError):
-        Q.adam_step_quantized(p, np.array([np.inf, 0.0]), state, lr=0.1)
+        step(np.array([np.inf, 0.0]))
 
 
 def test_optimizer_lr_zero_leaves_params_bitwise():
@@ -300,8 +313,8 @@ def test_optimizer_skips_a_parameter_without_grad_and_keeps_its_own_step():
     own_t = Q.QuantizedOptimState(sb.m, sb.v, step=1)
     global_t = Q.QuantizedOptimState(sb.m, sb.v, step=2)
     want, wrong = kept.copy(), kept.copy()
-    Q.adam_step_quantized(want, b.grad, own_t, lr=0.01)
-    Q.adam_step_quantized(wrong, b.grad, global_t, lr=0.01)
+    per_tensor_adam_step(want, b.grad, own_t, lr=0.01)
+    per_tensor_adam_step(wrong, b.grad, global_t, lr=0.01)
     opt.step()
     assert sb.step == 2
     assert np.array_equal(b.data, want)
@@ -323,10 +336,10 @@ def test_optimizer_rejects_a_nan_infinite_or_negative_lr(lr):
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
 def test_adam_step_rejects_a_nan_infinite_or_negative_lr(lr):
     p = np.ones(3, dtype=np.float32)
-    state = Q.QuantizedOptimState.zeros(3)
+    opt, step = one_param_adam(p, lr=0.1)
     with pytest.raises(ConfigError):
-        Q.adam_step_quantized(p, np.ones(3, dtype=np.float32), state, lr=lr)
-    assert np.array_equal(p, np.ones(3)) and state.step == 0
+        step(np.ones(3, dtype=np.float32), lr)
+    assert np.array_equal(p, np.ones(3)) and opt.state["p"].step == 0
 
 
 def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing():

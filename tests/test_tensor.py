@@ -273,6 +273,18 @@ def test_lora_linear_is_bitwise_the_six_op_chain(rows, p, needs_grad):
             assert want.tobytes() == got.tobytes()
 
 
+def test_lora_linear_without_a_generator_is_bitwise_the_p0_call():
+    outs, grads = [], []
+    for p in (0.0, 0.3):
+        x, w, a, b = lora_operands(np.random.default_rng(28), 9, np.float32,
+                                   x_grad=True, w_grad=False)
+        out = T.lora_linear(x, w, a, b, 2.0, p, None)
+        sum_all(out).backward()
+        outs.append(out.data.tobytes())
+        grads.append([t.grad.tobytes() for t in (x, a, b)])
+    assert outs[0] == outs[1] and grads[0] == grads[1]
+
+
 def test_grad_lora_linear():
     rng = np.random.default_rng(25)
     x, w, a, b = (rand64(rng, 5, 6), rand64(rng, 6, 4), rand64(rng, 6, 2),

@@ -147,6 +147,19 @@ def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
         TrainConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("config, field, value", [
+    (ModelConfig, "n_layers", 1.5), (ModelConfig, "max_seq_len", 32.5),
+    (ModelConfig, "top_k", 1.5), (ModelConfig, "n_experts", "8"),
+    (TrainConfig, "epochs", 1.5),
+    (TrainConfig, "epochs", True), (TrainConfig, "batch_size", 1.5),
+    (TrainConfig, "grad_accum_steps", 1.5), (TrainConfig, "seed", -1),
+    (TrainConfig, "save_every", 1.5), (TrainConfig, "warmup_steps", 0.5)])
+def test_config_rejects_a_count_that_is_not_an_int_in_range(config, field,
+                                                            value):
+    with pytest.raises(ConfigError, match=field):
+        config(**{field: value}).validate()
+
+
 @pytest.mark.parametrize("sample", [TokenizedSample([5], [1]),
                                     TokenizedSample([5, 6], [1, 0])])
 def test_corpus_sample_without_a_target_is_rejected_before_step_0(sample):
