@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IntegrityError
+from .errors import ConfigError, FormatError, IntegrityError, is_count
 from .lora import LoraConfig, adapter_config, load_adapters
 from .model import DecoderModel, ModelConfig, build_model
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, QuantizedOptimState
@@ -58,11 +58,6 @@ def _q4_payload(q: QuantizedMatrix) -> bytes:
     return q.codes.tobytes() + q.scales.astype("<f4").tobytes()
 
 
-def _is_count(v) -> bool:
-    """A non-negative int; bools, which JSON keeps apart, are not counts."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
     """The tensor of one header entry.
 
@@ -75,9 +70,9 @@ def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
         raise FormatError(f"{where}: entry is not a dict")
     dtype, shape = meta.get("dtype"), meta.get("shape")
     start, length = meta.get("offset"), meta.get("length")
-    if not (dtype in ("f32", Q4_DTYPE) and _is_count(start)
-            and _is_count(length)
-            and isinstance(shape, list) and all(map(_is_count, shape))
+    if not (dtype in ("f32", Q4_DTYPE) and is_count(start)
+            and is_count(length)
+            and isinstance(shape, list) and all(map(is_count, shape))
             and (dtype == "f32" or len(shape) == 2)):
         raise FormatError(f"{where}: malformed entry {meta}")
     n = int(np.prod(shape))
@@ -185,7 +180,7 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     step, epoch, cursor = (ts.get(k, 0) for k in ("step", "epoch", "cursor"))
     optim_steps = ts.get("optim_steps", {})
     if not (isinstance(optim_steps, dict) and all(map(
-            _is_count, [step, epoch, cursor, *optim_steps.values()]))):
+            is_count, [step, epoch, cursor, *optim_steps.values()]))):
         raise FormatError(f"{path}: trainer_state counters and optim_steps "
                           f"must be non-negative ints")
     if not isinstance(tensors, dict):

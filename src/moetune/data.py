@@ -1,10 +1,11 @@
 """Three-source instruction corpus: ingest, clean/filter and tokenize.
 
 Sources: two alpaca-format files (single-round instruction/output pairs)
-and one sharegpt-format file (multi-round conversations). Each ingest keeps
-its file's record order. The caller concatenates the sources; since
-`clean_filter` keeps the first copy of a duplicate, that order decides
-which source a duplicate is counted against.
+and one sharegpt-format file (multi-round conversations). Both formats go
+through one record loop; each differs only in how it parses a record into
+turns. Each ingest keeps its file's record order. The caller concatenates
+the sources; since `clean_filter` keeps the first copy of a duplicate, that
+order decides which source a duplicate is counted against.
 """
 
 from __future__ import annotations
@@ -52,19 +53,65 @@ class IngestResult:
     skipped: int = 0
 
 
-def _load_json_array(path, lenient: bool) -> list | None:
+def _load_json_array(path) -> list:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        if lenient:
-            return None
         raise ParseError(f"{path}: malformed JSON ({e})") from e
     if not isinstance(data, list):
-        if lenient:
-            return None
         raise ParseError(f"{path}: expected a top-level JSON array")
     return data
+
+
+def _ingest(path, source: str, lenient: bool, turns_of) -> IngestResult:
+    """The one record loop of both formats.
+
+    `turns_of(rec, where)` parses one record of the file's JSON array into
+    turns, or raises RecordError. A turn list that is empty or breaks the
+    ChatSample role order is a RecordError too. Strict mode raises every
+    error; lenient mode counts each bad record as skipped, and a file that
+    is not a JSON array as one skipped record.
+    """
+    try:
+        data = _load_json_array(path)
+    except ParseError:
+        if lenient:
+            return IngestResult([], skipped=1)
+        raise
+    samples: list[ChatSample] = []
+    skipped = 0
+    for idx, rec in enumerate(data):
+        where = f"{path}[{idx}]"
+        try:
+            turns = turns_of(rec, where)  # a RecordError unless rec is a dict
+            sample = ChatSample(turns=turns, source=source,
+                                category=rec.get("category") or "unknown")
+            if not sample.turns or not sample.is_valid():
+                raise RecordError(f"{where}: roles do not alternate")
+            samples.append(sample)
+        except RecordError:
+            if not lenient:
+                raise
+            skipped += 1
+    return IngestResult(samples, skipped)
+
+
+def _alpaca_turns(rec, where: str) -> list[Turn]:
+    if not isinstance(rec, dict):
+        raise RecordError(f"{where}: record is not an object")
+    try:
+        instruction = rec["instruction"]
+        output = rec["output"]
+    except KeyError as e:
+        raise RecordError(f"{where}: missing field {e}") from e
+    if not isinstance(instruction, str) or not isinstance(output, str):
+        raise RecordError(f"{where}: fields must be strings")
+    extra = rec.get("input") or ""
+    if not isinstance(extra, str):
+        raise RecordError(f"{where}: input must be a string")
+    user_text = instruction + ("\n" + extra if extra else "")
+    return [Turn("user", user_text), Turn("assistant", output)]
 
 
 def ingest_alpaca(path, source: str = "alpaca_zh",
@@ -74,38 +121,33 @@ def ingest_alpaca(path, source: str = "alpaca_zh",
     Each record becomes one user turn (instruction, plus newline + input
     when input is non-empty) and one assistant turn (output).
     """
-    data = _load_json_array(path, lenient)
-    if data is None:
-        return IngestResult([], skipped=1)
-    samples: list[ChatSample] = []
-    skipped = 0
-    for idx, rec in enumerate(data):
-        try:
-            if not isinstance(rec, dict):
-                raise RecordError(f"{path}[{idx}]: record is not an object")
-            try:
-                instruction = rec["instruction"]
-                output = rec["output"]
-            except KeyError as e:
-                raise RecordError(f"{path}[{idx}]: missing field {e}") from e
-            if not isinstance(instruction, str) or not isinstance(output, str):
-                raise RecordError(f"{path}[{idx}]: fields must be strings")
-            extra = rec.get("input") or ""
-            if not isinstance(extra, str):
-                raise RecordError(f"{path}[{idx}]: input must be a string")
-            user_text = instruction + ("\n" + extra if extra else "")
-            samples.append(ChatSample(
-                turns=[Turn("user", user_text), Turn("assistant", output)],
-                source=source,
-                category=rec.get("category", "unknown") or "unknown"))
-        except RecordError:
-            if not lenient:
-                raise
-            skipped += 1
-    return IngestResult(samples, skipped)
+    return _ingest(path, source, lenient, _alpaca_turns)
 
 
 _SHAREGPT_ROLES = {"human": "user", "gpt": "assistant", "system": "system"}
+
+
+def _sharegpt_turns(rec, where: str) -> list[Turn]:
+    if not isinstance(rec, dict) or "conversations" not in rec:
+        raise RecordError(f"{where}: missing 'conversations'")
+    if not isinstance(rec["conversations"], list):
+        raise RecordError(f"{where}: 'conversations' is not a list")
+    turns: list[Turn] = []
+    for turn in rec["conversations"]:
+        if not isinstance(turn, dict):
+            raise RecordError(f"{where}: turn is not an object")
+        speaker = turn.get("from")
+        role = (_SHAREGPT_ROLES.get(speaker)
+                if isinstance(speaker, str) else None)
+        if role is None:
+            raise RecordError(f"{where}: unknown role {speaker!r}")
+        value = turn.get("value")
+        if not isinstance(value, str):
+            raise RecordError(f"{where}: non-string value")
+        turns.append(Turn(role, value))
+    while turns and turns[-1].role != "assistant":
+        turns.pop()
+    return turns
 
 
 def ingest_sharegpt(path, source: str = "sharegpt",
@@ -116,44 +158,7 @@ def ingest_sharegpt(path, source: str = "sharegpt",
     are dropped; conversations that still violate alternation are record
     errors (skippable in lenient mode).
     """
-    data = _load_json_array(path, lenient)
-    if data is None:
-        return IngestResult([], skipped=1)
-    samples: list[ChatSample] = []
-    skipped = 0
-    for idx, rec in enumerate(data):
-        try:
-            if not isinstance(rec, dict) or "conversations" not in rec:
-                raise RecordError(f"{path}[{idx}]: missing 'conversations'")
-            if not isinstance(rec["conversations"], list):
-                raise RecordError(
-                    f"{path}[{idx}]: 'conversations' is not a list")
-            turns: list[Turn] = []
-            for turn in rec["conversations"]:
-                if not isinstance(turn, dict):
-                    raise RecordError(f"{path}[{idx}]: turn is not an object")
-                speaker = turn.get("from")
-                role = (_SHAREGPT_ROLES.get(speaker)
-                        if isinstance(speaker, str) else None)
-                if role is None:
-                    raise RecordError(
-                        f"{path}[{idx}]: unknown role {speaker!r}")
-                value = turn.get("value")
-                if not isinstance(value, str):
-                    raise RecordError(f"{path}[{idx}]: non-string value")
-                turns.append(Turn(role, value))
-            while turns and turns[-1].role != "assistant":
-                turns.pop()
-            sample = ChatSample(turns=turns, source=source,
-                                category=rec.get("category", "unknown") or "unknown")
-            if not turns or not sample.is_valid():
-                raise RecordError(f"{path}[{idx}]: roles do not alternate")
-            samples.append(sample)
-        except RecordError:
-            if not lenient:
-                raise
-            skipped += 1
-    return IngestResult(samples, skipped)
+    return _ingest(path, source, lenient, _sharegpt_turns)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +166,10 @@ def ingest_sharegpt(path, source: str = "sharegpt",
 
 
 @dataclass
-class CleaningRules:
-    max_seq_len: int | None = 512
-
-
-@dataclass
 class RejectionReport:
     """Counts of dropped samples per rule per source."""
 
     counts: dict = field(default_factory=dict)
-    total_in: int = 0
-    total_kept: int = 0
 
     def add(self, rule: str, source: str) -> None:
         self.counts.setdefault(rule, {})
@@ -196,17 +194,16 @@ def _sample_fingerprint(sample: ChatSample) -> str:
     return h.hexdigest()
 
 
-def clean_filter(samples: list[ChatSample],
-                 rules: CleaningRules | None = None
+def clean_filter(samples: list[ChatSample], max_seq_len: int | None = 512
                  ) -> tuple[list[ChatSample], RejectionReport]:
     """Normalize text, then drop empty-turn samples, exact duplicates
-    (first occurrence kept) and over-length samples, in that order.
+    (first occurrence kept) and samples that render to more than
+    `max_seq_len` tokens (None keeps every length), in that order.
 
     Rejections are data, not errors; the report counts them per rule and
     source. The whole pass is idempotent.
     """
-    rules = rules or CleaningRules()
-    report = RejectionReport(total_in=len(samples))
+    report = RejectionReport()
     kept: list[ChatSample] = []
     seen: set[str] = set()
     for sample in samples:
@@ -221,12 +218,11 @@ def clean_filter(samples: list[ChatSample],
             report.add("duplicate", sample.source)
             continue
         seen.add(fp)
-        if rules.max_seq_len is not None and rules.max_seq_len < len(
+        if max_seq_len is not None and max_seq_len < len(
                 render_chat([(t.role, t.text) for t in turns]).token_ids):
             report.add("too_long", sample.source)
             continue
         kept.append(cleaned)
-    report.total_kept = len(kept)
     return kept, report
 
 

@@ -77,13 +77,19 @@ def is_number(v, kind=numbers.Real) -> bool:
 
 
 def is_int(v) -> bool:
-    return is_number(v, numbers.Integral)
+    # `type(v) is int` is a fast path: the ABC check costs about 1 us, and
+    # loading a checkpoint asks this of every tensor's offset, length and dims
+    return type(v) is int or is_number(v, numbers.Integral)
+
+
+def is_count(v, lo: int = 0) -> bool:
+    """Whether `v` is an int >= lo; a bool is not a count."""
+    return is_int(v) and v >= lo
 
 
 def count_rule(config, name: str, lo: int) -> tuple[str, str, bool]:
     """The rule that field `name` of `config` is an int >= lo."""
-    v = getattr(config, name)
-    return name, f"an int >= {lo}", is_int(v) and v >= lo
+    return name, f"an int >= {lo}", is_count(getattr(config, name), lo)
 
 
 def check_rules(config, rules) -> None:

@@ -36,14 +36,16 @@ class LoraConfig:
 
     def validate(self) -> "LoraConfig":
         # each rule holds only for a valid value, so NaN fails it, and the
-        # range rules run only on numbers
+        # range rules run only on numbers; a string is not a list of names
+        names = (isinstance(self.targets, (tuple, list)) and bool(self.targets)
+                 and all(isinstance(t, str) for t in self.targets))
         check_rules(self, [
             count_rule(self, "rank", 1),
             ("alpha", "a finite number > 0",
              is_number(self.alpha) and 0 < self.alpha < math.inf),
-            ("targets", "non-empty", bool(self.targets)),
+            ("targets", "a non-empty tuple or list of names", names),
             ("targets", f"a subset of {ALL_TARGETS}",
-             set(self.targets) <= set(ALL_TARGETS)),
+             names and set(self.targets) <= set(ALL_TARGETS)),
             ("dropout_p", "in [0, 1)",
              is_number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0)])
         return self
@@ -58,8 +60,10 @@ class LoraConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LoraConfig":
-        return cls(rank=d["rank"], alpha=d["alpha"],
-                   targets=tuple(d["targets"]),
+        targets = d["targets"]  # a JSON list; any other type fails validate
+        if isinstance(targets, list):
+            targets = tuple(targets)
+        return cls(rank=d["rank"], alpha=d["alpha"], targets=targets,
                    dropout_p=d["dropout_p"]).validate()
 
 

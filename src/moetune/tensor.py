@@ -292,21 +292,19 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     keep = None
     h = x.data
     with np.errstate(over="ignore"):
+        # without dropout both products read one padded copy of x, freed
+        # before the branch's second product; the backward does not keep it
+        tiles = _tiles(x.data)
+        base = _tiled_matmul(x.data, w.data, tiles)
         if rng is not None and p > 0.0:
-            base = _tiled_matmul(x.data, w.data)
+            tiles = None  # the branch reads the dropped-out x
             # keep * factor is 0 or factor, so h and the backward's share
             # have the bits of (x * keep) * factor
             keep = ((rng.random(x.data.shape) >= p).astype(dtype)
                     * dtype.type(1.0 / (1.0 - p)))
             h = x.data * keep
-            ha = _tiled_matmul(h, a.data)
-        else:
-            # both products read one padded copy of x, freed before the
-            # branch's second product; the backward does not keep it
-            tiles = _tiles(x.data)
-            base = _tiled_matmul(x.data, w.data, tiles)
-            ha = _tiled_matmul(x.data, a.data, tiles)
-            del tiles
+        ha = _tiled_matmul(h, a.data, tiles)
+        del tiles
         hab = _tiled_matmul(ha, b.data)
         c = hab.dtype.type(scaling)
         out_data = base + hab * c

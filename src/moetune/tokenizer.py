@@ -34,6 +34,8 @@ SPECIAL_NAMES = {
 }
 
 _NL = list("\n".encode("utf-8"))
+# the roles whose turns render unmasked as marker, newline, text, newline
+_PROMPT_MARKERS = {"system": SYSTEM_ID, "user": USER_ID}
 
 
 def encode_text(text: str) -> list[int]:
@@ -86,14 +88,10 @@ def render_chat(turns: list[tuple[str, str]]) -> TokenizedSample:
     ids: list[int] = [BOS_ID]
     mask: list[int] = [0]
     for role, text in turns:
-        if role == "system":
-            if not text:
+        if role in _PROMPT_MARKERS:
+            if role == "system" and not text:
                 continue
-            piece = [SYSTEM_ID] + _NL + encode_text(text) + _NL
-            ids += piece
-            mask += [0] * len(piece)
-        elif role == "user":
-            piece = [USER_ID] + _NL + encode_text(text) + _NL
+            piece = [_PROMPT_MARKERS[role]] + _NL + encode_text(text) + _NL
             ids += piece
             mask += [0] * len(piece)
         elif role == "assistant":

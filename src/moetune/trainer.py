@@ -16,7 +16,7 @@ they fix which samples each step takes.
 
 from __future__ import annotations
 
-import csv
+import json
 import math
 import os
 from dataclasses import dataclass, asdict
@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     check_rules, count_rule, is_int, is_number)
+                     check_rules, count_rule, is_count, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam
@@ -62,8 +62,8 @@ class TrainConfig:
             count_rule(self, "grad_accum_steps", 1),
             ("schedule", "'constant' or 'cosine'",
              self.schedule in ("constant", "cosine")),
-            ("max_steps", "None or an int >= 1", self.max_steps is None
-             or is_int(self.max_steps) and self.max_steps >= 1),
+            ("max_steps", "None or an int >= 1",
+             self.max_steps is None or is_count(self.max_steps, 1)),
             ("max_grad_norm", "a number > 0",
              is_number(self.max_grad_norm) and self.max_grad_norm > 0),
             count_rule(self, "warmup_steps", 0),
@@ -92,12 +92,12 @@ class LossLogRow:
 
 
 def write_loss_log(rows: list[LossLogRow], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "epoch", "loss", "lr", "grad_norm", "clipped"])
+    """Write the step log as JSONL: one JSON object per row, keyed by the
+    fields of LossLogRow. Floats are written with repr, so they read back
+    exactly."""
+    with open(path, "w", encoding="utf-8") as f:
         for r in rows:
-            writer.writerow([r.step, r.epoch, repr(r.loss), r.lr,
-                             repr(r.grad_norm), r.clipped])
+            f.write(json.dumps(asdict(r)) + "\n")
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -266,7 +266,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             maybe_save(f"ckpt_step{state.step}.bin")
     maybe_save("ckpt_final.bin")
     if out_dir is not None:
-        write_loss_log(log, os.path.join(out_dir, "loss_log.csv"))
+        write_loss_log(log, os.path.join(out_dir, "loss_log.jsonl"))
     return state, log
 
 
@@ -297,34 +297,36 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
 
 
 def generate(model: DecoderModel, prompt_tokens, max_new: int,
-             mode: str = "greedy", temperature: float = 1.0,
-             top_p: float = 0.9, seed: int = 0,
+             temperature: float = 0.0, top_p: float = 1.0, seed: int = 0,
              stop_id: int = EOT_ID) -> list[int]:
-    """Autoregressive decoding; stops at <eot> or after max_new tokens.
+    """Autoregressive decoding; stops at `stop_id` or after max_new tokens.
 
     One forward over the prompt fills a key/value cache and gives the first
     token's logits; every further token runs as a single row against that
     cache. The logits are bitwise equal to the last row of a forward over
     the whole prefix, so the tokens are those a full-prefix loop would pick.
-    greedy is deterministic (ties pick the lowest id); temperature sampling
-    converges to greedy as temperature approaches 0. A temperature below 0
-    or NaN, a top_p outside [0, 1], or a max_new or seed that is not an
-    int >= 0 is a ConfigError.
+
+    One sampling rule: temperature 0 is greedy (ties pick the lowest id).
+    Above 0 the token is drawn, from a generator seeded with `seed`, out of
+    softmax(logits / max(temperature, 1e-8)); a top_p below 1 first cuts
+    that distribution to its nucleus, the most probable tokens whose mass
+    reaches top_p (Holtzman et al., arXiv 1904.09751), renormalized. A
+    temperature below 0 or NaN, a top_p outside [0, 1], or a max_new or
+    seed that is not an int >= 0 is a ConfigError, raised before any
+    forward.
     """
     prompt = [int(t) for t in prompt_tokens]
-    if not (is_int(max_new) and max_new >= 0):
+    if not is_count(max_new):
         raise ConfigError(f"max_new must be an int >= 0, got {max_new!r}")
     if len(prompt) + max_new > model.config.max_seq_len:
         raise LengthError(
             f"prompt {len(prompt)} + max_new {max_new} exceeds "
             f"max_seq_len {model.config.max_seq_len}")
-    if mode not in ("greedy", "temperature", "top_p"):
-        raise ConfigError(f"unknown decode mode {mode!r}")
     if not (is_number(temperature) and temperature >= 0):  # NaN fails it
         raise ConfigError(f"temperature must be >= 0, got {temperature!r}")
     if not (is_number(top_p) and 0 <= top_p <= 1):
         raise ConfigError(f"top_p must be in [0, 1], got {top_p!r}")
-    if not (is_int(seed) and seed >= 0):
+    if not is_count(seed):
         raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     cache = KVCache()
@@ -332,20 +334,17 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     out: list[int] = []
     while len(out) < max_new:
         logits = model.forward(step_ids, cache=cache).data[-1]
-        if mode == "greedy":
+        if temperature == 0:
             nxt = int(np.argmax(logits))
-        elif mode == "temperature":
-            tau = max(temperature, 1e-8)
-            probs = _softmax64(logits / tau)
-            nxt = int(rng.choice(len(probs), p=probs))
-        else:  # top_p (nucleus) at temperature 1
-            probs = _softmax64(logits)
-            order = np.argsort(-probs, kind="stable")
-            csum = np.cumsum(probs[order])
-            cut = int(np.searchsorted(csum, top_p) + 1)
-            keep = order[:cut]
-            kp = probs[keep] / probs[keep].sum()
-            nxt = int(rng.choice(keep, p=kp))
+        else:
+            probs = _softmax64(logits / max(temperature, 1e-8))
+            keep = np.arange(len(probs))
+            if top_p < 1:
+                order = np.argsort(-probs, kind="stable")
+                cut = int(np.searchsorted(np.cumsum(probs[order]), top_p) + 1)
+                keep = order[:cut]
+                probs = probs[keep] / probs[keep].sum()
+            nxt = int(rng.choice(keep, p=probs))
         out.append(nxt)
         if nxt == stop_id:
             break

@@ -18,7 +18,6 @@ ENTRY_POINTS = {
     "data.IngestResult": "what the ingest functions return",
     "data.ingest_alpaca": "pipeline entry: Alpaca-style JSON",
     "data.ingest_sharegpt": "pipeline entry: ShareGPT-style JSON",
-    "data.CleaningRules": "clean_filter's settings",
     "data.RejectionReport": "what clean_filter returns besides the samples",
     "data.clean_filter": "pipeline entry: normalize, dedupe, length-filter",
     "data.tokenize_corpus": "pipeline entry: samples to training tokens",
@@ -40,8 +39,8 @@ ENTRY_POINTS = {
     "tokenizer.render_prompt": "builds a generate prompt from a chat",
     "trainer.TrainConfig": "train's settings",
     "trainer.LossLogRow": "one row of train's loss log",
-    "trainer.write_loss_log": "train's CSV log, until a JSONL step log "
-                              "replaces it",
+    "trainer.write_loss_log": "train's JSONL step log, one LossLogRow "
+                              "per line",
     "trainer.batch_loss": "train's loss of one micro-batch",
     "trainer.train": "runs SFT",
     "trainer.generate": "decodes from a tuned model",

@@ -8,14 +8,13 @@ import pytest
 from moetune import tokenizer as tok
 from moetune.data import (
     ChatSample,
-    CleaningRules,
     Turn,
     clean_filter,
     ingest_alpaca,
     ingest_sharegpt,
     tokenize_corpus,
 )
-from moetune.errors import DimensionError, ParseError, RecordError
+from moetune.errors import DimensionError, ParseError, RecordError, VocabError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +82,17 @@ def test_alpaca_malformed_json(tmp_path):
     with pytest.raises(ParseError):
         ingest_alpaca(p)
     result = ingest_alpaca(p, lenient=True)
+    assert result.samples == [] and result.skipped == 1
+
+
+@pytest.mark.parametrize("ingest", [ingest_alpaca, ingest_sharegpt])
+def test_non_array_file_strict_vs_lenient(tmp_path, ingest):
+    p = tmp_path / "obj.json"
+    p.write_text(json.dumps({"instruction": "x", "output": "y"}),
+                 encoding="utf-8")
+    with pytest.raises(ParseError, match="top-level JSON array"):
+        ingest(p)
+    result = ingest(p, lenient=True)
     assert result.samples == [] and result.skipped == 1
 
 
@@ -165,28 +175,28 @@ def sample_of(*pairs, source="alpaca_zh"):
 def test_duplicate_dropped_first_kept():
     a = sample_of(("user", "你好"), ("assistant", "回答"))
     b = sample_of(("user", "你好"), ("assistant", "回答"))
-    kept, report = clean_filter([a, b], CleaningRules(max_seq_len=None))
+    kept, report = clean_filter([a, b], max_seq_len=None)
     assert len(kept) == 1
     assert report.counts["duplicate"]["alpaca_zh"] == 1
 
 
 def test_empty_turn_rejected():
     s = sample_of(("user", "问题"), ("assistant", "   "))
-    kept, report = clean_filter([s], CleaningRules(max_seq_len=None))
+    kept, report = clean_filter([s], max_seq_len=None)
     assert kept == []
     assert report.counts["empty_turn"]["alpaca_zh"] == 1
 
 
 def test_control_characters_stripped():
     s = sample_of(("user", "\x00问\x07题\x1b"), ("assistant", "答\t案\n第二行"))
-    kept, _ = clean_filter([s], CleaningRules(max_seq_len=None))
+    kept, _ = clean_filter([s], max_seq_len=None)
     assert kept[0].turns[0].text == "问题"
     assert kept[0].turns[1].text == "答\t案\n第二行"
 
 
 def test_too_long_rejected():
     s = sample_of(("user", "长" * 300), ("assistant", "好"))
-    kept, report = clean_filter([s], CleaningRules(max_seq_len=64))
+    kept, report = clean_filter([s], max_seq_len=64)
     assert kept == []
     assert report.counts["too_long"]["alpaca_zh"] == 1
 
@@ -197,11 +207,11 @@ def test_clean_filter_idempotent():
         sample_of(("user", "你好"), ("assistant", "答案")),  # dup after cleaning
         sample_of(("user", "另一个"), ("assistant", "回复"), source="sharegpt"),
     ]
-    once, _ = clean_filter(samples, CleaningRules(max_seq_len=128))
-    twice, report2 = clean_filter(once, CleaningRules(max_seq_len=128))
+    once, _ = clean_filter(samples, max_seq_len=128)
+    twice, report2 = clean_filter(once, max_seq_len=128)
     assert [(s.source, [(t.role, t.text) for t in s.turns]) for s in once] == \
         [(s.source, [(t.role, t.text) for t in s.turns]) for s in twice]
-    assert report2.total_in == report2.total_kept
+    assert report2.counts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,11 @@ def test_render_round_trip_lossless():
     assert tok.decode_tokens(ts.token_ids) == (
         "<bos><|system|>\n你是助手\n<|user|>\n写诗\n"
         "<|assistant|>\n春眠不觉晓<eot>\n")
+
+
+def test_unknown_role_raises():
+    with pytest.raises(VocabError, match="unknown role"):
+        tok.render_chat([("user", "a"), ("tool", "b"), ("assistant", "c")])
 
 
 def test_tokenized_sample_rejects_mask_length_mismatch():

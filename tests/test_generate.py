@@ -33,24 +33,26 @@ def softmax64(logits):
     return e / e.sum()
 
 
-def full_forward_generate(model, prompt, max_new, mode="greedy",
-                          temperature=1.0, top_p=0.9, seed=0, stop_id=NEVER):
-    """Reference: one forward over the whole prefix per new token."""
+def full_forward_generate(model, prompt, max_new, temperature=0.0,
+                          top_p=1.0, seed=0, stop_id=NEVER):
+    """Reference: one forward over the whole prefix per new token; greedy at
+    temperature 0, else a draw from the temperature-scaled softmax, cut to
+    its top_p nucleus when top_p < 1."""
     rng = np.random.default_rng(seed)
     ids, out = list(prompt), []
     for _ in range(max_new):
         logits = model.forward(ids).data[-1]
-        if mode == "greedy":
+        if temperature == 0:
             nxt = int(np.argmax(logits))
-        elif mode == "temperature":
-            probs = softmax64(logits / max(temperature, 1e-8))
-            nxt = int(rng.choice(len(probs), p=probs))
         else:
-            probs = softmax64(logits)
-            order = np.argsort(-probs, kind="stable")
-            cut = int(np.searchsorted(np.cumsum(probs[order]), top_p) + 1)
-            keep = order[:cut]
-            nxt = int(rng.choice(keep, p=probs[keep] / probs[keep].sum()))
+            probs = softmax64(logits / max(temperature, 1e-8))
+            keep = np.arange(len(probs))
+            if top_p < 1:
+                order = np.argsort(-probs, kind="stable")
+                cut = int(np.searchsorted(np.cumsum(probs[order]), top_p) + 1)
+                keep = order[:cut]
+                probs = probs[keep] / probs[keep].sum()
+            nxt = int(rng.choice(keep, p=probs))
         ids.append(nxt)
         out.append(nxt)
         if nxt == stop_id:
@@ -58,15 +60,17 @@ def full_forward_generate(model, prompt, max_new, mode="greedy",
     return out
 
 
-@pytest.mark.parametrize("mode, kwargs", [
-    ("greedy", {}),
-    ("temperature", {"temperature": 0.7, "seed": 3}),
-    ("top_p", {"top_p": 0.8, "seed": 4}),
+@pytest.mark.parametrize("case, kwargs", [
+    ("greedy", {"temperature": 0.0, "top_p": 1.0}),
+    ("temperature", {"temperature": 0.7, "top_p": 1.0, "seed": 3}),
+    ("top_p", {"temperature": 1.0, "top_p": 0.8, "seed": 4}),
+    # a nucleus of the temperature-scaled distribution
+    ("temperature_top_p", {"temperature": 0.7, "top_p": 0.8, "seed": 5}),
 ])
-def test_matches_full_forward_reference(model, mode, kwargs):
-    got = generate(model, PROMPT, 20, mode=mode, stop_id=NEVER, **kwargs)
+def test_matches_full_forward_reference(model, case, kwargs):
+    got = generate(model, PROMPT, 20, stop_id=NEVER, **kwargs)
     assert len(got) == 20
-    assert got == full_forward_generate(model, PROMPT, 20, mode=mode, **kwargs)
+    assert got == full_forward_generate(model, PROMPT, 20, **kwargs)
 
 
 def test_greedy_is_deterministic(model):
@@ -87,26 +91,21 @@ def test_prompt_plus_max_new_over_max_seq_len(model):
         generate(model, PROMPT, 49 - len(PROMPT))
 
 
-def test_unknown_mode(model):
-    with pytest.raises(ConfigError):
-        generate(model, PROMPT, 4, mode="beam")
-
-
 def test_negative_max_new(model):
     with pytest.raises(ConfigError):
         generate(model, PROMPT, -1)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"mode": "temperature", "temperature": math.nan},
-    {"mode": "temperature", "temperature": -0.5},
-    {"mode": "top_p", "top_p": math.nan},
-    {"mode": "top_p", "top_p": -1.0},
-    {"mode": "top_p", "top_p": 1.5},
+    {"temperature": math.nan},
+    {"temperature": -0.5},
+    {"top_p": math.nan},
+    {"top_p": -1.0},
+    {"top_p": 1.5},
     {"temperature": "0.7"},
     {"max_new": 1.5},
     {"max_new": True},
-    {"mode": "top_p", "seed": -1}])
+    {"temperature": 1.0, "seed": -1}])
 def test_bad_decode_arguments_raise_before_the_first_forward(
         model, monkeypatch, kwargs):
     def forward(*args, **kw):
@@ -119,5 +118,8 @@ def test_bad_decode_arguments_raise_before_the_first_forward(
 
 def test_temperature_zero_is_greedy(model):
     greedy = generate(model, PROMPT, 12, stop_id=NEVER)
-    assert generate(model, PROMPT, 12, mode="temperature", temperature=0.0,
+    assert generate(model, PROMPT, 12, temperature=0.0,
+                    stop_id=NEVER) == greedy
+    # a temperature below the 1e-8 floor samples from a one-hot distribution
+    assert generate(model, PROMPT, 12, temperature=1e-12,
                     stop_id=NEVER) == greedy

@@ -134,6 +134,21 @@ def test_config_validation():
             LoraConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("targets", ["qkv", "gate", 5, ("q", 5), [["q"]]])
+def test_targets_must_be_a_tuple_or_list_of_names(targets):
+    # a string would be read as its letters, and an int is not iterable
+    rule = "targets must be a non-empty tuple or list of names"
+    with pytest.raises(ConfigError, match=rule):
+        LoraConfig(targets=targets).validate()
+    with pytest.raises(ConfigError, match=rule):
+        LoraConfig.from_dict({**LoraConfig().to_dict(), "targets": targets})
+
+
+def test_targets_as_list_validates_and_round_trips():
+    cfg = LoraConfig(targets=["q", "down"]).validate()
+    assert LoraConfig.from_dict(cfg.to_dict()).targets == ("q", "down")
+
+
 # ---------------------------------------------------------------------------
 # model-level behaviour
 

@@ -1,9 +1,9 @@
 """SFT loop: checkpoints it writes load back, resume is bit-exact, and the
 accumulation and schedule knobs do what they claim."""
 
-import csv
 import dataclasses
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -253,10 +253,11 @@ def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
     _, log = train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
     assert len(log) == 3
     assert all(r.clipped is clipped and r.grad_norm > 1e-6 for r in log)
-    with open(tmp_path / "loss_log.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
-    assert [float(r["grad_norm"]) for r in rows] == [r.grad_norm for r in log]
-    assert [r["clipped"] for r in rows] == [str(clipped)] * 3
+    with open(tmp_path / "loss_log.jsonl", encoding="utf-8") as f:
+        rows = [json.loads(line) for line in f]
+    assert rows == [dataclasses.asdict(r) for r in log]
+    assert [r["grad_norm"] for r in rows] == [r.grad_norm for r in log]
+    assert all(r["clipped"] is clipped for r in rows)
 
 
 @pytest.mark.parametrize("batch_size, accum", [(2, 2), (1, 4)])
