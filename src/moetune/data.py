@@ -15,7 +15,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-from .errors import ParseError, RecordError
+from .errors import ConfigError, ParseError, RecordError, is_count
 from .tokenizer import TokenizedSample, render_chat
 
 
@@ -69,9 +69,11 @@ def _ingest(path, source: str, lenient: bool, turns_of) -> IngestResult:
 
     `turns_of(rec, where)` parses one record of the file's JSON array into
     turns, or raises RecordError. A turn list that is empty or breaks the
-    ChatSample role order is a RecordError too. Strict mode raises every
-    error; lenient mode counts each bad record as skipped, and a file that
-    is not a JSON array as one skipped record.
+    ChatSample role order is a RecordError too, and so is a `category`
+    that is present but not a string; a missing, null or empty one is
+    "unknown". Strict mode raises every error; lenient mode counts each
+    bad record as skipped, and a file that is not a JSON array as one
+    skipped record.
     """
     try:
         data = _load_json_array(path)
@@ -85,8 +87,11 @@ def _ingest(path, source: str, lenient: bool, turns_of) -> IngestResult:
         where = f"{path}[{idx}]"
         try:
             turns = turns_of(rec, where)  # a RecordError unless rec is a dict
+            category = rec.get("category")
+            if category is not None and not isinstance(category, str):
+                raise RecordError(f"{where}: category must be a string")
             sample = ChatSample(turns=turns, source=source,
-                                category=rec.get("category") or "unknown")
+                                category=category or "unknown")
             if not sample.turns or not sample.is_valid():
                 raise RecordError(f"{where}: roles do not alternate")
             samples.append(sample)
@@ -194,15 +199,19 @@ def _sample_fingerprint(sample: ChatSample) -> str:
     return h.hexdigest()
 
 
-def clean_filter(samples: list[ChatSample], max_seq_len: int | None = 512
+def clean_filter(samples: list[ChatSample], max_seq_len: int = 512
                  ) -> tuple[list[ChatSample], RejectionReport]:
     """Normalize text, then drop empty-turn samples, exact duplicates
     (first occurrence kept) and samples that render to more than
-    `max_seq_len` tokens (None keeps every length), in that order.
+    `max_seq_len` tokens, in that order.
 
     Rejections are data, not errors; the report counts them per rule and
-    source. The whole pass is idempotent.
+    source. The whole pass is idempotent. A max_seq_len that is not an
+    int >= 1 is a ConfigError.
     """
+    if not is_count(max_seq_len, 1):
+        raise ConfigError(
+            f"max_seq_len must be an int >= 1, got {max_seq_len!r}")
     report = RejectionReport()
     kept: list[ChatSample] = []
     seen: set[str] = set()
@@ -218,7 +227,7 @@ def clean_filter(samples: list[ChatSample], max_seq_len: int | None = 512
             report.add("duplicate", sample.source)
             continue
         seen.add(fp)
-        if max_seq_len is not None and max_seq_len < len(
+        if max_seq_len < len(
                 render_chat([(t.role, t.text) for t in turns]).token_ids):
             report.add("too_long", sample.source)
             continue

@@ -194,16 +194,14 @@ def _zeros_flat(n: int) -> QuantizedMatrix:
         _n_blocks(n, DEFAULT_BLOCK_SIZE), dtype=np.float32))
 
 
-def _check_lr(lr: float) -> float:
-    if not 0 <= lr < math.inf:  # NaN fails it too
-        raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
-    return lr
-
-
 def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
                                 QuantizedOptimState]],
-               lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """One Adam step for every (name, param, grad, state) in `live`.
+               lr: float, beta1: float, beta2: float, eps: float,
+               max_norm: float) -> float:
+    """One Adam step for every (name, param, grad, state) in `live`, on the
+    gradients scaled by f32(max_norm / (norm + 1e-6)) when their global
+    norm, the sum of each segment's f64 sum of squares in `live` order,
+    exceeds `max_norm`; returns that norm. The grads in `live` stay as given.
 
     The segments are laid end to end in one flat buffer of whole blocks,
     each padded to a multiple of the block size (and of 2, so that every
@@ -256,6 +254,14 @@ def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
     if not finite.all():
         raise NumericError(f"4-bit Adam: non-finite gradient for "
                            f"{_first_false(finite, live, offsets)}")
+    # f32 squares are exact in f64; each segment's sum skips its pad
+    squares = np.square(g.reshape(-1), dtype=np.float64)
+    norm = 0.0
+    for (_, param, _, _), lo in zip(live, offsets):
+        norm += float(squares[lo:lo + param.size].sum())
+    norm = math.sqrt(norm)
+    if norm > max_norm:
+        g *= np.float32(max_norm / (norm + 1e-6))
     m, v = (dequantize(QuantizedMatrix(1, end, bs, np.concatenate(codes),
                                        np.concatenate(scales))).reshape(-1, bs)
             for codes, scales in ((m_codes, m_scales), (v_codes, v_scales)))
@@ -301,6 +307,7 @@ def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
         st.m = QuantizedMatrix(1, n, bs, mq[nbytes], ms[nblocks])
         st.v = QuantizedMatrix(1, n, bs, vq[nbytes], vs[nblocks])
         st.step += 1
+    return norm
 
 
 def _first_false(finite: np.ndarray, live, offsets) -> str:
@@ -315,21 +322,21 @@ class QuantizedAdam:
     """Adam over named f32 tensors with 4-bit moment storage.
 
     `state` maps each name to its own QuantizedOptimState. `step` runs one
-    pass over the parameters that have a gradient (see _adam_pass): each is
-    a segment of one flat buffer, padded to whole blocks, and its new
-    moments are views of that pass's codes and scales. A parameter without
-    a gradient keeps its value, moments (views of the last pass that
-    updated it) and step count; its next update bias-corrects with its own
-    count. Values, codes and scales are bitwise those of a loop that, per
+    pass over the parameters that have a gradient (see _adam_pass): it
+    clips their gradients to one global norm, and each is a segment of one
+    flat buffer, padded to whole blocks, whose new moments are views of
+    that pass's codes and scales. A parameter without a gradient keeps its
+    value, moments (views of the last pass that updated it) and step count;
+    its next update bias-corrects with its own count. Values, codes and
+    scales are bitwise those of a loop that clips the gradients, then, per
     parameter, dequantizes both moments, updates the param and requantizes
     the moments. An lr that is not a finite number >= 0 is a ConfigError,
     a non-finite gradient or moment a NumericError that changes nothing.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.lr = _check_lr(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -338,10 +345,13 @@ class QuantizedAdam:
             for name, t in params.items()
         }
 
-    def step(self, lr: float | None = None) -> None:
-        """Apply one update to every parameter that has a gradient."""
-        use_lr = self.lr if lr is None else _check_lr(lr)
+    def step(self, lr: float, max_norm: float = math.inf) -> float:
+        """Apply one update at `lr` to every parameter that has a gradient,
+        clipped to a global norm of `max_norm`; returns the norm before
+        clipping (0.0 when no parameter has a gradient)."""
+        if not 0 <= lr < math.inf:  # NaN fails it too
+            raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
         live = [(name, t.data, t.grad, self.state[name])
                 for name, t in self.params.items() if t.grad is not None]
-        if live:
-            _adam_pass(live, use_lr, self.beta1, self.beta2, self.eps)
+        return (_adam_pass(live, lr, self.beta1, self.beta2, self.eps,
+                           max_norm) if live else 0.0)

@@ -3,9 +3,11 @@
 Each epoch shuffles the corpus with a seed derived from (seed, epoch), so
 resuming mid-epoch reproduces the exact batch order. Loss is the mean over
 per-sample masked cross entropies; gradient accumulation averages micro
-losses, so batch 8 and batch 2 x accum 4 see the same objective. Dropout
-draws from a generator keyed by (seed, step, micro), independent of when
-the process started.
+losses, so batch 8 and batch 2 x accum 4 see the same objective. Each
+micro-batch's tape is freed by its own backward, seeded with 1 / accum,
+before the next micro-batch's forward, so accumulation holds one
+micro-batch's activations at a time. Dropout draws from a generator keyed
+by (seed, step, micro), independent of when the process started.
 
 A run's position lives in its TrainState: after a step, `epoch` is the
 epoch the step ran in and `cursor` the steps done in it. An epoch that ends
@@ -118,28 +120,6 @@ def _lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     return cfg.lr
 
 
-def _clip_gradients(params: dict, max_norm: float) -> float:
-    """Scale the gradients to a global norm of at most max_norm; returns the
-    norm they had before. A non-finite gradient raises NumericError naming
-    the first parameter that has one, and scales nothing."""
-    total = 0.0
-    for t in params.values():
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
-    total = math.sqrt(total)
-    if not math.isfinite(total):
-        # f32 squares cannot overflow an f64 sum, so some gradient is not finite
-        name = next(n for n, t in params.items() if t.grad is not None
-                    and not np.isfinite(t.grad).all())
-        raise NumericError(f"non-finite gradient for {name}")
-    if total > max_norm:
-        factor = np.float32(max_norm / (total + 1e-6))
-        for t in params.values():
-            if t.grad is not None:
-                t.grad *= factor
-    return total
-
-
 def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
                rng: np.random.Generator | None):
     """Mean per-sample masked CE over a batch padded to its max length;
@@ -187,8 +167,11 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     Every sample needs a target: at least 2 tokens and a non-zero
     loss_mask[1:], or ConfigError is raised before the first step; a
     sample longer than max_seq_len + 1 tokens raises LengthError there.
-    A non-finite loss or gradient, or a NumericError from the step's
-    forward or backward, raises TrainingAborted with the step index.
+    The optimizer step clips the gradients to cfg.max_grad_norm (`.grad`
+    keeps them unclipped) and gives the log its norm before clipping. A
+    non-finite loss or gradient, or a NumericError from the step's forward,
+    backward or optimizer, raises TrainingAborted with the step index and
+    leaves the parameters, moments and state as the last step left them.
     """
     cfg.validate()
     if lora_config is not None:
@@ -218,7 +201,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
 
-    optimizer = QuantizedAdam(trainable, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = QuantizedAdam(trainable, cfg.beta1, cfg.beta2, cfg.eps)
     state = TrainState(model=model, train_config=cfg.to_dict(),
                        optim_state=optimizer.state)
     if resume is not None:
@@ -239,27 +222,24 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             break
         for t in trainable.values():
             t.grad = None
+        lr_t = _lr_at(cfg, state.step + 1, total_steps)
         try:
-            total = None
+            loss_sum = None  # f32, summed in micro order
             for micro_idx, micro in enumerate(chunk):
                 rng = np.random.default_rng([cfg.seed, state.step, micro_idx])
                 loss = batch_loss(model, [corpus[i] for i in micro], rng)
-                total = loss if total is None else tz.add(total, loss)
-            step_loss = tz.scale(total, 1.0 / len(chunk))
-            loss_value = float(step_loss.data)
-            if not math.isfinite(loss_value):
-                raise TrainingAborted(
-                    state.step, f"non-finite loss at step {state.step}")
-            step_loss.backward()
-            # the tape holds every intermediate and its gradient; free it
-            # before clipping and the optimizer allocate their own buffers
-            del total, loss, step_loss
-            grad_norm = _clip_gradients(trainable, cfg.max_grad_norm)
+                loss_sum = (loss.data if loss_sum is None
+                            else loss_sum + loss.data)
+                if not math.isfinite(loss_sum):
+                    raise TrainingAborted(
+                        state.step, f"non-finite loss at step {state.step}")
+                tz.scale(loss, 1.0 / len(chunk)).backward()
+                del loss  # the last reference to this micro-batch's tape
+            loss_value = float(loss_sum * np.float32(1 / len(chunk)))
+            grad_norm = optimizer.step(lr_t, cfg.max_grad_norm)
         except NumericError as e:
             raise TrainingAborted(state.step, f"step {state.step}: {e}") from e
         state.step, state.epoch, state.cursor = state.step + 1, epoch, cursor
-        lr_t = _lr_at(cfg, state.step, total_steps)
-        optimizer.step(lr_t)
         log.append(LossLogRow(state.step, epoch, loss_value, lr_t,
                               grad_norm, grad_norm > cfg.max_grad_norm))
         if state.step % cfg.save_every == 0:

@@ -14,7 +14,8 @@ from moetune.data import (
     ingest_sharegpt,
     tokenize_corpus,
 )
-from moetune.errors import DimensionError, ParseError, RecordError, VocabError
+from moetune.errors import (ConfigError, DimensionError, ParseError,
+                             RecordError, VocabError)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -164,6 +165,40 @@ def test_sharegpt_malformed_conversations_strict_vs_lenient(tmp_path,
     assert len(result.samples) == 1 and result.skipped == 1
 
 
+MISSING = object()
+
+
+def ingest_with_categories(tmp_path, fmt, categories, lenient=False):
+    """Ingest one valid record of format `fmt` per entry of `categories`,
+    with that `category` field, or none for the MISSING entry."""
+    ingest, body = {
+        "alpaca": (ingest_alpaca, {"instruction": "x", "output": "y"}),
+        "sharegpt": (ingest_sharegpt, {"conversations": GOOD_CONVERSATION}),
+    }[fmt]
+    records = [body if c is MISSING else dict(body, category=c)
+               for c in categories]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(records), encoding="utf-8")
+    return ingest(p, lenient=lenient)
+
+
+@pytest.mark.parametrize("fmt", ["alpaca", "sharegpt"])
+@pytest.mark.parametrize("category", [["a", 1], 5, 0, False, {}])
+def test_non_string_category_strict_vs_lenient(tmp_path, fmt, category):
+    with pytest.raises(RecordError, match=r"\[1\].*category"):
+        ingest_with_categories(tmp_path, fmt, ["qa", category])
+    result = ingest_with_categories(tmp_path, fmt, ["qa", category],
+                                    lenient=True)
+    assert [s.category for s in result.samples] == ["qa"]
+    assert result.skipped == 1
+
+
+@pytest.mark.parametrize("fmt", ["alpaca", "sharegpt"])
+def test_missing_null_or_empty_category_is_unknown(tmp_path, fmt):
+    result = ingest_with_categories(tmp_path, fmt, [MISSING, None, ""])
+    assert [s.category for s in result.samples] == ["unknown"] * 3
+
+
 # ---------------------------------------------------------------------------
 # cleaning
 
@@ -175,21 +210,21 @@ def sample_of(*pairs, source="alpaca_zh"):
 def test_duplicate_dropped_first_kept():
     a = sample_of(("user", "你好"), ("assistant", "回答"))
     b = sample_of(("user", "你好"), ("assistant", "回答"))
-    kept, report = clean_filter([a, b], max_seq_len=None)
+    kept, report = clean_filter([a, b], max_seq_len=64)
     assert len(kept) == 1
     assert report.counts["duplicate"]["alpaca_zh"] == 1
 
 
 def test_empty_turn_rejected():
     s = sample_of(("user", "问题"), ("assistant", "   "))
-    kept, report = clean_filter([s], max_seq_len=None)
+    kept, report = clean_filter([s], max_seq_len=64)
     assert kept == []
     assert report.counts["empty_turn"]["alpaca_zh"] == 1
 
 
 def test_control_characters_stripped():
     s = sample_of(("user", "\x00问\x07题\x1b"), ("assistant", "答\t案\n第二行"))
-    kept, _ = clean_filter([s], max_seq_len=None)
+    kept, _ = clean_filter([s], max_seq_len=64)
     assert kept[0].turns[0].text == "问题"
     assert kept[0].turns[1].text == "答\t案\n第二行"
 
@@ -199,6 +234,13 @@ def test_too_long_rejected():
     kept, report = clean_filter([s], max_seq_len=64)
     assert kept == []
     assert report.counts["too_long"]["alpaca_zh"] == 1
+
+
+@pytest.mark.parametrize("max_seq_len", ["512", -1, 0, 2.5, None, True])
+def test_clean_filter_rejects_a_max_seq_len_that_is_not_a_count(max_seq_len):
+    s = sample_of(("user", "问题"), ("assistant", "回答"))
+    with pytest.raises(ConfigError, match="max_seq_len"):
+        clean_filter([s], max_seq_len=max_seq_len)
 
 
 def test_clean_filter_idempotent():

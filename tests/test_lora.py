@@ -244,7 +244,7 @@ def test_frozen_weights_bitwise_constant_under_training():
     frozen_before = {n: t.data.copy() for n, t in model.named_parameters().items()
                      if not t.requires_grad}
     trainable = model.trainable_parameters()
-    opt = QuantizedAdam(trainable, lr=0.05)
+    opt = QuantizedAdam(trainable)
     rng = np.random.default_rng(13)
     for _ in range(10):
         ids = rng.integers(0, 280, 6)
@@ -255,7 +255,7 @@ def test_frozen_weights_bitwise_constant_under_training():
         for t in trainable.values():
             t.grad = None
         loss.backward()
-        opt.step()
+        opt.step(0.05)
     for name, before in frozen_before.items():
         t = model.named_parameters()[name]
         assert np.array_equal(t.data, before), f"{name} drifted"

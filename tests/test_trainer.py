@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from moetune import quant
+from moetune import quant, trainer
 from moetune import tensor as tz
 from moetune.checkpoint import load_checkpoint
 from moetune.errors import ConfigError, LengthError, NumericError, TrainingAborted
@@ -216,9 +216,10 @@ def test_nonfinite_gradient_aborts_and_names_the_parameter(monkeypatch):
     snapshots = []
     real_step = quant.QuantizedAdam.step
 
-    def step(self, lr=None):
-        real_step(self, lr)
+    def step(self, *args):
+        norm = real_step(self, *args)
         snapshots.append({n: t.data.copy() for n, t in trainable.items()})
+        return norm
 
     monkeypatch.setattr(quant.QuantizedAdam, "step", step)
     with warnings.catch_warnings():
@@ -234,18 +235,32 @@ def test_nonfinite_gradient_aborts_and_names_the_parameter(monkeypatch):
 
 
 def test_step_tape_is_released_before_the_optimizer_runs(monkeypatch):
-    # only op outputs have parents: none may be alive once backward is done
-    alive = []
-    real_step = quant.QuantizedAdam.step
+    # only op outputs have parents: none may be alive once a backward is
+    # done, so none when a micro-batch's forward starts or the optimizer runs
+    def tape_tensors():
+        return sum(isinstance(o, tz.Tensor) and bool(o._parents)
+                   for o in gc.get_objects())
 
-    def step(self, lr=None):
-        alive.append(sum(isinstance(o, tz.Tensor) and bool(o._parents)
-                         for o in gc.get_objects()))
-        real_step(self, lr)
+    at_forward, at_step = [], []
+    real_batch_loss, real_step = trainer.batch_loss, quant.QuantizedAdam.step
 
+    def batch_loss(*args):
+        at_forward.append(tape_tensors())
+        return real_batch_loss(*args)
+
+    def step(self, *args):
+        at_step.append(tape_tensors())
+        return real_step(self, *args)
+
+    monkeypatch.setattr(trainer, "batch_loss", batch_loss)
     monkeypatch.setattr(quant.QuantizedAdam, "step", step)
-    train(adapted_model(), CORPUS, TrainConfig(epochs=1, batch_size=2))
-    assert alive == [0, 0, 0]
+    for batch_size, accum in [(2, 1), (1, 2)]:
+        at_forward.clear()
+        at_step.clear()
+        train(adapted_model(), CORPUS, TrainConfig(
+            epochs=1, batch_size=batch_size, grad_accum_steps=accum))
+        assert at_forward == [0] * (len(CORPUS) // batch_size), accum
+        assert at_step == [0, 0, 0], accum
 
 @pytest.mark.parametrize("max_norm, clipped", [(1e-6, True), (1e9, False)])
 def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
