@@ -4,7 +4,8 @@ Every feed-forward block holds `n_experts` SwiGLU experts, each gating its
 up projection with one fused `tensor.swiglu` op; a router picks the `top_k`
 highest-logit experts per token and combines their outputs with softmax
 weights renormalized over the selected set. Attention is shared across
-experts; positions are encoded with rotary embeddings.
+experts; positions are encoded with rotary embeddings, their angles a
+table the model computes once. Each RMSNorm gain is a plain Tensor.
 """
 
 from __future__ import annotations
@@ -98,17 +99,6 @@ class Linear:
         return self.adapter.project(x, self.kernel, rng)
 
 
-class Norm:
-    """RMSNorm with a learned gain."""
-
-    def __init__(self, weight: Tensor, eps: float):
-        self.eps = eps
-        self.weight = weight
-
-    def forward(self, x: Tensor) -> Tensor:
-        return tz.rms_norm(x, self.weight, self.eps)
-
-
 class Expert:
     """SwiGLU FFN: silu(x @ w_gate) * (x @ w_up) @ w_down.
 
@@ -183,8 +173,8 @@ class KVCache:
 
 
 class DecoderLayer:
-    def __init__(self, attn_norm: Norm, wq: Linear, wk: Linear, wv: Linear,
-                 wo: Linear, ffn_norm: Norm, moe: MoELayer):
+    def __init__(self, attn_norm: Tensor, wq: Linear, wk: Linear, wv: Linear,
+                 wo: Linear, ffn_norm: Tensor, moe: MoELayer):
         self.attn_norm = attn_norm
         self.wq = wq
         self.wk = wk
@@ -198,23 +188,31 @@ class DecoderModel:
     """Embedding -> n_layers x (norm, causal attention, norm, MoE) -> logits."""
 
     def __init__(self, config: ModelConfig, embedding: Tensor,
-                 layers: list[DecoderLayer], final_norm: Norm, lm_head: Linear):
+                 layers: list[DecoderLayer], final_norm: Tensor,
+                 lm_head: Linear):
         self.config = config
         self.embedding = embedding
         self.layers = layers
         self.final_norm = final_norm
         self.lm_head = lm_head
+        # rotary angles; row p is position p for every forward
+        self.rope_cos, self.rope_sin = tz.rotary_table(
+            config.max_seq_len, config.d_model // config.n_heads,
+            config.rope_base)
 
     def forward(self, token_ids, rng: np.random.Generator | None = None,
                 cache: KVCache | None = None) -> Tensor:
         """Logits [T, vocab_size] for a token-id sequence.
 
-        With a `cache`, `token_ids` are the next T tokens after the
-        `cache.length` it already holds: they run at positions
-        cache.length .. cache.length + T - 1, attend to the cached keys and
-        values, and are appended to the cache. Causal prefix stability
-        makes the result bitwise equal to the last T rows of a forward over
-        the whole sequence.
+        The ids are ints in [0, vocab_size); a bool or float is a
+        VocabError. They run at positions start .. end - 1, whose rows of
+        the model's rotary table rotate every layer's queries and keys.
+        Without a cache, start is 0. With a `cache`, `token_ids` are the
+        next T tokens after the `cache.length` it already holds: start is
+        cache.length, they attend to the cached keys and values, and are
+        appended to the cache. Causal prefix stability makes the result
+        bitwise equal to the last T rows of a forward over the whole
+        sequence. A cache sized for another model is a ConfigError.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
         from it. A cached forward is inference only: given a generator it
@@ -224,7 +222,7 @@ class DecoderModel:
         Without a cache the forward records the tape whenever a parameter
         requires grad.
         """
-        ids = np.asarray(token_ids, dtype=np.int64)
+        ids = np.asarray(token_ids)
         if ids.ndim != 1:
             raise DimensionError(f"token_ids must be 1-D, got {ids.shape}")
         cfg = self.config
@@ -232,25 +230,33 @@ class DecoderModel:
         end = start + ids.size
         if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
+        kv_shape = (cfg.n_layers, cfg.max_seq_len, cfg.d_model)
+        if cache is not None and cache.keys is not None \
+                and cache.keys.shape != kv_shape:
+            raise ConfigError(f"cache keys {cache.keys.shape} do not fit "
+                              f"this model's {kv_shape}")
         if ids.size == 0:
             raise LengthError("empty token sequence")
         if end > cfg.max_seq_len:
             raise LengthError(
                 f"sequence length {end} > max_seq_len {cfg.max_seq_len}")
+        # np.asarray turns a bool among ints into an int, so a list is
+        # checked element by element
+        if not (ids.dtype.kind in "iu" if isinstance(token_ids, np.ndarray)
+                else all(map(is_int, token_ids))):
+            raise VocabError("token ids must be ints")
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise VocabError(f"token id out of range [0, {cfg.vocab_size})")
 
         if cache is not None and cache.keys is None:
-            cache.keys, cache.values = np.empty(
-                (2, cfg.n_layers, cfg.max_seq_len, cfg.d_model), dtype=tz.DTYPE)
+            cache.keys, cache.values = np.empty((2, *kv_shape), dtype=tz.DTYPE)
+        cos, sin = self.rope_cos[start:end], self.rope_sin[start:end]
         with contextlib.nullcontext() if cache is None else tz.no_tape():
             x = tz.index_rows(self.embedding, ids)
             for i, layer in enumerate(self.layers):
-                h = layer.attn_norm.forward(x)
-                q = tz.rotary(layer.wq.forward(h, rng), cfg.n_heads,
-                              cfg.rope_base, offset=start)
-                k = tz.rotary(layer.wk.forward(h, rng), cfg.n_heads,
-                              cfg.rope_base, offset=start)
+                h = tz.rms_norm(x, layer.attn_norm, cfg.norm_eps)
+                q = tz.rotary(layer.wq.forward(h, rng), cos, sin)
+                k = tz.rotary(layer.wk.forward(h, rng), cos, sin)
                 v = layer.wv.forward(h, rng)
                 if cache is not None:
                     # rows past `length` are unused until a forward completes,
@@ -261,9 +267,9 @@ class DecoderModel:
                     v = Tensor(cache.values[i, :end])
                 attn = tz.causal_attention(q, k, v, cfg.n_heads)
                 x = tz.add(x, layer.wo.forward(attn, rng))
-                h = layer.ffn_norm.forward(x)
+                h = tz.rms_norm(x, layer.ffn_norm, cfg.norm_eps)
                 x = tz.add(x, moe_forward(h, layer.moe, rng))
-            x = self.final_norm.forward(x)
+            x = tz.rms_norm(x, self.final_norm, cfg.norm_eps)
             logits = self.lm_head.forward(x, rng)
         if cache is not None:
             cache.length = end
@@ -287,9 +293,8 @@ class DecoderModel:
         """All f32 tensors by name (quantized kernels are excluded)."""
         params: dict[str, Tensor] = {"embedding": self.embedding}
         for i, layer in enumerate(self.layers):
-            for norm_name, norm in (("attn_norm", layer.attn_norm),
-                                    ("ffn_norm", layer.ffn_norm)):
-                params[f"layers.{i}.{norm_name}.weight"] = norm.weight
+            params[f"layers.{i}.attn_norm.weight"] = layer.attn_norm
+            params[f"layers.{i}.ffn_norm.weight"] = layer.ffn_norm
             params[f"layers.{i}.moe.router"] = layer.moe.router
         for name, _, lin in self._projections():
             if not lin.is_quantized:
@@ -297,7 +302,7 @@ class DecoderModel:
             if lin.adapter is not None:
                 params[f"{name}.lora_a"] = lin.adapter.a
                 params[f"{name}.lora_b"] = lin.adapter.b
-        params["final_norm.weight"] = self.final_norm.weight
+        params["final_norm.weight"] = self.final_norm
         params["lm_head.weight"] = self.lm_head.kernel
         return params
 
@@ -349,16 +354,13 @@ def build_model(config: ModelConfig, weight) -> DecoderModel:
         return Linear(w if isinstance(w, QuantizedMatrix)
                       else Tensor(w, requires_grad=True))
 
-    def norm(name: str) -> Norm:
-        return Norm(param(f"{name}.weight", (d,)), config.norm_eps)
-
     embedding = param("embedding", (config.vocab_size, d))
     layers = []
     for i in range(config.n_layers):
         pre = f"layers.{i}"
-        attn_norm = norm(f"{pre}.attn_norm")
+        attn_norm = param(f"{pre}.attn_norm.weight", (d,))
         wq, wk, wv, wo = (proj(f"{pre}.attn.w{p}", d, d) for p in "qkvo")
-        ffn_norm = norm(f"{pre}.ffn_norm")
+        ffn_norm = param(f"{pre}.ffn_norm.weight", (d,))
         router = param(f"{pre}.moe.router", (d, config.n_experts))
         experts = [Expert(proj(f"{pre}.moe.experts.{e}.w_gate", d, ff),
                           proj(f"{pre}.moe.experts.{e}.w_up", d, ff),
@@ -366,7 +368,7 @@ def build_model(config: ModelConfig, weight) -> DecoderModel:
                    for e in range(config.n_experts)]
         layers.append(DecoderLayer(attn_norm, wq, wk, wv, wo, ffn_norm,
                                    MoELayer(router, experts, config.top_k)))
-    final_norm = norm("final_norm")
+    final_norm = param("final_norm.weight", (d,))
     lm_head = Linear(param("lm_head.weight", (d, config.vocab_size)))
     return DecoderModel(config, embedding, layers, final_norm, lm_head)
 

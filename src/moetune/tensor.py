@@ -83,7 +83,7 @@ class no_tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if FINITE_CHECKS and not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -516,29 +516,34 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 # Attention kernels
 
 
-def rotary(x: Tensor, n_heads: int, base: float = 10000.0,
-           offset: int = 0) -> Tensor:
+def rotary_table(n_positions: int, head_dim: int,
+                 base: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin), f32 [n_positions, head_dim/2], of the rotary angles.
+
+    Row p, pair i is angle p * base^(-2i/head_dim): one f64 product cast to
+    f32, so a row does not depend on how many rows the table has."""
+    inv_freq = base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
+    angles = np.arange(n_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    return np.cos(angles).astype(DTYPE), np.sin(angles).astype(DTYPE)
+
+
+def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary position embedding applied per head to [T, d].
 
-    Row t sits at position offset + t, so rotary(x[s:], offset=s) equals
-    rotary(x)[s:] bitwise; a decoder with a key/value cache passes the
-    number of cached positions. Within each head, consecutive (even, odd)
-    channel pairs are rotated by angle pos * base^(-2i/head_dim). The
+    `cos` and `sin` are [T, hd/2] rows of `rotary_table`: row t holds the
+    angles of x's row t, so rotating x[s:] by rows s: of a table equals
+    rows s: of rotating x by the whole table, bitwise. The head dim hd is
+    twice the table's width and the head count d / hd. Within each head,
+    consecutive (even, odd) channel pairs are rotated by their angle. The
     transform is orthogonal, so the backward pass applies the inverse
     rotation to the gradient.
     """
     t_len, d = x.data.shape
-    if d % n_heads != 0:
-        raise DimensionError(f"d_model {d} not divisible by n_heads {n_heads}")
-    hd = d // n_heads
-    if hd % 2 != 0:
-        raise DimensionError(f"head_dim {hd} must be even for rotary pairs")
-    inv_freq = base ** (-np.arange(0, hd, 2, dtype=np.float64) / hd)
-    positions = np.arange(offset, offset + t_len, dtype=np.float64)
-    angles = positions[:, None] * inv_freq[None, :]
-    cos = np.cos(angles).astype(x.data.dtype)  # [T, hd/2]
-    sin = np.sin(angles).astype(x.data.dtype)
-
+    hd = 2 * cos.shape[1] if cos.ndim == 2 else 0
+    if not hd or cos.shape[0] != t_len or sin.shape != cos.shape or d % hd:
+        raise DimensionError(
+            f"rotary: x {x.data.shape} vs cos {cos.shape}, sin {sin.shape}")
+    n_heads = d // hd
     xh = x.data.reshape(t_len, n_heads, hd)
     x1 = xh[:, :, 0::2]
     x2 = xh[:, :, 1::2]

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     check_rules, count_rule, is_count, is_number)
+                     check_rules, count_rule, is_count, is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam
@@ -164,9 +164,10 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     moments, step counts and position (see the module docstring).
     `lora_config`, when given, must equal the config of the
     adapters attached to the model, which is what checkpoints record.
-    Every sample needs a target: at least 2 tokens and a non-zero
-    loss_mask[1:], or ConfigError is raised before the first step; a
-    sample longer than max_seq_len + 1 tokens raises LengthError there.
+    Every sample needs a target, at least 2 tokens and a non-zero
+    loss_mask[1:], and a loss_mask of 0s and 1s only, or ConfigError is
+    raised before the first step; a sample longer than max_seq_len + 1
+    tokens raises LengthError there.
     The optimizer step clips the gradients to cfg.max_grad_norm (`.grad`
     keeps them unclipped) and gives the log its norm before clipping. A
     non-finite loss or gradient, or a NumericError from the step's forward,
@@ -189,6 +190,9 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         if len(s.token_ids) < 2 or not any(s.loss_mask[1:]):
             raise ConfigError(f"corpus sample {i} has no target to learn: "
                               "fewer than 2 tokens or loss_mask[1:] all 0")
+        if not set(s.loss_mask) <= {0, 1}:  # a 2 would count a token twice
+            raise ConfigError(f"corpus sample {i} has a loss_mask value "
+                              "other than 0 and 1")
         # the forward reads every token but the last
         if len(s.token_ids) - 1 > model.config.max_seq_len:
             raise LengthError(
@@ -291,11 +295,12 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     softmax(logits / max(temperature, 1e-8)); a top_p below 1 first cuts
     that distribution to its nucleus, the most probable tokens whose mass
     reaches top_p (Holtzman et al., arXiv 1904.09751), renormalized. A
-    temperature below 0 or NaN, a top_p outside [0, 1], or a max_new or
-    seed that is not an int >= 0 is a ConfigError, raised before any
-    forward.
+    temperature below 0 or NaN, a top_p outside [0, 1], a max_new or seed
+    that is not an int >= 0, or a stop_id that is not an int is a
+    ConfigError, raised before any forward. A prompt token that is not an
+    int is a VocabError, raised by the forward.
     """
-    prompt = [int(t) for t in prompt_tokens]
+    prompt = list(prompt_tokens)
     if not is_count(max_new):
         raise ConfigError(f"max_new must be an int >= 0, got {max_new!r}")
     if len(prompt) + max_new > model.config.max_seq_len:
@@ -308,6 +313,8 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
         raise ConfigError(f"top_p must be in [0, 1], got {top_p!r}")
     if not is_count(seed):
         raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+    if not is_int(stop_id):  # any int, since -1 never stops
+        raise ConfigError(f"stop_id must be an int, got {stop_id!r}")
     rng = np.random.default_rng(seed)
     cache = KVCache()
     step_ids = prompt

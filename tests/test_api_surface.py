@@ -25,7 +25,6 @@ ENTRY_POINTS = {
     "lora.LoraPair": "the adapter type a Linear holds",
     "lora.attach_adapters": "adds fresh adapters before tuning",
     "model.Linear": "a projection of the model build_model assembles",
-    "model.Norm": "a norm of the model build_model assembles",
     "model.Expert": "an expert of the model build_model assembles",
     "model.MoELayer": "the MoE block of the model build_model assembles",
     "model.DecoderLayer": "a layer of the model build_model assembles",

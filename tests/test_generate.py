@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moetune.errors import ConfigError, LengthError
+from moetune.errors import ConfigError, LengthError, VocabError
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 from moetune.trainer import generate
@@ -105,7 +105,10 @@ def test_negative_max_new(model):
     {"temperature": "0.7"},
     {"max_new": 1.5},
     {"max_new": True},
-    {"temperature": 1.0, "seed": -1}])
+    {"temperature": 1.0, "seed": -1},
+    {"stop_id": "x"},
+    {"stop_id": 1.0},
+    {"stop_id": None}])
 def test_bad_decode_arguments_raise_before_the_first_forward(
         model, monkeypatch, kwargs):
     def forward(*args, **kw):
@@ -114,6 +117,12 @@ def test_bad_decode_arguments_raise_before_the_first_forward(
     monkeypatch.setattr(model, "forward", forward)
     with pytest.raises(ConfigError):
         generate(model, PROMPT, **{"max_new": 4, **kwargs})
+
+
+@pytest.mark.parametrize("prompt", [[1.5, 2], [5, True], "ab", [10 ** 20]])
+def test_prompt_tokens_that_are_not_ints_are_a_vocab_error(model, prompt):
+    with pytest.raises(VocabError):
+        generate(model, prompt, 4, stop_id=NEVER)
 
 
 def test_temperature_zero_is_greedy(model):

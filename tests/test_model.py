@@ -242,6 +242,24 @@ def test_token_out_of_range():
         model.forward([0, 300])
 
 
+@pytest.mark.parametrize("ids", [
+    [1.7], [1, 2.0], [True], [3, False], np.array([1.0, 2.0]),
+    np.array([True, False]), ["a", "b"], [10 ** 20]])
+def test_token_ids_that_are_not_ints_are_a_vocab_error(ids):
+    model = init_model(TINY, seed=2)
+    with pytest.raises(VocabError):
+        model.forward(ids)
+    with pytest.raises(VocabError):
+        model.forward(ids, cache=KVCache())
+
+
+def test_empty_token_ids_are_a_length_error_before_the_type_check():
+    model = init_model(TINY, seed=2)
+    for ids in ([], np.array([], dtype=np.float64)):
+        with pytest.raises(LengthError):
+            model.forward(ids)
+
+
 def test_token_ids_must_be_one_dimensional():
     model = init_model(TINY, seed=2)
     with pytest.raises(DimensionError):
@@ -400,6 +418,25 @@ def test_cache_rejects_training_and_overflow():
     assert cache.length == 30
     model.forward([1, 2], cache=cache)
     assert cache.length == 32
+
+
+@pytest.mark.parametrize("other", [
+    ModelConfig(**{**TINY.to_dict(), "n_layers": 3}),
+    ModelConfig(**{**TINY.to_dict(), "d_model": 32})])
+def test_cache_another_models_forward_filled_is_a_config_error(other):
+    cache = KVCache()
+    init_model(other, seed=8).forward([1, 2, 3], cache=cache)
+    with pytest.raises(ConfigError):
+        init_model(TINY, seed=8).forward([4], cache=cache)
+    assert cache.length == 3
+
+
+def test_model_holds_one_rotary_table_of_max_seq_len_rows():
+    model = init_model(ModelConfig(), seed=0)
+    cos, sin = T.rotary_table(512, 32, 10000.0)
+    assert np.array_equal(model.rope_cos, cos)
+    assert np.array_equal(model.rope_sin, sin)
+    assert model.rope_cos.nbytes + model.rope_sin.nbytes == 65536
 
 
 def test_end_to_end_gradient_check():

@@ -781,9 +781,10 @@ def test_attention_rejects_more_queries_than_keys():
 def test_rotary_offset_is_bitwise_equal_to_slicing():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((300, 16)).astype(np.float32)
-    full = T.rotary(T.Tensor(x), 4).data
+    cos, sin = T.rotary_table(300, 4, 10000.0)
+    full = T.rotary(T.Tensor(x), cos, sin).data
     for s in (0, 1, 7, 128, 299):
-        part = T.rotary(T.Tensor(x[s:]), 4, offset=s).data
+        part = T.rotary(T.Tensor(x[s:]), cos[s:], sin[s:]).data
         assert np.array_equal(part, full[s:]), s
 
 
@@ -791,15 +792,40 @@ def test_grad_rotary():
     rng = np.random.default_rng(19)
     x = rand64(rng, 6, 8)
     w = rand64(rng, 6, 8)
-    check(lambda: sum_all(mul(T.rotary(x, 2), w)), [x])
+    cos, sin = T.rotary_table(6, 4, 10000.0)
+    check(lambda: sum_all(mul(T.rotary(x, cos, sin), w)), [x])
 
 
 def test_rotary_is_orthogonal():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((7, 8)).astype(np.float32)
-    y = T.rotary(T.Tensor(x), 2).data
+    y = T.rotary(T.Tensor(x), *T.rotary_table(7, 4, 10000.0)).data
     assert np.allclose(np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1),
                        atol=1e-5)
+
+
+def test_rotary_table_row_is_the_angles_of_its_position_alone():
+    cos, sin = T.rotary_table(512, 32, 10000.0)
+    assert cos.shape == sin.shape == (512, 16)
+    assert cos.dtype == sin.dtype == np.float32
+    inv_freq = 10000.0 ** (-np.arange(0, 32, 2, dtype=np.float64) / 32)
+    for p in range(512):
+        angles = np.array([float(p)])[:, None] * inv_freq[None, :]
+        assert np.array_equal(cos[p], np.cos(angles)[0].astype(np.float32)), p
+        assert np.array_equal(sin[p], np.sin(angles)[0].astype(np.float32)), p
+
+
+@pytest.mark.parametrize("cos_shape, sin_shape", [
+    ((5, 2), (5, 2)),   # fewer table rows than x has
+    ((7, 2), (7, 2)),   # more
+    ((6, 3), (6, 3)),   # head dim 6 does not divide d = 8
+    ((6, 0), (6, 0)),   # no angles at all
+    ((6, 2), (6, 1))])  # sin not the shape of cos
+def test_rotary_rejects_rows_that_do_not_match_x(cos_shape, sin_shape):
+    x = T.Tensor(np.ones((6, 8), dtype=np.float32))
+    with pytest.raises(DimensionError):
+        T.rotary(x, np.ones(cos_shape, dtype=np.float32),
+                 np.ones(sin_shape, dtype=np.float32))
 
 
 def test_grad_row_routing_ops():

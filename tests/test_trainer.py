@@ -183,6 +183,19 @@ def test_corpus_sample_past_max_seq_len_is_rejected_before_step_0():
         assert np.array_equal(t.data, before[name]), name
 
 
+@pytest.mark.parametrize("mask", [[0, 2, 1], [0, 1, -1], [0, -1, 1],
+                                  [0, 0.5, 1], [0, 1, float("nan")]])
+def test_loss_mask_values_other_than_0_and_1_are_rejected_before_step_0(mask):
+    # a 2 would count its token twice; a -1 would train away from the target
+    model = adapted_model()
+    before = {n: t.data.copy() for n, t in model.trainable_parameters().items()}
+    cfg = TrainConfig(epochs=1, batch_size=1, lr=1e-2, warmup_steps=0)
+    with pytest.raises(ConfigError, match="sample 6"):
+        train(model, [*CORPUS, TokenizedSample([5, 6, 7], mask)], cfg)
+    for name, t in model.trainable_parameters().items():
+        assert np.array_equal(t.data, before[name]), name
+
+
 def test_resume_without_moments_is_rejected(tmp_path):
     cfg = TrainConfig(epochs=1, batch_size=2, save_every=1)
     train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
