@@ -212,7 +212,9 @@ class DecoderModel:
         cache.length, they attend to the cached keys and values, and are
         appended to the cache. Causal prefix stability makes the result
         bitwise equal to the last T rows of a forward over the whole
-        sequence. A cache sized for another model is a ConfigError.
+        sequence. A cache sized for another model, a length that is not an
+        int in [0, max_seq_len], or a length above 0 with no cached keys is
+        a ConfigError, raised before the cache is touched.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
         from it. A cached forward is inference only: given a generator it
@@ -226,15 +228,23 @@ class DecoderModel:
         if ids.ndim != 1:
             raise DimensionError(f"token_ids must be 1-D, got {ids.shape}")
         cfg = self.config
-        start = 0 if cache is None else cache.length
-        end = start + ids.size
         if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
         kv_shape = (cfg.n_layers, cfg.max_seq_len, cfg.d_model)
-        if cache is not None and cache.keys is not None \
-                and cache.keys.shape != kv_shape:
-            raise ConfigError(f"cache keys {cache.keys.shape} do not fit "
-                              f"this model's {kv_shape}")
+        if cache is not None:
+            if not (is_int(cache.length)
+                    and 0 <= cache.length <= cfg.max_seq_len):
+                raise ConfigError(
+                    f"cache length must be an int in [0, max_seq_len = "
+                    f"{cfg.max_seq_len}], got {cache.length!r}")
+            if cache.keys is None and cache.length:
+                raise ConfigError(f"cache length {cache.length} but no "
+                                  "keys or values cached")
+            if cache.keys is not None and cache.keys.shape != kv_shape:
+                raise ConfigError(f"cache keys {cache.keys.shape} do not fit "
+                                  f"this model's {kv_shape}")
+        start = 0 if cache is None else cache.length
+        end = start + ids.size
         if ids.size == 0:
             raise LengthError("empty token sequence")
         if end > cfg.max_seq_len:

@@ -2,7 +2,8 @@
 
 Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
-tape and replays it in reverse, accumulating gradients into ``.grad``.
+tape and replays it in reverse, accumulating gradients into the leaves'
+``.grad`` and freeing each op output's closure once it has run.
 Inside ``no_tape()`` ops compute the same values but record nothing: their
 outputs keep no parents or closure, so each op's intermediates are freed
 when it returns. The decoder's cached (inference-only) forward runs there.
@@ -31,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     EmptyMaskError,
     NumericError,
@@ -127,19 +129,26 @@ class Tensor:
         return self.data.shape
 
     def backward(self) -> None:
-        """Populate ``.grad`` on every reachable tensor with requires_grad.
+        """Populate ``.grad`` on every reachable leaf with requires_grad.
 
         The tape lists every reachable tensor with inputs before users, so
         the reverse sweep visits each node exactly once with its output
-        gradient fully accumulated. A tensor that recorded no tape (nothing
-        it depends on requires grad, or it was computed under `no_tape`)
-        raises TapeError.
+        gradient fully accumulated. The sweep frees the tape as it goes:
+        once an op output has handed its gradient to its inputs, nothing
+        adds into it again, so it drops its ``.grad``, closure and parents
+        and turns requires_grad off, and what only its closure held is
+        freed before the next node runs. Only leaves keep ``.grad``, and
+        an op output used again after the backward enters a new graph as a
+        constant. A tensor that recorded no tape (nothing it depends on
+        requires grad, or it was computed under `no_tape`), or whose tape a
+        backward has already freed, raises TapeError.
         """
         if self.data.shape != ():
             raise RankError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
-            raise TapeError("backward on a tensor that recorded no tape")
+            raise TapeError("backward on a tensor that recorded no tape "
+                            "or whose tape a backward freed")
         tape: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -156,9 +165,14 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         _accum(self, np.ones_like(self.data))
-        for node in reversed(tape):
+        while tape:
+            node = tape.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = node._backward = None
+                node._parents = ()
+                node.requires_grad = False
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -260,6 +274,13 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray,
     return (tiles @ b).reshape(-1, b.shape[1])[:a.shape[0]]
 
 
+def _keep(mask: np.ndarray, p: float, dtype) -> np.ndarray:
+    """Inverted dropout's multiplier of a bool keep mask: 0 where dropped,
+    1 / (1 - p) where kept. x * _keep(...) has the bits of
+    (x * keep) * factor, since the multiplier is 0 or the factor."""
+    return mask.astype(dtype) * dtype.type(1.0 / (1.0 - p))
+
+
 def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
                 p: float, rng: np.random.Generator | None) -> Tensor:
     """Adapted projection x·W + scaling·(dropout_p(x)·A)·B as one op.
@@ -269,7 +290,10 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     prefix stability. Dropout runs when a generator is given and p > 0:
     the mask is drawn from `rng` as ``rng.random(x.shape) >= p`` and kept
     entries are scaled by 1 / (1 - p) (inverted dropout). Otherwise nothing
-    is drawn and the result is bitwise that of p == 0. The forward evaluates
+    is drawn and the result is bitwise that of p == 0. The op keeps the
+    mask as a bool array, a quarter of an f32 one; the backward rebuilds
+    the dropped-out x from it with the forward's expressions, so its values
+    are bitwise the forward's. The forward evaluates
     the expressions of the matmul, dropout, matmul, matmul, scale, add
     chain it replaces, in its order, so values are bitwise those of the
     chain; so are the gradients, which the backward hands out in the
@@ -289,7 +313,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     if not 0.0 <= p < 1.0:
         raise DimensionError(f"dropout p must be in [0, 1), got {p}")
     dtype = x.data.dtype
-    keep = None
+    mask = None
     h = x.data
     with np.errstate(over="ignore"):
         # without dropout both products read one padded copy of x, freed
@@ -298,11 +322,8 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
         base = _tiled_matmul(x.data, w.data, tiles)
         if rng is not None and p > 0.0:
             tiles = None  # the branch reads the dropped-out x
-            # keep * factor is 0 or factor, so h and the backward's share
-            # have the bits of (x * keep) * factor
-            keep = ((rng.random(x.data.shape) >= p).astype(dtype)
-                    * dtype.type(1.0 / (1.0 - p)))
-            h = x.data * keep
+            mask = rng.random(x.data.shape) >= p
+            h = x.data * _keep(mask, p, dtype)
         ha = _tiled_matmul(h, a.data, tiles)
         del tiles
         hab = _tiled_matmul(ha, b.data)
@@ -320,8 +341,9 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
         if not (a.requires_grad or x.requires_grad):
             return
         g_ha = g_hab @ b.data.T
+        keep = None if mask is None else _keep(mask, p, dtype)
         if a.requires_grad:
-            _accum(a, h.T @ g_ha)
+            _accum(a, (x.data if keep is None else x.data * keep).T @ g_ha)
         if x.requires_grad:
             g_h = g_ha @ a.data.T
             _accum(x, g_h if keep is None else g_h * keep)
@@ -475,7 +497,9 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean of -log softmax(logits)[target] over positions where mask is 1.
 
     Fused log-sum-exp form; masked-out positions contribute nothing to the
-    value or the gradient.
+    value or the gradient. A mask value other than 0 and 1 is a ConfigError:
+    a 2 would count a position twice. A mask of 0s only is an
+    EmptyMaskError.
     """
     if logits.data.ndim != 2:
         raise DimensionError(
@@ -489,6 +513,9 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
             f"{targets.shape} and {mask_arr.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise VocabError(f"target id out of range [0, {vocab})")
+    if not np.all((mask_arr == 0) | (mask_arr == 1)):
+        raise ConfigError(
+            "masked_cross_entropy: mask values must be 0 or 1")
     n_masked = float(mask_arr.sum())
     if n_masked <= 0:
         raise EmptyMaskError("masked_cross_entropy: mask selects no positions")

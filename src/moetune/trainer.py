@@ -3,11 +3,16 @@
 Each epoch shuffles the corpus with a seed derived from (seed, epoch), so
 resuming mid-epoch reproduces the exact batch order. Loss is the mean over
 per-sample masked cross entropies; gradient accumulation averages micro
-losses, so batch 8 and batch 2 x accum 4 see the same objective. Each
-micro-batch's tape is freed by its own backward, seeded with 1 / accum,
-before the next micro-batch's forward, so accumulation holds one
-micro-batch's activations at a time. Dropout draws from a generator keyed
-by (seed, step, micro), independent of when the process started.
+losses, so batch 8 and batch 2 x accum 4 see the same objective. Every
+sample runs its own forward and its own backward, which frees the sample's
+tape as it goes, before the next sample's forward: a step holds one
+sample's activations at a time. The backward's seed is
+1 * f32(1 / accum) * f32(1 / batch), rounded to f32 after each product:
+the gradient that one tape over the micro-batch (`batch_loss`) gave each
+sample's loss. Samples run in that tape's order, so the gradients and the
+loss log are bitwise those of a backward per micro-batch. Dropout draws
+from a generator keyed by (seed, step, micro), independent of when the
+process started.
 
 A run's position lives in its TrainState: after a step, `epoch` is the
 epoch the step ran in and `cursor` the steps done in it. An epoch that ends
@@ -120,18 +125,26 @@ def _lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     return cfg.lr
 
 
-def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
-               rng: np.random.Generator | None):
-    """Mean per-sample masked CE over a batch padded to its max length;
-    adapter dropout draws from `rng`, and runs only when it is given."""
+def _sample_losses(model: DecoderModel, samples: list[TokenizedSample],
+                   rng: np.random.Generator | None):
+    """Yield each sample's masked CE, in order, over the sample padded to
+    the batch's max length; adapter dropout draws from `rng`, and runs only
+    when it is given. Each forward runs when the caller asks for its loss."""
     max_len = max(len(s.token_ids) for s in samples)
-    total = None
     for s in samples:
         pad = max_len - len(s.token_ids)
         ids = s.token_ids + [PAD_ID] * pad
         mask = s.loss_mask + [0] * pad
-        logits = model.forward(ids[:-1], rng=rng)
-        loss = tz.masked_cross_entropy(logits, ids[1:], mask[1:])
+        yield tz.masked_cross_entropy(model.forward(ids[:-1], rng=rng),
+                                      ids[1:], mask[1:])
+
+
+def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
+               rng: np.random.Generator | None):
+    """Mean per-sample masked CE over a batch padded to its max length, on
+    one tape: the objective `train` minimizes a sample at a time."""
+    total = None
+    for loss in _sample_losses(model, samples, rng):
         total = loss if total is None else tz.add(total, loss)
     return tz.scale(total, 1.0 / len(samples))
 
@@ -231,14 +244,19 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             loss_sum = None  # f32, summed in micro order
             for micro_idx, micro in enumerate(chunk):
                 rng = np.random.default_rng([cfg.seed, state.step, micro_idx])
-                loss = batch_loss(model, [corpus[i] for i in micro], rng)
-                loss_sum = (loss.data if loss_sum is None
-                            else loss_sum + loss.data)
-                if not math.isfinite(loss_sum):
-                    raise TrainingAborted(
-                        state.step, f"non-finite loss at step {state.step}")
-                tz.scale(loss, 1.0 / len(chunk)).backward()
-                del loss  # the last reference to this micro-batch's tape
+                micro_sum = None  # f32, summed in sample order
+                for loss in _sample_losses(
+                        model, [corpus[i] for i in micro], rng):
+                    micro_sum = (loss.data if micro_sum is None
+                                 else micro_sum + loss.data)
+                    if not math.isfinite(micro_sum):
+                        raise TrainingAborted(
+                            state.step, f"non-finite loss at step {state.step}")
+                    tz.scale(tz.scale(loss, 1.0 / len(micro)),
+                             1.0 / len(chunk)).backward()
+                micro_loss = micro_sum * np.float32(1 / len(micro))
+                loss_sum = (micro_loss if loss_sum is None
+                            else loss_sum + micro_loss)
             loss_value = float(loss_sum * np.float32(1 / len(chunk)))
             grad_norm = optimizer.step(lr_t, cfg.max_grad_norm)
         except NumericError as e:

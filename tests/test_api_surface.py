@@ -40,7 +40,8 @@ ENTRY_POINTS = {
     "trainer.LossLogRow": "one row of train's loss log",
     "trainer.write_loss_log": "train's JSONL step log, one LossLogRow "
                               "per line",
-    "trainer.batch_loss": "train's loss of one micro-batch",
+    "trainer.batch_loss": "the batch objective train minimizes per "
+                          "sample, which the benchmark backprops",
     "trainer.train": "runs SFT",
     "trainer.generate": "decodes from a tuned model",
 }

@@ -407,6 +407,56 @@ def test_cached_forward_peaks_under_a_third_of_a_plain_forward(
     assert cached < plain / 3, (cached, plain)
 
 
+def dropout_loss(model, ids, seed):
+    """Masked CE of a forward over ids with dropout on, every target kept."""
+    logits = model.forward(ids[:-1], rng=np.random.default_rng(seed))
+    return T.masked_cross_entropy(logits, ids[1:], np.ones(len(ids) - 1))
+
+
+def test_backward_frees_every_op_output_and_a_second_backward_raises():
+    model = init_model(TINY, seed=8)
+    attach_adapters(model, LoraConfig(), seed=8)
+    loss = dropout_loss(model, np.arange(3, 23), seed=0)
+    nodes, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    ops = [t for t in nodes.values() if t._parents]
+    leaves = [t for t in nodes.values() if not t._parents and t.requires_grad]
+    assert len(ops) > 50 and leaves
+    loss.backward()
+    assert all(t.grad is None and t._backward is None and t._parents == ()
+               and not t.requires_grad for t in ops)
+    assert all(t.grad is not None for t in leaves)
+    with pytest.raises(TapeError):
+        loss.backward()
+
+
+def test_backward_peaks_under_a_quarter_of_the_tape_above_it(
+        tuned_default_model):
+    # 137 tokens, as the longest fixture sample: the backward frees each
+    # op's intermediates as it goes, so it needs little beyond the tape
+    model = tuned_default_model
+    ids = np.random.default_rng(15).integers(0, 262, 137)
+    model.forward(ids)  # dequantizes every kernel the sample routes to
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = dropout_loss(model, ids, seed=1)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for t in model.trainable_parameters().values():
+            t.grad = None
+    tape = after_forward - before
+    assert peak - after_forward < tape / 4, (tape, peak - after_forward)
+
+
 def test_cache_rejects_training_and_overflow():
     model = init_model(TINY, seed=8)
     cache = KVCache()
@@ -429,6 +479,22 @@ def test_cache_another_models_forward_filled_is_a_config_error(other):
     with pytest.raises(ConfigError):
         init_model(TINY, seed=8).forward([4], cache=cache)
     assert cache.length == 3
+
+
+@pytest.mark.parametrize("length", [-5, -1, 33, 2.0, "3", None])
+def test_cache_length_outside_0_to_max_seq_len_is_a_config_error(length):
+    cache = KVCache(length=length)
+    with pytest.raises(ConfigError):
+        init_model(TINY, seed=8).forward([1], cache=cache)
+    assert cache.keys is None and cache.length == length
+
+
+def test_cache_length_without_cached_keys_is_a_config_error():
+    # the forward would attend to rows that no forward wrote
+    cache = KVCache(length=3)
+    with pytest.raises(ConfigError):
+        init_model(TINY, seed=8).forward([1], cache=cache)
+    assert cache.keys is None and cache.length == 3
 
 
 def test_model_holds_one_rotary_table_of_max_seq_len_rows():

@@ -12,6 +12,7 @@ import pytest
 
 from moetune import tensor as T
 from moetune.errors import (
+    ConfigError,
     DimensionError,
     EmptyMaskError,
     NumericError,
@@ -285,6 +286,22 @@ def test_lora_linear_without_a_generator_is_bitwise_the_p0_call():
     assert outs[0] == outs[1] and grads[0] == grads[1]
 
 
+def test_lora_linear_keeps_dropout_as_a_bool_mask():
+    # test_lora_linear_is_bitwise_the_six_op_chain checks the gradients
+    # against the f32 keep mask of the chain's dropout op
+    x, w, a, b = lora_operands(np.random.default_rng(29), 130, np.float32,
+                               x_grad=True, w_grad=False)
+    out = T.lora_linear(x, w, a, b, 2.0, 0.3, np.random.default_rng(5))
+    held = [c.cell_contents for c in out._backward.__closure__]
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    assert not [v for v in arrays
+                if v.shape == x.shape and v.dtype == np.float32]
+    (mask,) = [v for v in arrays if v.shape == x.shape]
+    assert mask.dtype == np.bool_
+    want = np.random.default_rng(5).random(x.shape) >= 0.3
+    assert np.array_equal(mask, want)
+
+
 def test_grad_lora_linear():
     rng = np.random.default_rng(25)
     x, w, a, b = (rand64(rng, 5, 6), rand64(rng, 6, 4), rand64(rng, 6, 2),
@@ -364,6 +381,14 @@ def test_cross_entropy_permutation_equivariant():
     a = T.masked_cross_entropy(T.Tensor(logits), targets, mask)
     b = T.masked_cross_entropy(T.Tensor(logits[perm]), targets[perm], mask[perm])
     assert abs(float(a.data) - float(b.data)) < 1e-6
+
+
+@pytest.mark.parametrize("mask", [[2, 0, 1], [-1, 1, 1], [0.5, 1, 1],
+                                  [np.nan, 1, 1]])
+def test_cross_entropy_mask_values_other_than_0_and_1_raise(mask):
+    # a 2 would weight its position twice, a -1 would subtract it
+    with pytest.raises(ConfigError):
+        T.masked_cross_entropy(T.Tensor(np.zeros((3, 4))), [0, 1, 2], mask)
 
 
 def test_cross_entropy_bad_target_raises():

@@ -4,17 +4,21 @@ accumulation and schedule knobs do what they claim."""
 import dataclasses
 import gc
 import json
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moetune import quant, trainer
+from moetune import quant
 from moetune import tensor as tz
 from moetune.checkpoint import load_checkpoint
+from moetune.data import (clean_filter, ingest_alpaca, ingest_sharegpt,
+                          tokenize_corpus)
 from moetune.errors import ConfigError, LengthError, NumericError, TrainingAborted
 from moetune.lora import LoraConfig, attach_adapters
-from moetune.model import ModelConfig, init_model
+from moetune.model import DecoderModel, ModelConfig, init_model
 from moetune.tokenizer import TokenizedSample, render_chat
 from moetune.trainer import TrainConfig, _lr_at, train
 
@@ -217,16 +221,16 @@ def test_nonfinite_gradient_aborts_and_names_the_parameter(monkeypatch):
     model = adapted_model()
     trainable = model.trainable_parameters()
     name = next(n for n in trainable if n.endswith("lora_a"))
-    backward, calls = tz.Tensor.backward, []
+    backward, poisoned_at = tz.Tensor.backward, []
+    snapshots = []  # parameters after each optimizer step
 
     def poisoned(self):
         backward(self)
-        calls.append(1)
-        if len(calls) == 2:
+        if len(snapshots) == 1 and not poisoned_at:  # step 1's first backward
+            poisoned_at.append(1)
             trainable[name].grad.reshape(-1)[3] = np.inf
 
     monkeypatch.setattr(tz.Tensor, "backward", poisoned)
-    snapshots = []
     real_step = quant.QuantizedAdam.step
 
     def step(self, *args):
@@ -249,31 +253,65 @@ def test_nonfinite_gradient_aborts_and_names_the_parameter(monkeypatch):
 
 def test_step_tape_is_released_before_the_optimizer_runs(monkeypatch):
     # only op outputs have parents: none may be alive once a backward is
-    # done, so none when a micro-batch's forward starts or the optimizer runs
+    # done, so none when a sample's forward starts or the optimizer runs
     def tape_tensors():
         return sum(isinstance(o, tz.Tensor) and bool(o._parents)
                    for o in gc.get_objects())
 
     at_forward, at_step = [], []
-    real_batch_loss, real_step = trainer.batch_loss, quant.QuantizedAdam.step
+    real_forward, real_step = DecoderModel.forward, quant.QuantizedAdam.step
 
-    def batch_loss(*args):
+    def forward(self, *args, **kwargs):
         at_forward.append(tape_tensors())
-        return real_batch_loss(*args)
+        return real_forward(self, *args, **kwargs)
 
     def step(self, *args):
         at_step.append(tape_tensors())
         return real_step(self, *args)
 
-    monkeypatch.setattr(trainer, "batch_loss", batch_loss)
+    monkeypatch.setattr(DecoderModel, "forward", forward)
     monkeypatch.setattr(quant.QuantizedAdam, "step", step)
     for batch_size, accum in [(2, 1), (1, 2)]:
         at_forward.clear()
         at_step.clear()
         train(adapted_model(), CORPUS, TrainConfig(
             epochs=1, batch_size=batch_size, grad_accum_steps=accum))
-        assert at_forward == [0] * (len(CORPUS) // batch_size), accum
+        assert at_forward == [0] * len(CORPUS), accum
         assert at_step == [0, 0, 0], accum
+
+
+def longest_fixture_samples(n):
+    """The n longest samples of the cleaned, tokenized fixture corpus."""
+    fixtures = Path(__file__).parent / "fixtures"
+    chats = (ingest_alpaca(fixtures / "alpaca_fixture.json").samples
+             + ingest_alpaca(fixtures / "alpaca_gpt4_fixture.json",
+                             source="alpaca_gpt4_zh").samples
+             + ingest_sharegpt(fixtures / "sharegpt_fixture.json").samples)
+    corpus = tokenize_corpus(clean_filter(chats)[0])
+    return sorted(corpus, key=lambda s: len(s.token_ids))[-n:]
+
+
+def test_step_peak_does_not_grow_with_the_batch():
+    # a step holds one sample's activations, so batch 4 peaks as 4 micro-
+    # batches of 1 do: the peak is set by the longest sample, padded or not
+    samples = longest_fixture_samples(4)
+    peaks = []
+    for batch_size, accum in [(4, 1), (1, 4)]:
+        model = init_model(ModelConfig(), seed=0)
+        model.quantize_frozen(64)
+        attach_adapters(model, LoraConfig(), seed=0)
+        model.forward(samples[-1].token_ids[:-1])  # dequantizes the kernels
+        cfg = TrainConfig(epochs=1, batch_size=batch_size,
+                          grad_accum_steps=accum)
+        tracemalloc.start()
+        try:
+            train(model, samples, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    batch, accumulated = peaks
+    assert batch < 1.25 * accumulated, peaks
+
 
 @pytest.mark.parametrize("max_norm, clipped", [(1e-6, True), (1e9, False)])
 def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
