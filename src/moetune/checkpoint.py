@@ -1,26 +1,45 @@
 """Binary checkpoint container with bit-exact round trips.
 
 Layout: magic "AURC" (4 bytes), version u32 LE, header-length u64 LE, UTF-8
-JSON header, raw payload. The header maps tensor names to {dtype, shape,
-offset, length} plus the config blocks and trainer cursor. f32 tensors are
-raw little-endian floats; "q4_sym_b64" tensors are packed 4-bit codes
-followed by f32 scales (block size 64, row-major element order).
+JSON header, then the payload: five flat segments at most, each a run of
+raw little-endian arrays laid end to end.
 
-Version 2 stores each adapter as `lora_a` [d_in, rank] and `lora_b`
-[rank, d_out], in the [d_in, d_out] orientation of the kernel it sits on.
-Version 1 stored them transposed and is rejected.
+The header holds the config blocks and the trainer cursor ("configs"), the
+ordered names and shapes of each group's tensors ("tensors") and the
+segment table ("segments"). The groups are:
 
-The loader checks every tensor entry up front, then builds the model from
-the file through `model.build_model` and `lora.load_adapters`: each weight
-they ask for is read once, at the shape they ask for. A weight the file
-lacks, or a non-`optim.` entry that no one asks for, is an IntegrityError.
+- "f32": every f32 parameter (base weights and adapters), as [name, shape];
+  its segment is their values;
+- "q4": the frozen 4-bit kernels, as [name, [rows, cols]];
+- "optim" (only with optimizer state): the Adam moments of each trainable
+  parameter, as [name, n], m then v, each a 1 x n 4-bit matrix.
+
+A 4-bit group has two segments, "codes" (each matrix's ceil(n / 2) packed
+code bytes) and "scales" (its ceil(n / block_size) f32 block scales), and
+stores its "block_size" beside them. Each segment is {offset, length,
+crc32}, its offset counted from the payload start. A tensor starts where
+the one before it in its group ends, so no per-tensor offset is stored.
+
+Adapters are `lora_a` [d_in, rank] and `lora_b` [rank, d_out], in the
+[d_in, d_out] orientation of the kernel they sit on. Version 3 replaced
+version 2's header entry per tensor; versions 1 and 2 are rejected.
+
+The loader checks the whole header first, then reads each segment it needs
+into its own buffer, checks its CRC and hands out writable numpy views of
+it; `with_optimizer=False` reads neither optim segment. It builds the model
+through `model.build_model` and `lora.load_adapters`: each weight they ask
+for is taken once, at the shape they ask for. A weight the file lacks or
+that no one asks for, a CRC mismatch, and a segment that runs past the file
+or whose length is not that of its tensors are IntegrityErrors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +50,8 @@ from .model import DecoderModel, ModelConfig, build_model
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, QuantizedOptimState
 
 MAGIC = b"AURC"
-VERSION = 2
-Q4_DTYPE = f"q4_sym_b{DEFAULT_BLOCK_SIZE}"
+VERSION = 3
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 
 
 @dataclass
@@ -51,71 +70,51 @@ class TrainState:
     cursor: int = 0  # steps done in `epoch`, all of them once it has ended
 
 
-def _q4_payload(q: QuantizedMatrix) -> bytes:
-    if q.block_size != DEFAULT_BLOCK_SIZE:
-        raise FormatError(
-            f"checkpoint stores {Q4_DTYPE}; got block_size {q.block_size}")
-    return q.codes.tobytes() + q.scales.astype("<f4").tobytes()
-
-
-def _decode(where: str, meta, payload: bytes) -> np.ndarray | QuantizedMatrix:
-    """The tensor of one header entry.
-
-    FormatError unless the entry is a dict whose dtype is "f32" or
-    "q4_sym_b64" and whose offset, length and shape (2-D for q4) are
-    non-negative ints; IntegrityError if its length does not fit its dtype
-    and shape or it runs past the payload.
-    """
-    if not isinstance(meta, dict):
-        raise FormatError(f"{where}: entry is not a dict")
-    dtype, shape = meta.get("dtype"), meta.get("shape")
-    start, length = meta.get("offset"), meta.get("length")
-    if not (dtype in ("f32", Q4_DTYPE) and is_count(start)
-            and is_count(length)
-            and isinstance(shape, list) and all(map(is_count, shape))
-            and (dtype == "f32" or len(shape) == 2)):
-        raise FormatError(f"{where}: malformed entry {meta}")
-    n = int(np.prod(shape))
-    n_codes = (n + 1) // 2
-    want = (n_codes + 4 * ((n + DEFAULT_BLOCK_SIZE - 1) // DEFAULT_BLOCK_SIZE)
-            if dtype == Q4_DTYPE else 4 * n)
-    if length != want:
-        raise IntegrityError(
-            f"{where}: length {length} != {want} for {dtype} {shape}")
-    if start + length > len(payload):
-        raise IntegrityError(f"{where}: truncated payload")
-    raw = payload[start:start + length]
-    if dtype == "f32":
-        return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
-    codes = np.frombuffer(raw[:n_codes], dtype=np.uint8).copy()
-    scales = np.frombuffer(raw[n_codes:], dtype="<f4").astype(np.float32)
-    return QuantizedMatrix(shape[0], shape[1], DEFAULT_BLOCK_SIZE, codes, scales)
-
-
 def save_checkpoint(state: TrainState, path) -> None:
     """Serialize model weights, adapters, optimizer moments and the cursor.
 
     The file at `path` is replaced atomically: it holds either the previous
-    checkpoint or the new one, never a partial write.
+    checkpoint or the new one, never a partial write. The new file is
+    written to `{path}.tmp` and synced, then renamed over `path`, and the
+    directory is synced; a save killed midway leaves that file behind, and
+    the next save of `path` overwrites it.
     """
     model = state.model
-    entries = [(n, "f32", t.data) for n, t in model.named_parameters().items()]
-    entries += [(n, Q4_DTYPE, q) for n, q in model.named_quantized().items()]
-    optim_steps: dict[str, int] = {}
-    for pname, opt_state in (state.optim_state or {}).items():
-        entries.append((f"optim.{pname}.m", Q4_DTYPE, opt_state.m))
-        entries.append((f"optim.{pname}.v", Q4_DTYPE, opt_state.v))
-        optim_steps[pname] = opt_state.step
+    params = model.named_parameters()
+    kernels = model.named_quantized()
+    optim = state.optim_state or {}
+    tensors = {"f32": [[n, list(t.shape)] for n, t in params.items()],
+               "q4": [[n, [q.rows, q.cols]] for n, q in kernels.items()]}
+    matrices = {"q4": list(kernels.values())}
+    if optim:
+        tensors["optim"] = [[n, s.m.n_elements] for n, s in optim.items()]
+        matrices["optim"] = [q for s in optim.values() for q in (s.m, s.v)]
 
-    tensors: dict[str, dict] = {}
-    blobs: list[bytes] = []
-    offset = 0
-    for name, dtype, obj in sorted(entries, key=lambda e: e[0]):
-        raw = obj.astype("<f4").tobytes() if dtype == "f32" else _q4_payload(obj)
-        tensors[name] = {"dtype": dtype, "shape": list(obj.shape),
-                         "offset": offset, "length": len(raw)}
-        blobs.append(raw)
-        offset += len(raw)
+    blobs: list[np.ndarray] = []
+    end = 0
+
+    def segment(arrays: list[np.ndarray]) -> dict:
+        nonlocal end
+        crc = 0
+        for a in arrays:
+            crc = zlib.crc32(a, crc)
+        length = sum(a.nbytes for a in arrays)
+        blobs.extend(arrays)
+        end += length
+        return {"offset": end - length, "length": length, "crc32": crc}
+
+    segments = {"f32": segment([np.ascontiguousarray(t.data, dtype="<f4")
+                                for t in params.values()])}
+    for group, qs in matrices.items():
+        sizes = {q.block_size for q in qs} or {DEFAULT_BLOCK_SIZE}
+        if len(sizes) > 1:
+            raise FormatError(f"{group}: block sizes {sorted(sizes)} differ; "
+                              f"a checkpoint stores one per group")
+        segments[group] = {
+            "block_size": sizes.pop(),
+            "codes": segment([q.codes for q in qs]),
+            "scales": segment([np.ascontiguousarray(q.scales, dtype="<f4")
+                               for q in qs])}
 
     lora_cfg = adapter_config(model)
     header = {
@@ -125,69 +124,191 @@ def save_checkpoint(state: TrainState, path) -> None:
             "train": state.train_config,
             "trainer_state": {"step": state.step, "epoch": state.epoch,
                               "cursor": state.cursor,
-                              "optim_steps": optim_steps},
+                              "optim_steps": {n: s.step
+                                              for n, s in optim.items()}},
         },
         "tensors": tensors,
+        "segments": segments,
     }
-    header_bytes = json.dumps(header, ensure_ascii=False,
-                              sort_keys=True).encode("utf-8")
+    raw = json.dumps(header, ensure_ascii=False, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    data = b"".join([_PREFIX.pack(MAGIC, VERSION, len(raw)), raw, *blobs])
     # write a sibling file and rename it over the target, so that a crash
-    # or a failed write leaves the previous checkpoint whole
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    # or a failed write leaves the previous checkpoint whole; the syncs keep
+    # a power loss from persisting the rename without the data
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join([MAGIC, struct.pack("<I", VERSION),
-                              struct.pack("<Q", len(header_bytes)),
-                              header_bytes, *blobs]))
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _layout(where: str, group: str, entries, meta, room: int):
+    """Names, shapes, block size and segment spans of one group, checked.
+
+    A span is (where, offset, length, crc32). An "optim" entry [name, n]
+    gives two 1 x n shapes, m then v. FormatError for a malformed entry or
+    segment; IntegrityError if a segment runs past the `room` payload bytes
+    or its length is not that of its tensors.
+    """
+    if not isinstance(entries, list):
+        raise FormatError(f"{where}: tensors of {group} must be a list")
+    names, shapes = [], []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str)):
+            raise FormatError(f"{where}: malformed {group} entry {entry!r}")
+        name, shape = entry
+        if group == "optim":
+            shape = [1, shape]
+        if not (isinstance(shape, list) and all(map(is_count, shape))
+                and (group == "f32" or len(shape) == 2)):
+            raise FormatError(f"{where}: malformed {group} entry {entry!r}")
+        names.append(name)
+        shapes.append(tuple(shape))
+    if group == "optim":
+        shapes = [s for s in shapes for _ in "mv"]
+
+    if group == "f32":
+        block_size = None
+        want = {"f32": (meta, 4 * sum(map(math.prod, shapes)))}
+    else:
+        if not (isinstance(meta, dict) and is_count(meta.get("block_size"), 1)):
+            raise FormatError(f"{where}: {group} segments lack a block size")
+        block_size = meta["block_size"]
+        sizes = [r * c for r, c in shapes]
+        want = {f"{group}.codes": (meta.get("codes"),
+                                   sum((n + 1) // 2 for n in sizes)),
+                f"{group}.scales": (meta.get("scales"), 4 * sum(
+                    (n + block_size - 1) // block_size for n in sizes))}
+    spans = []
+    for label, (span, length) in want.items():
+        if not (isinstance(span, dict) and all(
+                is_count(span.get(k)) for k in ("offset", "length", "crc32"))):
+            raise FormatError(f"{where}: malformed segment {label} {span!r}")
+        if span["offset"] + span["length"] > room:
+            raise IntegrityError(f"{where}: segment {label} runs past the "
+                                 f"end of the file")
+        if span["length"] != length:
+            raise IntegrityError(f"{where}: segment {label} holds "
+                                 f"{span['length']} bytes, its tensors {length}")
+        spans.append((f"{where}: segment {label}", span["offset"], length,
+                      span["crc32"]))
+    return names, shapes, block_size, spans
+
+
+def _read(f, base: int, span) -> bytearray:
+    """The bytes of one segment, CRC-checked, in a buffer of their own."""
+    where, offset, length, crc = span
+    buf = bytearray(length)
+    f.seek(base + offset)
+    if f.readinto(buf) != length:
+        raise IntegrityError(f"{where}: truncated")
+    if zlib.crc32(buf) != crc:
+        raise IntegrityError(f"{where}: CRC mismatch")
+    return buf
+
+
+def _tensors(f, base: int, shapes, block_size, spans) -> list:
+    """One group's tensors, in order, as views of its segments' buffers:
+    f32 arrays, or QuantizedMatrix when the group has a block size."""
+    out = []
+    if block_size is None:
+        flat = np.frombuffer(_read(f, base, spans[0]), dtype="<f4")
+        at = 0
+        for shape in shapes:
+            n = math.prod(shape)
+            out.append(flat[at:at + n].reshape(shape))
+            at += n
+        return out
+    codes = np.frombuffer(_read(f, base, spans[0]), dtype=np.uint8)
+    scales = np.frombuffer(_read(f, base, spans[1]), dtype="<f4")
+    at_code = at_scale = 0
+    for rows, cols in shapes:
+        n = rows * cols
+        n_codes, n_scales = (n + 1) // 2, (n + block_size - 1) // block_size
+        out.append(QuantizedMatrix(rows, cols, block_size,
+                                   codes[at_code:at_code + n_codes],
+                                   scales[at_scale:at_scale + n_scales]))
+        at_code += n_codes
+        at_scale += n_scales
+    return out
 
 
 def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
-    """Rebuild a TrainState; load(save(x)) reproduces training bit-exactly."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic (not a checkpoint)")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    if 16 + header_len > len(raw):
-        raise IntegrityError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError(f"{path}: unreadable header ({e})") from e
-    if not isinstance(header, dict) or not {"configs", "tensors"} <= header.keys():
-        raise FormatError(f"{path}: header lacks configs or tensors")
-    payload = raw[16 + header_len:]
+    """Rebuild a TrainState; load(save(x)) reproduces training bit-exactly.
 
-    configs, tensors = header["configs"], header["tensors"]
-    try:
-        model_cfg = ModelConfig.from_dict(configs["model"])
-        lora_cfg = (LoraConfig.from_dict(configs["lora"])
-                    if configs.get("lora") else None)
-    except (AttributeError, ConfigError, KeyError, TypeError) as e:
-        raise FormatError(f"{path}: malformed configs block ({e!r})") from e
-    ts = configs.get("trainer_state") or {}
-    if not isinstance(ts, dict):
-        raise FormatError(f"{path}: trainer_state must be a dict")
-    # files of earlier builds also hold a "seed", which train_config repeats
-    step, epoch, cursor = (ts.get(k, 0) for k in ("step", "epoch", "cursor"))
-    optim_steps = ts.get("optim_steps", {})
-    if not (isinstance(optim_steps, dict) and all(map(
-            is_count, [step, epoch, cursor, *optim_steps.values()]))):
-        raise FormatError(f"{path}: trainer_state counters and optim_steps "
-                          f"must be non-negative ints")
-    if not isinstance(tensors, dict):
-        raise FormatError(f"{path}: tensors must be a dict")
-    stored = {name: _decode(f"{path}: {name}", meta, payload)
-              for name, meta in tensors.items()}
-    unused = {n for n in stored if not n.startswith("optim.")}
+    With `with_optimizer=False` the moments are not read and `optim_state`
+    is None, as it is for a file saved without them.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size or prefix[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic (not a checkpoint)")
+        _, version, header_len = _PREFIX.unpack(prefix)
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        base = _PREFIX.size + header_len
+        if base > size:
+            raise IntegrityError(f"{path}: truncated header")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise FormatError(f"{path}: unreadable header ({e})") from e
+        if not (isinstance(header, dict)
+                and {"configs", "tensors", "segments"} <= header.keys()):
+            raise FormatError(f"{path}: header lacks configs, tensors or "
+                              f"segments")
+
+        configs = header["configs"]
+        try:
+            model_cfg = ModelConfig.from_dict(configs["model"])
+            lora_cfg = (LoraConfig.from_dict(configs["lora"])
+                        if configs.get("lora") else None)
+        except (AttributeError, ConfigError, KeyError, TypeError) as e:
+            raise FormatError(f"{path}: malformed configs block ({e!r})") from e
+        ts = configs.get("trainer_state") or {}
+        if not isinstance(ts, dict):
+            raise FormatError(f"{path}: trainer_state must be a dict")
+        # files of earlier builds also hold a "seed", which train_config repeats
+        step, epoch, cursor = (ts.get(k, 0) for k in ("step", "epoch", "cursor"))
+        optim_steps = ts.get("optim_steps", {})
+        if not (isinstance(optim_steps, dict) and all(map(
+                is_count, [step, epoch, cursor, *optim_steps.values()]))):
+            raise FormatError(f"{path}: trainer_state counters and "
+                              f"optim_steps must be non-negative ints")
+
+        tensors, segments = header["tensors"], header["segments"]
+        if not (isinstance(tensors, dict) and isinstance(segments, dict)
+                and tensors.keys() == segments.keys()
+                and {"f32", "q4"} <= tensors.keys() <= {"f32", "q4", "optim"}):
+            raise FormatError(f"{path}: tensors and segments must both map "
+                              f"f32, q4 and optionally optim")
+        layout = {g: _layout(str(path), g, tensors[g], segments[g],
+                             size - base) for g in tensors}
+        groups = {g: (names, _tensors(f, base, *rest))
+                  for g, (names, *rest) in layout.items()
+                  if g != "optim" or with_optimizer}
+
+    stored = {}
+    for g in ("f32", "q4"):
+        stored.update(zip(*groups[g]))
+    if len(stored) != len(groups["f32"][0]) + len(groups["q4"][0]):
+        raise IntegrityError(f"{path}: a tensor name is stored twice")
+    unused = set(stored)
 
     def weight(name: str, shape: tuple[int, ...]):
         if name not in stored:
@@ -206,15 +327,21 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
 
     state = TrainState(model=model, train_config=configs.get("train"),
                        step=step, epoch=epoch, cursor=cursor)
-    if with_optimizer and any(n.startswith("optim.") for n in stored):
+    if "optim" in groups:
+        names, moments = groups["optim"]
+        trainable = model.trainable_parameters()
+        if sorted(names) != sorted(trainable):
+            raise IntegrityError(
+                f"{path}: optimizer state does not match the trainable "
+                f"parameters: {len(names)} states for {len(trainable)}, "
+                f"differing in {sorted(set(names) ^ trainable.keys())[:4]}")
         state.optim_state = {}
-        for pname, t in model.trainable_parameters().items():
-            m, v = (weight(f"optim.{pname}.{k}", (1, t.data.size))
-                    for k in "mv")
-            if not (isinstance(m, QuantizedMatrix)
-                    and isinstance(v, QuantizedMatrix)):
-                raise IntegrityError(f"{path}: optimizer state for {pname} "
-                                     f"is not {Q4_DTYPE}")
-            state.optim_state[pname] = QuantizedOptimState(
-                m, v, step=optim_steps.get(pname, 0))
+        for name, m, v in zip(names, moments[0::2], moments[1::2]):
+            if m.n_elements != trainable[name].data.size:
+                raise IntegrityError(
+                    f"{path}: optimizer state for {name} holds "
+                    f"{m.n_elements} elements, the parameter "
+                    f"{trainable[name].data.size}")
+            state.optim_state[name] = QuantizedOptimState(
+                m, v, step=optim_steps.get(name, 0))
     return state

@@ -78,7 +78,7 @@ def is_number(v, kind=numbers.Real) -> bool:
 
 def is_int(v) -> bool:
     # `type(v) is int` is a fast path: the ABC check costs about 1 us, and
-    # loading a checkpoint asks this of every tensor's offset, length and dims
+    # loading a checkpoint asks this of every dim of every tensor it holds
     return type(v) is int or is_number(v, numbers.Integral)
 
 
