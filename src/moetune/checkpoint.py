@@ -11,8 +11,9 @@ segment table ("segments"). The groups are:
 - "f32": every f32 parameter (base weights and adapters), as [name, shape];
   its segment is their values;
 - "q4": the frozen 4-bit kernels, as [name, [rows, cols]];
-- "optim" (only with optimizer state): the Adam moments of each trainable
-  parameter, as [name, n], m then v, each a 1 x n 4-bit matrix.
+- "optim" (only with optimizer state): the trainable parameters in order,
+  as [name, size, update count]; its matrices are the Adam moments m and v
+  as the optimizer holds them, 1 x end over `quant.flat_offsets`.
 
 A 4-bit group has two segments, "codes" (each matrix's ceil(n / 2) packed
 code bytes) and "scales" (its ceil(n / block_size) f32 block scales), and
@@ -21,8 +22,8 @@ crc32}, its offset counted from the payload start. A tensor starts where
 the one before it in its group ends, so no per-tensor offset is stored.
 
 Adapters are `lora_a` [d_in, rank] and `lora_b` [rank, d_out], in the
-[d_in, d_out] orientation of the kernel they sit on. Version 3 replaced
-version 2's header entry per tensor; versions 1 and 2 are rejected.
+[d_in, d_out] orientation of the kernel they sit on. Version 4 replaced
+version 3's moments per parameter; versions 1 to 3 are rejected.
 
 The loader checks the whole header first, then reads each segment it needs
 into its own buffer, checks its CRC and hands out writable numpy views of
@@ -47,10 +48,11 @@ import numpy as np
 from .errors import ConfigError, FormatError, IntegrityError, is_count
 from .lora import LoraConfig, adapter_config, load_adapters
 from .model import DecoderModel, ModelConfig, build_model
-from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, QuantizedOptimState
+from .quant import (DEFAULT_BLOCK_SIZE, AdamState, QuantizedMatrix,
+                    flat_offsets)
 
 MAGIC = b"AURC"
-VERSION = 3
+VERSION = 4
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 
 
@@ -59,12 +61,12 @@ class TrainState:
     """Everything needed to resume training bit-exactly.
 
     The adapter config is the one attached to `model`; `optim_state` holds
-    the Adam moments and step counts by parameter name.
+    the Adam moments and step counts of its trainable parameters.
     """
 
     model: DecoderModel
     train_config: dict | None = None
-    optim_state: dict[str, QuantizedOptimState] | None = None
+    optim_state: AdamState | None = None
     step: int = 0
     epoch: int = 0
     cursor: int = 0  # steps done in `epoch`, all of them once it has ended
@@ -82,13 +84,14 @@ def save_checkpoint(state: TrainState, path) -> None:
     model = state.model
     params = model.named_parameters()
     kernels = model.named_quantized()
-    optim = state.optim_state or {}
+    optim = state.optim_state
     tensors = {"f32": [[n, list(t.shape)] for n, t in params.items()],
                "q4": [[n, [q.rows, q.cols]] for n, q in kernels.items()]}
     matrices = {"q4": list(kernels.values())}
-    if optim:
-        tensors["optim"] = [[n, s.m.n_elements] for n, s in optim.items()]
-        matrices["optim"] = [q for s in optim.values() for q in (s.m, s.v)]
+    if optim is not None:
+        tensors["optim"] = [list(e) for e in zip(optim.names, optim.sizes,
+                                                 optim.steps)]
+        matrices["optim"] = [optim.m, optim.v]
 
     blobs: list[np.ndarray] = []
     end = 0
@@ -123,9 +126,7 @@ def save_checkpoint(state: TrainState, path) -> None:
             "lora": lora_cfg.to_dict() if lora_cfg else None,
             "train": state.train_config,
             "trainer_state": {"step": state.step, "epoch": state.epoch,
-                              "cursor": state.cursor,
-                              "optim_steps": {n: s.step
-                                              for n, s in optim.items()}},
+                              "cursor": state.cursor},
         },
         "tensors": tensors,
         "segments": segments,
@@ -156,38 +157,36 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def _layout(where: str, group: str, entries, meta, room: int):
-    """Names, shapes, block size and segment spans of one group, checked.
+    """Entries, shapes, block size and segment spans of one group, checked.
 
-    A span is (where, offset, length, crc32). An "optim" entry [name, n]
-    gives two 1 x n shapes, m then v. FormatError for a malformed entry or
-    segment; IntegrityError if a segment runs past the `room` payload bytes
-    or its length is not that of its tensors.
+    A span is (where, offset, length, crc32); "optim" has the shapes of its
+    two flat moments. FormatError for a malformed entry or segment;
+    IntegrityError if a segment runs past the `room` payload bytes or its
+    length is not that of its tensors.
     """
     if not isinstance(entries, list):
         raise FormatError(f"{where}: tensors of {group} must be a list")
-    names, shapes = [], []
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str)):
+        if group == "optim":  # [name, n, step]
+            ok = (isinstance(entry, list) and len(entry) == 3
+                  and all(map(is_count, entry[1:])))
+        else:  # [name, shape], 2-D in q4
+            ok = (isinstance(entry, list) and len(entry) == 2
+                  and isinstance(entry[1], list)
+                  and all(map(is_count, entry[1]))
+                  and (group == "f32" or len(entry[1]) == 2))
+        if not (ok and isinstance(entry[0], str)):
             raise FormatError(f"{where}: malformed {group} entry {entry!r}")
-        name, shape = entry
-        if group == "optim":
-            shape = [1, shape]
-        if not (isinstance(shape, list) and all(map(is_count, shape))
-                and (group == "f32" or len(shape) == 2)):
-            raise FormatError(f"{where}: malformed {group} entry {entry!r}")
-        names.append(name)
-        shapes.append(tuple(shape))
-    if group == "optim":
-        shapes = [s for s in shapes for _ in "mv"]
 
+    if group != "f32" and not (isinstance(meta, dict)
+                               and is_count(meta.get("block_size"), 1)):
+        raise FormatError(f"{where}: {group} segments lack a block size")
+    block_size = None if group == "f32" else meta["block_size"]
+    shapes = ([(1, flat_offsets([e[1] for e in entries], block_size)[-1])] * 2
+              if group == "optim" else [tuple(e[1]) for e in entries])
     if group == "f32":
-        block_size = None
         want = {"f32": (meta, 4 * sum(map(math.prod, shapes)))}
     else:
-        if not (isinstance(meta, dict) and is_count(meta.get("block_size"), 1)):
-            raise FormatError(f"{where}: {group} segments lack a block size")
-        block_size = meta["block_size"]
         sizes = [r * c for r, c in shapes]
         want = {f"{group}.codes": (meta.get("codes"),
                                    sum((n + 1) // 2 for n in sizes)),
@@ -206,7 +205,7 @@ def _layout(where: str, group: str, entries, meta, room: int):
                                  f"{span['length']} bytes, its tensors {length}")
         spans.append((f"{where}: segment {label}", span["offset"], length,
                       span["crc32"]))
-    return names, shapes, block_size, spans
+    return entries, shapes, block_size, spans
 
 
 def _read(f, base: int, span) -> bytearray:
@@ -285,11 +284,9 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
             raise FormatError(f"{path}: trainer_state must be a dict")
         # files of earlier builds also hold a "seed", which train_config repeats
         step, epoch, cursor = (ts.get(k, 0) for k in ("step", "epoch", "cursor"))
-        optim_steps = ts.get("optim_steps", {})
-        if not (isinstance(optim_steps, dict) and all(map(
-                is_count, [step, epoch, cursor, *optim_steps.values()]))):
-            raise FormatError(f"{path}: trainer_state counters and "
-                              f"optim_steps must be non-negative ints")
+        if not all(map(is_count, [step, epoch, cursor])):
+            raise FormatError(f"{path}: trainer_state counters must be "
+                              f"non-negative ints")
 
         tensors, segments = header["tensors"], header["segments"]
         if not (isinstance(tensors, dict) and isinstance(segments, dict)
@@ -299,13 +296,11 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
                               f"f32, q4 and optionally optim")
         layout = {g: _layout(str(path), g, tensors[g], segments[g],
                              size - base) for g in tensors}
-        groups = {g: (names, _tensors(f, base, *rest))
-                  for g, (names, *rest) in layout.items()
+        groups = {g: (entries, _tensors(f, base, *rest))
+                  for g, (entries, *rest) in layout.items()
                   if g != "optim" or with_optimizer}
 
-    stored = {}
-    for g in ("f32", "q4"):
-        stored.update(zip(*groups[g]))
+    stored = {e[0]: t for g in ("f32", "q4") for e, t in zip(*groups[g])}
     if len(stored) != len(groups["f32"][0]) + len(groups["q4"][0]):
         raise IntegrityError(f"{path}: a tensor name is stored twice")
     unused = set(stored)
@@ -328,20 +323,11 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     state = TrainState(model=model, train_config=configs.get("train"),
                        step=step, epoch=epoch, cursor=cursor)
     if "optim" in groups:
-        names, moments = groups["optim"]
-        trainable = model.trainable_parameters()
-        if sorted(names) != sorted(trainable):
-            raise IntegrityError(
-                f"{path}: optimizer state does not match the trainable "
-                f"parameters: {len(names)} states for {len(trainable)}, "
-                f"differing in {sorted(set(names) ^ trainable.keys())[:4]}")
-        state.optim_state = {}
-        for name, m, v in zip(names, moments[0::2], moments[1::2]):
-            if m.n_elements != trainable[name].data.size:
-                raise IntegrityError(
-                    f"{path}: optimizer state for {name} holds "
-                    f"{m.n_elements} elements, the parameter "
-                    f"{trainable[name].data.size}")
-            state.optim_state[name] = QuantizedOptimState(
-                m, v, step=optim_steps.get(name, 0))
+        entries, (m, v) = groups["optim"]
+        optim = AdamState([e[0] for e in entries], [e[1] for e in entries],
+                          [e[2] for e in entries], m, v)
+        why = optim.mismatch(model.trainable_parameters())
+        if why is not None:
+            raise IntegrityError(f"{path}: optimizer state {why}")
+        state.optim_state = optim
     return state

@@ -5,25 +5,28 @@ block stores one f32 scale (absmax/7) and one 4-bit code per element.
 Codes are unsigned 0..14 with value = (code - 7) * scale, so the grid is
 15 symmetric levels and reconstruction error is bounded by scale/2.
 
-The 4-bit Adam keeps each parameter's moments as two such 1 x n matrices
-plus its own step count. One step updates every parameter that has a
-gradient in one vectorized pass. The live parameters are laid end to end in
-a flat buffer, each padded with zeros to whole blocks, so no block straddles
-two parameters and every code and scale is the one a pass over that
-parameter alone computes; each parameter's new moments are views of the
-pass's packed codes and scales. A parameter without a gradient is skipped:
-it keeps its value, moments and step count, and bias-corrects with its own
-count when it next has a gradient.
+The 4-bit Adam keeps all its moments in one AdamState: two 1 x end such
+matrices, m and v, and a step count per parameter. Each parameter is a
+segment of the flat layout, padded to whole blocks and to a whole byte of
+codes, so no block straddles two parameters; a pad holds code 7, which
+reads 0 and which Adam keeps at 0. So every code and scale is the one a
+pass over that parameter alone computes. A step gathers the segments of
+the parameters that have a gradient, updates them in one vectorized pass
+and writes their codes and scales back. A parameter without a gradient
+keeps its value, moments and step count, and bias-corrects with its own
+count when it next has one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericError
+from .errors import (ConfigError, DimensionError, FormatError, NumericError,
+                     check_rules, is_number)
 from .tensor import Tensor, matmul
 
 DEFAULT_BLOCK_SIZE = 64
@@ -170,104 +173,100 @@ def qmatmul(x: Tensor, q: QuantizedMatrix, adapter=None,
 # 4-bit Adam
 
 
-@dataclass
-class QuantizedOptimState:
-    """Per-parameter Adam moments held as 4-bit block arrays plus a step count."""
+def adam_rules(config) -> list[tuple[str, str, bool]]:
+    """The rules on `config`'s beta1, beta2 and eps that keep Adam finite."""
+    b1, b2, eps = config.beta1, config.beta2, config.eps
+    return [("beta1", "in [0, 1)", is_number(b1) and 0 <= b1 < 1),
+            ("beta2", "in [0, 1)", is_number(b2) and 0 <= b2 < 1),
+            ("eps", "a number > 0", is_number(eps) and eps > 0)]
 
+
+def flat_offsets(sizes, block_size: int) -> list[int]:
+    """The start of each parameter's segment of the flat layout, then its
+    end: segments are padded to whole blocks and whole bytes of codes."""
+    unit = block_size * (1 + block_size % 2)
+    return [0, *itertools.accumulate(_n_blocks(n, unit) * unit for n in sizes)]
+
+
+@dataclass
+class AdamState:
+    """The parameters' names, sizes and update counts, in order, and their
+    moments m and v: parameter i holds elements offsets[i] to offsets[i] +
+    sizes[i] of each, offsets = flat_offsets(sizes, m.block_size)."""
+
+    names: list[str]
+    sizes: list[int]
+    steps: list[int]
     m: QuantizedMatrix
     v: QuantizedMatrix
-    step: int = 0
 
     @classmethod
-    def zeros(cls, n: int) -> "QuantizedOptimState":
-        return cls(m=_zeros_flat(n), v=_zeros_flat(n))
+    def zeros(cls, params: dict[str, Tensor]) -> "AdamState":
+        """quantize_4bit of zero moments, and zero steps, for `params`."""
+        sizes, bs = [t.data.size for t in params.values()], DEFAULT_BLOCK_SIZE
+        end = flat_offsets(sizes, bs)[-1]
+        # one matrix serves as m and v: no pass writes a moment in place
+        zero = QuantizedMatrix(1, end, bs, np.full(end // 2, 0x77, np.uint8),
+                               np.zeros(end // bs, dtype=np.float32))
+        return cls(list(params), sizes, [0] * len(sizes), zero, zero)
+
+    def mismatch(self, params: dict[str, Tensor]) -> str | None:
+        """None when the state holds `params`, the same names and sizes in
+        the same order; otherwise the first difference."""
+        want = [(name, t.data.size) for name, t in params.items()]
+        for i, (h, w) in enumerate(itertools.zip_longest(
+                zip(self.names, self.sizes), want)):
+            if h != w:
+                return (f"holds {h} at position {i} where the parameters "
+                        f"have {w}")
+        return None
 
 
-def _zeros_flat(n: int) -> QuantizedMatrix:
-    """quantize_4bit(np.zeros((1, n))), built directly: every block gets
-    scale 0 and every code 7; for odd n the last byte's high nibble is the
-    0 that pack_codes pads with."""
-    codes = np.full((n + 1) // 2, 0x77, dtype=np.uint8)
-    if n % 2:
-        codes[-1] = 0x07
-    return QuantizedMatrix(1, n, DEFAULT_BLOCK_SIZE, codes, np.zeros(
-        _n_blocks(n, DEFAULT_BLOCK_SIZE), dtype=np.float32))
-
-
-def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
-                                QuantizedOptimState]],
-               lr: float, beta1: float, beta2: float, eps: float,
+def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
+               beta1: float, beta2: float, eps: float,
                max_norm: float) -> float:
-    """One Adam step for every (name, param, grad, state) in `live`, on the
-    gradients scaled by f32(max_norm / (norm + 1e-6)) when their global
-    norm, the sum of each segment's f64 sum of squares in `live` order,
-    exceeds `max_norm`; returns that norm. The grads in `live` stay as given.
+    """One Adam step for every parameter of `state` that has a gradient, on
+    the gradients scaled by f32(max_norm / (norm + 1e-6)) when their global
+    norm, the sum of each one's f64 sum of squares in parameter order,
+    exceeds `max_norm`; returns that norm. The grads stay as given.
 
-    The segments are laid end to end in one flat buffer of whole blocks,
-    each padded to a multiple of the block size (and of 2, so that every
-    segment starts on a byte of packed codes). No block straddles two
-    segments, and pad values are zero like quantize_4bit's, so every code
-    and scale is the one a pass over that parameter alone computes. Each
-    segment bias-corrects with its own step count. A non-finite gradient
-    or moment raises NumericError before anything is written; otherwise
-    every param is updated in place and every state gets views of this
-    pass's new codes and scales, which are never written again.
+    Their segments are gathered by whole units into one flat buffer, each
+    bias-corrected with its own step count. A non-finite gradient or moment
+    raises NumericError before anything is written; otherwise each such
+    param is updated in place, and m and v become copies with new codes and
+    scales in those units (the matrices are never written in place).
     """
-    bs = live[0][3].m.block_size
+    bs = state.m.block_size
     unit = bs * (1 + bs % 2)
-    offsets, pads = [], []
-    g_parts, m_codes, m_scales, v_codes, v_scales = [], [], [], [], []
-    c1, c2, seg_blocks = [], [], []
-    end = 0
-    for name, param, grad, st in live:
-        n = param.size
-        if grad.size != n or st.m.n_elements != n or st.v.n_elements != n:
-            raise DimensionError(
-                f"{name}: param, grad and moments differ in size: {n}, "
-                f"{grad.size}, {st.m.n_elements}, {st.v.n_elements}")
-        if st.m.block_size != bs or st.v.block_size != bs:
-            raise DimensionError(f"{name}: moments are not in blocks of {bs}")
-        seg = _n_blocks(n, unit) * unit
-        offsets.append(end)
-        g_parts.append(np.asarray(grad, dtype=np.float32).reshape(-1))
-        m_codes.append(st.m.codes)
-        v_codes.append(st.v.codes)
-        m_scales.append(st.m.scales)
-        v_scales.append(st.v.scales)
-        if seg > n:
-            pads.append((end + n, end + seg))
-            g_parts.append(np.zeros(seg - n, dtype=np.float32))
-            byte_pad = np.zeros(seg // 2 - (n + 1) // 2, dtype=np.uint8)
-            scale_pad = np.zeros(seg // bs - _n_blocks(n, bs), dtype=np.float32)
-            m_codes.append(byte_pad)
-            v_codes.append(byte_pad)
-            m_scales.append(scale_pad)
-            v_scales.append(scale_pad)
-        t = st.step + 1
-        c1.append(1.0 - beta1 ** t)
-        c2.append(1.0 - beta2 ** t)
-        seg_blocks.append(seg // bs)
-        end += seg
-
-    g = np.concatenate(g_parts).reshape(-1, bs)
+    seg = np.diff(flat_offsets(state.sizes, bs))
+    has_grad = [t.grad is not None for t in params]
+    live = np.flatnonzero(has_grad)
+    keep = np.repeat(has_grad, seg // unit)  # the units of live segments
+    seg = seg[live]
+    starts = np.cumsum(seg) - seg
+    names = [state.names[i] for i in live]
+    g = np.zeros(seg.sum(), dtype=np.float32)
+    norm = 0.0
+    for i, lo in zip(live, starts):
+        grad = params[i].grad
+        if grad.size != state.sizes[i]:
+            raise DimensionError(f"{state.names[i]}: grad holds {grad.size} "
+                                 f"elements, the parameter {state.sizes[i]}")
+        part = g[lo:lo + grad.size]
+        part[:] = grad.reshape(-1)
+        # f32 squares are exact in f64; each segment's sum skips its pad
+        norm += float(np.square(part, dtype=np.float64).sum())
+    g = g.reshape(-1, bs)
     finite = np.isfinite(g)
     if not finite.all():
         raise NumericError(f"4-bit Adam: non-finite gradient for "
-                           f"{_first_false(finite, live, offsets)}")
-    # f32 squares are exact in f64; each segment's sum skips its pad
-    squares = np.square(g.reshape(-1), dtype=np.float64)
-    norm = 0.0
-    for (_, param, _, _), lo in zip(live, offsets):
-        norm += float(squares[lo:lo + param.size].sum())
+                           f"{_first_false(finite, names, starts)}")
     norm = math.sqrt(norm)
     if norm > max_norm:
         g *= np.float32(max_norm / (norm + 1e-6))
-    m, v = (dequantize(QuantizedMatrix(1, end, bs, np.concatenate(codes),
-                                       np.concatenate(scales))).reshape(-1, bs)
-            for codes, scales in ((m_codes, m_scales), (v_codes, v_scales)))
-    for lo, hi in pads:  # a pad code, or an odd tail's 0 nibble, reads -7
-        m.reshape(-1)[lo:hi] = 0.0
-        v.reshape(-1)[lo:hi] = 0.0
+    # a pad reads 0, as quantize_4bit pads, and Adam keeps it at 0 (code 7),
+    # so every code and scale is the one a pass over its parameter computes
+    m, v = _gather(state.m, keep, unit), _gather(state.v, keep, unit)
 
     # Adam's f32 arithmetic in the per-tensor order, in place:
     # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
@@ -283,9 +282,10 @@ def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
     if not (np.isfinite(m).all() and np.isfinite(v).all()):
         finite = np.isfinite(m) & np.isfinite(v)
         raise NumericError(f"4-bit Adam: non-finite moment for "
-                           f"{_first_false(finite, live, offsets)}")
-    c1, c2 = (np.repeat(np.array(c, dtype=np.float32), seg_blocks)[:, None]
-              for c in (c1, c2))
+                           f"{_first_false(finite, names, starts)}")
+    c1, c2 = (np.repeat(np.array([1.0 - b ** (state.steps[i] + 1)
+                                  for i in live], dtype=np.float32),
+                        seg // bs)[:, None] for b in (beta1, beta2))
     denom = np.divide(v, c2, out=g)
     np.sqrt(denom, out=denom)
     denom += eps
@@ -294,44 +294,52 @@ def _adam_pass(live: list[tuple[str, np.ndarray, np.ndarray,
     update /= denom
     update = update.reshape(-1)
 
-    (mq, ms), (vq, vs) = _quantize_blocks(m), _quantize_blocks(v)
-    for lo, hi in pads:  # pack_codes pads an odd tail with code 0
-        mq.reshape(-1)[lo:hi] = 0
-        vq.reshape(-1)[lo:hi] = 0
-    mq, vq = pack_codes(mq.reshape(-1)), pack_codes(vq.reshape(-1))
-    for (_, param, _, st), lo in zip(live, offsets):
-        n = param.size
-        param -= update[lo:lo + n].reshape(param.shape)
-        nbytes = slice(lo // 2, lo // 2 + (n + 1) // 2)
-        nblocks = slice(lo // bs, lo // bs + _n_blocks(n, bs))
-        st.m = QuantizedMatrix(1, n, bs, mq[nbytes], ms[nblocks])
-        st.v = QuantizedMatrix(1, n, bs, vq[nbytes], vs[nblocks])
-        st.step += 1
+    for i, lo in zip(live, starts):
+        param = params[i].data
+        param -= update[lo:lo + param.size].reshape(param.shape)
+        state.steps[i] += 1
+    state.m, state.v = (_put(state.m, keep, unit, m),
+                        _put(state.v, keep, unit, v))
     return norm
 
 
-def _first_false(finite: np.ndarray, live, offsets) -> str:
+def _gather(q: QuantizedMatrix, keep: np.ndarray, unit: int) -> np.ndarray:
+    """The blocks of flat matrix `q` in the units `keep` marks, dequantized."""
+    codes = q.codes.reshape(-1, unit // 2)[keep].reshape(-1)
+    scales = q.scales.reshape(-1, unit // q.block_size)[keep].reshape(-1)
+    return dequantize(QuantizedMatrix(1, 2 * codes.size, q.block_size, codes,
+                                      scales)).reshape(-1, q.block_size)
+
+
+def _put(q: QuantizedMatrix, keep: np.ndarray, unit: int,
+         blocks: np.ndarray) -> QuantizedMatrix:
+    """A copy of flat matrix `q` whose units that `keep` marks hold
+    `blocks`, as _gather lays them out, quantized."""
+    codes, scales = _quantize_blocks(blocks)
+    out = QuantizedMatrix(1, q.cols, q.block_size, q.codes.copy(),
+                          q.scales.copy())
+    for a, new, width in ((out.codes, pack_codes(codes.reshape(-1)), unit // 2),
+                          (out.scales, scales, unit // q.block_size)):
+        a.reshape(-1, width)[keep] = new.reshape(-1, width)
+    return out
+
+
+def _first_false(finite: np.ndarray, names: list[str], starts) -> str:
     """Name of the segment that holds the first False of `finite`."""
-    first = int(np.argmin(finite.reshape(-1)))
-    return next(name for (name, *_), lo in zip(reversed(live),
-                                                reversed(offsets))
-                if lo <= first)
+    return names[np.searchsorted(starts, np.argmin(finite), "right") - 1]
 
 
 class QuantizedAdam:
     """Adam over named f32 tensors with 4-bit moment storage.
 
-    `state` maps each name to its own QuantizedOptimState. `step` runs one
-    pass over the parameters that have a gradient (see _adam_pass): it
-    clips their gradients to one global norm, and each is a segment of one
-    flat buffer, padded to whole blocks, whose new moments are views of
-    that pass's codes and scales. A parameter without a gradient keeps its
-    value, moments (views of the last pass that updated it) and step count;
-    its next update bias-corrects with its own count. Values, codes and
-    scales are bitwise those of a loop that clips the gradients, then, per
-    parameter, dequantizes both moments, updates the param and requantizes
-    the moments. An lr that is not a finite number >= 0 is a ConfigError,
-    a non-finite gradient or moment a NumericError that changes nothing.
+    `state` is one AdamState over `params`, in their order. `step` clips the
+    gradients to one global norm and updates the parameters that have one,
+    and their moments (see _adam_pass), bitwise as a loop that clips, then
+    per parameter dequantizes both moments, updates the param and
+    requantizes them. Betas outside [0, 1), an eps or max_norm that is not
+    a number > 0, an lr that is not a finite number >= 0 and a state of
+    other parameters are ConfigErrors; a non-finite gradient or moment is a
+    NumericError that changes nothing.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
@@ -340,10 +348,8 @@ class QuantizedAdam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict[str, QuantizedOptimState] = {
-            name: QuantizedOptimState.zeros(t.data.size)
-            for name, t in params.items()
-        }
+        check_rules(self, adam_rules(self))
+        self.state = AdamState.zeros(params)
 
     def step(self, lr: float, max_norm: float = math.inf) -> float:
         """Apply one update at `lr` to every parameter that has a gradient,
@@ -351,7 +357,14 @@ class QuantizedAdam:
         clipping (0.0 when no parameter has a gradient)."""
         if not 0 <= lr < math.inf:  # NaN fails it too
             raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
-        live = [(name, t.data, t.grad, self.state[name])
-                for name, t in self.params.items() if t.grad is not None]
-        return (_adam_pass(live, lr, self.beta1, self.beta2, self.eps,
-                           max_norm) if live else 0.0)
+        if not (is_number(max_norm) and max_norm > 0):
+            raise ConfigError(f"max_norm must be a number > 0, got "
+                              f"{max_norm!r}")
+        why = self.state.mismatch(self.params)
+        if why is not None:
+            raise ConfigError(f"optimizer state {why}")
+        params = list(self.params.values())
+        if all(t.grad is None for t in params):
+            return 0.0
+        return _adam_pass(self.state, params, lr, self.beta1, self.beta2,
+                          self.eps, max_norm)

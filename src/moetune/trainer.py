@@ -36,7 +36,7 @@ from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
                      check_rules, count_rule, is_count, is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
-from .quant import QuantizedAdam
+from .quant import QuantizedAdam, adam_rules
 from .tokenizer import EOT_ID, PAD_ID, TokenizedSample
 
 
@@ -74,11 +74,7 @@ class TrainConfig:
             ("max_grad_norm", "a number > 0",
              is_number(self.max_grad_norm) and self.max_grad_norm > 0),
             count_rule(self, "warmup_steps", 0),
-            ("beta1", "in [0, 1)",
-             is_number(self.beta1) and 0 <= self.beta1 < 1),
-            ("beta2", "in [0, 1)",
-             is_number(self.beta2) and 0 <= self.beta2 < 1),
-            ("eps", "a number > 0", is_number(self.eps) and self.eps > 0)])
+            *adam_rules(self)])
         return self
 
     def to_dict(self) -> dict:
@@ -172,7 +168,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     when out_dir is given. Pass the loaded TrainState as `resume` to
     continue a run; the subsequent loss sequence matches uninterrupted
     training bit for bit. `cfg` must keep the state's seed, batch_size and
-    grad_accum_steps, or ConfigError is raised; the rest may change. The
+    grad_accum_steps, and the state's moments must be those of the model's
+    trainable parameters, or ConfigError is raised; the rest may change. The
     optimizer takes its hyperparameters from `cfg`, the state only its
     moments, step counts and position (see the module docstring).
     `lora_config`, when given, must equal the config of the
@@ -222,7 +219,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     state = TrainState(model=model, train_config=cfg.to_dict(),
                        optim_state=optimizer.state)
     if resume is not None:
-        _check_resume(cfg, resume)
+        _check_resume(cfg, resume, trainable)
         optimizer.state = state.optim_state = resume.optim_state
         state.step, state.epoch, state.cursor = (resume.step, resume.epoch,
                                                  resume.cursor)
@@ -272,12 +269,15 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     return state, log
 
 
-def _check_resume(cfg: TrainConfig, resume: TrainState) -> None:
-    """ConfigError unless `resume` has moments and was saved with the seed,
-    batch_size and grad_accum_steps of `cfg`."""
+def _check_resume(cfg: TrainConfig, resume: TrainState, trainable) -> None:
+    """ConfigError unless `resume` has moments of the `trainable` parameters
+    and was saved with the seed, batch_size and grad_accum_steps of `cfg`."""
     if resume.optim_state is None:
         raise ConfigError("resume state carries no optimizer moments "
                           "(load it with with_optimizer=True)")
+    why = resume.optim_state.mismatch(trainable)
+    if why is not None:
+        raise ConfigError(f"resume state's optimizer {why}")
     saved = resume.train_config
     if not isinstance(saved, dict):
         raise ConfigError("resume state carries no train_config")

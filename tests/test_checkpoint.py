@@ -87,14 +87,14 @@ def assert_same_state(want: TrainState, got: TrainState) -> None:
                                                          gq[name].block_size)
         assert np.array_equal(wq[name].codes, gq[name].codes), name
         assert np.array_equal(wq[name].scales, gq[name].scales), name
-    assert list(want.optim_state or {}) == list(got.optim_state or {})
-    for name, w in (want.optim_state or {}).items():
-        g = got.optim_state[name]
-        assert w.step == g.step, name
+    w, g = want.optim_state, got.optim_state
+    assert (w is None) == (g is None)
+    if w is not None:
+        assert (w.names, w.sizes, w.steps) == (g.names, g.sizes, g.steps)
         for wm, gm in ((w.m, g.m), (w.v, g.v)):
             assert (wm.shape, wm.block_size) == (gm.shape, gm.block_size)
-            assert np.array_equal(wm.codes, gm.codes), name
-            assert np.array_equal(wm.scales, gm.scales), name
+            assert np.array_equal(wm.codes, gm.codes)
+            assert np.array_equal(wm.scales, gm.scales)
     assert ((want.step, want.epoch, want.cursor)
             == (got.step, got.epoch, got.cursor))
 
@@ -128,9 +128,10 @@ def test_save_load_save_with_moments_is_bitwise(tmp_path, block_size):
     assert_same_state(state, loaded)
     assert {q.block_size for q in loaded.model.named_quantized().values()} \
         == {block_size}
-    assert {s.m.block_size for s in loaded.optim_state.values()} == {64}
-    assert sorted({s.step for s in loaded.optim_state.values()}) == [1, 2]
-    assert any(s.m.n_elements % 2 for s in loaded.optim_state.values())
+    optim = loaded.optim_state
+    assert (optim.m.block_size, optim.v.block_size) == (64, 64)
+    assert sorted(set(optim.steps)) == [1, 2]
+    assert any(n % 2 for n in optim.sizes)
     # the loaded adapters are writable views: an optimizer step updates them
     params = loaded.model.trainable_parameters()
     for t in params.values():
@@ -186,6 +187,25 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert read(tmp_path / "again.bin") == before
 
 
+def test_version_3_is_rejected(tmp_path):
+    # version 3 stored a pair of 1 x n moments per parameter, [name, n]
+    # entries and the step counts in the trainer state
+    def as_v3(header):
+        optim = header["tensors"]["optim"]
+        header["configs"]["trainer_state"]["optim_steps"] = {
+            name: step for name, _, step in optim}
+        header["tensors"]["optim"] = [[name, n] for name, n, _ in optim]
+
+    good, old = tmp_path / "good.bin", tmp_path / "old.bin"
+    save_checkpoint(moment_state(), good)
+    edit_header(good, old, as_v3)
+    raw = bytearray(read(old))
+    raw[4:8] = struct.pack("<I", 3)
+    old.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="version 3"):
+        load_checkpoint(old)
+
+
 def test_version_1_is_rejected(tmp_path):
     # and version 2, whose header held an entry per tensor
     path = tmp_path / "old.bin"
@@ -219,9 +239,10 @@ def edit_header(src, dst, edit) -> None:
                 + raw[16 + header_len:])
 
 
-def saved_and_edited(tmp_path, edit):
+def saved_and_edited(tmp_path, edit, state=None):
+    """A checkpoint of `state` (tiny_state() by default) edited by edit."""
     good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-    save_checkpoint(tiny_state(), good)
+    save_checkpoint(state or tiny_state(), good)
     edit_header(good, bad, edit)
     return bad
 
@@ -291,14 +312,27 @@ def rename_group(header, old: str, new: str) -> None:
     header["segments"][new] = header["segments"].pop(old)
 
 
+def set_optim(i: int, value):
+    """Header edit: set (or, with value MISSING, drop) field i of the first
+    optim entry [name, n, step]."""
+    def edit(header):
+        e = header["tensors"]["optim"][0]
+        if value is MISSING:
+            e.pop(i)
+        else:
+            e[i] = value
+    return edit
+
+
 # v2 stored a {dtype, shape, offset, length} entry per tensor; each of its
-# cases keeps its id and is asked of the v3 header's counterpart: "dtype" of
+# cases keeps its id and is asked of the v4 header's counterpart: "dtype" of
 # the group a tensor sits in and its block size, "offset" and "length" of
-# the segment table, "shape" of a tensor's [name, shape] entry
+# the segment table, "shape" of a tensor's [name, shape] entry; the optim
+# step cases of an optim entry [name, n, step]
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(tensors=list(h["tensors"].values())),
     lambda h: h["configs"].update(trainer_state=[3, 1, 1, 4]),
-    lambda h: h["configs"]["trainer_state"].update(optim_steps=[0]),
+    set_optim(2, [0]),
     lambda h: h["tensors"]["f32"].__setitem__(0, {"embedding": [262, 16]}),
     lambda h: rename_group(h, "f32", "bf16"),
     set_segment("q4", "block_size", 0),
@@ -315,8 +349,7 @@ def rename_group(header, old: str, new: str) -> None:
     lambda h: h["configs"]["trainer_state"].update(step="3"),
     lambda h: h["configs"]["trainer_state"].update(cursor=-5),
     lambda h: h["configs"]["trainer_state"].update(epoch=True),
-    lambda h: h["configs"]["trainer_state"]["optim_steps"].update(
-        {"layers.0.attn.wq.lora_a": "2"}),
+    set_optim(2, "2"),
     lambda h: h["configs"]["model"].update(n_heads=0),
     lambda h: h["configs"]["lora"].update(alpha=float("nan")),
     lambda h: h["configs"]["lora"].update(alpha=float("inf")),
@@ -330,6 +363,10 @@ def rename_group(header, old: str, new: str) -> None:
     lambda h: h["segments"]["q4"].pop("codes"),
     set_shape(KERNEL, [256]),
     lambda h: entry(h, KERNEL).__setitem__(0, 7),
+    set_optim(2, MISSING),
+    set_optim(1, -16),
+    set_optim(0, 7),
+    set_segment("optim", "block_size", MISSING),
 ], ids=["tensors-list", "trainer-state-list", "optim-steps-list",
         "entry-list", "unknown-dtype", "unknown-q4-block", "no-dtype",
         "no-offset", "no-length", "no-shape", "negative-offset",
@@ -338,10 +375,11 @@ def rename_group(header, old: str, new: str) -> None:
         "str-optim-step", "zero-heads", "nan-alpha", "inf-alpha",
         "fractional-rank", "bool-rank", "segments-list", "no-q4-tensors",
         "no-q4-group", "no-crc", "str-crc", "no-codes-segment",
-        "1d-q4-shape", "int-name"])
+        "1d-q4-shape", "int-name", "no-optim-step", "negative-optim-size",
+        "int-optim-name", "no-optim-block"])
 def test_malformed_header_is_a_format_error(tmp_path, edit):
     with pytest.raises(FormatError):
-        load_checkpoint(saved_and_edited(tmp_path, edit))
+        load_checkpoint(saved_and_edited(tmp_path, edit, moment_state()))
 
 
 @pytest.mark.parametrize("name", ["final_norm.weight", KERNEL,
@@ -436,6 +474,18 @@ def test_moments_of_other_parameters_are_an_integrity_error(tmp_path):
     assert load_checkpoint(bad, with_optimizer=False).optim_state is None
     with pytest.raises(IntegrityError, match="optimizer state"):
         load_checkpoint(bad)
+
+
+def test_optim_entries_in_another_order_are_an_integrity_error(tmp_path):
+    # the flat layout is as long in any order, so only the names tell
+    def swap(header):
+        optim = header["tensors"]["optim"]
+        optim[0], optim[1] = optim[1], optim[0]
+
+    path = saved_and_edited(tmp_path, swap, moment_state())
+    assert load_checkpoint(path, with_optimizer=False).optim_state is None
+    with pytest.raises(IntegrityError, match="optimizer state .* position 0"):
+        load_checkpoint(path)
 
 
 def test_bare_checkpoint_loads_with_init_model_trainables(tmp_path):

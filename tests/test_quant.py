@@ -1,5 +1,6 @@
 """Blockwise 4-bit quantization: bounds, round trips, and the 4-bit Adam."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,11 +191,13 @@ def f32_adam_reference(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 4097])
 def test_zero_state_is_byte_equal_to_quantizing_zeros(n):
-    want = Q.quantize_4bit(np.zeros((1, n), dtype=np.float32))
-    state = Q.QuantizedOptimState.zeros(n)
-    assert state.step == 0
+    # the flat layout pads n to whole blocks of 64
+    end = 64 * -(-n // 64)
+    want = Q.quantize_4bit(np.zeros((1, end), dtype=np.float32))
+    state = Q.AdamState.zeros({"p": T.Tensor(np.zeros((1, n)))})
+    assert (state.names, state.sizes, state.steps) == (["p"], [n], [0])
     for got in (state.m, state.v):
-        assert (got.rows, got.cols, got.block_size) == (1, n, want.block_size)
+        assert (got.rows, got.cols, got.block_size) == (1, end, want.block_size)
         assert got.codes.dtype == want.codes.dtype
         assert got.codes.tobytes() == want.codes.tobytes()
         assert got.scales.dtype == want.scales.dtype
@@ -222,7 +225,7 @@ def test_adam_zero_grad_step_is_noop():
     before = p.copy()
     step(np.zeros(3, dtype=np.float32))
     assert np.array_equal(p, before)
-    assert opt.state["p"].step == 1
+    assert opt.state.steps == [1]
 
 
 def test_adam_scalar_one_step_matches_f32():
@@ -264,7 +267,7 @@ def test_adam_second_moment_nonnegative():
     opt, step = one_param_adam(p, lr=0.01)
     for _ in range(5):
         step(rng.standard_normal(130).astype(np.float32))
-        assert np.all(opt.state["p"].v.dequant() >= 0.0)
+        assert np.all(opt.state.v.dequant() >= 0.0)
 
 
 def test_adam_rejects_nonfinite_grad():
@@ -299,25 +302,26 @@ def test_optimizer_skips_a_parameter_without_grad_and_keeps_its_own_step():
     a.grad, b.grad = grad(a), grad(b)
     opt.step(0.01)
     kept = b.data.copy()
-    sb = opt.state["b"]
+    sb = segment(opt.state, "b")
     moments = [arr.copy() for arr in (sb.m.codes, sb.m.scales,
                                       sb.v.codes, sb.v.scales)]
 
     a.grad, b.grad = grad(a), None
     opt.step(0.01)
     assert np.array_equal(b.data, kept)
+    sb = segment(opt.state, "b")
     assert all(np.array_equal(x, y) for x, y in
                zip(moments, (sb.m.codes, sb.m.scales, sb.v.codes, sb.v.scales)))
-    assert (opt.state["a"].step, sb.step) == (2, 1)
+    assert opt.state.steps == [2, 1]
 
     a.grad, b.grad = grad(a), grad(b)
-    own_t = Q.QuantizedOptimState(sb.m, sb.v, step=1)
-    global_t = Q.QuantizedOptimState(sb.m, sb.v, step=2)
+    own_t = OracleState(sb.m, sb.v, step=1)
+    global_t = OracleState(sb.m, sb.v, step=2)
     want, wrong = kept.copy(), kept.copy()
     per_tensor_adam_step(want, b.grad, own_t, lr=0.01)
     per_tensor_adam_step(wrong, b.grad, global_t, lr=0.01)
     opt.step(0.01)
-    assert sb.step == 2
+    assert opt.state.steps == [3, 2]
     assert np.array_equal(b.data, want)
     assert not np.array_equal(b.data, wrong)
 
@@ -328,7 +332,45 @@ def test_adam_step_rejects_a_nan_infinite_or_negative_lr(lr):
     opt, step = one_param_adam(p, lr=0.1)
     with pytest.raises(ConfigError):
         step(np.ones(3, dtype=np.float32), lr)
-    assert np.array_equal(p, np.ones(3)) and opt.state["p"].step == 0
+    assert np.array_equal(p, np.ones(3)) and opt.state.steps == [0]
+
+
+@pytest.mark.parametrize("max_norm", [math.nan, 0.0, -1.0, "1"])
+def test_adam_step_rejects_a_max_norm_that_is_not_a_number_above_0(max_norm):
+    # -1 would invert the update, NaN would turn clipping off
+    p = np.ones(3, dtype=np.float32)
+    opt, _ = one_param_adam(p, lr=0.1)
+    opt.params["p"].grad = np.ones(3, dtype=np.float32)
+    codes = opt.state.m.codes.copy()
+    with pytest.raises(ConfigError, match="max_norm"):
+        opt.step(0.1, max_norm)
+    assert np.array_equal(p, np.ones(3)) and opt.state.steps == [0]
+    assert np.array_equal(opt.state.m.codes, codes)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0),
+    ("beta2", math.nan), ("eps", 0.0), ("eps", -1.0), ("eps", math.nan),
+    ("eps", True)])
+def test_adam_rejects_betas_and_eps_that_nan_or_invert_a_step(field, value):
+    # beta 1 divides by a zero bias correction; eps 0 gives 0/0 at a zero
+    # gradient, eps -1 gives -inf
+    t = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    with pytest.raises(ConfigError, match=field):
+        Q.QuantizedAdam({"p": t}, **{field: value})
+
+
+def test_adam_rejects_a_state_of_other_parameters():
+    rng = np.random.default_rng(43)
+    a, b = (T.Tensor(rng.standard_normal(n).astype(np.float32),
+                     requires_grad=True) for n in (3, 5))
+    opt = Q.QuantizedAdam({"a": a, "b": b})
+    opt.state = Q.QuantizedAdam({"b": b, "a": a}).state
+    a.grad = np.ones(3, dtype=np.float32)
+    before = a.data.copy()
+    with pytest.raises(ConfigError, match="position 0"):
+        opt.step(0.1)
+    assert np.array_equal(a.data, before)
 
 
 def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing():
@@ -340,15 +382,45 @@ def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing
     for t in params.values():
         t.grad = rng.standard_normal(t.data.shape).astype(np.float32)
     opt.step(0.01)
-    before = {n: (t.data.copy(), opt.state[n].m, opt.state[n].v)
-              for n, t in params.items()}
+    before = {n: t.data.copy() for n, t in params.items()}
+    m, v = opt.state.m, opt.state.v
+    moments = [arr.copy() for arr in (m.codes, m.scales, v.codes, v.scales)]
     params["b"].grad[40, 0] = np.inf
     with pytest.raises(NumericError, match="for b"):
         opt.step(0.01)
     for n, t in params.items():
-        data, m, v = before[n]
-        assert np.array_equal(t.data, data)
-        assert (opt.state[n].m, opt.state[n].v, opt.state[n].step) == (m, v, 1)
+        assert np.array_equal(t.data, before[n])
+    assert opt.state.m is m and opt.state.v is v
+    assert opt.state.steps == [1, 1, 1]
+    assert all(np.array_equal(x, y) for x, y in
+               zip(moments, (m.codes, m.scales, v.codes, v.scales)))
+
+
+@dataclasses.dataclass
+class OracleState:
+    """One parameter's moments as 1 x n 4-bit matrices, and its step count:
+    what the per-tensor loop kept per parameter."""
+
+    m: Q.QuantizedMatrix
+    v: Q.QuantizedMatrix
+    step: int = 0
+
+    @classmethod
+    def zeros(cls, n: int) -> "OracleState":
+        zeros = np.zeros((1, n), dtype=np.float32)
+        return cls(Q.quantize_4bit(zeros), Q.quantize_4bit(zeros))
+
+
+def segment(state, name: str) -> OracleState:
+    """Parameter `name`'s part of a flat Q.AdamState, as views: its moment
+    bytes and block scales as 1 x n matrices, and its step count."""
+    i = state.names.index(name)
+    n, bs = state.sizes[i], state.m.block_size
+    lo = Q.flat_offsets(state.sizes, bs)[i]
+    m, v = (Q.QuantizedMatrix(1, n, bs, q.codes[lo // 2:(lo + n + 1) // 2],
+                              q.scales[lo // bs:(lo + n + bs - 1) // bs])
+            for q in (state.m, state.v))
+    return OracleState(m, v, state.steps[i])
 
 
 def per_tensor_adam_step(param, grad, state, lr, beta1=0.9, beta2=0.999,
@@ -381,17 +453,28 @@ def mixed_grad(rng, shape):
     return g.astype(np.float32)
 
 
-def assert_same_as_oracle(params, states, oracle_params, oracle_states):
+def assert_same_as_oracle(params, state, oracle_params, oracle_states):
+    """Each parameter and its part of the flat `state` (its n codes, its
+    scales and its step count) are bitwise the per-tensor oracle's."""
+    assert state.names == list(params)
     for name, t in params.items():
-        want, got = oracle_states[name], states[name]
+        want, got = oracle_states[name], segment(state, name)
         assert np.array_equal(t.data.view(np.uint32),
                               oracle_params[name].view(np.uint32)), name
         assert got.step == want.step, name
         for q, w in ((got.m, want.m), (got.v, want.v)):
             assert (q.rows, q.cols, q.block_size) == (w.rows, w.cols,
                                                       w.block_size), name
-            assert q.codes.tobytes() == w.codes.tobytes(), name
+            n = w.n_elements
+            assert np.array_equal(Q.unpack_codes(q.codes, n),
+                                  Q.unpack_codes(w.codes, n)), name
             assert q.scales.tobytes() == w.scales.tobytes(), name
+
+
+def oracle_of(params):
+    """Copies of `params` and zero per-tensor states, for the oracle."""
+    return ({n: t.data.copy() for n, t in params.items()},
+            {n: OracleState.zeros(t.data.size) for n, t in params.items()})
 
 
 def run_both(params, opt, oracle_params, oracle_states, rng, steps):
@@ -449,15 +532,28 @@ def test_step_clips_like_clip_then_step(max_norm, clipped):
         assert got == want and (got > max_norm) is clipped
         assert_same_as_oracle(params, opt.state,
                               {n: t.data for n, t in oracle.items()},
-                              oracle_opt.state)
+                              {n: segment(oracle_opt.state, n) for n in oracle})
         assert all(g is None or np.array_equal(params[n].grad, g)
                    for n, g in grads.items())  # left unclipped
-    assert (opt.state["a"].step, opt.state["c"].step) == (6, 3)
+    assert opt.state.steps == [6, 6, 3, 6]
 
 
 SIZES = [1, 3, 10, 63, 64, 65, 130, 1024]
 TINY_CKPT = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24,
                         n_experts=2, vocab_size=262, max_seq_len=32)
+
+
+def adapted(d_ff: int = 24):
+    """TINY_CKPT at `d_ff` with rank-3 adapters, which alone are trainable."""
+    model = init_model(dataclasses.replace(TINY_CKPT, d_ff=d_ff), seed=0)
+    attach_adapters(model, LoraConfig(rank=3), seed=0)
+    return model
+
+
+def reloaded(path, model, state) -> TrainState:
+    """load(save(...)) of `model` with the optimizer state `state`."""
+    save_checkpoint(TrainState(model=model, optim_state=state), path)
+    return load_checkpoint(path)
 
 
 def test_flat_pass_is_bitwise_the_per_tensor_loop(tmp_path):
@@ -466,57 +562,53 @@ def test_flat_pass_is_bitwise_the_per_tensor_loop(tmp_path):
                                 requires_grad=True) for n in SIZES}
     params["square"] = T.Tensor(rng.standard_normal((16, 8)).astype(np.float32),
                                 requires_grad=True)
-    oracle_params = {n: t.data.copy() for n, t in params.items()}
-    oracle_states = {n: Q.QuantizedOptimState.zeros(t.data.size)
-                     for n, t in params.items()}
+    oracle_params, oracle_states = oracle_of(params)
     opt = Q.QuantizedAdam(params)
     run_both(params, opt, oracle_params, oracle_states, rng, steps=300)
-    assert min(st.step for st in opt.state.values()) > 150
+    assert min(opt.state.steps) > 150
+    # every pad, the odd sizes' half bytes among them, is still code 7
+    st = opt.state
+    offsets = Q.flat_offsets(st.sizes, st.m.block_size)
+    for q in (st.m, st.v):
+        codes = Q.unpack_codes(q.codes, q.n_elements)
+        for n, lo, hi in zip(st.sizes, offsets, offsets[1:]):
+            assert np.all(codes[lo + n:hi] == 7), n
 
-    model = init_model(TINY_CKPT, seed=0)
-    files = []
-    for states in (opt.state, oracle_states):
-        files.append(tmp_path / f"{len(files)}.bin")
-        save_checkpoint(TrainState(model=model, optim_state=states), files[-1])
-    assert files[0].read_bytes() == files[1].read_bytes()
+    # what a checkpoint holds: d_ff 25 gives adapters of 48 and 75 elements
+    model = adapted(d_ff=25)
+    params = model.trainable_parameters()
+    assert {t.data.size for t in params.values()} == {48, 75}
+    oracle_params, oracle_states = oracle_of(params)
+    opt = Q.QuantizedAdam(params)
+    run_both(params, opt, oracle_params, oracle_states, rng, steps=300)
+    loaded = reloaded(tmp_path / "flat.bin", model, opt.state)
+    assert_same_as_oracle(loaded.model.trainable_parameters(),
+                          loaded.optim_state, oracle_params, oracle_states)
 
 
 def test_resume_continues_like_the_per_tensor_loop(tmp_path):
     # rank 3 gives adapters of 48 and 72 elements: every segment is padded
-    def adapted():
-        model = init_model(TINY_CKPT, seed=0)
-        attach_adapters(model, LoraConfig(rank=3), seed=0)
-        return model
-
     rng = np.random.default_rng(31)
     model = adapted()
     params = model.trainable_parameters()
-    oracle_params = {n: t.data.copy() for n, t in params.items()}
-    oracle_states = {n: Q.QuantizedOptimState.zeros(t.data.size)
-                     for n, t in params.items()}
+    oracle_params, oracle_states = oracle_of(params)
     opt = Q.QuantizedAdam(params)
     run_both(params, opt, oracle_params, oracle_states, rng, steps=20)
 
-    oracle_model = adapted()
-    for name, t in oracle_model.trainable_parameters().items():
-        t.data[...] = oracle_params[name]
-    mid = tmp_path / "mid.bin"
-    save_checkpoint(TrainState(model=model, optim_state=opt.state), mid)
-    save_checkpoint(TrainState(model=oracle_model, optim_state=oracle_states),
-                    tmp_path / "oracle_mid.bin")
-    assert mid.read_bytes() == (tmp_path / "oracle_mid.bin").read_bytes()
+    resumed = reloaded(tmp_path / "mid.bin", model, opt.state)
+    resumed_params = resumed.model.trainable_parameters()
+    assert_same_as_oracle(resumed_params, resumed.optim_state, oracle_params,
+                          oracle_states)
+    resumed_oracle_params = {n: p.copy() for n, p in oracle_params.items()}
+    resumed_oracle_states = {n: OracleState(s.m, s.v, s.step)
+                             for n, s in oracle_states.items()}
 
     tail_rng = np.random.default_rng(37)
     run_both(params, opt, oracle_params, oracle_states, tail_rng, steps=20)
-    resumed = load_checkpoint(mid)
-    resumed_params = resumed.model.trainable_parameters()
     resumed_opt = Q.QuantizedAdam(resumed_params)
     resumed_opt.state = resumed.optim_state
-    resumed_oracle = load_checkpoint(tmp_path / "oracle_mid.bin")
-    resumed_oracle_params = {n: t.data for n, t in
-                             resumed_oracle.model.trainable_parameters().items()}
     tail_rng = np.random.default_rng(37)
     run_both(resumed_params, resumed_opt, resumed_oracle_params,
-             resumed_oracle.optim_state, tail_rng, steps=20)
+             resumed_oracle_states, tail_rng, steps=20)
     assert_same_as_oracle(resumed_params, resumed_opt.state, oracle_params,
                           oracle_states)

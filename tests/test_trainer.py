@@ -131,6 +131,24 @@ def test_resume_must_keep_what_fixes_the_samples(change):
         train(state.model, CORPUS, cfg, resume=state)
 
 
+@pytest.mark.parametrize("adapters, first", [
+    (LoraConfig(rank=2, targets=("v",)), "wv.lora_a"),
+    (LoraConfig(rank=3, targets=("q",)), "wq.lora_a', 48")],
+    ids=["other-names", "other-sizes"])
+def test_resume_into_other_trainable_parameters_is_rejected_before_step_0(
+        adapters, first):
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
+    state, _ = train(adapted_model(LoraConfig(rank=2, targets=("q",))),
+                     CORPUS, cfg)
+    model = adapted_model(adapters)
+    before = {n: t.data.copy() for n, t in model.trainable_parameters().items()}
+    with pytest.raises(ConfigError, match=first):
+        train(model, CORPUS, dataclasses.replace(cfg, max_steps=2),
+              resume=state)
+    for name, t in model.trainable_parameters().items():
+        assert np.array_equal(t.data, before[name]), name
+
+
 def test_resume_may_change_the_optimizer_and_the_stopping_point():
     cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
     state, _ = train(adapted_model(), CORPUS, cfg)
