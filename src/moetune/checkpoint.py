@@ -79,12 +79,18 @@ def save_checkpoint(state: TrainState, path) -> None:
     checkpoint or the new one, never a partial write. The new file is
     written to `{path}.tmp` and synced, then renamed over `path`, and the
     directory is synced; a save killed midway leaves that file behind, and
-    the next save of `path` overwrites it.
+    the next save of `path` overwrites it. An `optim_state` of other
+    parameters than the model's trainable ones is a ConfigError, raised
+    before anything is written: no load would accept the file.
     """
     model = state.model
     params = model.named_parameters()
     kernels = model.named_quantized()
     optim = state.optim_state
+    if optim is not None:
+        why = optim.mismatch(model.trainable_parameters())
+        if why is not None:
+            raise ConfigError(f"optimizer state {why}")
     tensors = {"f32": [[n, list(t.shape)] for n, t in params.items()],
                "q4": [[n, [q.rows, q.cols]] for n, q in kernels.items()]}
     matrices = {"q4": list(kernels.values())}
@@ -279,11 +285,11 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
                         if configs.get("lora") else None)
         except (AttributeError, ConfigError, KeyError, TypeError) as e:
             raise FormatError(f"{path}: malformed configs block ({e!r})") from e
-        ts = configs.get("trainer_state") or {}
-        if not isinstance(ts, dict):
-            raise FormatError(f"{path}: trainer_state must be a dict")
-        # files of earlier builds also hold a "seed", which train_config repeats
-        step, epoch, cursor = (ts.get(k, 0) for k in ("step", "epoch", "cursor"))
+        ts = configs.get("trainer_state")
+        if not (isinstance(ts, dict)
+                and {"step", "epoch", "cursor"} <= ts.keys()):
+            raise FormatError(f"{path}: trainer_state lacks step, epoch or cursor")
+        step, epoch, cursor = ts["step"], ts["epoch"], ts["cursor"]
         if not all(map(is_count, [step, epoch, cursor])):
             raise FormatError(f"{path}: trainer_state counters must be "
                               f"non-negative ints")

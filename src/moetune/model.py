@@ -212,9 +212,9 @@ class DecoderModel:
         cache.length, they attend to the cached keys and values, and are
         appended to the cache. Causal prefix stability makes the result
         bitwise equal to the last T rows of a forward over the whole
-        sequence. A cache sized for another model, a length that is not an
-        int in [0, max_seq_len], or a length above 0 with no cached keys is
-        a ConfigError, raised before the cache is touched.
+        sequence. Keys or values that are not arrays of this model's size, a
+        length that is not an int in [0, max_seq_len], or a length above 0 with
+        no cached keys is a ConfigError, raised before the cache is touched.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
         from it. A cached forward is inference only: given a generator it
@@ -240,9 +240,11 @@ class DecoderModel:
             if cache.keys is None and cache.length:
                 raise ConfigError(f"cache length {cache.length} but no "
                                   "keys or values cached")
-            if cache.keys is not None and cache.keys.shape != kv_shape:
-                raise ConfigError(f"cache keys {cache.keys.shape} do not fit "
-                                  f"this model's {kv_shape}")
+            if cache.keys is not None and not (
+                    isinstance(cache.values, np.ndarray)
+                    and cache.keys.shape == cache.values.shape == kv_shape):
+                raise ConfigError(f"cache keys {cache.keys.shape} and values "
+                                  f"do not both fit this model's {kv_shape}")
         start = 0 if cache is None else cache.length
         end = start + ids.size
         if ids.size == 0:

@@ -1,24 +1,22 @@
 """Supervised fine-tuning loop with bit-exact checkpoint/resume.
 
 Each epoch shuffles the corpus with a seed derived from (seed, epoch), so
-resuming mid-epoch reproduces the exact batch order. Loss is the mean over
-per-sample masked cross entropies; gradient accumulation averages micro
-losses, so batch 8 and batch 2 x accum 4 see the same objective. Every
-sample runs its own forward and its own backward, which frees the sample's
-tape as it goes, before the next sample's forward: a step holds one
-sample's activations at a time. The backward's seed is
-1 * f32(1 / accum) * f32(1 / batch), rounded to f32 after each product:
-the gradient that one tape over the micro-batch (`batch_loss`) gave each
-sample's loss. Samples run in that tape's order, so the gradients and the
-loss log are bitwise those of a backward per micro-batch. Dropout draws
-from a generator keyed by (seed, step, micro), independent of when the
-process started.
+resuming mid-epoch reproduces the exact batch order. A step takes
+batch_size samples, pads them to their longest, and minimizes the mean of
+their masked cross entropies. Every sample runs its own forward and its
+own backward, which frees the sample's tape as it goes, before the next
+sample's forward: a step holds one sample's activations at a time. The
+backward's seed is f32(1 / batch), the gradient that one tape over the
+batch (`batch_loss`) gives each sample's loss. Samples run in that tape's
+order, so the gradients and the loss log are bitwise those of one backward
+per batch. Dropout draws from a generator keyed by (seed, step),
+independent of when the process started.
 
 A run's position lives in its TrainState: after a step, `epoch` is the
 epoch the step ran in and `cursor` the steps done in it. An epoch that ends
 leaves (e, its step count), which resumes as (e + 1, 0) does. A resumed run
-keeps the seed, batch_size and grad_accum_steps it was saved with, since
-they fix which samples each step takes.
+keeps the seed and batch_size it was saved with, since they fix which
+samples each step takes.
 """
 
 from __future__ import annotations
@@ -42,10 +40,14 @@ from .tokenizer import EOT_ID, PAD_ID, TokenizedSample
 
 @dataclass
 class TrainConfig:
+    """Hyperparameters of one `train` run. A step is one batch: a GPU
+    recipe's per-device batch x accumulation steps is `batch_size`, at a
+    cost: batch 2 x accum 4 becomes batch 8, which pads each sample to the
+    longest of 8, not of 2."""
+
     epochs: int = 3
     lr: float = 5e-5
     batch_size: int = 8
-    grad_accum_steps: int = 1
     save_every: int = 1000
     seed: int = 0
     max_grad_norm: float = 1.0
@@ -66,7 +68,6 @@ class TrainConfig:
             count_rule(self, "save_every", 1),
             count_rule(self, "seed", 0),
             count_rule(self, "batch_size", 1),
-            count_rule(self, "grad_accum_steps", 1),
             ("schedule", "'constant' or 'cosine'",
              self.schedule in ("constant", "cosine")),
             ("max_steps", "None or an int >= 1",
@@ -107,10 +108,6 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
-def _micro_batches(items, size: int) -> list:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def _lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     if step <= cfg.warmup_steps and cfg.warmup_steps > 0:
         return cfg.lr * step / cfg.warmup_steps
@@ -146,16 +143,16 @@ def batch_loss(model: DecoderModel, samples: list[TokenizedSample],
 
 
 def _steps(cfg: TrainConfig, n: int, epoch: int, cursor: int):
-    """Yield (epoch, cursor after the step, micro-batches) for every optimizer
+    """Yield (epoch, cursor after the step, its sample indices) for every
     step from `cursor` steps into `epoch` to the end of the last epoch.
 
     A cursor at or past an epoch's step count yields nothing for it.
     """
+    size = cfg.batch_size
     for e in range(epoch, cfg.epochs):
-        micros = _micro_batches(_epoch_order(cfg.seed, e, n), cfg.batch_size)
-        chunks = _micro_batches(micros, cfg.grad_accum_steps)
-        for c in range(cursor if e == epoch else 0, len(chunks)):
-            yield e, c + 1, chunks[c]
+        order = _epoch_order(cfg.seed, e, n)
+        for c in range(cursor if e == epoch else 0, (n + size - 1) // size):
+            yield e, c + 1, order[c * size:(c + 1) * size]
 
 
 def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
@@ -167,17 +164,16 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     Saves a checkpoint every cfg.save_every optimizer steps and at the end
     when out_dir is given. Pass the loaded TrainState as `resume` to
     continue a run; the subsequent loss sequence matches uninterrupted
-    training bit for bit. `cfg` must keep the state's seed, batch_size and
-    grad_accum_steps, and the state's moments must be those of the model's
-    trainable parameters, or ConfigError is raised; the rest may change. The
-    optimizer takes its hyperparameters from `cfg`, the state only its
-    moments, step counts and position (see the module docstring).
-    `lora_config`, when given, must equal the config of the
-    adapters attached to the model, which is what checkpoints record.
-    Every sample needs a target, at least 2 tokens and a non-zero
-    loss_mask[1:], and a loss_mask of 0s and 1s only, or ConfigError is
-    raised before the first step; a sample longer than max_seq_len + 1
-    tokens raises LengthError there.
+    training bit for bit. `cfg` must keep the state's seed and batch_size,
+    and the state's moments must be those of the model's trainable
+    parameters, or ConfigError is raised; the rest may change. The optimizer
+    takes its hyperparameters from `cfg`, the state only its moments, step
+    counts and position (see the module docstring). `lora_config`, when
+    given, must equal the config of the adapters attached to the model,
+    which is what checkpoints record. Every sample needs a target, at least
+    2 tokens and a non-zero loss_mask[1:], and a loss_mask of 0s and 1s
+    only, or ConfigError is raised before the first step; a sample longer
+    than max_seq_len + 1 tokens raises LengthError there.
     The optimizer step clips the gradients to cfg.max_grad_norm (`.grad`
     keeps them unclipped) and gives the log its norm before clipping. A
     non-finite loss or gradient, or a NumericError from the step's forward,
@@ -209,8 +205,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
                 f"corpus sample {i} has {len(s.token_ids)} tokens; the model "
                 f"reads at most max_seq_len + 1 = {model.config.max_seq_len + 1}")
 
-    n_micros = (len(corpus) + cfg.batch_size - 1) // cfg.batch_size
-    steps_per_epoch = (n_micros + cfg.grad_accum_steps - 1) // cfg.grad_accum_steps
+    steps_per_epoch = (len(corpus) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
@@ -230,7 +225,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             save_checkpoint(state, os.path.join(out_dir, name))
 
     log: list[LossLogRow] = []
-    for epoch, cursor, chunk in _steps(cfg, len(corpus), state.epoch,
+    for epoch, cursor, batch in _steps(cfg, len(corpus), state.epoch,
                                        state.cursor):
         if cfg.max_steps is not None and state.step >= cfg.max_steps:
             break
@@ -238,23 +233,16 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             t.grad = None
         lr_t = _lr_at(cfg, state.step + 1, total_steps)
         try:
-            loss_sum = None  # f32, summed in micro order
-            for micro_idx, micro in enumerate(chunk):
-                rng = np.random.default_rng([cfg.seed, state.step, micro_idx])
-                micro_sum = None  # f32, summed in sample order
-                for loss in _sample_losses(
-                        model, [corpus[i] for i in micro], rng):
-                    micro_sum = (loss.data if micro_sum is None
-                                 else micro_sum + loss.data)
-                    if not math.isfinite(micro_sum):
-                        raise TrainingAborted(
-                            state.step, f"non-finite loss at step {state.step}")
-                    tz.scale(tz.scale(loss, 1.0 / len(micro)),
-                             1.0 / len(chunk)).backward()
-                micro_loss = micro_sum * np.float32(1 / len(micro))
-                loss_sum = (micro_loss if loss_sum is None
-                            else loss_sum + micro_loss)
-            loss_value = float(loss_sum * np.float32(1 / len(chunk)))
+            rng = np.random.default_rng([cfg.seed, state.step])
+            loss_sum = None  # f32, summed in sample order
+            for loss in _sample_losses(model, [corpus[i] for i in batch], rng):
+                loss_sum = (loss.data if loss_sum is None
+                            else loss_sum + loss.data)
+                if not math.isfinite(loss_sum):
+                    raise TrainingAborted(
+                        state.step, f"non-finite loss at step {state.step}")
+                tz.scale(loss, 1.0 / len(batch)).backward()
+            loss_value = float(loss_sum * np.float32(1 / len(batch)))
             grad_norm = optimizer.step(lr_t, cfg.max_grad_norm)
         except NumericError as e:
             raise TrainingAborted(state.step, f"step {state.step}: {e}") from e
@@ -271,7 +259,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
 
 def _check_resume(cfg: TrainConfig, resume: TrainState, trainable) -> None:
     """ConfigError unless `resume` has moments of the `trainable` parameters
-    and was saved with the seed, batch_size and grad_accum_steps of `cfg`."""
+    and was saved with the seed and batch_size of `cfg`, one batch a step."""
     if resume.optim_state is None:
         raise ConfigError("resume state carries no optimizer moments "
                           "(load it with with_optimizer=True)")
@@ -281,10 +269,13 @@ def _check_resume(cfg: TrainConfig, resume: TrainState, trainable) -> None:
     saved = resume.train_config
     if not isinstance(saved, dict):
         raise ConfigError("resume state carries no train_config")
-    for key in ("seed", "batch_size", "grad_accum_steps"):
+    for key in ("seed", "batch_size"):
         if saved.get(key) != getattr(cfg, key):
             raise ConfigError(f"a resumed run keeps the saved {key} "
                               f"{saved.get(key)!r}, got {getattr(cfg, key)!r}")
+    if saved.get("grad_accum_steps", 1) != 1:
+        raise ConfigError(f"resume state took grad_accum_steps = "
+                          f"{saved['grad_accum_steps']!r} batches a step, not 1")
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from moetune.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from moetune.errors import FormatError, IntegrityError
+from moetune.errors import ConfigError, FormatError, IntegrityError
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 from moetune.quant import QuantizedAdam
+from moetune.tensor import Tensor
 from moetune.tokenizer import render_chat
 from moetune.trainer import TrainConfig, train
 
@@ -367,6 +368,9 @@ def set_optim(i: int, value):
     set_optim(1, -16),
     set_optim(0, 7),
     set_segment("optim", "block_size", MISSING),
+    lambda h: h["configs"].pop("trainer_state"),
+    lambda h: h["configs"].update(trainer_state=None),
+    lambda h: h["configs"]["trainer_state"].pop("step"),
 ], ids=["tensors-list", "trainer-state-list", "optim-steps-list",
         "entry-list", "unknown-dtype", "unknown-q4-block", "no-dtype",
         "no-offset", "no-length", "no-shape", "negative-offset",
@@ -376,7 +380,8 @@ def set_optim(i: int, value):
         "fractional-rank", "bool-rank", "segments-list", "no-q4-tensors",
         "no-q4-group", "no-crc", "str-crc", "no-codes-segment",
         "1d-q4-shape", "int-name", "no-optim-step", "negative-optim-size",
-        "int-optim-name", "no-optim-block"])
+        "int-optim-name", "no-optim-block", "no-trainer-state",
+        "null-trainer-state", "no-step"])
 def test_malformed_header_is_a_format_error(tmp_path, edit):
     with pytest.raises(FormatError):
         load_checkpoint(saved_and_edited(tmp_path, edit, moment_state()))
@@ -474,6 +479,20 @@ def test_moments_of_other_parameters_are_an_integrity_error(tmp_path):
     assert load_checkpoint(bad, with_optimizer=False).optim_state is None
     with pytest.raises(IntegrityError, match="optimizer state"):
         load_checkpoint(bad)
+
+
+def test_saving_moments_of_other_parameters_is_a_config_error(tmp_path):
+    # no load would accept the file, so none is written and the old one stays
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(tiny_state(), path)
+    before = read(path)
+    other = tiny_state()
+    other.optim_state = QuantizedAdam(
+        {"p": Tensor(np.zeros(3), requires_grad=True)}).state
+    with pytest.raises(ConfigError, match="optimizer state .*'p', 3"):
+        save_checkpoint(other, path)
+    assert read(path) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
 def test_optim_entries_in_another_order_are_an_integrity_error(tmp_path):

@@ -481,6 +481,19 @@ def test_cache_another_models_forward_filled_is_a_config_error(other):
     assert cache.length == 3
 
 
+@pytest.mark.parametrize("values", [None, (2, 64, 16), (2, 4, 16), (1, 32, 16)],
+                         ids=["none", "longer", "shorter", "fewer-layers"])
+def test_cache_values_that_do_not_fit_its_keys_are_a_config_error(values):
+    cache = KVCache()
+    model = init_model(TINY, seed=8)
+    model.forward([1, 2, 3], cache=cache)
+    keys = cache.keys.copy()
+    cache.values = None if values is None else np.zeros(values, np.float32)
+    with pytest.raises(ConfigError, match="values"):
+        model.forward([4], cache=cache)
+    assert np.array_equal(cache.keys, keys) and cache.length == 3
+
+
 @pytest.mark.parametrize("length", [-5, -1, 33, 2.0, "3", None])
 def test_cache_length_outside_0_to_max_seq_len_is_a_config_error(length):
     cache = KVCache(length=length)

@@ -1,5 +1,5 @@
-"""SFT loop: checkpoints it writes load back, resume is bit-exact, and the
-accumulation and schedule knobs do what they claim."""
+"""SFT loop: checkpoints it writes load back, resume is bit-exact, a step
+is one batch, and the schedule knobs do what they claim."""
 
 import dataclasses
 import gc
@@ -20,7 +20,7 @@ from moetune.errors import ConfigError, LengthError, NumericError, TrainingAbort
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import DecoderModel, ModelConfig, init_model
 from moetune.tokenizer import TokenizedSample, render_chat
-from moetune.trainer import TrainConfig, _lr_at, train
+from moetune.trainer import TrainConfig, _lr_at, batch_loss, train
 
 TINY = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=262, max_seq_len=32)
@@ -69,11 +69,11 @@ def test_mid_epoch_resume_reproduces_loss_tail_at_beta2_095(tmp_path):
             == [(r.loss, r.grad_norm) for r in log[2:]])
 
 
-def test_resume_from_every_periodic_checkpoint_with_accumulation(tmp_path):
-    # 6 micro-batches of 1 in chunks of 2: 3 steps per epoch, 9 in all, so
-    # steps 3, 6 and 9 end an epoch
-    cfg = TrainConfig(epochs=3, batch_size=1, grad_accum_steps=2, lr=1e-2,
-                      warmup_steps=2, schedule="cosine", save_every=1)
+def test_resume_from_every_periodic_checkpoint(tmp_path):
+    # 6 samples in batches of 2: 3 steps per epoch, 9 in all, so steps 3, 6
+    # and 9 end an epoch
+    cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-2, warmup_steps=2,
+                      schedule="cosine", save_every=1)
     _, log = train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
     assert [r.epoch for r in log] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     for k in range(1, 10):
@@ -115,8 +115,10 @@ def test_completed_run_ends_at_its_last_epoch_and_step_count():
     assert (state.step, state.epoch, state.cursor) == (6, 1, 3)
 
 
+# "saved" edits the state's train_config: earlier builds saved a
+# grad_accum_steps, and a step of theirs took batch_size x it samples
 @pytest.mark.parametrize("change", [
-    {"seed": 1}, {"batch_size": 3}, {"grad_accum_steps": 2},
+    {"seed": 1}, {"batch_size": 3}, {"saved": {"grad_accum_steps": 2}},
     {"train_config": None}, {"train_config": [["seed", 0]]}],
     ids=["seed", "batch_size", "grad_accum_steps", "no-train-config",
          "train-config-list"])
@@ -125,6 +127,8 @@ def test_resume_must_keep_what_fixes_the_samples(change):
     state, _ = train(adapted_model(), CORPUS, cfg)
     if "train_config" in change:
         state.train_config = change["train_config"]
+    elif "saved" in change:
+        state.train_config.update(change["saved"])
     else:
         cfg = dataclasses.replace(cfg, **change)
     with pytest.raises(ConfigError):
@@ -147,6 +151,17 @@ def test_resume_into_other_trainable_parameters_is_rejected_before_step_0(
               resume=state)
     for name, t in model.trainable_parameters().items():
         assert np.array_equal(t.data, before[name]), name
+
+
+def test_state_saved_with_grad_accum_steps_1_resumes():
+    # what earlier builds saved for every run without accumulation
+    cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-2)
+    _, log = train(adapted_model(), CORPUS, cfg)
+    state, _ = train(adapted_model(), CORPUS,
+                     dataclasses.replace(cfg, max_steps=2))
+    state.train_config["grad_accum_steps"] = 1
+    _, tail = train(state.model, CORPUS, cfg, resume=state)
+    assert tail == log[2:]
 
 
 def test_resume_may_change_the_optimizer_and_the_stopping_point():
@@ -174,7 +189,7 @@ def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
     (ModelConfig, "top_k", 1.5), (ModelConfig, "n_experts", "8"),
     (TrainConfig, "epochs", 1.5),
     (TrainConfig, "epochs", True), (TrainConfig, "batch_size", 1.5),
-    (TrainConfig, "grad_accum_steps", 1.5), (TrainConfig, "seed", -1),
+    (TrainConfig, "seed", -1),
     (TrainConfig, "save_every", 1.5), (TrainConfig, "warmup_steps", 0.5)])
 def test_config_rejects_a_count_that_is_not_an_int_in_range(config, field,
                                                             value):
@@ -289,13 +304,13 @@ def test_step_tape_is_released_before_the_optimizer_runs(monkeypatch):
 
     monkeypatch.setattr(DecoderModel, "forward", forward)
     monkeypatch.setattr(quant.QuantizedAdam, "step", step)
-    for batch_size, accum in [(2, 1), (1, 2)]:
+    for batch_size in (2, 1):
         at_forward.clear()
         at_step.clear()
-        train(adapted_model(), CORPUS, TrainConfig(
-            epochs=1, batch_size=batch_size, grad_accum_steps=accum))
-        assert at_forward == [0] * len(CORPUS), accum
-        assert at_step == [0, 0, 0], accum
+        train(adapted_model(), CORPUS, TrainConfig(epochs=1,
+                                                   batch_size=batch_size))
+        assert at_forward == [0] * len(CORPUS), batch_size
+        assert at_step == [0] * (len(CORPUS) // batch_size), batch_size
 
 
 def longest_fixture_samples(n):
@@ -310,25 +325,24 @@ def longest_fixture_samples(n):
 
 
 def test_step_peak_does_not_grow_with_the_batch():
-    # a step holds one sample's activations, so batch 4 peaks as 4 micro-
-    # batches of 1 do: the peak is set by the longest sample, padded or not
+    # a step holds one sample's activations, so batch 4 peaks as 4 steps of
+    # batch 1 do: the peak is set by the longest sample, padded or not
     samples = longest_fixture_samples(4)
     peaks = []
-    for batch_size, accum in [(4, 1), (1, 4)]:
+    for batch_size in (4, 1):
         model = init_model(ModelConfig(), seed=0)
         model.quantize_frozen(64)
         attach_adapters(model, LoraConfig(), seed=0)
         model.forward(samples[-1].token_ids[:-1])  # dequantizes the kernels
-        cfg = TrainConfig(epochs=1, batch_size=batch_size,
-                          grad_accum_steps=accum)
+        cfg = TrainConfig(epochs=1, batch_size=batch_size)
         tracemalloc.start()
         try:
             train(model, samples, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    batch, accumulated = peaks
-    assert batch < 1.25 * accumulated, peaks
+    batch, single = peaks
+    assert batch < 1.25 * single, peaks
 
 
 @pytest.mark.parametrize("max_norm, clipped", [(1e-6, True), (1e9, False)])
@@ -344,18 +358,38 @@ def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
     assert all(r["clipped"] is clipped for r in rows)
 
 
-@pytest.mark.parametrize("batch_size, accum", [(2, 2), (1, 4)])
-def test_grad_accumulation_sees_the_objective_of_one_large_batch(
-        batch_size, accum):
-    # dropout off: its draws depend on the micro-batch index
-    no_dropout = LoraConfig(rank=2, dropout_p=0.0)
-    _, (want,) = train(adapted_model(no_dropout), CORPUS,
-                       TrainConfig(batch_size=4, max_steps=1))
-    _, (got,) = train(adapted_model(no_dropout), CORPUS,
-                      TrainConfig(batch_size=batch_size,
-                                  grad_accum_steps=accum, max_steps=1))
-    assert got.loss == pytest.approx(want.loss, rel=1e-6)
-    assert got.grad_norm == pytest.approx(want.grad_norm, rel=1e-6)
+def test_first_step_sees_the_gradient_of_batch_loss_under_its_key(
+        monkeypatch):
+    # the first batch of the (seed, 0) order, with dropout drawn from
+    # default_rng([seed, 0, 0]), which equals default_rng([seed, 0])
+    seed = 5
+    first = np.random.default_rng([seed, 0]).permutation(len(CORPUS))[:3]
+    grads = []
+    for key in ([seed, 0, 0], [seed, 1, 0]):
+        model = adapted_model()
+        batch_loss(model, [CORPUS[i] for i in first],
+                   np.random.default_rng(key)).backward()
+        grads.append({n: t.grad for n, t in
+                      model.trainable_parameters().items()})
+    want, other_key = grads
+    assert any(not np.array_equal(want[n], other_key[n]) for n in want
+               if want[n] is not None)
+
+    model = adapted_model()
+    got = []
+    real_step = quant.QuantizedAdam.step
+
+    def step(self, *args):
+        got.append({n: None if t.grad is None else t.grad.copy()
+                    for n, t in model.trainable_parameters().items()})
+        return real_step(self, *args)
+
+    monkeypatch.setattr(quant.QuantizedAdam, "step", step)
+    train(model, CORPUS, TrainConfig(batch_size=3, seed=seed, max_steps=1))
+    assert len(got) == 1 and got[0].keys() == want.keys()
+    for name, grad in got[0].items():  # an expert no token chose has none
+        assert (grad is None if want[name] is None
+                else np.array_equal(grad, want[name])), name
 
 
 @pytest.mark.parametrize("schedule", ["constant", "cosine"])
