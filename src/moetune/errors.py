@@ -17,7 +17,13 @@ class RankError(MoetuneError, ValueError):
 
 
 class NumericError(MoetuneError, ArithmeticError):
-    """A computation produced or received NaN/Inf."""
+    """A computation produced or received NaN/Inf.
+
+    The message names the op whose output held it. An op called on its own
+    checks its output; `DecoderModel.forward` checks its keys, router logits
+    and logits, and on a NaN or an Inf there replays itself checking every
+    op, so its error names the op as well.
+    """
 
 
 class EmptyMaskError(MoetuneError, ValueError):

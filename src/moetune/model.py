@@ -10,14 +10,13 @@ table the model computes once. Each RMSNorm gain is a plain Tensor.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import (ConfigError, DimensionError, LengthError, VocabError,
-                     check_rules, count_rule, is_int, is_number)
+from .errors import (ConfigError, DimensionError, LengthError, NumericError,
+                     VocabError, check_rules, count_rule, is_int, is_number)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
@@ -140,6 +139,9 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
     through the gate softmax.
     """
     router_logits = tz.matmul(hidden_states, layer.router)  # [T, E]
+    # an unselected expert's logit never reaches the gates, so a NaN there
+    # would not reach the model's logits either
+    tz.check_finite(router_logits.data, "the router")
     # [T, k]: the top_k largest logits per row, ties by ascending index
     ids = np.argsort(-router_logits.data, axis=-1, kind="stable")[:, :layer.top_k]
     sel_mask = np.zeros_like(router_logits.data)
@@ -159,17 +161,30 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
 class KVCache:
     """Post-rotary keys and values of every decoder layer, for decoding.
 
-    `keys` and `values` are [n_layers, max_seq_len, d_model] buffers made by
-    the first cached forward; layer i's rows [:length] hold the positions
-    seen so far. Start with an empty cache and pass it to every
-    `DecoderModel.forward` call of one sequence. A forward given a cache
-    records no autograd tape: decoding holds the cache and one op's
-    working set, not the intermediates of the whole forward.
+    `keys` and `values` are [n_layers, rows, d_model] f32 buffers, rows a
+    multiple of `tensor.KEY_BLOCK`; layer i's rows [:length] hold the
+    positions seen so far, and every row from `length` on is zero, which
+    lets attention read whole key blocks of the buffers in place. Start
+    with `for_positions`, sized to the positions the sequence will feed, or
+    with an empty cache, whose first forward allocates max_seq_len rows
+    rounded up; pass it to every `DecoderModel.forward` call of one
+    sequence. A forward given a cache records no autograd tape: decoding
+    holds the cache and one op's working set, not the intermediates of the
+    whole forward.
     """
 
     keys: np.ndarray | None = None
     values: np.ndarray | None = None
     length: int = 0
+
+    @classmethod
+    def for_positions(cls, config: ModelConfig, positions: int) -> "KVCache":
+        """An empty cache with zero rows for `positions` positions, rounded
+        up to whole key blocks."""
+        rows = -(-positions // tz.KEY_BLOCK) * tz.KEY_BLOCK
+        keys, values = np.zeros((2, config.n_layers, rows, config.d_model),
+                                dtype=tz.DTYPE)
+        return cls(keys, values)
 
 
 class DecoderLayer:
@@ -212,9 +227,11 @@ class DecoderModel:
         cache.length, they attend to the cached keys and values, and are
         appended to the cache. Causal prefix stability makes the result
         bitwise equal to the last T rows of a forward over the whole
-        sequence. Keys or values that are not arrays of this model's size, a
-        length that is not an int in [0, max_seq_len], or a length above 0 with
-        no cached keys is a ConfigError, raised before the cache is touched.
+        sequence. Keys and values that are not f32 arrays of one shape
+        [n_layers, rows, d_model], rows a multiple of KEY_BLOCK, a length
+        that is not an int in [0, max_seq_len], or a length above 0 with no
+        cached keys is a ConfigError; an end past the cache's rows is a
+        LengthError. Both are raised before the cache is touched.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
         from it. A cached forward is inference only: given a generator it
@@ -223,6 +240,15 @@ class DecoderModel:
         them raises TapeError, and no op's intermediates outlive the op.
         Without a cache the forward records the tape whenever a parameter
         requires grad.
+
+        The ops run under `tensor.no_op_checks`. What is checked instead is
+        the logits, and in each layer the keys and the router logits, where
+        attention's softmax or the routing could drop a NaN or an Inf before
+        it reaches the logits. If one holds a NaN or an Inf, the forward
+        runs again with every op checked, from the generator state it
+        started with, so it draws the same dropout masks, and raises the
+        NumericError of the first op that produced one. A cached forward
+        that raises leaves the cache as it was.
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 1:
@@ -230,7 +256,6 @@ class DecoderModel:
         cfg = self.config
         if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
-        kv_shape = (cfg.n_layers, cfg.max_seq_len, cfg.d_model)
         if cache is not None:
             if not (is_int(cache.length)
                     and 0 <= cache.length <= cfg.max_seq_len):
@@ -240,11 +265,12 @@ class DecoderModel:
             if cache.keys is None and cache.length:
                 raise ConfigError(f"cache length {cache.length} but no "
                                   "keys or values cached")
-            if cache.keys is not None and not (
-                    isinstance(cache.values, np.ndarray)
-                    and cache.keys.shape == cache.values.shape == kv_shape):
-                raise ConfigError(f"cache keys {cache.keys.shape} and values "
-                                  f"do not both fit this model's {kv_shape}")
+            if cache.keys is not None and not self._fits(cache):
+                raise ConfigError(
+                    f"cache keys {getattr(cache.keys, 'shape', None)} and "
+                    "values must be f32 arrays of one shape [n_layers = "
+                    f"{cfg.n_layers}, rows, d_model = {cfg.d_model}], rows "
+                    f"a multiple of KEY_BLOCK = {tz.KEY_BLOCK}")
         start = 0 if cache is None else cache.length
         end = start + ids.size
         if ids.size == 0:
@@ -252,6 +278,10 @@ class DecoderModel:
         if end > cfg.max_seq_len:
             raise LengthError(
                 f"sequence length {end} > max_seq_len {cfg.max_seq_len}")
+        if cache is not None and cache.keys is not None \
+                and end > cache.keys.shape[1]:
+            raise LengthError(f"sequence length {end} > the cache's "
+                              f"{cache.keys.shape[1]} rows")
         # np.asarray turns a bool among ints into an int, so a list is
         # checked element by element
         if not (ids.dtype.kind in "iu" if isinstance(token_ids, np.ndarray)
@@ -260,32 +290,79 @@ class DecoderModel:
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise VocabError(f"token id out of range [0, {cfg.vocab_size})")
 
-        if cache is not None and cache.keys is None:
-            cache.keys, cache.values = np.empty((2, *kv_shape), dtype=tz.DTYPE)
-        cos, sin = self.rope_cos[start:end], self.rope_sin[start:end]
-        with contextlib.nullcontext() if cache is None else tz.no_tape():
-            x = tz.index_rows(self.embedding, ids)
-            for i, layer in enumerate(self.layers):
-                h = tz.rms_norm(x, layer.attn_norm, cfg.norm_eps)
-                q = tz.rotary(layer.wq.forward(h, rng), cos, sin)
-                k = tz.rotary(layer.wk.forward(h, rng), cos, sin)
-                v = layer.wv.forward(h, rng)
-                if cache is not None:
-                    # rows past `length` are unused until a forward completes,
-                    # so one that raises leaves the cache as it was
-                    cache.keys[i, start:end] = k.data
-                    cache.values[i, start:end] = v.data
-                    k = Tensor(cache.keys[i, :end])
-                    v = Tensor(cache.values[i, :end])
-                attn = tz.causal_attention(q, k, v, cfg.n_heads)
-                x = tz.add(x, layer.wo.forward(attn, rng))
-                h = tz.rms_norm(x, layer.ffn_norm, cfg.norm_eps)
-                x = tz.add(x, moe_forward(h, layer.moe, rng))
-            x = tz.rms_norm(x, self.final_norm, cfg.norm_eps)
-            logits = self.lm_head.forward(x, rng)
-        if cache is not None:
-            cache.length = end
+        if cache is None:
+            return self._checked(ids, rng, None)
+        if cache.keys is None:
+            kv = KVCache.for_positions(cfg, cfg.max_seq_len)
+        else:
+            kv = KVCache(cache.keys, cache.values, start)
+        with tz.no_tape():
+            try:
+                logits = self._checked(ids, None, kv)
+            except BaseException:
+                # rows from `length` on are zero, and stay so
+                kv.keys[:, start:end] = 0
+                kv.values[:, start:end] = 0
+                raise
+        cache.keys, cache.values, cache.length = kv.keys, kv.values, end
         return logits
+
+    def _fits(self, cache: KVCache) -> bool:
+        """Whether the cache's buffers are this model's f32 key/value rows."""
+        keys, values = cache.keys, cache.values
+        return (isinstance(keys, np.ndarray) and isinstance(values, np.ndarray)
+                and keys.shape == values.shape and keys.ndim == 3
+                and keys.dtype == values.dtype == tz.DTYPE
+                and keys.shape[0] == self.config.n_layers
+                and keys.shape[2] == self.config.d_model
+                and keys.shape[1] % tz.KEY_BLOCK == 0)
+
+    def _checked(self, ids: np.ndarray, rng: np.random.Generator | None,
+                 cache: KVCache | None) -> Tensor:
+        """`_run` with per-op checks off and its output checked; on a
+        non-finite value, `_run` again with them on to name the op."""
+        state = None if rng is None else rng.bit_generator.state
+        try:
+            with tz.no_op_checks():
+                logits = self._run(ids, rng, cache)
+            tz.check_finite(logits.data, "the logits")
+            return logits
+        except NumericError:
+            if rng is not None:
+                rng.bit_generator.state = state
+            self._run(ids, rng, cache)
+            # the replay raises at the first op whose output is not
+            # finite; should none be, the first error stands
+            raise
+
+    def _run(self, ids: np.ndarray, rng: np.random.Generator | None,
+             cache: KVCache | None) -> Tensor:
+        """The layers over positions start .. end - 1; a cache's rows
+        start .. end - 1 are written and its length left as it was."""
+        cfg = self.config
+        start = 0 if cache is None else cache.length
+        end = start + ids.size
+        cos, sin = self.rope_cos[start:end], self.rope_sin[start:end]
+        x = tz.index_rows(self.embedding, ids)
+        for i, layer in enumerate(self.layers):
+            h = tz.rms_norm(x, layer.attn_norm, cfg.norm_eps)
+            q = tz.rotary(layer.wq.forward(h, rng), cos, sin)
+            k = tz.rotary(layer.wk.forward(h, rng), cos, sin)
+            # an Inf key that scores -Inf in every row that sees it gets
+            # weight 0 there, and so would not reach the logits
+            tz.check_finite(k.data, "the keys")
+            v = layer.wv.forward(h, rng)
+            if cache is not None:
+                # attention reads the layer's rows in place
+                cache.keys[i, start:end] = k.data
+                cache.values[i, start:end] = v.data
+                k, v = Tensor(cache.keys[i]), Tensor(cache.values[i])
+            attn = tz.causal_attention(q, k, v, cfg.n_heads, end)
+            x = tz.add(x, layer.wo.forward(attn, rng))
+            h = tz.rms_norm(x, layer.ffn_norm, cfg.norm_eps)
+            x = tz.add(x, moe_forward(h, layer.moe, rng))
+        x = tz.rms_norm(x, self.final_norm, cfg.norm_eps)
+        return self.lm_head.forward(x, rng)
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -12,15 +12,21 @@ and hands each expert its rows; ``swiglu`` is each expert's activation and
 gate product in one op; ``combine_rows`` weights the experts' outputs by
 their gates and sums them back in one op. ``lora_linear`` is one adapted
 projection, frozen base product plus dropout and low-rank branch, as one op.
-Forward outputs are checked for NaN/Inf: overflow raises instead of
-propagating silently. The matmul and the attention run on BLAS, forward
-and backward. BLAS repeats its arithmetic exactly for a given shape and
-thread count, so values and gradients are bit-reproducible run to run. The
-matmul and attention forwards call it only on fixed-shape tiles, so an
-output row is also bitwise the same whatever the other rows of the call.
+Forward outputs are checked for NaN/Inf, so overflow raises NumericError at
+the op that produced it instead of propagating silently. Inside
+``no_op_checks()`` ops skip that check and the caller checks what leaves:
+the decoder's forward checks its logits, keys and router logits, and
+replays itself with every op checked to name the op. The matmul and the
+attention run on BLAS, forward and backward. BLAS repeats its arithmetic
+exactly for a given shape and thread count, so values and gradients are
+bit-reproducible run to run. The matmul and attention forwards call it only
+on fixed-shape tiles, so an output row is also bitwise the same whatever
+the other rows of the call.
 ``causal_attention`` runs both passes in blocks of query rows over the
 lower triangle only: the key blocks above a row block's last position
-hold nothing but masked, exactly zero weights.
+hold nothing but masked, exactly zero weights. Each row block's weights
+are an array of their own, kept for the backward only when the op records
+a tape, and a key/value cache is read in place, not copied.
 """
 
 from __future__ import annotations
@@ -55,9 +61,11 @@ TILE = 8
 # ulp level.
 KEY_BLOCK = 64
 
-# When on, every op output is checked for NaN/Inf and a non-finite value
-# raises NumericError at the op that produced it, instead of surfacing later
-# as a NaN loss. On by default; the tests rely on it being on.
+# When on, a non-finite value raises NumericError naming the op that
+# produced it, instead of surfacing later as a NaN loss: every op output is
+# checked, or, inside `no_op_checks`, what the caller checks with
+# `check_finite`. When off, nothing is checked. On by default; the tests rely
+# on it being on.
 FINITE_CHECKS = True
 
 
@@ -65,6 +73,10 @@ FINITE_CHECKS = True
 # variable, so a thread decoding under `no_tape` leaves another thread's
 # training tape alone.
 _RECORDING = contextvars.ContextVar("moetune_recording", default=True)
+
+# Whether each op output is checked for NaN/Inf; False only inside
+# `no_op_checks`. A context variable for the same reason.
+_OP_CHECKS = contextvars.ContextVar("moetune_op_checks", default=True)
 
 
 class no_tape:
@@ -84,9 +96,34 @@ class no_tape:
         _RECORDING.reset(self._token)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+class no_op_checks:
+    """Context in which op outputs are not checked for NaN/Inf.
+
+    Values are bitwise those of a checked op. The caller checks what leaves
+    the context with `check_finite`, and must make sure no non-finite value
+    can vanish before that: a NaN that only feeds a comparison, an argsort
+    or a masked-out entry never reaches the result. On exit, by return or
+    by exception, checking goes back to what it was on entry, so the
+    contexts nest.
+    """
+
+    def __enter__(self) -> None:
+        self._token = _OP_CHECKS.set(False)
+
+    def __exit__(self, *exc) -> None:
+        _OP_CHECKS.reset(self._token)
+
+
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """NumericError naming `what` if `arr` holds a NaN or an Inf, checked
+    whenever FINITE_CHECKS is on, inside `no_op_checks` too."""
     if FINITE_CHECKS and not np.isfinite(arr).all():
-        raise NumericError(f"{op} produced non-finite values")
+        raise NumericError(f"{what} produced non-finite values")
+
+
+def _records(parents: tuple["Tensor", ...]) -> bool:
+    """Whether an op output with these parents records the tape."""
+    return _RECORDING.get() and any(p.requires_grad for p in parents)
 
 
 class Tensor:
@@ -110,12 +147,12 @@ class Tensor:
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...],
                  backward: Callable[[np.ndarray], None], op: str) -> "Tensor":
-        _check_finite(data, op)
+        if _OP_CHECKS.get():
+            check_finite(data, op)
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = (_RECORDING.get()
-                             and any(p.requires_grad for p in parents))
+        out.requires_grad = _records(parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -601,20 +638,64 @@ def _row_blocks(t_q: int, t_k: int):
         yield i0, i1, t_k - t_q + i1
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+def _attention_rows(q_tiles: np.ndarray, k_blocks: np.ndarray,
+                    v_blocks: np.ndarray, q_pos: np.ndarray,
+                    out_t: np.ndarray) -> np.ndarray:
+    """Forward of one row block of `causal_attention`: its query tiles
+    [H, n_t, TILE, hd], at key positions `q_pos`, against its key blocks
+    [H, nb, hd, KEY_BLOCK] and value blocks [H, nb, KEY_BLOCK, hd]. Writes
+    the output tiles into `out_t` and returns the softmax weights,
+    [H, n_t·TILE, nb·KEY_BLOCK]."""
+    n_heads, n_t = q_tiles.shape[:2]
+    nb = k_blocks.shape[1]
+    # The score gemms write their [TILE, KEY_BLOCK] tiles straight into the
+    # weights layout that the softmax and the backward read.
+    a = np.empty((n_heads, n_t * TILE, nb * KEY_BLOCK), dtype=q_tiles.dtype)
+    tiles = a.reshape(n_heads, n_t, TILE, nb, KEY_BLOCK)
+    tiles = tiles.transpose(0, 1, 3, 2, 4)  # [H, q tile, k block, ...]
+    np.matmul(q_tiles[:, :, None], k_blocks[:, None], out=tiles)
+    np.copyto(a, -np.inf, where=np.arange(nb * KEY_BLOCK) > q_pos[:, None])
+    a -= a.max(axis=2, keepdims=True)
+    np.exp(a, out=a)
+    # An explicit loop, not np.sum over the block axis: numpy sums 8 or more
+    # blocks pairwise, in an order that depends on the number of blocks.
+    block_sums = a.reshape(n_heads, -1, nb, KEY_BLOCK).sum(axis=3)
+    total = block_sums[:, :, 0].copy()
+    for b in range(1, nb):
+        total += block_sums[:, :, b]
+    a /= total[:, :, None]
+    pv = tiles @ v_blocks[:, None]  # [H, q tile, k block, TILE, hd]
+    out_t[...] = pv[:, :, 0]
+    for b in range(1, nb):
+        out_t += pv[:, :, b]
+    return a
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                     t_k: int | None = None) -> Tensor:
     """Multi-head softmax(QKᵀ/√hd + causal mask)·V.
 
-    q is [T_q, d]; k and v are [T_k, d] with T_k >= T_q. The queries are the
-    last T_q of the T_k positions, so query row i attends to key positions
-    <= T_k - T_q + i. With T_k == T_q this is plain causal self-attention;
-    with T_k > T_q the keys and values of the earlier positions come from a
-    cache. Heads are contiguous channel slices; outputs are concatenated
-    back to [T_q, d].
+    q is [T_q, d]; k and v hold T_k >= T_q keys and values. The queries are
+    the last T_q of the T_k positions, so query row i attends to key
+    positions <= T_k - T_q + i. With T_k == T_q this is plain causal
+    self-attention; with T_k > T_q the keys and values of the earlier
+    positions come from a cache. Heads are contiguous channel slices;
+    outputs are concatenated back to [T_q, d].
+
+    k and v are [T_k, d] when `t_k` is None. Given `t_k`, they are [R, d]
+    buffers whose first t_k rows are the keys and values, as a key/value
+    cache is; their rows from t_k up to the next multiple of KEY_BLOCK must
+    be zero (rows past that are never read). k and v with at least that
+    many rows are read in place as key blocks; shorter ones are copied into
+    zero-padded blocks. Gradients have the shape of k and v, zero past t_k.
 
     Both passes run on the lower triangle only, as FlashAttention does: the
     query rows go in blocks of KEY_BLOCK rows from row 0, and a block
     touches only the key blocks up to its last row's position, where the
-    causal mask makes every weight above them exactly zero.
+    causal mask makes every weight above them exactly zero. Each row block
+    writes its weights into an [H, rows, kb·KEY_BLOCK] array of its own, kb
+    its key blocks. When the op records a tape it keeps these arrays, the
+    lower triangle, for the backward; otherwise it holds one at a time.
 
     The forward runs on fixed-shape BLAS tiles: the key-block tiling of
     FlashAttention under the batch-invariance rule of `matmul`. Queries,
@@ -639,11 +720,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     a call's gradients repeat bitwise.
     """
     t_q, d = q.data.shape
-    t_k = k.data.shape[0]
-    if k.data.shape != (t_k, d) or v.data.shape != (t_k, d) or t_k < t_q:
+    n_rows = k.data.shape[0]
+    t_k = n_rows if t_k is None else t_k
+    if (k.data.shape != (n_rows, d) or v.data.shape != (n_rows, d)
+            or not t_q <= t_k <= n_rows):
         raise DimensionError(
-            f"attention needs q [T_q, d] and k, v [T_k, d] with T_k >= T_q; "
-            f"got {q.data.shape} {k.data.shape} {v.data.shape}")
+            f"attention needs q [T_q, d] and k, v [R, d] holding T_k keys, "
+            f"T_q <= T_k <= R; got {q.data.shape} {k.data.shape} "
+            f"{v.data.shape} and T_k = {t_k}")
     if d % n_heads != 0:
         raise DimensionError(f"d_model {d} not divisible by n_heads {n_heads}")
     hd = d // n_heads
@@ -654,48 +738,30 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     qp = np.zeros((tq_pad, d), dtype=dtype)
     np.multiply(q.data, dtype.type(inv_sqrt), out=qp[:t_q])
-    kp = np.zeros((tk_pad, d), dtype=dtype)
-    kp[:t_k] = k.data
-    vp = np.zeros((tk_pad, d), dtype=dtype)
-    vp[:t_k] = v.data
+    if n_rows >= tk_pad:
+        kp, vp = k.data[:tk_pad], v.data[:tk_pad]
+    else:
+        kp = np.zeros((tk_pad, d), dtype=dtype)
+        kp[:t_k] = k.data[:t_k]
+        vp = np.zeros((tk_pad, d), dtype=dtype)
+        vp[:t_k] = v.data[:t_k]
     # strided views whose last two axes are one head's BLAS operand
     q_tiles = qp.reshape(n_qt, TILE, n_heads, hd).transpose(2, 0, 1, 3)
     k_blocks = kp.reshape(n_kb, KEY_BLOCK, n_heads, hd).transpose(2, 0, 3, 1)
     v_blocks = vp.reshape(n_kb, KEY_BLOCK, n_heads, hd).transpose(2, 0, 1, 3)
 
-    # The score gemms write their [TILE, KEY_BLOCK] tiles straight into the
-    # [H, T_q, T_k] layout that the softmax and the backward read. np.empty:
-    # a row block writes its rows up to its last key block only, and the
-    # backward reads within those ranges, so the rest is never read.
-    attn = np.empty((n_heads, tq_pad, tk_pad), dtype=dtype)
-    a_tiles = attn.reshape(n_heads, n_qt, TILE, n_kb, KEY_BLOCK)
-    a_tiles = a_tiles.transpose(0, 1, 3, 2, 4)  # [H, q tile, k block, ...]
+    keep = _records((q, k, v))
+    weights: list[np.ndarray] = []  # per row block
     out_h = np.empty((n_heads, n_qt, TILE, hd), dtype=dtype)
     q_pos = t_k - t_q + np.arange(tq_pad)
     for i0, i1, kend in _row_blocks(t_q, t_k):
         t0, t1 = i0 // TILE, -(-i1 // TILE)  # the block's query tiles
-        nb = -(-kend // KEY_BLOCK)
-        rows = slice(t0 * TILE, t1 * TILE)
-        a = attn[:, rows, :nb * KEY_BLOCK]
-        tiles = a_tiles[:, t0:t1, :nb]
-        np.matmul(q_tiles[:, t0:t1, None], k_blocks[:, None, :nb], out=tiles)
-        np.copyto(a, -np.inf,
-                  where=np.arange(nb * KEY_BLOCK) > q_pos[rows, None])
-        a -= a.max(axis=2, keepdims=True)
-        np.exp(a, out=a)
-        # An explicit loop, not np.sum over the block axis: numpy sums 8 or
-        # more blocks pairwise, in an order that depends on the number of
-        # blocks.
-        block_sums = a.reshape(n_heads, -1, nb, KEY_BLOCK).sum(axis=3)
-        total = block_sums[:, :, 0].copy()
-        for b in range(1, nb):
-            total += block_sums[:, :, b]
-        a /= total[:, :, None]
-        pv = tiles @ v_blocks[:, None, :nb]  # [H, q tile, k block, TILE, hd]
-        out_t = out_h[:, t0:t1]
-        out_t[...] = pv[:, :, 0]
-        for b in range(1, nb):
-            out_t += pv[:, :, b]
+        nb = -(-kend // KEY_BLOCK)  # and key blocks
+        if not keep:  # no backward reads them: hold one block at a time
+            weights.clear()
+        weights.append(_attention_rows(
+            q_tiles[:, t0:t1], k_blocks[:, :nb], v_blocks[:, :nb],
+            q_pos[t0 * TILE:t1 * TILE], out_h[:, t0:t1]))
     out_data = (out_h.reshape(n_heads, tq_pad, hd)[:, :t_q]
                 .transpose(1, 0, 2).reshape(t_q, d))
 
@@ -705,13 +771,13 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         # gradients laid out [T, H, hd], so [T, d] is a view; BLAS writes
         # the [H, T, hd] views of them
         gq = np.empty((t_q, n_heads, hd), dtype=dtype)
-        gk = np.zeros((t_k, n_heads, hd), dtype=dtype)
-        gv = np.zeros((t_k, n_heads, hd), dtype=dtype)
+        gk = np.zeros((n_rows, n_heads, hd), dtype=dtype)
+        gv = np.zeros((n_rows, n_heads, hd), dtype=dtype)
         gq_h, gk_h, gv_h = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
         need_ds = q.requires_grad or k.requires_grad
         ds_buf = np.empty((n_heads, min(KEY_BLOCK, t_q), t_k), dtype=dtype)
-        for i0, i1, kend in _row_blocks(t_q, t_k):
-            w = attn[:, i0:i1, :kend]
+        for (i0, i1, kend), a in zip(_row_blocks(t_q, t_k), weights):
+            w = a[:, :i1 - i0, :kend]
             g_b = gh[:, i0:i1]
             if v.requires_grad:
                 gv_h[:, :kend] += w.transpose(0, 2, 1) @ g_b
@@ -729,10 +795,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             if k.requires_grad:
                 gk_h[:, :kend] += ds.transpose(0, 2, 1) @ qh[:, i0:i1]
         if v.requires_grad:
-            _accum(v, gv.reshape(t_k, d))
+            _accum(v, gv.reshape(n_rows, d))
         if q.requires_grad:
             _accum(q, gq.reshape(t_q, d))
         if k.requires_grad:
-            _accum(k, gk.reshape(t_k, d))
+            _accum(k, gk.reshape(n_rows, d))
 
     return Tensor._from_op(out_data, (q, k, v), backward, "causal_attention")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, VocabError
+from .errors import DimensionError, VocabError, is_int
 
 PAD_ID = 256
 BOS_ID = 257
@@ -45,7 +45,9 @@ def encode_text(text: str) -> list[int]:
 
 def decode_tokens(ids) -> str:
     """Lossless inverse of the renderers: bytes decode as UTF-8, special ids
-    map back to their literal marker strings."""
+    map back to their literal marker strings. An id that is not an int (a
+    float, a bool, a string, None) or is outside the vocabulary is a
+    VocabError."""
     out: list[str] = []
     buf = bytearray()
 
@@ -55,7 +57,8 @@ def decode_tokens(ids) -> str:
             buf.clear()
 
     for i in ids:
-        i = int(i)
+        if not is_int(i):
+            raise VocabError(f"token id {i!r} is not an int")
         if 0 <= i < 256:
             buf.append(i)
         elif i in SPECIAL_NAMES:

@@ -296,8 +296,10 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
 
     One forward over the prompt fills a key/value cache and gives the first
     token's logits; every further token runs as a single row against that
-    cache. The logits are bitwise equal to the last row of a forward over
-    the whole prefix, so the tokens are those a full-prefix loop would pick.
+    cache. The cache has rows for the positions fed, the prompt and every
+    new token but the last, rounded up to whole key blocks. The logits are
+    bitwise equal to the last row of a forward over the whole prefix, so
+    the tokens are those a full-prefix loop would pick.
 
     One sampling rule: temperature 0 is greedy (ties pick the lowest id).
     Above 0 the token is drawn, from a generator seeded with `seed`, out of
@@ -325,7 +327,7 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     if not is_int(stop_id):  # any int, since -1 never stops
         raise ConfigError(f"stop_id must be an int, got {stop_id!r}")
     rng = np.random.default_rng(seed)
-    cache = KVCache()
+    cache = KVCache.for_positions(model.config, len(prompt) + max_new - 1)
     step_ids = prompt
     out: list[int] = []
     while len(out) < max_new:

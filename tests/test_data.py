@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moetune import tokenizer as tok
@@ -297,6 +298,20 @@ def test_render_round_trip_lossless():
     assert tok.decode_tokens(ts.token_ids) == (
         "<bos><|system|>\n你是助手\n<|user|>\n写诗\n"
         "<|assistant|>\n春眠不觉晓<eot>\n")
+
+
+@pytest.mark.parametrize("ids", [[104, 105.7], [104, True], [104, "a"],
+                                 [104, None], [104, np.float32(105)]],
+                         ids=["float", "bool", "str", "none", "np-float"])
+def test_decode_tokens_rejects_ids_that_are_not_ints(ids):
+    with pytest.raises(VocabError, match="not an int"):
+        tok.decode_tokens(ids)
+
+
+def test_decode_tokens_takes_numpy_ints_and_rejects_ids_out_of_range():
+    assert tok.decode_tokens(np.array([104, 105, tok.EOT_ID])) == "hi<eot>"
+    with pytest.raises(VocabError, match="outside"):
+        tok.decode_tokens([104, tok.VOCAB_SIZE])
 
 
 def test_unknown_role_raises():

@@ -132,3 +132,26 @@ def test_temperature_zero_is_greedy(model):
     # a temperature below the 1e-8 floor samples from a one-hot distribution
     assert generate(model, PROMPT, 12, temperature=1e-12,
                     stop_id=NEVER) == greedy
+
+
+
+# prompt_len + max_new - 1 positions are fed: 10, 64, 65 and 132, in a
+# model whose max_seq_len rounds up to 256 rows
+@pytest.mark.parametrize("prompt_len, max_new, rows", [(7, 4, 64), (60, 5, 64),
+                                                        (60, 6, 128),
+                                                        (130, 3, 192)])
+def test_the_cache_has_rows_for_the_positions_fed_in_whole_key_blocks(
+        monkeypatch, prompt_len, max_new, rows):
+    config = ModelConfig(**{**TINY.to_dict(), "max_seq_len": 200})
+    model = init_model(config, seed=0)
+    seen = []
+    forward = type(model).forward
+
+    def spy(self, ids, rng=None, cache=None):
+        seen.append(cache.keys.shape)
+        return forward(self, ids, rng, cache)
+
+    monkeypatch.setattr(type(model), "forward", spy)
+    prompt = (PROMPT * 20)[:prompt_len]
+    assert len(generate(model, prompt, max_new, stop_id=NEVER)) == max_new
+    assert seen == [(config.n_layers, rows, config.d_model)] * max_new

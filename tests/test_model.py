@@ -1,5 +1,6 @@
 """MoE routing, sparse dispatch, decoder forward, and parameter census."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from moetune.errors import (
     ConfigError,
     DimensionError,
     LengthError,
+    NumericError,
     TapeError,
     VocabError,
 )
@@ -328,6 +330,14 @@ model.forward(ids[66:129], cache=cache)
 for t in range(129, len(ids)):
     assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
                           full[t:t + 1]), t
+# request-sized caches, read in place, as generate sizes them
+for prompt_len, n_fed in ((7, 9), (60, 64), (63, 66), (120, 133)):
+    cache = KVCache.for_positions(model.config, n_fed)
+    assert cache.keys.shape[1] == -(-n_fed // 64) * 64
+    model.forward(ids[:prompt_len], cache=cache)
+    for t in range(prompt_len, n_fed):
+        assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
+                              full[t:t + 1]), (prompt_len, t)
 """
 
 
@@ -365,6 +375,104 @@ def test_cached_forward_that_raises_leaves_the_cache_as_it_was(
     step = model.forward(ids[10:12], cache=cache).data
     assert np.array_equal(step, model.forward(ids).data[10:])
     assert cache.length == 12
+
+
+@contextlib.contextmanager
+def poisoned(adapter):
+    """Context in which the adapter's B holds NaNs: every output row of its
+    projection is NaN."""
+    saved = adapter.b.data.copy()
+    adapter.b.data[0] = np.nan
+    try:
+        yield
+    finally:
+        adapter.b.data[:] = saved
+
+
+# The raising forward writes its rows of every layer it reaches, NaN values
+# in layer 1, before the logits or a router check sees the NaN: read as
+# zero-weighted values, those rows would turn a later row block to NaN.
+@pytest.mark.parametrize("prefix", [0, 10], ids=["empty-cache", "filled-cache"])
+def test_cached_forward_that_raises_midway_leaves_no_stale_rows(
+        tuned_default_model, prefix):
+    model = tuned_default_model
+    ids = np.random.default_rng(12).integers(0, 262, prefix + 40)
+    full = model.forward(ids).data
+    cache = KVCache.for_positions(model.config, len(ids))
+    if prefix:
+        model.forward(ids[:prefix], cache=cache)
+    keys, values = cache.keys.copy(), cache.values.copy()
+    with poisoned(model.layers[1].wv.adapter):
+        with pytest.raises(NumericError, match="^lora_linear produced"):
+            model.forward(ids[prefix:prefix + 30], cache=cache)
+    assert cache.length == prefix
+    assert cache.keys.tobytes() == keys.tobytes()
+    assert cache.values.tobytes() == values.tobytes()
+    shorter = model.forward(ids[prefix:prefix + 5], cache=cache).data
+    assert np.array_equal(shorter, full[prefix:prefix + 5])
+    prefill = model.forward(ids[:prefix + 5], cache=KVCache()).data
+    assert np.array_equal(shorter, prefill[prefix:])
+
+
+def test_a_non_finite_forward_names_the_op_with_the_generator_it_started_with(
+        tuned_default_model, monkeypatch):
+    # The first run draws layer 2's o mask before its router check sees the
+    # NaN of layer 2's values. The replay starts from the generator state of
+    # the first run, so it draws the same masks, and raises where a forward
+    # checking every op raises, with the generator where that one leaves it.
+    model = tuned_default_model
+    ids = np.random.default_rng(16).integers(0, 262, 20)
+    errors, states = [], []
+    for checks in ("at the logits", "per op"):
+        rng = np.random.default_rng(17)
+        with monkeypatch.context() as patch:
+            if checks == "per op":
+                patch.setattr(T, "no_op_checks", contextlib.nullcontext)
+            with poisoned(model.layers[2].wv.adapter):
+                with pytest.raises(NumericError) as info:
+                    model.forward(ids, rng=rng)
+        errors.append(str(info.value))
+        states.append(rng.bit_generator.state)
+    assert errors[0] == errors[1] == "lora_linear produced non-finite values"
+    assert states[0] == states[1]
+
+
+def test_an_unselected_experts_non_finite_router_logit_raises(monkeypatch):
+    # NaN logits sort last, so expert 3 is never selected and its gate is
+    # exactly 0: with no checks the logits stay finite
+    model = init_model(TINY, seed=8)
+    model.layers[1].moe.router.data[:, 3] = np.nan
+    ids = np.arange(3, 20)
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "FINITE_CHECKS", False)
+        assert np.isfinite(model.forward(ids).data).all()
+    with pytest.raises(NumericError, match="^matmul produced"):
+        model.forward(ids)
+    cache = KVCache()
+    with pytest.raises(NumericError, match="^matmul produced"):
+        model.forward(ids, cache=cache)
+    assert cache.keys is None and cache.length == 0
+
+
+def test_an_infinite_key_that_no_row_weighs_still_raises(monkeypatch):
+    # key T - 1 scores -Inf for the one row that sees it, whose weight on
+    # it is then exactly 0 (tests/test_tensor.py): the keys' own check
+    # catches it
+    model = init_model(TINY, seed=8)
+    ids = np.arange(3, 20)
+    real, seen = T.rotary, []
+
+    def rotary(x, cos, sin):
+        out = real(x, cos, sin)
+        seen.append(out)
+        if len(seen) == 2:  # layer 0's keys, after its queries
+            q_last = seen[0].data[-1]
+            out.data[-1] = -np.inf * np.sign(q_last)
+        return out
+
+    monkeypatch.setattr(T, "rotary", rotary)
+    with pytest.raises(NumericError, match="^the keys produced"):
+        model.forward(ids)
 
 
 def test_cached_forward_records_no_tape_and_a_plain_one_does(
@@ -481,17 +589,52 @@ def test_cache_another_models_forward_filled_is_a_config_error(other):
     assert cache.length == 3
 
 
-@pytest.mark.parametrize("values", [None, (2, 64, 16), (2, 4, 16), (1, 32, 16)],
+# TINY's max_seq_len of 32 rounds up to one key block: the keys are
+# [2, 64, 16], and each values shape differs from them in one way
+@pytest.mark.parametrize("values", [None, (2, 128, 16), (2, 4, 16), (1, 64, 16)],
                          ids=["none", "longer", "shorter", "fewer-layers"])
 def test_cache_values_that_do_not_fit_its_keys_are_a_config_error(values):
     cache = KVCache()
     model = init_model(TINY, seed=8)
     model.forward([1, 2, 3], cache=cache)
+    assert cache.keys.shape == (2, T.KEY_BLOCK, 16)
     keys = cache.keys.copy()
     cache.values = None if values is None else np.zeros(values, np.float32)
     with pytest.raises(ConfigError, match="values"):
         model.forward([4], cache=cache)
     assert np.array_equal(cache.keys, keys) and cache.length == 3
+
+
+def test_cache_for_positions_rounds_up_to_whole_zero_key_blocks():
+    for positions, rows in ((0, 0), (1, 64), (64, 64), (65, 128)):
+        cache = KVCache.for_positions(TINY, positions)
+        assert cache.keys.shape == cache.values.shape == (2, rows, 16)
+        assert cache.keys.dtype == np.float32 and cache.length == 0
+        assert not cache.keys.any() and not cache.values.any()
+
+
+@pytest.mark.parametrize("keys", [np.zeros((2, 48, 16), np.float32),
+                                  np.zeros((2, 64, 16), np.float64)],
+                         ids=["rows-not-whole-blocks", "float64"])
+def test_cache_buffers_attention_cannot_read_in_place_are_a_config_error(keys):
+    cache = KVCache(keys, keys.copy())
+    with pytest.raises(ConfigError):
+        init_model(TINY, seed=8).forward([1, 2], cache=cache)
+    assert cache.length == 0 and not cache.keys.any()
+
+
+def test_a_forward_past_the_caches_rows_is_a_length_error():
+    # within max_seq_len, past the 64 rows of a cache sized for 62
+    config = ModelConfig(**{**TINY.to_dict(), "max_seq_len": 128})
+    model = init_model(config, seed=8)
+    cache = KVCache.for_positions(config, 62)
+    model.forward(np.arange(60), cache=cache)
+    keys = cache.keys.copy()
+    with pytest.raises(LengthError):
+        model.forward([1, 2, 3, 4, 5], cache=cache)
+    assert cache.length == 60 and np.array_equal(cache.keys, keys)
+    model.forward([1, 2, 3, 4], cache=cache)
+    assert cache.length == 64
 
 
 @pytest.mark.parametrize("length", [-5, -1, 33, 2.0, "3", None])

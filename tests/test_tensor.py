@@ -505,6 +505,28 @@ def test_overflow_is_an_error():
         mul(big, big)
 
 
+def test_add_overflow_outside_a_forward_raises_naming_add():
+    big = T.Tensor(np.full((2, 2), 3e38))
+    with pytest.raises(NumericError, match="^add produced non-finite"):
+        T.add(big, big)
+
+
+def test_no_op_checks_skips_op_checks_nests_and_restores_on_error():
+    big = T.Tensor(np.full((2, 2), 3e38))
+    with T.no_op_checks():
+        with T.no_op_checks():
+            assert np.isinf(T.add(big, big).data).all()
+        out = T.add(big, big)  # bitwise the checked op's values
+        with pytest.raises(NumericError, match="^the sum produced"):
+            T.check_finite(out.data, "the sum")  # checks inside the context
+        with pytest.raises(RuntimeError):
+            with T.no_op_checks():
+                raise RuntimeError
+        assert np.isinf(T.add(big, big).data).all()
+    with pytest.raises(NumericError, match="^add"):
+        T.add(big, big)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks, one per kernel (float64 oracle)
 
@@ -744,6 +766,53 @@ def test_attention_grads_on_one_row_block_are_bitwise_the_whole_matrix(
         assert np.array_equal(t.grad.view(np.uint32), (x + w).view(np.uint32)), name
 
 
+def attention_row_block_grads(q, k, v, g, attn, n_heads):
+    """The backward of causal_attention as it ran on one [H, T_q, T_k]
+    weights array: the same row blocks and products, each block reading its
+    rows of the whole matrix."""
+    (t_q, d), t_k = q.shape, k.shape[0]
+    hd = d // n_heads
+    qh, kh, vh, gh = (x.reshape(len(x), n_heads, hd).transpose(1, 0, 2)
+                      for x in (q, k, v, g))
+    gq = np.empty((t_q, n_heads, hd), dtype=np.float32)
+    gk, gv = (np.zeros((t_k, n_heads, hd), dtype=np.float32) for _ in range(2))
+    gq_h, gk_h, gv_h = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
+    ds_buf = np.empty((n_heads, min(T.KEY_BLOCK, t_q), t_k), dtype=np.float32)
+    for i0 in range(0, t_q, T.KEY_BLOCK):
+        i1 = min(i0 + T.KEY_BLOCK, t_q)
+        kend = t_k - t_q + i1
+        w = attn[:, i0:i1, :kend]
+        g_b = gh[:, i0:i1]
+        gv_h[:, :kend] += w.transpose(0, 2, 1) @ g_b
+        ds = ds_buf[:, :i1 - i0, :kend]
+        np.matmul(g_b, vh[:, :kend].transpose(0, 2, 1), out=ds)
+        ds -= (ds * w).sum(axis=2, keepdims=True)
+        ds *= w
+        ds *= np.float32(1.0 / math.sqrt(hd))
+        np.matmul(ds, kh[:, :kend], out=gq_h[:, i0:i1])
+        gk_h[:, :kend] += ds.transpose(0, 2, 1) @ qh[:, i0:i1]
+    return [x.reshape(-1, d) for x in (gq, gk, gv)]
+
+
+# Several row blocks: the per-block weights hold the bits of the whole
+# matrix's rows, so the gradients are those of the backward that read it.
+@pytest.mark.parametrize("t_q, t_k", [(65, 65), (130, 200), (300, 300),
+                                      (505, 505), (129, 511)])
+def test_attention_grads_over_row_blocks_are_bitwise_the_whole_matrix_ones(
+        t_q, t_k):
+    rng = np.random.default_rng(t_q * t_k)
+    q = rng.standard_normal((t_q, 128)).astype(np.float32)
+    k, v = (rng.standard_normal((t_k, 128)).astype(np.float32)
+            for _ in range(2))
+    g = rng.standard_normal((t_q, 128)).astype(np.float32)
+    tensors = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+    T.causal_attention(*tensors, 4)._backward(g)
+    attn = attention_whole_matrix(q, k, v, 4)[1]
+    want = attention_row_block_grads(q, k, v, g, attn, 4)
+    for name, t, w in zip("qkv", tensors, want):
+        assert np.array_equal(t.grad.view(np.uint32), w.view(np.uint32)), name
+
+
 def test_attention_backward_allocates_less_than_its_weights():
     t, d, n_heads = 505, 128, 4
     rng = np.random.default_rng(9)
@@ -761,6 +830,122 @@ def test_attention_backward_allocates_less_than_its_weights():
         tracemalloc.stop()
     # one [H, T_q, T_k] f32 array is 4.1 MB here
     assert peak < n_heads * t * t * 4, peak
+
+
+def test_attention_keeps_the_lower_triangle_for_its_backward_only():
+    # 505 rows: 8 row blocks, block b's weights [4, 64, 64 (b + 1)]
+    t, d, n_heads = 505, 128, 4
+    rng = np.random.default_rng(9)
+    q, k, v = (T.Tensor(rng.standard_normal((t, d)), requires_grad=True)
+               for _ in range(3))
+    retained, peaks = [], []
+    for recording in (True, False):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if recording:
+                out = T.causal_attention(q, k, v, n_heads)
+            else:
+                with T.no_tape():
+                    out = T.causal_attention(q, k, v, n_heads)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained.append(now - before)
+        peaks.append(peak - before)
+        del out
+    triangle = n_heads * T.KEY_BLOCK * T.KEY_BLOCK * 4 * sum(range(1, 9))
+    whole = n_heads * 512 * 512 * 4
+    assert triangle < whole * 0.6
+    # the tape's closure holds the row blocks' weights and nothing more
+    assert triangle <= retained[0] - retained[1] < triangle + 16384, retained
+    # without a tape the op never holds two blocks' weights at once
+    assert peaks[1] < triangle, peaks
+
+
+def zero_padded(x, rows):
+    buf = np.zeros((rows, x.shape[1]), dtype=x.dtype)
+    buf[:len(x)] = x
+    return buf
+
+
+# key counts on both sides of the key-block edges; buffers of the next
+# multiple of KEY_BLOCK rows and of 2 blocks more, as a cache has
+@pytest.mark.parametrize("t_k", [1, 7, 63, 64, 65, 128, 129, 300, 505])
+def test_attention_reads_a_zero_padded_buffer_in_place_bitwise(t_k):
+    rng = np.random.default_rng(t_k)
+    q, k, v = (rng.standard_normal((t_k, 128)).astype(np.float32)
+               for _ in range(3))
+    edge = -(-t_k // T.KEY_BLOCK) * T.KEY_BLOCK
+    for t_q in sorted({1, min(2, t_k), t_k // 2 + 1, t_k}):
+        want = T.causal_attention(T.Tensor(q[-t_q:]), T.Tensor(k),
+                                  T.Tensor(v), 4).data
+        for rows in (edge, edge + 2 * T.KEY_BLOCK):
+            kb, vb = (T.Tensor(zero_padded(x, rows)) for x in (k, v))
+            got = T.causal_attention(T.Tensor(q[-t_q:]), kb, vb, 4, t_k).data
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
+                (t_k, t_q, rows)
+
+
+@pytest.mark.parametrize("t_q, t_k", [(1, 70), (65, 130), (130, 130)])
+def test_attention_grads_through_a_buffer_are_the_keys_grads_then_zeros(
+        t_q, t_k):
+    rng = np.random.default_rng(t_q + t_k)
+    q, k, v = (rng.standard_normal((n, 16)).astype(np.float32)
+               for n in (t_q, t_k, t_k))
+    g = rng.standard_normal((t_q, 16)).astype(np.float32)
+    rows = -(-t_k // T.KEY_BLOCK) * T.KEY_BLOCK + T.KEY_BLOCK
+    grads = []
+    for kk, vv, n in ((k, v, None),
+                      (zero_padded(k, rows), zero_padded(v, rows), t_k)):
+        ts = [T.Tensor(x, requires_grad=True) for x in (q, kk, vv)]
+        T.causal_attention(*ts, 4, n)._backward(g)
+        grads.append([t.grad for t in ts])
+    (gq, gk, gv), (bq, bk, bv) = grads
+    assert bk.shape == bv.shape == (rows, 16)
+    assert np.array_equal(bq, gq)
+    assert np.array_equal(bk[:t_k], gk) and np.array_equal(bv[:t_k], gv)
+    assert not bk[t_k:].any() and not bv[t_k:].any()
+
+
+def test_attention_rejects_a_key_count_outside_the_buffer():
+    x = T.Tensor(np.ones((64, 8)))
+    q = T.Tensor(np.ones((3, 8)))
+    for t_k in (2, 65):  # fewer keys than queries, more than rows
+        with pytest.raises(DimensionError):
+            T.causal_attention(q, x, x, 2, t_k)
+
+
+def test_a_key_above_the_diagonal_reaches_its_own_row():
+    # Rows before position j mask key j out, so a NaN key j leaves them
+    # finite; but row j attends to it, so it reaches that row's output,
+    # which a forward that outputs every row checks.
+    rng = np.random.default_rng(31)
+    t, j = 130, 70
+    q, k, v = (rng.standard_normal((t, 16)).astype(np.float32)
+               for _ in range(3))
+    k[j, 5] = np.nan
+    with T.no_op_checks():
+        out = T.causal_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4).data
+    finite = np.isfinite(out).all(axis=1)
+    assert finite[:j].all() and not finite[j:].any()
+    with pytest.raises(NumericError, match="causal_attention"):
+        T.causal_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4)
+
+
+def test_an_infinite_key_that_scores_minus_inf_vanishes_from_the_output():
+    # An Inf key whose score is -Inf in every row that sees it gets weight
+    # exactly 0 there: no output row shows it. So the decoder checks the
+    # keys themselves (tests/test_model.py).
+    rng = np.random.default_rng(32)
+    t, j = 130, 70
+    q, k, v = (rng.standard_normal((t, 16)).astype(np.float32)
+               for _ in range(3))
+    q[:, 5] = np.abs(q[:, 5]) + 0.1  # every query positive on channel 5
+    k[j, 5] = -np.inf
+    with T.no_op_checks(), np.errstate(invalid="ignore"):
+        out = T.causal_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4).data
+    assert np.isfinite(out).all()
 
 
 # key counts on both sides of one, two, three and eight key blocks
@@ -793,7 +978,11 @@ def test_attention_bitwise_tests_pass_on_one_blas_thread():
     # a row's tiles must give the same bits on one BLAS thread as on several
     run_on_one_blas_thread(
         "test_attention_on_last_query_rows_is_bitwise_equal",
-        "test_attention_on_every_prefix_is_bitwise_equal")
+        "test_attention_on_every_prefix_is_bitwise_equal",
+        "test_attention_reads_a_zero_padded_buffer_in_place_bitwise",
+        "test_attention_forward_is_bitwise_the_whole_matrix_forward",
+        "test_attention_grads_on_one_row_block_are_bitwise_the_whole_matrix",
+        "test_attention_grads_over_row_blocks_are_bitwise_the_whole_matrix_ones")
 
 
 def test_attention_rejects_more_queries_than_keys():

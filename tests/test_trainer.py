@@ -1,6 +1,7 @@
 """SFT loop: checkpoints it writes load back, resume is bit-exact, a step
 is one batch, and the schedule knobs do what they claim."""
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -248,6 +249,30 @@ def test_nan_adapter_aborts_at_step_0():
         train(model, CORPUS, TrainConfig(epochs=1, batch_size=2))
     assert info.value.step == 0
     assert isinstance(info.value.__cause__, NumericError)
+
+
+def test_poisoned_adapter_aborts_naming_the_op_per_op_checks_name(
+        monkeypatch):
+    # the forward checks its logits and router logits, then replays with
+    # every op checked; without the replay the router check would speak
+    def abort() -> str:
+        model = adapted_model()
+        model.layers[0].wv.adapter.b.data[0] = np.nan
+        before = {n: t.data.copy()
+                  for n, t in model.trainable_parameters().items()}
+        with pytest.raises(TrainingAborted) as info:
+            train(model, CORPUS, TrainConfig(epochs=1, batch_size=2))
+        assert info.value.step == 0
+        for name, t in model.trainable_parameters().items():
+            assert t.data.tobytes() == before[name].tobytes(), name
+        assert isinstance(info.value.__cause__, NumericError)
+        return str(info.value)
+
+    deferred = abort()
+    with monkeypatch.context() as patch:
+        patch.setattr(tz, "no_op_checks", contextlib.nullcontext)
+        per_op = abort()
+    assert deferred == per_op == "step 0: lora_linear produced non-finite values"
 
 
 def test_nonfinite_gradient_aborts_and_names_the_parameter(monkeypatch):
