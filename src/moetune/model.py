@@ -327,13 +327,16 @@ class DecoderModel:
                 logits = self._run(ids, rng, cache)
             tz.check_finite(logits.data, "the logits")
             return logits
-        except NumericError:
-            if rng is not None:
-                rng.bit_generator.state = state
-            self._run(ids, rng, cache)
-            # the replay raises at the first op whose output is not
-            # finite; should none be, the first error stands
-            raise
+        except NumericError as e:
+            # its traceback holds the frames of the whole run, and so their
+            # tape: the error raised from here keeps only its message
+            deferred = str(e)
+        if rng is not None:
+            rng.bit_generator.state = state
+        self._run(ids, rng, cache)
+        # the replay raises at the first op whose output is not finite;
+        # should none be, the first error stands
+        raise NumericError(deferred)
 
     def _run(self, ids: np.ndarray, rng: np.random.Generator | None,
              cache: KVCache | None) -> Tensor:
