@@ -6,6 +6,12 @@ highest-logit experts per token and combines their outputs with softmax
 weights renormalized over the selected set. Attention is shared across
 experts; positions are encoded with rotary embeddings, their angles a
 table the model computes once. Each RMSNorm gain is a plain Tensor.
+
+A forward without a cache gives the logits of every position, and training
+runs it. A forward with a `KVCache` is for decoding: it caches every
+position's keys and values and gives the logits of its last position only,
+the one row a decoder reads, so past its keys and values the last layer
+runs on that row alone.
 """
 
 from __future__ import annotations
@@ -168,9 +174,9 @@ class KVCache:
     with `for_positions`, sized to the positions the sequence will feed, or
     with an empty cache, whose first forward allocates max_seq_len rows
     rounded up; pass it to every `DecoderModel.forward` call of one
-    sequence. A forward given a cache records no autograd tape: decoding
-    holds the cache and one op's working set, not the intermediates of the
-    whole forward.
+    sequence. A forward given a cache returns the logits of its last
+    position only and records no autograd tape: decoding holds the cache
+    and one op's working set, not the intermediates of the whole forward.
     """
 
     keys: np.ndarray | None = None
@@ -180,7 +186,12 @@ class KVCache:
     @classmethod
     def for_positions(cls, config: ModelConfig, positions: int) -> "KVCache":
         """An empty cache with zero rows for `positions` positions, rounded
-        up to whole key blocks."""
+        up to whole key blocks. A `positions` that is not an int in
+        [0, config.max_seq_len] is a ConfigError, raised before allocating."""
+        if not (is_int(positions) and 0 <= positions <= config.max_seq_len):
+            raise ConfigError(
+                f"cache positions must be an int in [0, max_seq_len = "
+                f"{config.max_seq_len}], got {positions!r}")
         rows = -(-positions // tz.KEY_BLOCK) * tz.KEY_BLOCK
         keys, values = np.zeros((2, config.n_layers, rows, config.d_model),
                                 dtype=tz.DTYPE)
@@ -217,7 +228,8 @@ class DecoderModel:
 
     def forward(self, token_ids, rng: np.random.Generator | None = None,
                 cache: KVCache | None = None) -> Tensor:
-        """Logits [T, vocab_size] for a token-id sequence.
+        """Logits [T, vocab_size] for a token-id sequence, or [1, vocab_size]
+        for its last position given a cache.
 
         The ids are ints in [0, vocab_size); a bool or float is a
         VocabError. They run at positions start .. end - 1, whose rows of
@@ -225,9 +237,13 @@ class DecoderModel:
         Without a cache, start is 0. With a `cache`, `token_ids` are the
         next T tokens after the `cache.length` it already holds: start is
         cache.length, they attend to the cached keys and values, and are
-        appended to the cache. Causal prefix stability makes the result
-        bitwise equal to the last T rows of a forward over the whole
-        sequence. Keys and values that are not f32 arrays of one shape
+        appended to the cache. Only the last position's logits are
+        returned: every layer computes and caches the keys and values of all
+        T rows, but the last layer runs its queries, attention, output
+        projection, MoE, the final norm and the lm head on the last row
+        alone. Causal prefix stability makes the result bitwise equal to the
+        last row of a forward over the whole sequence. A cache that is not
+        a KVCache, keys and values that are not f32 arrays of one shape
         [n_layers, rows, d_model], rows a multiple of KEY_BLOCK, a length
         that is not an int in [0, max_seq_len], or a length above 0 with no
         cached keys is a ConfigError; an end past the cache's rows is a
@@ -248,7 +264,11 @@ class DecoderModel:
         runs again with every op checked, from the generator state it
         started with, so it draws the same dropout masks, and raises the
         NumericError of the first op that produced one. A cached forward
-        that raises leaves the cache as it was.
+        that raises leaves the cache as it was. What a cached forward does
+        not compute it does not check. Nothing non-finite enters the cache,
+        since every row's keys are checked and a non-finite value reaches
+        the last row through attention; but a NaN that only the other rows'
+        last-layer router, MoE or logits would produce does not raise.
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 1:
@@ -257,6 +277,9 @@ class DecoderModel:
         if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
         if cache is not None:
+            if not isinstance(cache, KVCache):
+                raise ConfigError(f"cache must be a KVCache, got "
+                                  f"{type(cache).__name__}")
             if not (is_int(cache.length)
                     and 0 <= cache.length <= cfg.max_seq_len):
                 raise ConfigError(
@@ -341,7 +364,9 @@ class DecoderModel:
     def _run(self, ids: np.ndarray, rng: np.random.Generator | None,
              cache: KVCache | None) -> Tensor:
         """The layers over positions start .. end - 1; a cache's rows
-        start .. end - 1 are written and its length left as it was."""
+        start .. end - 1 are written and its length left as it was. With a
+        cache, the last layer runs past its keys and values on the last
+        row alone, and only that row's logits are returned."""
         cfg = self.config
         start = 0 if cache is None else cache.length
         end = start + ids.size
@@ -349,7 +374,12 @@ class DecoderModel:
         x = tz.index_rows(self.embedding, ids)
         for i, layer in enumerate(self.layers):
             h = tz.rms_norm(x, layer.attn_norm, cfg.norm_eps)
-            q = tz.rotary(layer.wq.forward(h, rng), cos, sin)
+            h_q, cos_q, sin_q = h, cos, sin
+            if cache is not None and i == len(self.layers) - 1:
+                last = [ids.size - 1]
+                x, h_q = tz.index_rows(x, last), tz.index_rows(h, last)
+                cos_q, sin_q = cos[-1:], sin[-1:]
+            q = tz.rotary(layer.wq.forward(h_q, rng), cos_q, sin_q)
             k = tz.rotary(layer.wk.forward(h, rng), cos, sin)
             # an Inf key that scores -Inf in every row that sees it gets
             # weight 0 there, and so would not reach the logits

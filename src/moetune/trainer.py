@@ -31,7 +31,8 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     check_rules, count_rule, is_count, is_int, is_number)
+                     VocabError, check_rules, count_rule, is_count, is_int,
+                     is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam, adam_rules
@@ -294,12 +295,13 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
              stop_id: int = EOT_ID) -> list[int]:
     """Autoregressive decoding; stops at `stop_id` or after max_new tokens.
 
-    One forward over the prompt fills a key/value cache and gives the first
-    token's logits; every further token runs as a single row against that
-    cache. The cache has rows for the positions fed, the prompt and every
-    new token but the last, rounded up to whole key blocks. The logits are
-    bitwise equal to the last row of a forward over the whole prefix, so
-    the tokens are those a full-prefix loop would pick.
+    One forward over the prompt fills a key/value cache and gives the logits
+    of its last position, those of the first token, alone; every further
+    token runs as a single row against that cache. The cache has rows for
+    the positions fed, the prompt and every new token but the last, rounded
+    up to whole key blocks. The logits are bitwise equal to the last row of
+    a forward over the whole prefix, so the tokens are those a full-prefix
+    loop would pick.
 
     One sampling rule: temperature 0 is greedy (ties pick the lowest id).
     Above 0 the token is drawn, from a generator seeded with `seed`, out of
@@ -308,10 +310,15 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     reaches top_p (Holtzman et al., arXiv 1904.09751), renormalized. A
     temperature below 0 or NaN, a top_p outside [0, 1], a max_new or seed
     that is not an int >= 0, or a stop_id that is not an int is a
-    ConfigError, raised before any forward. A prompt token that is not an
-    int is a VocabError, raised by the forward.
+    ConfigError, raised before any forward. A prompt that is not a sequence
+    is a VocabError, raised before any forward; a prompt token that is not
+    an int is a VocabError, raised by the forward.
     """
-    prompt = list(prompt_tokens)
+    try:
+        prompt = list(prompt_tokens)
+    except TypeError:  # not iterable
+        raise VocabError(f"prompt tokens must be a sequence of ints, got "
+                         f"{type(prompt_tokens).__name__}") from None
     if not is_count(max_new):
         raise ConfigError(f"max_new must be an int >= 0, got {max_new!r}")
     if len(prompt) + max_new > model.config.max_seq_len:
@@ -327,7 +334,8 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     if not is_int(stop_id):  # any int, since -1 never stops
         raise ConfigError(f"stop_id must be an int, got {stop_id!r}")
     rng = np.random.default_rng(seed)
-    cache = KVCache.for_positions(model.config, len(prompt) + max_new - 1)
+    cache = KVCache.for_positions(model.config,
+                                  max(len(prompt) + max_new - 1, 0))
     step_ids = prompt
     out: list[int] = []
     while len(out) < max_new:

@@ -91,6 +91,13 @@ def test_prompt_plus_max_new_over_max_seq_len(model):
         generate(model, PROMPT, 49 - len(PROMPT))
 
 
+def test_no_new_tokens_is_an_empty_list_even_for_an_empty_prompt(model):
+    # an empty prompt feeds no position; a forward would be a LengthError
+    assert generate(model, PROMPT, 0) == generate(model, [], 0) == []
+    with pytest.raises(LengthError):
+        generate(model, [], 1)
+
+
 def test_negative_max_new(model):
     with pytest.raises(ConfigError):
         generate(model, PROMPT, -1)
@@ -119,7 +126,8 @@ def test_bad_decode_arguments_raise_before_the_first_forward(
         generate(model, PROMPT, **{"max_new": 4, **kwargs})
 
 
-@pytest.mark.parametrize("prompt", [[1.5, 2], [5, True], "ab", [10 ** 20]])
+@pytest.mark.parametrize("prompt", [[1.5, 2], [5, True], "ab", [10 ** 20], 5,
+                                    None])
 def test_prompt_tokens_that_are_not_ints_are_a_vocab_error(model, prompt):
     with pytest.raises(VocabError):
         generate(model, prompt, 4, stop_id=NEVER)

@@ -295,7 +295,8 @@ def test_cached_decode_is_bitwise_equal_to_full_forward(tuned_default_model,
     ids = np.random.default_rng(prompt_len).integers(0, 262, prompt_len + 3)
     cache = KVCache()
     prefill = model.forward(ids[:prompt_len], cache=cache).data
-    assert np.array_equal(prefill, model.forward(ids[:prompt_len]).data)
+    # a cached forward returns its last row, the one generate reads
+    assert np.array_equal(prefill, model.forward(ids[:prompt_len]).data[-1:])
     for t in range(prompt_len, len(ids)):
         step = model.forward(ids[t:t + 1], cache=cache).data
         assert step.shape == (1, 262)
@@ -322,11 +323,12 @@ full = model.forward(ids).data
 for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129):
     assert np.array_equal(model.forward(ids[:n]).data, full[:n]), n
 cache = KVCache()
-model.forward(ids[:63], cache=cache)
+assert np.array_equal(model.forward(ids[:63], cache=cache).data, full[62:63])
 for t in (63, 64, 65):
     assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
                           full[t:t + 1]), t
-model.forward(ids[66:129], cache=cache)
+assert np.array_equal(model.forward(ids[66:129], cache=cache).data,
+                      full[128:129])
 for t in range(129, len(ids)):
     assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
                           full[t:t + 1]), t
@@ -334,7 +336,8 @@ for t in range(129, len(ids)):
 for prompt_len, n_fed in ((7, 9), (60, 64), (63, 66), (120, 133)):
     cache = KVCache.for_positions(model.config, n_fed)
     assert cache.keys.shape[1] == -(-n_fed // 64) * 64
-    model.forward(ids[:prompt_len], cache=cache)
+    assert np.array_equal(model.forward(ids[:prompt_len], cache=cache).data,
+                          full[prompt_len - 1:prompt_len]), prompt_len
     for t in range(prompt_len, n_fed):
         assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
                               full[t:t + 1]), (prompt_len, t)
@@ -373,7 +376,7 @@ def test_cached_forward_that_raises_leaves_the_cache_as_it_was(
     assert cache.length == 10
     assert model.forward(ids[:3]).requires_grad  # recording is back on
     step = model.forward(ids[10:12], cache=cache).data
-    assert np.array_equal(step, model.forward(ids).data[10:])
+    assert np.array_equal(step, model.forward(ids).data[11:])
     assert cache.length == 12
 
 
@@ -409,9 +412,85 @@ def test_cached_forward_that_raises_midway_leaves_no_stale_rows(
     assert cache.keys.tobytes() == keys.tobytes()
     assert cache.values.tobytes() == values.tobytes()
     shorter = model.forward(ids[prefix:prefix + 5], cache=cache).data
-    assert np.array_equal(shorter, full[prefix:prefix + 5])
+    assert np.array_equal(shorter, full[prefix + 4:prefix + 5])
     prefill = model.forward(ids[:prefix + 5], cache=KVCache()).data
-    assert np.array_equal(shorter, prefill[prefix:])
+    assert np.array_equal(shorter, prefill)
+
+
+def record_moe_inputs(inputs):
+    """A moe_forward that appends (layer, its input rows) to `inputs`."""
+    real = model_module.moe_forward
+
+    def moe_forward(h, layer, *args):
+        inputs.append((layer, h.data.copy()))
+        return real(h, layer, *args)
+
+    return moe_forward
+
+
+def routed_experts(h, layer):
+    """The experts that the rows of h route to, as a set; the router logits
+    come from the op moe_forward runs, so they are bitwise its own."""
+    logits = T.matmul(Tensor(h), layer.router).data
+    return set(np.argsort(-logits, axis=1, kind="stable")[:, :layer.top_k].ravel())
+
+
+def test_a_cached_prefill_runs_the_last_layers_moe_on_its_last_row(
+        monkeypatch):
+    model = init_model(TINY, seed=8)
+    inputs = []
+    monkeypatch.setattr(model_module, "moe_forward", record_moe_inputs(inputs))
+    cache = KVCache()
+    model.forward(np.arange(3, 12), cache=cache)
+    model.forward([12], cache=cache)
+    model.forward(np.arange(3, 12))
+    # TINY has 2 layers: prefill, decode step, plain forward
+    assert [len(h) for _, h in inputs] == [9, 1, 1, 1, 9, 9]
+    assert np.array_equal(inputs[1][1], inputs[5][1][-1:])
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "plain"])
+def test_a_cached_prefill_dequantizes_only_the_last_rows_experts_in_the_last_layer(
+        monkeypatch, cached):
+    # quantized as loaded: no kernel dequantized until a forward needs it
+    model = init_model(TINY, seed=8)
+    model.quantize_frozen(64)
+    inputs = []
+    monkeypatch.setattr(model_module, "moe_forward", record_moe_inputs(inputs))
+    model.forward(np.arange(3, 23), cache=KVCache() if cached else None)
+    for layer, h in inputs:
+        want = routed_experts(h, layer)
+        for e, expert in enumerate(layer.experts):
+            kernels = (expert.w_gate.kernel, expert.w_up.kernel,
+                       expert.w_down.kernel)
+            assert [k._dequant_cache is not None for k in kernels] \
+                == [e in want] * 3, e
+    last, h = inputs[-1]
+    assert last is model.layers[-1].moe
+    assert len(routed_experts(h, last)) == (TINY.top_k if cached
+                                            else TINY.n_experts)
+
+
+def test_a_nan_only_dropped_rows_would_meet_raises_in_a_plain_forward_only(
+        monkeypatch):
+    model = init_model(TINY, seed=8)
+    ids = np.arange(3, 23)
+    inputs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "moe_forward", record_moe_inputs(inputs))
+        model.forward(ids)
+    layer, h = inputs[-1]
+    # an expert of the last layer that an earlier row routes to, the last
+    # row not
+    spare = sorted(routed_experts(h, layer) - routed_experts(h[-1:], layer))
+    assert spare
+    layer.experts[spare[0]].w_down.kernel.data[:] = np.nan
+    with pytest.raises(NumericError):
+        model.forward(ids)
+    cache = KVCache()
+    assert np.isfinite(model.forward(ids, cache=cache).data).all()
+    assert cache.length == len(ids)
+    assert np.isfinite(cache.keys).all() and np.isfinite(cache.values).all()
 
 
 def test_a_non_finite_forward_names_the_op_with_the_generator_it_started_with(
@@ -486,11 +565,11 @@ def test_cached_forward_records_no_tape_and_a_plain_one_does(
     cached = model.forward(ids[:-1], cache=KVCache())
     assert not cached.requires_grad and cached._parents == ()
     with pytest.raises(TapeError):
-        T.masked_cross_entropy(cached, targets, mask).backward()
+        T.masked_cross_entropy(cached, targets[-1:], mask[-1:]).backward()
     lora_a = model.trainable_parameters()["layers.0.attn.wq.lora_a"]
     assert lora_a.grad is None
     plain = model.forward(ids[:-1])  # training=False
-    assert np.array_equal(plain.data, cached.data)
+    assert np.array_equal(plain.data[-1:], cached.data)
     try:
         T.masked_cross_entropy(plain, targets, mask).backward()
         assert np.any(lora_a.grad != 0)
@@ -609,11 +688,32 @@ def test_cache_values_that_do_not_fit_its_keys_are_a_config_error(values):
 
 
 def test_cache_for_positions_rounds_up_to_whole_zero_key_blocks():
-    for positions, rows in ((0, 0), (1, 64), (64, 64), (65, 128)):
-        cache = KVCache.for_positions(TINY, positions)
+    config = ModelConfig(**{**TINY.to_dict(), "max_seq_len": 128})
+    for positions, rows in ((0, 0), (1, 64), (64, 64), (65, 128), (128, 128)):
+        cache = KVCache.for_positions(config, positions)
         assert cache.keys.shape == cache.values.shape == (2, rows, 16)
         assert cache.keys.dtype == np.float32 and cache.length == 0
         assert not cache.keys.any() and not cache.values.any()
+
+
+# 10**6 positions would be 4.1 GB of keys and values at the default config
+@pytest.mark.parametrize("positions", [-3, 1.5, True, "3", None, 513, 10 ** 6])
+def test_cache_for_positions_outside_0_to_max_seq_len_is_a_config_error(
+        positions):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            KVCache.for_positions(ModelConfig(), positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("cache", ["x", {"length": 0}, 0])
+def test_a_cache_that_is_not_a_kvcache_is_a_config_error(cache):
+    with pytest.raises(ConfigError, match="KVCache"):
+        init_model(TINY, seed=8).forward([1, 2], cache=cache)
 
 
 @pytest.mark.parametrize("keys", [np.zeros((2, 48, 16), np.float32),
