@@ -1,19 +1,30 @@
-"""Binary checkpoint container with bit-exact round trips.
+"""Binary checkpoints with bit-exact round trips, in two files: what
+training changes, and the frozen base it tunes.
 
-Layout: magic "AURC" (4 bytes), version u32 LE, header-length u64 LE, UTF-8
-JSON header, then the payload: five flat segments at most, each a run of
-raw little-endian arrays laid end to end.
+A checkpoint file holds the configs, the trainable f32 tensors and the
+optimizer moments. Its base file, in the same directory, holds the frozen
+tensors: the 4-bit kernels and every f32 parameter without requires_grad.
+A base is named by its content, "base-<16 hex digits>.bin", the start of
+the SHA-256 of its prefix and header, which hold each segment's CRC. So
+every checkpoint saved into one directory from one frozen base shares one
+base file. Copy or move a checkpoint together with the base its header
+names. A model with no frozen tensors has no base.
 
-The header holds the config blocks and the trainer cursor ("configs"), the
-ordered names and shapes of each group's tensors ("tensors") and the
-segment table ("segments"). The groups are:
+Layout of both files: magic ("AURC" for a checkpoint, "AURB" for a base),
+version u32 LE, header-length u64 LE, UTF-8 JSON header, then the payload:
+at most three flat segments, each a run of raw little-endian arrays laid
+end to end.
 
-- "f32": every f32 parameter (base weights and adapters), as [name, shape];
-  its segment is their values;
-- "q4": the frozen 4-bit kernels, as [name, [rows, cols]];
-- "optim" (only with optimizer state): the trainable parameters in order,
-  as [name, size, update count]; its matrices are the Adam moments m and v
-  as the optimizer holds them, 1 x end over `quant.flat_offsets`.
+Both headers hold the ordered names and shapes of each group's tensors
+("tensors") and the segment table ("segments"). The groups are:
+
+- "f32": f32 parameters as [name, shape], the trainable ones in a
+  checkpoint and the frozen ones in a base; its segment is their values;
+- "q4" (base): the frozen 4-bit kernels, as [name, [rows, cols]];
+- "optim" (checkpoint, only with optimizer state): the trainable
+  parameters in order, as [name, size, update count]; its matrices are the
+  Adam moments m and v as the optimizer holds them, 1 x end over
+  `quant.flat_offsets`.
 
 A 4-bit group has two segments, "codes" (each matrix's ceil(n / 2) packed
 code bytes) and "scales" (its ceil(n / block_size) f32 block scales), and
@@ -21,24 +32,42 @@ stores its "block_size" beside them. Each segment is {offset, length,
 crc32}, its offset counted from the payload start. A tensor starts where
 the one before it in its group ends, so no per-tensor offset is stored.
 
-Adapters are `lora_a` [d_in, rank] and `lora_b` [rank, d_out], in the
-[d_in, d_out] orientation of the kernel they sit on. Version 4 replaced
-version 3's moments per parameter; versions 1 to 3 are rejected.
+A checkpoint header also holds the config blocks and the trainer cursor
+("configs") and its reference to the base ("base"): null without frozen
+tensors, else {"file": the base's name, "segments": {label: [length,
+crc32]}} for the base segments "f32", "q4.codes" and "q4.scales".
 
-The loader checks the whole header first, then reads each segment it needs
-into its own buffer, checks its CRC and hands out writable numpy views of
-it; `with_optimizer=False` reads neither optim segment. It builds the model
+Adapters are `lora_a` [d_in, rank] and `lora_b` [rank, d_out], in the
+[d_in, d_out] orientation of the kernel they sit on. Version 5 moved the
+frozen tensors out of version 4's single file; versions 1 to 4 are
+rejected.
+
+Save writes the base first, then the checkpoint. Each is written to
+"{file}.tmp", synced, renamed over its name, and the directory synced, so
+the base a checkpoint names is on disk before the checkpoint is. Save
+computes the base's CRCs anew every time and writes the base only when no
+file of its name with its header and size is there. A base damaged after
+its save with its header and size intact is left as it is; the load's CRC
+check finds it. Save deletes no base: one that no checkpoint names any
+more stays until it is removed.
+
+The loader checks each header first, then reads each segment it needs into
+its own buffer, checks its CRC and hands out writable numpy views of it;
+`with_optimizer=False` reads neither optim segment. It builds the model
 through `model.build_model` and `lora.load_adapters`: each weight they ask
-for is taken once, at the shape they ask for. A weight the file lacks or
-that no one asks for, a CRC mismatch, and a segment that runs past the file
-or whose length is not that of its tensors are IntegrityErrors.
+for is taken once, at the shape they ask for. A weight neither file holds
+or that no one asks for, a CRC mismatch, a segment that runs past its file
+or whose length is not that of its tensors, and a base that is missing or
+whose segments are not those its checkpoint names are IntegrityErrors.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -52,8 +81,10 @@ from .quant import (DEFAULT_BLOCK_SIZE, AdamState, QuantizedMatrix,
                     flat_offsets)
 
 MAGIC = b"AURC"
-VERSION = 4
+BASE_MAGIC = b"AURB"
+VERSION = 5
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+_BASE_FILE = re.compile(r"base-[0-9a-f]{16}\.bin")
 
 
 @dataclass
@@ -72,78 +103,63 @@ class TrainState:
     cursor: int = 0  # steps done in `epoch`, all of them once it has ended
 
 
-def save_checkpoint(state: TrainState, path) -> None:
-    """Serialize model weights, adapters, optimizer moments and the cursor.
+def _file_path(path) -> str:
+    """`path` as a str; ConfigError unless it is a str, bytes or PathLike
+    (a file descriptor names no directory for the base)."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ConfigError(f"checkpoint path must be a str, bytes or "
+                          f"os.PathLike, got {type(path).__name__}")
+    return os.fsdecode(path)
 
-    The file at `path` is replaced atomically: it holds either the previous
-    checkpoint or the new one, never a partial write. The new file is
-    written to `{path}.tmp` and synced, then renamed over `path`, and the
-    directory is synced; a save killed midway leaves that file behind, and
-    the next save of `path` overwrites it. An `optim_state` of other
-    parameters than the model's trainable ones is a ConfigError, raised
-    before anything is written: no load would accept the file.
-    """
-    model = state.model
-    params = model.named_parameters()
-    kernels = model.named_quantized()
-    optim = state.optim_state
-    if optim is not None:
-        why = optim.mismatch(model.trainable_parameters())
-        if why is not None:
-            raise ConfigError(f"optimizer state {why}")
-    tensors = {"f32": [[n, list(t.shape)] for n, t in params.items()],
-               "q4": [[n, [q.rows, q.cols]] for n, q in kernels.items()]}
-    matrices = {"q4": list(kernels.values())}
-    if optim is not None:
-        tensors["optim"] = [list(e) for e in zip(optim.names, optim.sizes,
-                                                 optim.steps)]
-        matrices["optim"] = [optim.m, optim.v]
 
-    blobs: list[np.ndarray] = []
-    end = 0
+class _Payload:
+    """Segments laid end to end: their arrays, and their table entries."""
 
-    def segment(arrays: list[np.ndarray]) -> dict:
-        nonlocal end
+    def __init__(self):
+        self.blobs: list[np.ndarray] = []
+        self.end = 0
+
+    def segment(self, arrays: list[np.ndarray]) -> dict:
         crc = 0
         for a in arrays:
             crc = zlib.crc32(a, crc)
         length = sum(a.nbytes for a in arrays)
-        blobs.extend(arrays)
-        end += length
-        return {"offset": end - length, "length": length, "crc32": crc}
+        self.blobs.extend(arrays)
+        self.end += length
+        return {"offset": self.end - length, "length": length, "crc32": crc}
 
-    segments = {"f32": segment([np.ascontiguousarray(t.data, dtype="<f4")
-                                for t in params.values()])}
-    for group, qs in matrices.items():
+    def f32(self, tensors) -> dict:
+        return self.segment([np.ascontiguousarray(t.data, dtype="<f4")
+                             for t in tensors])
+
+    def q4(self, group: str, qs: list[QuantizedMatrix]) -> dict:
         sizes = {q.block_size for q in qs} or {DEFAULT_BLOCK_SIZE}
         if len(sizes) > 1:
             raise FormatError(f"{group}: block sizes {sorted(sizes)} differ; "
                               f"a checkpoint stores one per group")
-        segments[group] = {
-            "block_size": sizes.pop(),
-            "codes": segment([q.codes for q in qs]),
-            "scales": segment([np.ascontiguousarray(q.scales, dtype="<f4")
-                               for q in qs])}
+        return {"block_size": sizes.pop(),
+                "codes": self.segment([q.codes for q in qs]),
+                "scales": self.segment([np.ascontiguousarray(q.scales,
+                                                             dtype="<f4")
+                                        for q in qs])}
 
-    lora_cfg = adapter_config(model)
-    header = {
-        "configs": {
-            "model": model.config.to_dict(),
-            "lora": lora_cfg.to_dict() if lora_cfg else None,
-            "train": state.train_config,
-            "trainer_state": {"step": state.step, "epoch": state.epoch,
-                              "cursor": state.cursor},
-        },
-        "tensors": tensors,
-        "segments": segments,
-    }
+
+def _head(magic: bytes, header: dict) -> bytes:
+    """The prefix and JSON header of a file."""
     raw = json.dumps(header, ensure_ascii=False, sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
-    data = b"".join([_PREFIX.pack(MAGIC, VERSION, len(raw)), raw, *blobs])
-    # write a sibling file and rename it over the target, so that a crash
-    # or a failed write leaves the previous checkpoint whole; the syncs keep
-    # a power loss from persisting the rename without the data
-    path = os.fspath(path)
+    return _PREFIX.pack(magic, VERSION, len(raw)) + raw
+
+
+def _write(path: str, data: bytes) -> None:
+    """Replace the file at absolute `path` by `data`, atomically and durably.
+
+    A sibling "{path}.tmp" is written, synced and renamed over `path`, and
+    the directory synced: a crash or a failed write leaves the previous file
+    whole, and a power loss cannot persist the rename without the data. A
+    write that fails removes the sibling; one killed midway leaves it, and
+    the next write of `path` overwrites it.
+    """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -155,20 +171,104 @@ def save_checkpoint(state: TrainState, path) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    fd = os.open(os.path.dirname(path), os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
 
 
+def _holds(path: str, head: bytes, size: int) -> bool:
+    """Whether a file of `size` bytes that starts with `head` is at `path`."""
+    try:
+        with open(path, "rb") as f:
+            return (os.fstat(f.fileno()).st_size == size
+                    and f.read(len(head)) == head)
+    except FileNotFoundError:
+        return False
+
+
+def save_checkpoint(state: TrainState, path) -> None:
+    """Serialize adapters, optimizer moments and the cursor to `path`, and
+    the frozen tensors to the base beside it.
+
+    The base is written first, and only when its directory lacks it (see
+    the module docstring). Each file is replaced atomically: `path` holds
+    either the previous checkpoint or the new one, never a partial write,
+    and the base it names is durable before it. A save killed midway leaves
+    a "{file}.tmp" behind, which the next save of that file overwrites. A
+    path that is not a str, bytes or os.PathLike, a state that is not a
+    TrainState, and an `optim_state` of other parameters than the model's
+    trainable ones are ConfigErrors, raised before anything is written: no
+    load would accept the file.
+    """
+    path = os.path.abspath(_file_path(path))
+    if not isinstance(state, TrainState):
+        raise ConfigError(f"state must be a TrainState, got "
+                          f"{type(state).__name__}")
+    model = state.model
+    params = model.named_parameters()
+    trainable = {n: t for n, t in params.items() if t.requires_grad}
+    frozen = {n: t for n, t in params.items() if not t.requires_grad}
+    kernels = model.named_quantized()
+    optim = state.optim_state
+    if optim is not None:
+        why = optim.mismatch(trainable)
+        if why is not None:
+            raise ConfigError(f"optimizer state {why}")
+
+    base = reference = None
+    if frozen or kernels:
+        base = _Payload()
+        base_segments = {"f32": base.f32(frozen.values()),
+                         "q4": base.q4("q4", list(kernels.values()))}
+        base_head = _head(BASE_MAGIC, {
+            "tensors": {"f32": [[n, list(t.shape)] for n, t in frozen.items()],
+                        "q4": [[n, [q.rows, q.cols]]
+                               for n, q in kernels.items()]},
+            "segments": base_segments})
+        name = f"base-{hashlib.sha256(base_head).hexdigest()[:16]}.bin"
+        spans = {"f32": base_segments["f32"],
+                 "q4.codes": base_segments["q4"]["codes"],
+                 "q4.scales": base_segments["q4"]["scales"]}
+        reference = {"file": name, "segments": {
+            label: [s["length"], s["crc32"]] for label, s in spans.items()}}
+
+    own = _Payload()
+    tensors = {"f32": [[n, list(t.shape)] for n, t in trainable.items()]}
+    segments = {"f32": own.f32(trainable.values())}
+    if optim is not None:
+        tensors["optim"] = [list(e) for e in zip(optim.names, optim.sizes,
+                                                 optim.steps)]
+        segments["optim"] = own.q4("optim", [optim.m, optim.v])
+    lora_cfg = adapter_config(model)
+    head = _head(MAGIC, {
+        "configs": {
+            "model": model.config.to_dict(),
+            "lora": lora_cfg.to_dict() if lora_cfg else None,
+            "train": state.train_config,
+            "trainer_state": {"step": state.step, "epoch": state.epoch,
+                              "cursor": state.cursor},
+        },
+        "tensors": tensors,
+        "segments": segments,
+        "base": reference,
+    })
+    if base is not None:
+        base_path = os.path.join(os.path.dirname(path), reference["file"])
+        if not _holds(base_path, base_head, len(base_head) + base.end):
+            _write(base_path, b"".join([base_head, *base.blobs]))
+    _write(path, b"".join([head, *own.blobs]))
+
+
 def _layout(where: str, group: str, entries, meta, room: int):
     """Entries, shapes, block size and segment spans of one group, checked.
 
-    A span is (where, offset, length, crc32); "optim" has the shapes of its
-    two flat moments. FormatError for a malformed entry or segment;
-    IntegrityError if a segment runs past the `room` payload bytes or its
-    length is not that of its tensors.
+    The spans map a segment's label ("f32", "q4.codes", ...) to its
+    (offset, length, crc32); "optim" has the shapes of its two flat
+    moments. FormatError for a malformed entry or segment; IntegrityError
+    if a segment runs past the `room` payload bytes or its length is not
+    that of its tensors.
     """
     if not isinstance(entries, list):
         raise FormatError(f"{where}: tensors of {group} must be a list")
@@ -198,7 +298,7 @@ def _layout(where: str, group: str, entries, meta, room: int):
                                    sum((n + 1) // 2 for n in sizes)),
                 f"{group}.scales": (meta.get("scales"), 4 * sum(
                     (n + block_size - 1) // block_size for n in sizes))}
-    spans = []
+    spans = {}
     for label, (span, length) in want.items():
         if not (isinstance(span, dict) and all(
                 is_count(span.get(k)) for k in ("offset", "length", "crc32"))):
@@ -209,37 +309,38 @@ def _layout(where: str, group: str, entries, meta, room: int):
         if span["length"] != length:
             raise IntegrityError(f"{where}: segment {label} holds "
                                  f"{span['length']} bytes, its tensors {length}")
-        spans.append((f"{where}: segment {label}", span["offset"], length,
-                      span["crc32"]))
+        spans[label] = (span["offset"], length, span["crc32"])
     return entries, shapes, block_size, spans
 
 
-def _read(f, base: int, span) -> bytearray:
+def _read(f, where: str, start: int, label: str, span) -> bytearray:
     """The bytes of one segment, CRC-checked, in a buffer of their own."""
-    where, offset, length, crc = span
+    offset, length, crc = span
     buf = bytearray(length)
-    f.seek(base + offset)
+    f.seek(start + offset)
     if f.readinto(buf) != length:
-        raise IntegrityError(f"{where}: truncated")
+        raise IntegrityError(f"{where}: segment {label}: truncated")
     if zlib.crc32(buf) != crc:
-        raise IntegrityError(f"{where}: CRC mismatch")
+        raise IntegrityError(f"{where}: segment {label}: CRC mismatch")
     return buf
 
 
-def _tensors(f, base: int, shapes, block_size, spans) -> list:
+def _tensors(f, where: str, start: int, shapes, block_size, spans) -> list:
     """One group's tensors, in order, as views of its segments' buffers:
     f32 arrays, or QuantizedMatrix when the group has a block size."""
+    bufs = [_read(f, where, start, label, span)
+            for label, span in spans.items()]
     out = []
     if block_size is None:
-        flat = np.frombuffer(_read(f, base, spans[0]), dtype="<f4")
+        flat = np.frombuffer(bufs[0], dtype="<f4")
         at = 0
         for shape in shapes:
             n = math.prod(shape)
             out.append(flat[at:at + n].reshape(shape))
             at += n
         return out
-    codes = np.frombuffer(_read(f, base, spans[0]), dtype=np.uint8)
-    scales = np.frombuffer(_read(f, base, spans[1]), dtype="<f4")
+    codes = np.frombuffer(bufs[0], dtype=np.uint8)
+    scales = np.frombuffer(bufs[1], dtype="<f4")
     at_code = at_scale = 0
     for rows, cols in shapes:
         n = rows * cols
@@ -252,39 +353,92 @@ def _tensors(f, base: int, shapes, block_size, spans) -> list:
     return out
 
 
-def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
-    """Rebuild a TrainState; load(save(x)) reproduces training bit-exactly.
+def _header(f, where: str, magic: bytes, keys: set[str], groups: set[str],
+            optional: set[str] = frozenset()):
+    """The header of an open file, the layout of each of its groups, and
+    where its payload starts.
 
-    With `with_optimizer=False` the moments are not read and `optim_state`
-    is None, as it is for a file saved without them.
+    The header must hold `keys`, "tensors" and "segments", and those two
+    must both map every one of `groups` and may map the `optional` ones.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        prefix = f.read(_PREFIX.size)
-        if len(prefix) < _PREFIX.size or prefix[:4] != MAGIC:
-            raise FormatError(f"{path}: bad magic (not a checkpoint)")
-        _, version, header_len = _PREFIX.unpack(prefix)
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        base = _PREFIX.size + header_len
-        if base > size:
-            raise IntegrityError(f"{path}: truncated header")
-        try:
-            header = json.loads(f.read(header_len).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise FormatError(f"{path}: unreadable header ({e})") from e
-        if not (isinstance(header, dict)
-                and {"configs", "tensors", "segments"} <= header.keys()):
-            raise FormatError(f"{path}: header lacks configs, tensors or "
-                              f"segments")
+    size = os.fstat(f.fileno()).st_size
+    prefix = f.read(_PREFIX.size)
+    if len(prefix) < _PREFIX.size or prefix[:4] != magic:
+        raise FormatError(f"{where}: bad magic (not a {magic.decode()} file)")
+    _, version, header_len = _PREFIX.unpack(prefix)
+    if version != VERSION:
+        raise FormatError(f"{where}: unsupported version {version}")
+    start = _PREFIX.size + header_len
+    if start > size:
+        raise IntegrityError(f"{where}: truncated header")
+    try:
+        header = json.loads(f.read(header_len).decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise FormatError(f"{where}: unreadable header ({e})") from e
+    keys = keys | {"tensors", "segments"}
+    if not (isinstance(header, dict) and keys <= header.keys()):
+        raise FormatError(f"{where}: header lacks one of {sorted(keys)}")
+    tensors, segments = header["tensors"], header["segments"]
+    if not (isinstance(tensors, dict) and isinstance(segments, dict)
+            and tensors.keys() == segments.keys()
+            and groups <= tensors.keys() <= groups | optional):
+        raise FormatError(f"{where}: tensors and segments must both map "
+                          f"{sorted(groups)} and may map {sorted(optional)}")
+    return header, {g: _layout(where, g, tensors[g], segments[g],
+                               size - start) for g in tensors}, start
 
+
+def _load_base(path: str, reference) -> list:
+    """The frozen tensors as (name, tensor) pairs, read from the base that
+    the checkpoint at `path` names in `reference` and checked against it."""
+    if not (isinstance(reference, dict)
+            and reference.keys() == {"file", "segments"}
+            and isinstance(reference["file"], str)
+            and _BASE_FILE.fullmatch(reference["file"])
+            and isinstance(reference["segments"], dict)):
+        raise FormatError(f"{path}: malformed base reference {reference!r}")
+    where = os.path.join(os.path.dirname(path), reference["file"])
+    try:
+        f = open(where, "rb")
+    except FileNotFoundError:
+        raise IntegrityError(f"{path}: base {where} is missing") from None
+    with f:
+        _, layout, start = _header(f, f"base {where}", BASE_MAGIC, set(),
+                                   {"f32", "q4"})
+        spans = {label: [length, crc] for _, _, _, group_spans
+                 in layout.values()
+                 for label, (_, length, crc) in group_spans.items()}
+        if spans != reference["segments"]:
+            raise IntegrityError(f"base {where}: segments {spans} are not "
+                                 f"those {path} names")
+        return [(e[0], t) for entries, *rest in layout.values()
+                for e, t in zip(entries,
+                                _tensors(f, f"base {where}", start, *rest))]
+
+
+def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
+    """Rebuild a TrainState from a checkpoint and its base; load(save(x))
+    reproduces training bit-exactly.
+
+    The base is read from the directory of `path`. With
+    `with_optimizer=False` the moments are not read and `optim_state` is
+    None, as it is for a file saved without them. A path that is not a
+    str, bytes or os.PathLike is a ConfigError, raised before anything is
+    opened.
+    """
+    path = _file_path(path)
+    with open(path, "rb") as f:
+        header, layout, start = _header(f, path, MAGIC, {"configs", "base"},
+                                        {"f32"}, {"optim"})
         configs = header["configs"]
+        if not isinstance(configs, dict):
+            raise FormatError(f"{path}: configs must be a dict")
         try:
-            model_cfg = ModelConfig.from_dict(configs["model"])
+            model_cfg = ModelConfig.from_dict(configs.get("model"))
             lora_cfg = (LoraConfig.from_dict(configs["lora"])
                         if configs.get("lora") else None)
-        except (AttributeError, ConfigError, KeyError, TypeError) as e:
-            raise FormatError(f"{path}: malformed configs block ({e!r})") from e
+        except ConfigError as e:
+            raise FormatError(f"{path}: malformed configs block ({e})") from e
         ts = configs.get("trainer_state")
         if not (isinstance(ts, dict)
                 and {"step", "epoch", "cursor"} <= ts.keys()):
@@ -293,21 +447,14 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         if not all(map(is_count, [step, epoch, cursor])):
             raise FormatError(f"{path}: trainer_state counters must be "
                               f"non-negative ints")
-
-        tensors, segments = header["tensors"], header["segments"]
-        if not (isinstance(tensors, dict) and isinstance(segments, dict)
-                and tensors.keys() == segments.keys()
-                and {"f32", "q4"} <= tensors.keys() <= {"f32", "q4", "optim"}):
-            raise FormatError(f"{path}: tensors and segments must both map "
-                              f"f32, q4 and optionally optim")
-        layout = {g: _layout(str(path), g, tensors[g], segments[g],
-                             size - base) for g in tensors}
-        groups = {g: (entries, _tensors(f, base, *rest))
+        groups = {g: (entries, _tensors(f, path, start, *rest))
                   for g, (entries, *rest) in layout.items()
                   if g != "optim" or with_optimizer}
 
-    stored = {e[0]: t for g in ("f32", "q4") for e, t in zip(*groups[g])}
-    if len(stored) != len(groups["f32"][0]) + len(groups["q4"][0]):
+    pairs = [] if header["base"] is None else _load_base(path, header["base"])
+    pairs += [(e[0], t) for e, t in zip(*groups["f32"])]
+    stored = dict(pairs)
+    if len(stored) != len(pairs):
         raise IntegrityError(f"{path}: a tensor name is stored twice")
     unused = set(stored)
 

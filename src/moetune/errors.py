@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the rule check of the
-config validators."""
+"""Exception types shared across the toolkit, and the rule check and the
+dict reader of the configs."""
 
+import dataclasses
 import numbers
 
 
@@ -105,3 +106,22 @@ def check_rules(config, rules) -> None:
         if not ok:
             raise ConfigError(
                 f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
+def config_fields(cls, d) -> dict:
+    """`d` as the keyword arguments of config dataclass `cls`.
+
+    ConfigError unless `d` is a dict whose keys are the fields of `cls`,
+    each once; the message names a missing or an unknown key.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be read from a dict, got "
+                          f"{type(d).__name__}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"{cls.__name__} has unknown key {key!r}")
+    for name in names:
+        if name not in d:
+            raise ConfigError(f"{cls.__name__} lacks key {name!r}")
+    return d

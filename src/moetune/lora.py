@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, check_rules, count_rule, is_number
+from .errors import (ConfigError, check_rules, config_fields, count_rule,
+                     is_number)
 from .model import DecoderModel
 from .quant import QuantizedMatrix
 from .tensor import Tensor
@@ -60,11 +61,12 @@ class LoraConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LoraConfig":
-        targets = d["targets"]  # a JSON list; any other type fails validate
-        if isinstance(targets, list):
-            targets = tuple(targets)
-        return cls(rank=d["rank"], alpha=d["alpha"], targets=targets,
-                   dropout_p=d["dropout_p"]).validate()
+        """The config `to_dict` wrote; ConfigError for a value that is not
+        a dict, or that lacks a field or has an unknown key."""
+        d = dict(config_fields(cls, d))
+        if isinstance(d["targets"], list):  # JSON; other types fail validate
+            d["targets"] = tuple(d["targets"])
+        return cls(**d).validate()
 
 
 class LoraPair:

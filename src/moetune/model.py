@@ -22,7 +22,8 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (ConfigError, DimensionError, LengthError, NumericError,
-                     VocabError, check_rules, count_rule, is_int, is_number)
+                     VocabError, check_rules, config_fields, count_rule,
+                     is_count, is_int, is_number)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
@@ -70,7 +71,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d).validate()
+        """The config `to_dict` wrote; ConfigError for a value that is not
+        a dict, or that lacks a field or has an unknown key."""
+        return cls(**config_fields(cls, d)).validate()
 
 
 class Linear:
@@ -250,7 +253,8 @@ class DecoderModel:
         LengthError. Both are raised before the cache is touched.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
-        from it. A cached forward is inference only: given a generator it
+        from it; an `rng` that is neither None nor a numpy Generator is a
+        ConfigError. A cached forward is inference only: given a generator it
         raises ConfigError, and it runs under `tensor.no_tape`, so its
         logits have no parents, `requires_grad` is False, backward through
         them raises TapeError, and no op's intermediates outlive the op.
@@ -274,6 +278,9 @@ class DecoderModel:
         if ids.ndim != 1:
             raise DimensionError(f"token_ids must be 1-D, got {ids.shape}")
         cfg = self.config
+        if not (rng is None or isinstance(rng, np.random.Generator)):
+            raise ConfigError(f"rng must be None or a numpy Generator, got "
+                              f"{type(rng).__name__}")
         if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
         if cache is not None:
@@ -440,7 +447,11 @@ class DecoderModel:
         """Quantize attention and expert projections in place.
 
         Embeddings, norms, the router, the lm head and any adapters stay f32.
+        A `block_size` that is not an int >= 1 is a ConfigError.
         """
+        if not is_count(block_size, 1):
+            raise ConfigError(f"block_size must be an int >= 1, got "
+                              f"{block_size!r}")
         for _, _, lin in self._projections():
             if not lin.is_quantized:
                 lin.kernel = quantize_4bit(lin.kernel.data, block_size)

@@ -163,7 +163,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     """Run SFT; returns the final state and per-step loss log.
 
     Saves a checkpoint every cfg.save_every optimizer steps and at the end
-    when out_dir is given. Pass the loaded TrainState as `resume` to
+    when out_dir is given; the checkpoints share one base file there (see
+    `checkpoint`). Pass the loaded TrainState as `resume` to
     continue a run; the subsequent loss sequence matches uninterrupted
     training bit for bit. `cfg` must keep the state's seed and batch_size,
     and the state's moments must be those of the model's trainable
@@ -174,13 +175,23 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     which is what checkpoints record. Every sample needs a target, at least
     2 tokens and a non-zero loss_mask[1:], and a loss_mask of 0s and 1s
     only, or ConfigError is raised before the first step; a sample longer
-    than max_seq_len + 1 tokens raises LengthError there.
+    than max_seq_len + 1 tokens raises LengthError there. A model, cfg,
+    corpus entry, lora_config or resume of another type than the signature
+    names is a ConfigError, raised there too.
     The optimizer step clips the gradients to cfg.max_grad_norm (`.grad`
     keeps them unclipped) and gives the log its norm before clipping. A
     non-finite loss or gradient, or a NumericError from the step's forward,
     backward or optimizer, raises TrainingAborted with the step index and
     leaves the parameters, moments and state as the last step left them.
     """
+    for name, value, kind, optional in (
+            ("model", model, DecoderModel, False),
+            ("cfg", cfg, TrainConfig, False),
+            ("lora_config", lora_config, LoraConfig, True),
+            ("resume", resume, TrainState, True)):
+        if not (isinstance(value, kind) or optional and value is None):
+            raise ConfigError(f"{name} must be {'None or ' * optional}a "
+                              f"{kind.__name__}, got {type(value).__name__}")
     cfg.validate()
     if lora_config is not None:
         attached = adapter_config(model)
@@ -193,6 +204,9 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     if not trainable:
         raise ConfigError("no trainable parameters (attach adapters first)")
     for i, s in enumerate(corpus):
+        if not isinstance(s, TokenizedSample):
+            raise ConfigError(f"corpus sample {i} must be a TokenizedSample, "
+                              f"got {type(s).__name__}")
         # position 0 is never a target, so its mask bit does not count
         if len(s.token_ids) < 2 or not any(s.loss_mask[1:]):
             raise ConfigError(f"corpus sample {i} has no target to learn: "

@@ -1,8 +1,10 @@
-"""AURC checkpoints: bitwise round trips and typed errors on bad files."""
+"""AURC checkpoints and their AURB bases: bitwise round trips and typed
+errors on bad files."""
 
 import errno
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -19,7 +21,8 @@ from moetune.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from moetune.errors import ConfigError, FormatError, IntegrityError
+from moetune.errors import (ConfigError, FormatError, IntegrityError,
+                            MoetuneError)
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
 from moetune.quant import QuantizedAdam
@@ -66,6 +69,12 @@ def moment_state(block_size: int = 64) -> TrainState:
 def read(path) -> bytes:
     with open(path, "rb") as f:
         return f.read()
+
+
+def base_of(path):
+    """The base file that the checkpoint at `path` names."""
+    header, _ = header_and_payload_start(read(path))
+    return path.parent / header["base"]["file"]
 
 
 def write_container(path, version: int, header) -> None:
@@ -171,7 +180,7 @@ class FailingWriter:
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(tiny_state(), path)
-    before = read(path)
+    before, files = read(path), sorted(tmp_path.iterdir())
     newer = tiny_state()
     newer.step = 4
     for t in newer.model.trainable_parameters().values():
@@ -183,7 +192,7 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
         save_checkpoint(newer, path)
     monkeypatch.undo()
     assert read(path) == before
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    assert sorted(tmp_path.iterdir()) == files
     save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
     assert read(tmp_path / "again.bin") == before
 
@@ -208,11 +217,12 @@ def test_version_3_is_rejected(tmp_path):
 
 
 def test_version_1_is_rejected(tmp_path):
-    # and version 2, whose header held an entry per tensor
+    # and version 2, whose header held an entry per tensor, and version 4,
+    # which held the frozen tensors too
     path = tmp_path / "old.bin"
     save_checkpoint(tiny_state(), path)
     raw = bytearray(read(path))
-    for version in (1, 2):
+    for version in (1, 2, 4):
         raw[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=f"version {version}"):
@@ -240,11 +250,22 @@ def edit_header(src, dst, edit) -> None:
                 + raw[16 + header_len:])
 
 
+def on_base(edit):
+    """Mark a header edit as one of the base, where the frozen tensors are."""
+    edit.on_base = True
+    return edit
+
+
 def saved_and_edited(tmp_path, edit, state=None):
-    """A checkpoint of `state` (tiny_state() by default) edited by edit."""
+    """A checkpoint of `state` (tiny_state() by default) edited by edit: its
+    own header, or its base's if edit is marked `on_base`."""
     good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
     save_checkpoint(state or tiny_state(), good)
-    edit_header(good, bad, edit)
+    if getattr(edit, "on_base", False):
+        edit_header(base_of(good), base_of(good), edit)
+        shutil.copyfile(good, bad)
+    else:
+        edit_header(good, bad, edit)
     return bad
 
 
@@ -274,7 +295,7 @@ KERNEL = "layers.0.attn.wq.weight"
 def entry(header, name: str, groups=("f32", "q4")) -> list:
     """The [name, shape] entry of `name` in the tensor table of `groups`."""
     for group in groups:
-        for e in header["tensors"][group]:
+        for e in header["tensors"].get(group, []):
             if e[0] == name:
                 return e
     raise KeyError(name)
@@ -287,25 +308,27 @@ def segment(header, label: str) -> dict:
 
 
 def set_shape(name, shape):
-    """Header edit: set (or, with shape MISSING, drop) a tensor's shape."""
+    """Header edit: set (or, with shape MISSING, drop) a tensor's shape; of
+    the base unless the tensor is an adapter."""
     def edit(header):
         e = entry(header, name)
         if shape is MISSING:
             e.pop()
         else:
             e[1] = shape
-    return edit
+    return edit if ".lora_" in name else on_base(edit)
 
 
 def set_segment(label, key, value):
-    """Header edit: set (or, with value MISSING, drop) a field of a segment."""
+    """Header edit: set (or, with value MISSING, drop) a field of a segment;
+    a "q4" one is the base's."""
     def edit(header):
         seg = segment(header, label)
         if value is MISSING:
             seg.pop(key)
         else:
             seg[key] = value
-    return edit
+    return on_base(edit) if label.startswith("q4") else edit
 
 
 def rename_group(header, old: str, new: str) -> None:
@@ -326,10 +349,11 @@ def set_optim(i: int, value):
 
 
 # v2 stored a {dtype, shape, offset, length} entry per tensor; each of its
-# cases keeps its id and is asked of the v4 header's counterpart: "dtype" of
+# cases keeps its id and is asked of the v5 header's counterpart: "dtype" of
 # the group a tensor sits in and its block size, "offset" and "length" of
 # the segment table, "shape" of a tensor's [name, shape] entry; the optim
-# step cases of an optim entry [name, n, step]
+# step cases of an optim entry [name, n, step]. The cases of a frozen
+# tensor or of the q4 group edit the base's header.
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(tensors=list(h["tensors"].values())),
     lambda h: h["configs"].update(trainer_state=[3, 1, 1, 4]),
@@ -357,13 +381,13 @@ def set_optim(i: int, value):
     lambda h: h["configs"]["lora"].update(rank=2.5),
     lambda h: h["configs"]["lora"].update(rank=True),
     lambda h: h.update(segments=list(h["segments"].values())),
-    lambda h: h["tensors"].pop("q4"),
-    lambda h: (h["tensors"].pop("q4"), h["segments"].pop("q4")),
+    on_base(lambda h: h["tensors"].pop("q4")),
+    on_base(lambda h: (h["tensors"].pop("q4"), h["segments"].pop("q4"))),
     set_segment("q4.scales", "crc32", MISSING),
     set_segment("q4.scales", "crc32", "0"),
-    lambda h: h["segments"]["q4"].pop("codes"),
+    on_base(lambda h: h["segments"]["q4"].pop("codes")),
     set_shape(KERNEL, [256]),
-    lambda h: entry(h, KERNEL).__setitem__(0, 7),
+    on_base(lambda h: entry(h, KERNEL).__setitem__(0, 7)),
     set_optim(2, MISSING),
     set_optim(1, -16),
     set_optim(0, 7),
@@ -391,8 +415,11 @@ def test_malformed_header_is_a_format_error(tmp_path, edit):
                                   "layers.0.moe.experts.1.w_up.lora_b"])
 def test_missing_tensor_is_an_integrity_error(tmp_path, name):
     # the bytes stay; only the name the model asks for is gone
-    path = saved_and_edited(
-        tmp_path, lambda h: entry(h, name).__setitem__(0, f"{name}.gone"))
+    def edit(header):
+        entry(header, name).__setitem__(0, f"{name}.gone")
+
+    path = saved_and_edited(tmp_path, edit if ".lora_" in name
+                            else on_base(edit))
     with pytest.raises(IntegrityError, match=f"missing tensor {name}"):
         load_checkpoint(path)
 
@@ -406,8 +433,16 @@ def test_unknown_tensor_is_an_integrity_error(tmp_path):
 
 
 def test_tensor_stored_twice_is_an_integrity_error(tmp_path):
+    path = saved_and_edited(tmp_path, on_base(lambda h: entry(
+        h, "layers.0.attn_norm.weight").__setitem__(0, "final_norm.weight")))
+    with pytest.raises(IntegrityError, match="twice"):
+        load_checkpoint(path)
+
+
+def test_tensor_in_both_files_is_an_integrity_error(tmp_path):
+    # an adapter renamed to a frozen weight of the same shape
     path = saved_and_edited(tmp_path, lambda h: entry(
-        h, "layers.0.attn_norm.weight").__setitem__(0, "final_norm.weight"))
+        h, "layers.0.attn.wq.lora_b").__setitem__(0, "layers.0.moe.router"))
     with pytest.raises(IntegrityError, match="twice"):
         load_checkpoint(path)
 
@@ -416,7 +451,7 @@ def test_tensor_stored_twice_is_an_integrity_error(tmp_path):
     lambda h: segment(h, "f32").update(length=segment(h, "f32")["length"] - 4),
     set_segment("f32", "offset", 10 ** 9),
     set_shape("final_norm.weight", [4, 4]),
-    lambda h: segment(h, "q4").update(block_size=32),
+    on_base(lambda h: segment(h, "q4").update(block_size=32)),
 ], ids=[f"edit{i}" for i in range(4)])
 def test_entry_that_does_not_fit_is_an_integrity_error(tmp_path, edit):
     with pytest.raises(IntegrityError):
@@ -431,7 +466,9 @@ def test_truncated_file_is_an_integrity_error(tmp_path):
         load_checkpoint(path)
 
 
-SEGMENTS = ["f32", "q4.codes", "q4.scales", "optim.codes", "optim.scales"]
+# (label, in the base): the checkpoint's segments and the base's
+SEGMENTS = [("f32", False), ("optim.codes", False), ("optim.scales", False),
+            ("f32", True), ("q4.codes", True), ("q4.scales", True)]
 
 
 def header_and_payload_start(raw: bytes) -> tuple[dict, int]:
@@ -448,13 +485,23 @@ def flip_bit(src, dst, label: str) -> None:
     dst.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("label", SEGMENTS)
-def test_flipped_payload_bit_is_an_integrity_error(tmp_path, label):
+@pytest.mark.parametrize("label, in_base", SEGMENTS,
+                         ids=["f32", "optim.codes", "optim.scales", "base-f32",
+                              "q4.codes", "q4.scales"])
+def test_flipped_payload_bit_is_an_integrity_error(tmp_path, label, in_base):
     good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
     save_checkpoint(moment_state(), good)
-    flip_bit(good, bad, label)
-    with pytest.raises(IntegrityError, match=f"segment {label}: CRC"):
+    if in_base:
+        flip_bit(base_of(good), base_of(good), label)
+        shutil.copyfile(good, bad)
+    else:
+        flip_bit(good, bad, label)
+    where = f"base .*{base_of(good).name}" if in_base else "bad.bin"
+    with pytest.raises(IntegrityError, match=f"{where}: segment {label}: CRC"):
         load_checkpoint(bad)
+    if in_base:  # the moments are not what is damaged
+        with pytest.raises(IntegrityError, match="CRC"):
+            load_checkpoint(bad, with_optimizer=False)
 
 
 def test_corrupt_moments_load_without_the_optimizer(tmp_path):
@@ -485,14 +532,14 @@ def test_saving_moments_of_other_parameters_is_a_config_error(tmp_path):
     # no load would accept the file, so none is written and the old one stays
     path = tmp_path / "ckpt.bin"
     save_checkpoint(tiny_state(), path)
-    before = read(path)
+    before, files = read(path), sorted(tmp_path.iterdir())
     other = tiny_state()
     other.optim_state = QuantizedAdam(
         {"p": Tensor(np.zeros(3), requires_grad=True)}).state
     with pytest.raises(ConfigError, match="optimizer state .*'p', 3"):
         save_checkpoint(other, path)
     assert read(path) == before
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_optim_entries_in_another_order_are_an_integrity_error(tmp_path):
@@ -507,9 +554,116 @@ def test_optim_entries_in_another_order_are_an_integrity_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_saves_into_one_directory_share_one_base(tmp_path, monkeypatch):
+    renamed, rename = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (
+        renamed.append(os.path.basename(dst)), rename(src, dst)))
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "a.bin")
+    for t in state.model.trainable_parameters().values():
+        t.data *= 2
+    state.step = 3
+    save_checkpoint(state, tmp_path / "b.bin")
+    base = base_of(tmp_path / "a.bin")
+    assert base_of(tmp_path / "b.bin") == base
+    assert renamed == [base.name, "a.bin", "b.bin"]
+    # the base holds the frozen tensors, the checkpoint what training changes
+    frozen, _ = header_and_payload_start(read(base))
+    own, _ = header_and_payload_start(read(tmp_path / "b.bin"))
+    assert ({n for n, _ in frozen["tensors"]["f32"]}
+            == {n for n, t in state.model.named_parameters().items()
+                if not t.requires_grad})
+    assert ([n for n, _ in own["tensors"]["f32"]]
+            == list(state.model.trainable_parameters()))
+    assert_same_state(state, load_checkpoint(tmp_path / "b.bin"))
+    # another directory gets a base of its own, of the same name and bytes
+    (tmp_path / "other").mkdir()
+    save_checkpoint(state, tmp_path / "other" / "c.bin")
+    assert renamed[3:] == [base.name, "c.bin"]
+    assert read(tmp_path / "other" / base.name) == read(base)
+
+
+def test_checkpoint_copied_with_its_base_loads(tmp_path):
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "a.bin")
+    away = tmp_path / "away"
+    away.mkdir()
+    shutil.copy(tmp_path / "a.bin", away)
+    with pytest.raises(IntegrityError, match="base .* is missing"):
+        load_checkpoint(away / "a.bin", with_optimizer=False)
+    shutil.copy(base_of(tmp_path / "a.bin"), away)
+    assert_same_state(state, load_checkpoint(away / "a.bin"))
+
+
+def other_base(base) -> None:
+    """Put the base of another model in the place of `base`."""
+    model = init_model(TINY, seed=9)
+    model.quantize_frozen(64)
+    attach_adapters(model, LoraConfig(rank=2), seed=2)
+    save_checkpoint(TrainState(model=model), base.parent / "other.bin")
+    base_of(base.parent / "other.bin").replace(base)
+
+
+@pytest.mark.parametrize("damage, says", [
+    (lambda base: base.unlink(), "base .* is missing"),
+    (lambda base: base.write_bytes(read(base)[:-100]), "runs past the end"),
+    (other_base, "are not those"),
+], ids=["missing", "truncated", "another-models"])
+@pytest.mark.parametrize("with_optimizer", [True, False])
+def test_bad_base_is_an_integrity_error(tmp_path, damage, says,
+                                        with_optimizer):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(moment_state(), path)
+    damage(base_of(path))
+    with pytest.raises(IntegrityError, match=says):
+        load_checkpoint(path, with_optimizer=with_optimizer)
+
+
+def test_save_rewrites_a_base_of_another_size(tmp_path):
+    # a base cut short by something else than a save is written anew; a
+    # base of the right size and header is left as it is
+    state = tiny_state()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(state, path)
+    base = base_of(path)
+    whole = read(base)
+    base.write_bytes(whole[:-1])
+    save_checkpoint(state, path)
+    assert read(base) == whole
+    assert_same_state(state, load_checkpoint(path))
+
+
+@pytest.mark.parametrize("path", [3, None, 2.5])
+def test_path_that_names_no_file_is_a_config_error(tmp_path, path):
+    # an int would be taken as a file descriptor and closed
+    r, w = os.pipe()
+    try:
+        with pytest.raises(ConfigError, match="path must be"):
+            load_checkpoint(r if path == 3 else path)
+        with pytest.raises(ConfigError, match="path must be"):
+            save_checkpoint(tiny_state(), w if path == 3 else path)
+        os.fstat(r)  # both ends still open
+        os.fstat(w)
+    finally:
+        os.close(r)
+        os.close(w)
+    with pytest.raises(ConfigError, match="state must be a TrainState"):
+        save_checkpoint(None, tmp_path / "none.bin")
+    assert not list(tmp_path.iterdir())
+
+
+def test_path_may_be_bytes_or_a_str(tmp_path):
+    state = tiny_state()
+    save_checkpoint(state, os.fsencode(tmp_path / "a.bin"))
+    assert_same_state(state, load_checkpoint(str(tmp_path / "a.bin")))
+
+
 def test_bare_checkpoint_loads_with_init_model_trainables(tmp_path):
+    # no tensor is frozen, so no base is written or named
     path = tmp_path / "bare.bin"
     save_checkpoint(TrainState(model=init_model(TINY, seed=5)), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["bare.bin"]
+    assert header_and_payload_start(read(path))[0]["base"] is None
     loaded = load_checkpoint(path).model
     assert (list(loaded.trainable_parameters())
             == list(init_model(TINY, seed=0).trainable_parameters()))
@@ -541,7 +695,8 @@ def crash_run() -> tuple:
 
 # Runs crash_run() into argv[3], pausing forever at the argv[2]-th rename
 # of a checkpoint, just before it ("before") or just after it ("after"),
-# once it has printed "paused"
+# once it has printed "paused". The base's rename is not counted: it comes
+# before the first checkpoint's.
 CHILD = """
 import os, sys, time
 from test_checkpoint import crash_run
@@ -551,6 +706,8 @@ when, k, out_dir = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 rename, calls = os.replace, []
 
 def replace(src, dst):
+    if os.path.basename(dst).startswith("base-"):
+        return rename(src, dst)
     calls.append(dst)
     if when == "after":
         rename(src, dst)
@@ -581,8 +738,10 @@ def killed_run(out_dir, when: str, k: int) -> None:
 
 
 @pytest.mark.parametrize("when,k", [("before", 2), ("after", 3),
-                                    ("before", 5)])
+                                    ("before", 5), ("before", 1)])
 def test_save_killed_midway_leaves_loadable_checkpoints(tmp_path, when, k):
+    # ("before", 1) is killed between the base's rename and the first
+    # checkpoint's: the run starts over, beside a base it leaves as it is
     model, corpus, cfg = crash_run()
     _, log = train(model, corpus, cfg)
     out_dir = tmp_path / "run"
@@ -598,10 +757,77 @@ def test_save_killed_midway_leaves_loadable_checkpoints(tmp_path, when, k):
     stale = [p.name for p in out_dir.glob("*.tmp")]
     assert stale == ([f"ckpt_step{k}.bin.tmp"] if when == "before" else [])
 
-    resumed = load_checkpoint(saved[-1])
-    assert resumed.step == newest
-    _, tail = train(resumed.model, corpus, cfg, out_dir=out_dir,
-                    resume=resumed)
+    [base] = out_dir.glob("base-*")
+    written = base.stat().st_mtime_ns
+    if newest:
+        resumed = load_checkpoint(saved[-1])
+        assert resumed.step == newest
+        model = resumed.model
+    else:
+        resumed, model = None, crash_run()[0]
+    _, tail = train(model, corpus, cfg, out_dir=out_dir, resume=resumed)
     assert not list(out_dir.glob("*.tmp"))
+    assert list(out_dir.glob("base-*")) == [base]
+    assert base.stat().st_mtime_ns == written
     assert ([(r.loss, r.grad_norm) for r in tail]
             == [(r.loss, r.grad_norm) for r in log[newest:]])
+
+
+# JSON values a mutation puts in place of one in a header
+REPLACEMENTS = [None, True, False, -1, 0, 1, 7, 2.5, float("nan"), "", "x",
+                [], {}, [0], {"x": 0}]
+
+
+def mutated(raw: bytes, rng) -> bytes:
+    """A header `raw` with one random change: a value replaced, a key or
+    list entry dropped, an int moved by one, a key or entry added, or one
+    byte of the JSON text changed."""
+    kind = rng.integers(6)
+    if kind == 5:
+        out = bytearray(raw)
+        out[rng.integers(len(out))] = int(rng.integers(256))
+        return bytes(out)
+    header = json.loads(raw)
+    slots = []
+
+    def walk(v):
+        for k in (v if isinstance(v, dict) else range(len(v))
+                  if isinstance(v, list) else []):
+            slots.append((v, k))
+            walk(v[k])
+
+    walk(header)
+    box, key = slots[rng.integers(len(slots))]
+    if kind == 0:
+        box[key] = REPLACEMENTS[rng.integers(len(REPLACEMENTS))]
+    elif kind == 1:
+        del box[key]
+    elif kind == 2 and type(box[key]) is int:
+        box[key] += 1 if rng.integers(2) else -1
+    elif isinstance(box, dict):
+        box["x"] = box[key]
+    else:
+        box.append(box[key])
+    return json.dumps(header).encode("utf-8")
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "base"])
+def test_mutated_headers_raise_only_typed_errors(tmp_path, which):
+    good = tmp_path / "good.bin"
+    save_checkpoint(moment_state(), good)
+    target = good if which == "checkpoint" else base_of(good)
+    original = read(target)
+    header_len, = struct.unpack("<Q", original[8:16])
+    raw, payload = original[16:16 + header_len], original[16 + header_len:]
+    rng = np.random.default_rng(27 if which == "checkpoint" else 28)
+    raised = 0
+    for _ in range(300):
+        new = mutated(raw, rng)
+        target.write_bytes(original[:8] + struct.pack("<Q", len(new)) + new
+                           + payload)
+        for with_optimizer in (True, False):
+            try:
+                load_checkpoint(good, with_optimizer=with_optimizer)
+            except MoetuneError:
+                raised += 1
+    assert raised > 450  # most mutations break the file

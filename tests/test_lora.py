@@ -144,6 +144,23 @@ def test_targets_must_be_a_tuple_or_list_of_names(targets):
         LoraConfig.from_dict({**LoraConfig().to_dict(), "targets": targets})
 
 
+@pytest.mark.parametrize("config, d, says", [
+    (LoraConfig, {}, "lacks key 'rank'"),
+    (LoraConfig, {"rank": 8, "alpha": 16.0, "dropout_p": 0.0}, "'targets'"),
+    (LoraConfig, {**LoraConfig().to_dict(), "bias": 0}, "unknown key 'bias'"),
+    (LoraConfig, None, "from a dict, got NoneType"),
+    (ModelConfig, {"x": 1}, "unknown key 'x'"),
+    (ModelConfig, {**ModelConfig().to_dict(), "n_heads": None}, "n_heads"),
+    (ModelConfig, {k: v for k, v in ModelConfig().to_dict().items()
+                   if k != "rope_base"}, "lacks key 'rope_base'"),
+    (ModelConfig, [1], "from a dict, got list")],
+    ids=["lora-empty", "lora-no-targets", "lora-unknown", "lora-none",
+         "model-unknown", "model-none-heads", "model-no-rope", "model-list"])
+def test_from_dict_names_the_missing_or_unknown_key(config, d, says):
+    with pytest.raises(ConfigError, match=says):
+        config.from_dict(d)
+
+
 def test_targets_as_list_validates_and_round_trips():
     cfg = LoraConfig(targets=["q", "down"]).validate()
     assert LoraConfig.from_dict(cfg.to_dict()).targets == ("q", "down")

@@ -817,6 +817,16 @@ def test_build_model_rejects_a_quantized_non_kernel(quantized):
         build_model(cfg, source)
 
 
+def test_rng_and_block_size_of_the_wrong_type_are_config_errors():
+    model = init_model(TINY, seed=8)
+    with pytest.raises(ConfigError, match="rng must be"):
+        model.forward([1, 2], rng=5)
+    for block_size in ("a", 0, 2.0, True):
+        with pytest.raises(ConfigError, match="block_size"):
+            model.quantize_frozen(block_size)
+    assert not model.named_quantized()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(top_k=9, n_experts=8).validate()

@@ -198,6 +198,26 @@ def test_config_rejects_a_count_that_is_not_an_int_in_range(config, field,
         config(**{field: value}).validate()
 
 
+ONE_EPOCH = TrainConfig(epochs=1)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda m: train(m, CORPUS, None), "cfg must be a TrainConfig"),
+    (lambda m: train(None, CORPUS, ONE_EPOCH), "model must be a DecoderModel"),
+    (lambda m: train(m, CORPUS, ONE_EPOCH, lora_config=5), "lora_config"),
+    (lambda m: train(m, CORPUS, ONE_EPOCH, resume=5), "resume must be"),
+    (lambda m: train(m, [*CORPUS, CORPUS[0].token_ids], ONE_EPOCH),
+     "sample 6 must be a TokenizedSample")],
+    ids=["cfg", "model", "lora-config", "resume", "corpus-entry"])
+def test_arguments_of_another_type_are_rejected_before_step_0(call, says):
+    model = adapted_model()
+    before = {n: t.data.copy() for n, t in model.trainable_parameters().items()}
+    with pytest.raises(ConfigError, match=says):
+        call(model)
+    for name, t in model.trainable_parameters().items():
+        assert np.array_equal(t.data, before[name]), name
+
+
 @pytest.mark.parametrize("sample", [TokenizedSample([5], [1]),
                                     TokenizedSample([5, 6], [1, 0])])
 def test_corpus_sample_without_a_target_is_rejected_before_step_0(sample):
