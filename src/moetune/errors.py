@@ -108,6 +108,14 @@ def check_rules(config, rules) -> None:
                 f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
+def check_type(name: str, value, kind: type, optional: bool = False) -> None:
+    """ConfigError naming argument `name` unless `value` is a `kind`, or
+    None when `optional`."""
+    if not (isinstance(value, kind) or optional and value is None):
+        raise ConfigError(f"{name} must be {'None or ' * optional}a "
+                          f"{kind.__name__}, got {type(value).__name__}")
+
+
 def config_fields(cls, d) -> dict:
     """`d` as the keyword arguments of config dataclass `cls`.
 

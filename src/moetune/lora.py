@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import (ConfigError, check_rules, config_fields, count_rule,
-                     is_number)
+from .errors import (ConfigError, check_rules, check_type, config_fields,
+                     count_rule, is_number)
 from .model import DecoderModel
 from .quant import QuantizedMatrix
 from .tensor import Tensor
@@ -101,7 +101,11 @@ class LoraPair:
 
 
 def _attach(model: DecoderModel, cfg: LoraConfig, make_pair) -> int:
-    """Freeze the base and set `make_pair(name, d_in, d_out)` on each target."""
+    """Freeze the base and set `make_pair(name, d_in, d_out)` on each target.
+    A model that is not a DecoderModel or a cfg that is not a LoraConfig is
+    a ConfigError."""
+    check_type("model", model, DecoderModel)
+    check_type("cfg", cfg, LoraConfig)
     cfg.validate()
     model.freeze_base()
     count = 0

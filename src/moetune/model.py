@@ -22,11 +22,17 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (ConfigError, DimensionError, LengthError, NumericError,
-                     VocabError, check_rules, config_fields, count_rule,
-                     is_count, is_int, is_number)
+                     VocabError, check_rules, check_type, config_fields,
+                     count_rule, is_count, is_int, is_number)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
+
+# The longest max_seq_len a config may ask for, 128 times the default 512.
+# A model builds its rotary table and an empty cache's first forward its
+# keys and values for max_seq_len positions (268 MB at this length and the
+# default width), so validate caps it before anything is allocated.
+MAX_SEQ_LEN = 2 ** 16
 
 
 @dataclass
@@ -51,8 +57,11 @@ class ModelConfig:
                  and self.n_heads >= 1)
         rules = [count_rule(self, name, 1)
                  for name in ("n_layers", "d_model", "n_heads", "d_ff",
-                              "n_experts", "vocab_size", "max_seq_len")]
-        rules += [("top_k", f"an int in [1, n_experts = {self.n_experts}]",
+                              "n_experts", "vocab_size")]
+        rules += [("max_seq_len", f"an int in [1, {MAX_SEQ_LEN}]",
+                   is_int(self.max_seq_len)
+                   and 1 <= self.max_seq_len <= MAX_SEQ_LEN),
+                  ("top_k", f"an int in [1, n_experts = {self.n_experts}]",
                    is_int(self.top_k) and is_int(self.n_experts)
                    and 1 <= self.top_k <= self.n_experts),
                   ("d_model", f"divisible by n_heads = {self.n_heads}",
@@ -189,8 +198,10 @@ class KVCache:
     @classmethod
     def for_positions(cls, config: ModelConfig, positions: int) -> "KVCache":
         """An empty cache with zero rows for `positions` positions, rounded
-        up to whole key blocks. A `positions` that is not an int in
-        [0, config.max_seq_len] is a ConfigError, raised before allocating."""
+        up to whole key blocks. A config that is not a ModelConfig, or a
+        `positions` that is not an int in [0, config.max_seq_len], is a
+        ConfigError, raised before allocating."""
+        check_type("config", config, ModelConfig)
         if not (is_int(positions) and 0 <= positions <= config.max_seq_len):
             raise ConfigError(
                 f"cache positions must be an int in [0, max_seq_len = "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, FormatError, NumericError,
-                     check_rules, is_number)
+                     check_rules, check_type, is_count, is_number)
 from .tensor import Tensor, matmul
 
 DEFAULT_BLOCK_SIZE = 64
@@ -85,13 +85,20 @@ def quantize_4bit(m: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quanti
     """Quantize a 2-D f32 matrix blockwise with absmax/7 scaling.
 
     Per block: scale = absmax/7, code = clamp(round_half_away(v/scale), -7, 7) + 7.
-    An all-zero block gets scale 0 and codes 7 (exact round trip).
+    An all-zero block gets scale 0 and codes 7 (exact round trip). An `m`
+    that is not a 2-D array of numbers, or a block_size that is not an
+    int >= 1, is a DimensionError.
     """
-    m = np.asarray(m, dtype=np.float32)
+    try:
+        m = np.asarray(m, dtype=np.float32)
+    except (TypeError, ValueError):  # not numbers
+        raise DimensionError(f"quantize_4bit expects a 2-D matrix of "
+                             f"numbers, got {type(m).__name__}") from None
     if m.ndim != 2:
         raise DimensionError(f"quantize_4bit expects a 2-D matrix, got {m.shape}")
-    if block_size < 1:
-        raise DimensionError(f"block_size must be >= 1, got {block_size}")
+    if not is_count(block_size, 1):
+        raise DimensionError(f"block_size must be an int >= 1, got "
+                             f"{block_size!r}")
     if not np.all(np.isfinite(m)):
         raise NumericError("quantize_4bit: input contains NaN/Inf")
 
@@ -336,14 +343,17 @@ class QuantizedAdam:
     gradients to one global norm and updates the parameters that have one,
     and their moments (see _adam_pass), bitwise as a loop that clips, then
     per parameter dequantizes both moments, updates the param and
-    requantizes them. Betas outside [0, 1), an eps or max_norm that is not
-    a number > 0, an lr that is not a finite number >= 0 and a state of
-    other parameters are ConfigErrors; a non-finite gradient or moment is a
-    NumericError that changes nothing.
+    requantizes them. Params that are not a dict of Tensors, betas outside
+    [0, 1), an eps or max_norm that is not a number > 0, an lr that is not
+    a finite number >= 0 and a state of other parameters are ConfigErrors;
+    a non-finite gradient or moment is a NumericError that changes nothing.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        check_type("params", params, dict)
+        for name, t in params.items():
+            check_type(f"param {name!r}", t, Tensor)
         self.params = params
         self.beta1 = beta1
         self.beta2 = beta2

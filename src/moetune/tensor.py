@@ -312,9 +312,10 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray,
 
 
 def _keep(mask: np.ndarray, p: float, dtype) -> np.ndarray:
-    """Inverted dropout's multiplier of a bool keep mask: 0 where dropped,
-    1 / (1 - p) where kept. x * _keep(...) has the bits of
-    (x * keep) * factor, since the multiplier is 0 or the factor."""
+    """Inverted dropout's multiplier of a keep mask of 0s and 1s (bool, or
+    bits unpacked to uint8): 0 where dropped, 1 / (1 - p) where kept.
+    x * _keep(...) has the bits of (x * keep) * factor, since the
+    multiplier is 0 or the factor."""
     return mask.astype(dtype) * dtype.type(1.0 / (1.0 - p))
 
 
@@ -328,12 +329,12 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     the mask is drawn from `rng` as ``rng.random(x.shape) >= p`` and kept
     entries are scaled by 1 / (1 - p) (inverted dropout). Otherwise nothing
     is drawn and the result is bitwise that of p == 0. The op keeps the
-    mask as a bool array, a quarter of an f32 one; the backward rebuilds
-    the dropped-out x from it with the forward's expressions, so its values
-    are bitwise the forward's. The forward evaluates
-    the expressions of the matmul, dropout, matmul, matmul, scale, add
-    chain it replaces, in its order, so values are bitwise those of the
-    chain; so are the gradients, which the backward hands out in the
+    mask packed eight entries to a byte, 1/32 of an f32 array; the backward
+    unpacks it and rebuilds the dropped-out x with the forward's
+    expressions, so its values are bitwise the forward's. The forward
+    evaluates the expressions of the matmul, dropout, matmul, matmul,
+    scale, add chain it replaces, in its order, so values are bitwise those
+    of the chain; so are the gradients, which the backward hands out in the
     order the chain's tape did: x gets g·Wᵀ (and W its gradient, if it
     requires one), then B, then A, then x the dropout path's share.
 
@@ -350,7 +351,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     if not 0.0 <= p < 1.0:
         raise DimensionError(f"dropout p must be in [0, 1), got {p}")
     dtype = x.data.dtype
-    mask = None
+    bits = None  # the dropout mask, packed
     h = x.data
     with np.errstate(over="ignore"):
         # without dropout both products read one padded copy of x, freed
@@ -361,6 +362,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
             tiles = None  # the branch reads the dropped-out x
             mask = rng.random(x.data.shape) >= p
             h = x.data * _keep(mask, p, dtype)
+            bits = np.packbits(mask, axis=None)
         ha = _tiled_matmul(h, a.data, tiles)
         del tiles
         hab = _tiled_matmul(ha, b.data)
@@ -378,7 +380,9 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
         if not (a.requires_grad or x.requires_grad):
             return
         g_ha = g_hab @ b.data.T
-        keep = None if mask is None else _keep(mask, p, dtype)
+        keep = None if bits is None else _keep(
+            np.unpackbits(bits, count=x.data.size).reshape(x.data.shape),
+            p, dtype)
         if a.requires_grad:
             _accum(a, (x.data if keep is None else x.data * keep).T @ g_ha)
         if x.requires_grad:
@@ -448,6 +452,12 @@ def combine_rows(gates: Tensor, parts, n_rows: int) -> Tensor:
 # Activations and normalization
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) = exp(min(x, 0)) / (1 + exp(-|x|)), as `swiglu` evaluates
+    it in its forward and again in its backward."""
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def swiglu(gate_pre: Tensor, up: Tensor) -> Tensor:
     """SwiGLU gate: silu(gate_pre) * up, with silu(x) = x * sigmoid(x).
 
@@ -456,28 +466,37 @@ def swiglu(gate_pre: Tensor, up: Tensor) -> Tensor:
     overflows. Both exponentials run over the whole array; selecting either
     branch by a mask (indexing or np.where) costs more than the arithmetic.
     Backward: up gets g * silu(gate_pre), and gate_pre gets
-    (g * up) * sig * (1 + x * (1 - sig)).
+    (g * up) * sig * (1 + x * (1 - sig)). The op keeps nothing for its
+    backward but its two parents: the backward recomputes sig and
+    silu(gate_pre) from gate_pre with the forward's expressions, so both
+    are bitwise the forward's.
     """
     if gate_pre.data.shape != up.data.shape:
         raise DimensionError(
             f"swiglu: shapes {gate_pre.data.shape} != {up.data.shape}")
     x = gate_pre.data
-    sig = np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
-    act = x * sig
+    sig = _sigmoid(x)
     with np.errstate(over="ignore"):
-        out_data = act * up.data
+        out_data = x * sig * up.data
 
     def backward(g: np.ndarray) -> None:
+        x = gate_pre.data
+        sig = _sigmoid(x)
         if gate_pre.requires_grad:
             _accum(gate_pre, g * up.data * sig * (1.0 + x * (1.0 - sig)))
         if up.requires_grad:
-            _accum(up, g * act)
+            _accum(up, g * (x * sig))
 
     return Tensor._from_op(out_data, (gate_pre, up), backward, "swiglu")
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise RMS normalization with learned gain: y = x / rms(x) * w."""
+    """Row-wise RMS normalization with learned gain: y = x / rms(x) * w.
+
+    The op keeps for its backward its parents and inv = 1 / rms(x), one
+    value per row; the weight's gradient, taken only when the weight
+    requires one, rebuilds x / rms(x) as the forward did, x * inv.
+    """
     if x.data.ndim != 2 or weight.data.shape != (x.data.shape[1],):
         raise DimensionError(
             f"rms_norm: x {x.data.shape} vs weight {weight.data.shape}")
@@ -486,12 +505,11 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     x64 = x.data.astype(np.float64)
     ms = (x64 * x64).mean(axis=1, keepdims=True)
     inv = (1.0 / np.sqrt(ms + eps)).astype(x.data.dtype)
-    xhat = x.data * inv
-    out_data = xhat * weight.data
+    out_data = x.data * inv * weight.data
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            _accum(weight, (g * xhat).sum(axis=0))
+            _accum(weight, (g * (x.data * inv)).sum(axis=0))
         if x.requires_grad:
             gw = g * weight.data
             # d/dx of x*inv: inv*gw - x * inv^3/d * sum(gw*x)

@@ -47,7 +47,12 @@ def decode_tokens(ids) -> str:
     """Lossless inverse of the renderers: bytes decode as UTF-8, special ids
     map back to their literal marker strings. An id that is not an int (a
     float, a bool, a string, None) or is outside the vocabulary is a
-    VocabError."""
+    VocabError, and so are ids that are not a sequence."""
+    try:
+        ids = iter(ids)
+    except TypeError:  # not iterable
+        raise VocabError(f"token ids must be a sequence of ints, got "
+                         f"{type(ids).__name__}") from None
     out: list[str] = []
     buf = bytearray()
 

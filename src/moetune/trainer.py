@@ -31,8 +31,8 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     VocabError, check_rules, count_rule, is_count, is_int,
-                     is_number)
+                     VocabError, check_rules, check_type, count_rule, is_count,
+                     is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam, adam_rules
@@ -99,7 +99,11 @@ class LossLogRow:
 def write_loss_log(rows: list[LossLogRow], path) -> None:
     """Write the step log as JSONL: one JSON object per row, keyed by the
     fields of LossLogRow. Floats are written with repr, so they read back
-    exactly."""
+    exactly. Rows that are not a list of LossLogRow are a ConfigError,
+    raised before the file is opened."""
+    check_type("rows", rows, list)
+    for i, r in enumerate(rows):
+        check_type(f"row {i}", r, LossLogRow)
     with open(path, "w", encoding="utf-8") as f:
         for r in rows:
             f.write(json.dumps(asdict(r)) + "\n")
@@ -189,9 +193,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             ("cfg", cfg, TrainConfig, False),
             ("lora_config", lora_config, LoraConfig, True),
             ("resume", resume, TrainState, True)):
-        if not (isinstance(value, kind) or optional and value is None):
-            raise ConfigError(f"{name} must be {'None or ' * optional}a "
-                              f"{kind.__name__}, got {type(value).__name__}")
+        check_type(name, value, kind, optional)
     cfg.validate()
     if lora_config is not None:
         attached = adapter_config(model)
@@ -322,12 +324,14 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     softmax(logits / max(temperature, 1e-8)); a top_p below 1 first cuts
     that distribution to its nucleus, the most probable tokens whose mass
     reaches top_p (Holtzman et al., arXiv 1904.09751), renormalized. A
-    temperature below 0 or NaN, a top_p outside [0, 1], a max_new or seed
-    that is not an int >= 0, or a stop_id that is not an int is a
-    ConfigError, raised before any forward. A prompt that is not a sequence
-    is a VocabError, raised before any forward; a prompt token that is not
-    an int is a VocabError, raised by the forward.
+    model that is not a DecoderModel, a temperature below 0 or NaN, a top_p
+    outside [0, 1], a max_new or seed that is not an int >= 0, or a stop_id
+    that is not an int is a ConfigError, raised before any forward. A
+    prompt that is not a sequence is a VocabError, raised before any
+    forward; a prompt token that is not an int is a VocabError, raised by
+    the forward.
     """
+    check_type("model", model, DecoderModel)
     try:
         prompt = list(prompt_tokens)
     except TypeError:  # not iterable

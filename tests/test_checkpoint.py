@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,22 @@ def test_lora_config_without_alpha(tmp_path):
     path = saved_and_edited(tmp_path, lambda h: h["configs"]["lora"].pop("alpha"))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("max_seq_len", [2 ** 16 + 1, 10 ** 12])
+def test_a_huge_max_seq_len_fails_before_the_model_is_built(tmp_path,
+                                                            max_seq_len):
+    # the model would build a rotary table of max_seq_len rows
+    path = saved_and_edited(tmp_path, lambda h: h["configs"]["model"].update(
+        max_seq_len=max_seq_len))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="malformed configs block"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 MISSING = object()

@@ -1,0 +1,70 @@
+"""Public entry points reject an argument of the wrong type with the
+typed error of `errors.py`, before doing any work."""
+
+import numpy as np
+import pytest
+
+from moetune import lora, quant, tokenizer, trainer
+from moetune.errors import ConfigError, DimensionError, VocabError
+from moetune.model import KVCache, ModelConfig, init_model
+
+TINY = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24, n_experts=2,
+                   max_seq_len=32)
+
+
+def zero_factors(name, shape):
+    return np.zeros(shape, np.float32)
+
+
+LORA = lora.LoraConfig()
+ONES = np.ones((2, 64))
+
+# (error, call(model, path)): the model is a fresh one, the path a file
+# in an empty directory
+CASES = {
+    "attach_adapters(None, cfg)":
+        (ConfigError, lambda m, path: lora.attach_adapters(None, LORA)),
+    "attach_adapters(model, None)":
+        (ConfigError, lambda m, path: lora.attach_adapters(m, None)),
+    "load_adapters(None, cfg)":
+        (ConfigError,
+         lambda m, path: lora.load_adapters(None, LORA, zero_factors)),
+    "load_adapters(model, None)":
+        (ConfigError,
+         lambda m, path: lora.load_adapters(m, None, zero_factors)),
+    "generate(None)":
+        (ConfigError, lambda m, path: trainer.generate(None, [1], 1)),
+    "KVCache.for_positions(None)":
+        (ConfigError, lambda m, path: KVCache.for_positions(None, 3)),
+    "QuantizedAdam(None)":
+        (ConfigError, lambda m, path: quant.QuantizedAdam(None)),
+    "QuantizedAdam(arrays)":
+        (ConfigError, lambda m, path: quant.QuantizedAdam({"w": ONES})),
+    "write_loss_log(None)":
+        (ConfigError, lambda m, path: trainer.write_loss_log(None, path)),
+    "write_loss_log([None])":
+        (ConfigError, lambda m, path: trainer.write_loss_log([None], path)),
+    "quantize_4bit('x')":
+        (DimensionError, lambda m, path: quant.quantize_4bit("x")),
+    "quantize_4bit(block_size='a')":
+        (DimensionError,
+         lambda m, path: quant.quantize_4bit(ONES, block_size="a")),
+    "quantize_4bit(block_size=64.0)":
+        (DimensionError,
+         lambda m, path: quant.quantize_4bit(ONES, block_size=64.0)),
+    "decode_tokens(None)":
+        (VocabError, lambda m, path: tokenizer.decode_tokens(None)),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_a_wrong_typed_argument_is_a_typed_error(case, tmp_path):
+    error, call = CASES[case]
+    model = init_model(TINY, seed=0)
+    trainable = list(model.trainable_parameters())
+    with pytest.raises(error):
+        call(model, tmp_path / "loss_log.jsonl")
+    # nothing was frozen, attached or written
+    assert list(model.trainable_parameters()) == trainable and trainable
+    assert all(lin.adapter is None for _, _, lin in model._projections())
+    assert not list(tmp_path.iterdir())

@@ -26,6 +26,7 @@ from moetune.model import (
     Expert,
     KVCache,
     Linear,
+    MAX_SEQ_LEN,
     ModelConfig,
     MoELayer,
     build_model,
@@ -840,7 +841,13 @@ def test_config_validation():
     ("n_layers", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -4),
     ("d_ff", 0), ("n_experts", 0), ("vocab_size", 0), ("max_seq_len", 0),
     ("norm_eps", 0.0), ("norm_eps", float("nan")), ("rope_base", -1.0),
-    ("rope_base", float("nan")), ("d_model", float("nan"))])
+    ("rope_base", float("nan")), ("d_model", float("nan")),
+    ("max_seq_len", 2 ** 16 + 1), ("max_seq_len", 10 ** 12)])
 def test_config_rejects_empty_sizes_and_bad_constants(field, value):
     with pytest.raises(ConfigError):
         ModelConfig(**{field: value}).validate()
+
+
+def test_config_takes_a_max_seq_len_up_to_its_cap():
+    assert MAX_SEQ_LEN == 2 ** 16
+    ModelConfig(max_seq_len=MAX_SEQ_LEN).validate()

@@ -32,6 +32,12 @@ def rand64(rng, *shape):
     return t64(rng.standard_normal(shape))
 
 
+def closure_arrays(out):
+    """The numpy arrays an op output's backward closure holds."""
+    held = [c.cell_contents for c in out._backward.__closure__]
+    return [v for v in held if isinstance(v, np.ndarray)]
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -191,6 +197,56 @@ def test_swiglu_is_bitwise_silu_then_mul(dtype):
         assert np.array_equal(u.grad, want_gu)
 
 
+# every (x, second operand) requires_grad pair of a two-operand op
+GRAD_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def output_and_grads(op, operands, dtype, g):
+    """op's output and its operands' gradients under sum(out * g), each
+    operand a (data, requires_grad) pair."""
+    tensors = [T.Tensor(data, requires_grad=needs, dtype=dtype)
+               for data, needs in operands]
+    out = op(*tensors)
+    if out.requires_grad:
+        sum_all(mul(out, T.Tensor(g, dtype=dtype))).backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 130, 505])
+@pytest.mark.parametrize("grads", GRAD_PAIRS)
+def test_swiglu_recomputing_sig_is_bitwise_silu_then_mul(dtype, rows, grads):
+    # silu_then_mul evaluates the formulas of the op that kept sig and
+    # silu(gate_pre) for its backward
+    rng = np.random.default_rng(rows)
+    shape = (rows, 64)
+    x = rng.standard_normal(shape) * float(rng.uniform(0.1, 100.0))
+    x.flat[rng.integers(0, x.size, 4)] = [1e4, -1e4, 90.0, -90.0]
+    u, g = rng.standard_normal(shape), rng.standard_normal(shape)
+    got = output_and_grads(T.swiglu, [(x, grads[0]), (u, grads[1])], dtype, g)
+    want_out, want_gx, want_gu = silu_then_mul(
+        *(a.astype(dtype) for a in (x, u, g)))
+    # a first gradient is stored as g + 0, as _accum stores it
+    assert_bitwise(got, [want_out, want_gx + 0 if grads[0] else None,
+                         want_gu + 0 if grads[1] else None])
+
+
+def test_swiglu_keeps_no_array_beyond_its_parents():
+    rng = np.random.default_rng(30)
+    x = T.Tensor(rng.standard_normal((130, 64)), requires_grad=True)
+    u = T.Tensor(rng.standard_normal((130, 64)), requires_grad=True)
+    out = T.swiglu(x, u)
+    held = [c.cell_contents for c in out._backward.__closure__]
+    assert sorted(map(id, held)) == sorted((id(x), id(u)))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_swiglu_is_finite_at_large_magnitudes(dtype):
     x = T.Tensor([[1e4, -1e4, 0.0, -0.0]], requires_grad=True, dtype=dtype)
@@ -206,6 +262,54 @@ def test_swiglu_is_finite_at_large_magnitudes(dtype):
 def test_swiglu_shape_mismatch():
     with pytest.raises(DimensionError):
         T.swiglu(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
+
+
+# ---------------------------------------------------------------------------
+# rms_norm against the op that kept xhat
+
+
+def rms_norm_keeping_xhat(x, weight, eps=1e-5):
+    """rms_norm as it was when it kept x / rms(x) for its backward, kept
+    here as the oracle of the op that rebuilds it."""
+    d = x.data.shape[1]
+    x64 = x.data.astype(np.float64)
+    ms = (x64 * x64).mean(axis=1, keepdims=True)
+    inv = (1.0 / np.sqrt(ms + eps)).astype(x.data.dtype)
+    xhat = x.data * inv
+    out_data = xhat * weight.data
+
+    def backward(g):
+        if weight.requires_grad:
+            T._accum(weight, (g * xhat).sum(axis=0))
+        if x.requires_grad:
+            gw = g * weight.data
+            dot = (gw * x.data).sum(axis=1, keepdims=True)
+            T._accum(x, inv * gw - x.data * (inv ** 3) * dot / d)
+
+    return T.Tensor._from_op(out_data, (x, weight), backward, "rms_norm")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 130, 505])
+@pytest.mark.parametrize("grads", GRAD_PAIRS)
+def test_rms_norm_is_bitwise_the_op_that_kept_xhat(dtype, rows, grads):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 128)) * float(rng.uniform(0.01, 100.0))
+    weight = 1.0 + 0.1 * rng.standard_normal(128)
+    g = rng.standard_normal((rows, 128))
+    operands = [(x, grads[0]), (weight, grads[1])]
+    assert_bitwise(output_and_grads(T.rms_norm, operands, dtype, g),
+                   output_and_grads(rms_norm_keeping_xhat, operands, dtype, g))
+
+
+@pytest.mark.parametrize("weight_grad", [True, False])
+def test_rms_norm_keeps_no_array_of_its_inputs_shape(weight_grad):
+    rng = np.random.default_rng(31)
+    x = T.Tensor(rng.standard_normal((130, 128)), requires_grad=True)
+    w = T.Tensor(np.ones(128), requires_grad=weight_grad)
+    out = T.rms_norm(x, w)
+    # one 1 / rms(x) per row
+    assert [v.shape for v in closure_arrays(out)] == [(130, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +390,20 @@ def test_lora_linear_without_a_generator_is_bitwise_the_p0_call():
     assert outs[0] == outs[1] and grads[0] == grads[1]
 
 
-def test_lora_linear_keeps_dropout_as_a_bool_mask():
+def test_lora_linear_keeps_dropout_as_packed_bits():
     # test_lora_linear_is_bitwise_the_six_op_chain checks the gradients
-    # against the f32 keep mask of the chain's dropout op
+    # against the f32 keep mask of the chain's dropout op; 130 x 127
+    # entries do not fill the last byte
     x, w, a, b = lora_operands(np.random.default_rng(29), 130, np.float32,
-                               x_grad=True, w_grad=False)
+                               x_grad=True, w_grad=False, d_in=127)
     out = T.lora_linear(x, w, a, b, 2.0, 0.3, np.random.default_rng(5))
-    held = [c.cell_contents for c in out._backward.__closure__]
-    arrays = [v for v in held if isinstance(v, np.ndarray)]
-    assert not [v for v in arrays
-                if v.shape == x.shape and v.dtype == np.float32]
-    (mask,) = [v for v in arrays if v.shape == x.shape]
-    assert mask.dtype == np.bool_
+    arrays = closure_arrays(out)
+    assert not [v for v in arrays if v.shape == x.shape]
+    (mask,) = [v for v in arrays if v.dtype == np.uint8]
+    assert mask.shape == (-(-x.data.size // 8),)
     want = np.random.default_rng(5).random(x.shape) >= 0.3
-    assert np.array_equal(mask, want)
+    bits = np.unpackbits(mask, count=x.data.size).reshape(x.shape)
+    assert np.array_equal(bits.view(np.bool_), want)
 
 
 def test_grad_lora_linear():
