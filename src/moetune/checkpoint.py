@@ -4,16 +4,14 @@ training changes, and the frozen base it tunes.
 A checkpoint file holds the configs, the trainable f32 tensors and the
 optimizer moments. Its base file, in the same directory, holds the frozen
 tensors: the 4-bit kernels and every f32 parameter without requires_grad.
-A base is named by its content, "base-<16 hex digits>.bin", the start of
-the SHA-256 of its prefix and header, which hold each segment's CRC. So
-every checkpoint saved into one directory from one frozen base shares one
-base file. Copy or move a checkpoint together with the base its header
-names. A model with no frozen tensors has no base.
+A model with no frozen tensors has no base.
 
 Layout of both files: magic ("AURC" for a checkpoint, "AURB" for a base),
-version u32 LE, header-length u64 LE, UTF-8 JSON header, then the payload:
-at most three flat segments, each a run of raw little-endian arrays laid
-end to end.
+version u32 LE, header-length u64 LE, digest, UTF-8 JSON header, then the
+payload: at most three flat segments, each a run of raw little-endian
+arrays laid end to end. The digest is the first 8 bytes of the SHA-256 of
+the magic, the version and the JSON header. Load checks it before it
+parses the header, and so finds an edit that leaves the header valid.
 
 Both headers hold the ordered names and shapes of each group's tensors
 ("tensors") and the segment table ("segments"). The groups are:
@@ -33,14 +31,15 @@ crc32}, its offset counted from the payload start. A tensor starts where
 the one before it in its group ends, so no per-tensor offset is stored.
 
 A checkpoint header also holds the config blocks and the trainer cursor
-("configs") and its reference to the base ("base"): null without frozen
-tensors, else {"file": the base's name, "segments": {label: [length,
-crc32]}} for the base segments "f32", "q4.codes" and "q4.scales".
+("configs") and its base ("base"): null without frozen tensors, else the
+base's file name, "base-<the hex of its digest>.bin". A base header holds
+its segments' CRCs, so every checkpoint saved into one directory from one
+frozen base shares one base file. Copy or move a checkpoint together with
+the base it names.
 
 Adapters are `lora_a` [d_in, rank] and `lora_b` [rank, d_out], in the
-[d_in, d_out] orientation of the kernel they sit on. Version 5 moved the
-frozen tensors out of version 4's single file; versions 1 to 4 are
-rejected.
+[d_in, d_out] orientation of the kernel they sit on. Version 6 added the
+digest and made the base reference a name; versions 1 to 5 are rejected.
 
 Save writes the base first, then the checkpoint. Each is written to
 "{file}.tmp", synced, renamed over its name, and the directory synced, so
@@ -55,10 +54,11 @@ The loader checks each header first, then reads each segment it needs into
 its own buffer, checks its CRC and hands out writable numpy views of it;
 `with_optimizer=False` reads neither optim segment. It builds the model
 through `model.build_model` and `lora.load_adapters`: each weight they ask
-for is taken once, at the shape they ask for. A weight neither file holds
-or that no one asks for, a CRC mismatch, a segment that runs past its file
-or whose length is not that of its tensors, and a base that is missing or
-whose segments are not those its checkpoint names are IntegrityErrors.
+for is taken once, at the shape they ask for. A digest that does not
+match its header, a base that is missing or whose digest is not its
+name's, a weight neither file holds or that no one asks for, a CRC
+mismatch, and a segment that runs past its file or whose length is not
+that of its tensors are IntegrityErrors.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IntegrityError, is_count
+from .errors import (ConfigError, FormatError, IntegrityError, check_rules,
+                     check_type, count_rule, is_count)
 from .lora import LoraConfig, adapter_config, load_adapters
 from .model import DecoderModel, ModelConfig, build_model
 from .quant import (DEFAULT_BLOCK_SIZE, AdamState, QuantizedMatrix,
@@ -82,9 +83,10 @@ from .quant import (DEFAULT_BLOCK_SIZE, AdamState, QuantizedMatrix,
 
 MAGIC = b"AURC"
 BASE_MAGIC = b"AURB"
-VERSION = 5
-_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
-_BASE_FILE = re.compile(r"base-[0-9a-f]{16}\.bin")
+VERSION = 6
+_PREFIX = struct.Struct("<4sIQ8s")  # magic, version, header length, digest
+_BASE_FILE = re.compile(r"base-([0-9a-f]{16})\.bin")
+_COUNTERS = ("step", "epoch", "cursor")
 
 
 @dataclass
@@ -144,11 +146,17 @@ class _Payload:
                                         for q in qs])}
 
 
+def _digest(magic: bytes, raw: bytes) -> bytes:
+    """The first 8 bytes of the SHA-256 of magic, VERSION and JSON header."""
+    return hashlib.sha256(struct.pack("<4sI", magic, VERSION)
+                          + raw).digest()[:8]
+
+
 def _head(magic: bytes, header: dict) -> bytes:
-    """The prefix and JSON header of a file."""
+    """The prefix and JSON header of a file, the prefix's digest theirs."""
     raw = json.dumps(header, ensure_ascii=False, sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
-    return _PREFIX.pack(magic, VERSION, len(raw)) + raw
+    return _PREFIX.pack(magic, VERSION, len(raw), _digest(magic, raw)) + raw
 
 
 def _write(path: str, data: bytes) -> None:
@@ -190,7 +198,7 @@ def _holds(path: str, head: bytes, size: int) -> bool:
 
 def save_checkpoint(state: TrainState, path) -> None:
     """Serialize adapters, optimizer moments and the cursor to `path`, and
-    the frozen tensors to the base beside it.
+    the frozen tensors to the base beside it, which `path` names.
 
     The base is written first, and only when its directory lacks it (see
     the module docstring). Each file is replaced atomically: `path` holds
@@ -198,14 +206,15 @@ def save_checkpoint(state: TrainState, path) -> None:
     and the base it names is durable before it. A save killed midway leaves
     a "{file}.tmp" behind, which the next save of that file overwrites. A
     path that is not a str, bytes or os.PathLike, a state that is not a
-    TrainState, and an `optim_state` of other parameters than the model's
-    trainable ones are ConfigErrors, raised before anything is written: no
-    load would accept the file.
+    TrainState, a model that is not a DecoderModel, a step, epoch or cursor
+    that is not an int >= 0, and an `optim_state` of other parameters than
+    the model's trainable ones are ConfigErrors, raised before anything is
+    written: no load would accept the file.
     """
     path = os.path.abspath(_file_path(path))
-    if not isinstance(state, TrainState):
-        raise ConfigError(f"state must be a TrainState, got "
-                          f"{type(state).__name__}")
+    check_type("state", state, TrainState)
+    check_type("state.model", state.model, DecoderModel)
+    check_rules(state, [count_rule(state, name, 0) for name in _COUNTERS])
     model = state.model
     params = model.named_parameters()
     trainable = {n: t for n, t in params.items() if t.requires_grad}
@@ -217,22 +226,16 @@ def save_checkpoint(state: TrainState, path) -> None:
         if why is not None:
             raise ConfigError(f"optimizer state {why}")
 
-    base = reference = None
+    base = name = None
     if frozen or kernels:
         base = _Payload()
-        base_segments = {"f32": base.f32(frozen.values()),
-                         "q4": base.q4("q4", list(kernels.values()))}
         base_head = _head(BASE_MAGIC, {
             "tensors": {"f32": [[n, list(t.shape)] for n, t in frozen.items()],
                         "q4": [[n, [q.rows, q.cols]]
                                for n, q in kernels.items()]},
-            "segments": base_segments})
-        name = f"base-{hashlib.sha256(base_head).hexdigest()[:16]}.bin"
-        spans = {"f32": base_segments["f32"],
-                 "q4.codes": base_segments["q4"]["codes"],
-                 "q4.scales": base_segments["q4"]["scales"]}
-        reference = {"file": name, "segments": {
-            label: [s["length"], s["crc32"]] for label, s in spans.items()}}
+            "segments": {"f32": base.f32(frozen.values()),
+                         "q4": base.q4("q4", list(kernels.values()))}})
+        name = f"base-{_PREFIX.unpack_from(base_head)[3].hex()}.bin"
 
     own = _Payload()
     tensors = {"f32": [[n, list(t.shape)] for n, t in trainable.items()]}
@@ -247,15 +250,14 @@ def save_checkpoint(state: TrainState, path) -> None:
             "model": model.config.to_dict(),
             "lora": lora_cfg.to_dict() if lora_cfg else None,
             "train": state.train_config,
-            "trainer_state": {"step": state.step, "epoch": state.epoch,
-                              "cursor": state.cursor},
+            "trainer_state": {n: int(getattr(state, n)) for n in _COUNTERS},
         },
         "tensors": tensors,
         "segments": segments,
-        "base": reference,
+        "base": name,
     })
     if base is not None:
-        base_path = os.path.join(os.path.dirname(path), reference["file"])
+        base_path = os.path.join(os.path.dirname(path), name)
         if not _holds(base_path, base_head, len(base_head) + base.end):
             _write(base_path, b"".join([base_head, *base.blobs]))
     _write(path, b"".join([head, *own.blobs]))
@@ -355,8 +357,8 @@ def _tensors(f, where: str, start: int, shapes, block_size, spans) -> list:
 
 def _header(f, where: str, magic: bytes, keys: set[str], groups: set[str],
             optional: set[str] = frozenset()):
-    """The header of an open file, the layout of each of its groups, and
-    where its payload starts.
+    """The header of an open file, the layout of each of its groups, where
+    its payload starts, and its digest, checked before the header is parsed.
 
     The header must hold `keys`, "tensors" and "segments", and those two
     must both map every one of `groups` and may map the `optional` ones.
@@ -365,14 +367,17 @@ def _header(f, where: str, magic: bytes, keys: set[str], groups: set[str],
     prefix = f.read(_PREFIX.size)
     if len(prefix) < _PREFIX.size or prefix[:4] != magic:
         raise FormatError(f"{where}: bad magic (not a {magic.decode()} file)")
-    _, version, header_len = _PREFIX.unpack(prefix)
+    _, version, header_len, digest = _PREFIX.unpack(prefix)
     if version != VERSION:
         raise FormatError(f"{where}: unsupported version {version}")
     start = _PREFIX.size + header_len
     if start > size:
         raise IntegrityError(f"{where}: truncated header")
+    raw = f.read(header_len)
+    if _digest(magic, raw) != digest:
+        raise IntegrityError(f"{where}: header digest mismatch")
     try:
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{where}: unreadable header ({e})") from e
     keys = keys | {"tensors", "segments"}
@@ -385,32 +390,26 @@ def _header(f, where: str, magic: bytes, keys: set[str], groups: set[str],
         raise FormatError(f"{where}: tensors and segments must both map "
                           f"{sorted(groups)} and may map {sorted(optional)}")
     return header, {g: _layout(where, g, tensors[g], segments[g],
-                               size - start) for g in tensors}, start
+                               size - start) for g in tensors}, start, digest
 
 
-def _load_base(path: str, reference) -> list:
-    """The frozen tensors as (name, tensor) pairs, read from the base that
-    the checkpoint at `path` names in `reference` and checked against it."""
-    if not (isinstance(reference, dict)
-            and reference.keys() == {"file", "segments"}
-            and isinstance(reference["file"], str)
-            and _BASE_FILE.fullmatch(reference["file"])
-            and isinstance(reference["segments"], dict)):
-        raise FormatError(f"{path}: malformed base reference {reference!r}")
-    where = os.path.join(os.path.dirname(path), reference["file"])
+def _load_base(path: str, file) -> list:
+    """The frozen tensors as (name, tensor) pairs, read from the base `file`
+    that the checkpoint at `path` names, whose digest that name holds."""
+    match = _BASE_FILE.fullmatch(file) if isinstance(file, str) else None
+    if match is None:
+        raise FormatError(f"{path}: malformed base reference {file!r}")
+    where = os.path.join(os.path.dirname(path), file)
     try:
         f = open(where, "rb")
     except FileNotFoundError:
         raise IntegrityError(f"{path}: base {where} is missing") from None
     with f:
-        _, layout, start = _header(f, f"base {where}", BASE_MAGIC, set(),
-                                   {"f32", "q4"})
-        spans = {label: [length, crc] for _, _, _, group_spans
-                 in layout.values()
-                 for label, (_, length, crc) in group_spans.items()}
-        if spans != reference["segments"]:
-            raise IntegrityError(f"base {where}: segments {spans} are not "
-                                 f"those {path} names")
+        _, layout, start, digest = _header(f, f"base {where}", BASE_MAGIC,
+                                           set(), {"f32", "q4"})
+        if digest.hex() != match[1]:
+            raise IntegrityError(f"base {where}: header digest "
+                                 f"{digest.hex()} is not its name's")
         return [(e[0], t) for entries, *rest in layout.values()
                 for e, t in zip(entries,
                                 _tensors(f, f"base {where}", start, *rest))]
@@ -420,7 +419,8 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     """Rebuild a TrainState from a checkpoint and its base; load(save(x))
     reproduces training bit-exactly.
 
-    The base is read from the directory of `path`. With
+    The base is read from the directory of `path`, from the file the
+    checkpoint names; the digest in that name must be the base's own. With
     `with_optimizer=False` the moments are not read and `optim_state` is
     None, as it is for a file saved without them. A path that is not a
     str, bytes or os.PathLike is a ConfigError, raised before anything is
@@ -428,8 +428,9 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     """
     path = _file_path(path)
     with open(path, "rb") as f:
-        header, layout, start = _header(f, path, MAGIC, {"configs", "base"},
-                                        {"f32"}, {"optim"})
+        header, layout, start, _ = _header(f, path, MAGIC,
+                                           {"configs", "base"}, {"f32"},
+                                           {"optim"})
         configs = header["configs"]
         if not isinstance(configs, dict):
             raise FormatError(f"{path}: configs must be a dict")

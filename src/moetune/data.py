@@ -199,6 +199,14 @@ def _sample_fingerprint(sample: ChatSample) -> str:
     return h.hexdigest()
 
 
+def _check_samples(samples) -> None:
+    """ConfigError unless `samples` is a list of ChatSample."""
+    if not (isinstance(samples, list)
+            and all(isinstance(s, ChatSample) for s in samples)):
+        raise ConfigError(f"samples must be a list of ChatSample, got "
+                          f"{samples!r:.60}")
+
+
 def clean_filter(samples: list[ChatSample], max_seq_len: int = 512
                  ) -> tuple[list[ChatSample], RejectionReport]:
     """Normalize text, then drop empty-turn samples, exact duplicates
@@ -206,9 +214,10 @@ def clean_filter(samples: list[ChatSample], max_seq_len: int = 512
     `max_seq_len` tokens, in that order.
 
     Rejections are data, not errors; the report counts them per rule and
-    source. The whole pass is idempotent. A max_seq_len that is not an
-    int >= 1 is a ConfigError.
+    source. The whole pass is idempotent. Samples that are not a list of
+    ChatSample, or a max_seq_len that is not an int >= 1, are a ConfigError.
     """
+    _check_samples(samples)
     if not is_count(max_seq_len, 1):
         raise ConfigError(
             f"max_seq_len must be an int >= 1, got {max_seq_len!r}")
@@ -236,4 +245,6 @@ def clean_filter(samples: list[ChatSample], max_seq_len: int = 512
 
 
 def tokenize_corpus(samples: list[ChatSample]) -> list[TokenizedSample]:
+    """The rendered chats of a list of ChatSample (ConfigError otherwise)."""
+    _check_samples(samples)
     return [render_chat([(t.role, t.text) for t in s.turns]) for s in samples]

@@ -108,6 +108,12 @@ def check_rules(config, rules) -> None:
                 f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
+def check_seed(seed) -> None:
+    """ConfigError unless `seed` is an int >= 0, a seed numpy takes."""
+    if not is_count(seed):
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def check_type(name: str, value, kind: type, optional: bool = False) -> None:
     """ConfigError naming argument `name` unless `value` is a `kind`, or
     None when `optional`."""

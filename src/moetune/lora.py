@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import (ConfigError, check_rules, check_type, config_fields,
-                     count_rule, is_number)
+from .errors import (ConfigError, check_rules, check_seed, check_type,
+                     config_fields, count_rule, is_number)
 from .model import DecoderModel
 from .quant import QuantizedMatrix
 from .tensor import Tensor
@@ -122,8 +122,10 @@ def attach_adapters(model: DecoderModel, cfg: LoraConfig, seed: int = 0) -> int:
     """Freeze every base parameter and add fresh adapters to the targets.
 
     Returns the number of adapted projections. Freshly attached adapters do
-    not change any model output (B is zero).
+    not change any model output (B is zero). A seed that is not an int >= 0
+    is a ConfigError.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return _attach(model, cfg, lambda _, d_in, d_out:
                    LoraPair.init(d_in, d_out, cfg, rng))

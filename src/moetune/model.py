@@ -22,16 +22,16 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (ConfigError, DimensionError, LengthError, NumericError,
-                     VocabError, check_rules, check_type, config_fields,
-                     count_rule, is_count, is_int, is_number)
+                     VocabError, check_rules, check_seed, check_type,
+                     config_fields, count_rule, is_count, is_int, is_number)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
 
 # The longest max_seq_len a config may ask for, 128 times the default 512.
-# A model builds its rotary table and an empty cache's first forward its
-# keys and values for max_seq_len positions (268 MB at this length and the
-# default width), so validate caps it before anything is allocated.
+# A model builds its rotary table for max_seq_len positions, and a cache for
+# them holds 268 MB of keys and values at this length and the default
+# width, so validate caps it before anything is allocated.
 MAX_SEQ_LEN = 2 ** 16
 
 
@@ -183,16 +183,15 @@ class KVCache:
     multiple of `tensor.KEY_BLOCK`; layer i's rows [:length] hold the
     positions seen so far, and every row from `length` on is zero, which
     lets attention read whole key blocks of the buffers in place. Start
-    with `for_positions`, sized to the positions the sequence will feed, or
-    with an empty cache, whose first forward allocates max_seq_len rows
-    rounded up; pass it to every `DecoderModel.forward` call of one
-    sequence. A forward given a cache returns the logits of its last
-    position only and records no autograd tape: decoding holds the cache
-    and one op's working set, not the intermediates of the whole forward.
+    with `for_positions`, sized to the positions the sequence will feed,
+    and pass it to every `DecoderModel.forward` call of one sequence. A
+    forward given a cache returns the logits of its last position only and
+    records no autograd tape: decoding holds the cache and one op's working
+    set, not the intermediates of the whole forward.
     """
 
-    keys: np.ndarray | None = None
-    values: np.ndarray | None = None
+    keys: np.ndarray
+    values: np.ndarray
     length: int = 0
 
     @classmethod
@@ -258,10 +257,10 @@ class DecoderModel:
         alone. Causal prefix stability makes the result bitwise equal to the
         last row of a forward over the whole sequence. A cache that is not
         a KVCache, keys and values that are not f32 arrays of one shape
-        [n_layers, rows, d_model], rows a multiple of KEY_BLOCK, a length
-        that is not an int in [0, max_seq_len], or a length above 0 with no
-        cached keys is a ConfigError; an end past the cache's rows is a
-        LengthError. Both are raised before the cache is touched.
+        [n_layers, rows, d_model], rows a multiple of KEY_BLOCK, or a length
+        that is not an int in [0, max_seq_len] is a ConfigError; an end
+        past the cache's rows is a LengthError. Both are raised before the
+        cache is touched.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
         from it; an `rng` that is neither None nor a numpy Generator is a
@@ -303,10 +302,7 @@ class DecoderModel:
                 raise ConfigError(
                     f"cache length must be an int in [0, max_seq_len = "
                     f"{cfg.max_seq_len}], got {cache.length!r}")
-            if cache.keys is None and cache.length:
-                raise ConfigError(f"cache length {cache.length} but no "
-                                  "keys or values cached")
-            if cache.keys is not None and not self._fits(cache):
+            if not self._fits(cache):
                 raise ConfigError(
                     f"cache keys {getattr(cache.keys, 'shape', None)} and "
                     "values must be f32 arrays of one shape [n_layers = "
@@ -319,8 +315,7 @@ class DecoderModel:
         if end > cfg.max_seq_len:
             raise LengthError(
                 f"sequence length {end} > max_seq_len {cfg.max_seq_len}")
-        if cache is not None and cache.keys is not None \
-                and end > cache.keys.shape[1]:
+        if cache is not None and end > cache.keys.shape[1]:
             raise LengthError(f"sequence length {end} > the cache's "
                               f"{cache.keys.shape[1]} rows")
         # np.asarray turns a bool among ints into an int, so a list is
@@ -333,19 +328,15 @@ class DecoderModel:
 
         if cache is None:
             return self._checked(ids, rng, None)
-        if cache.keys is None:
-            kv = KVCache.for_positions(cfg, cfg.max_seq_len)
-        else:
-            kv = KVCache(cache.keys, cache.values, start)
         with tz.no_tape():
             try:
-                logits = self._checked(ids, None, kv)
+                logits = self._checked(ids, None, cache)
             except BaseException:
                 # rows from `length` on are zero, and stay so
-                kv.keys[:, start:end] = 0
-                kv.values[:, start:end] = 0
+                cache.keys[:, start:end] = 0
+                cache.values[:, start:end] = 0
                 raise
-        cache.keys, cache.values, cache.length = kv.keys, kv.values, end
+        cache.length = end
         return logits
 
     def _fits(self, cache: KVCache) -> bool:
@@ -481,8 +472,10 @@ def build_model(config: ModelConfig, weight) -> DecoderModel:
     attention or expert kernel. It is asked once per name, in this order:
     embedding, then per layer attn_norm, wq, wk, wv, wo, ffn_norm, router and
     each expert's w_gate, w_up, w_down, then final_norm and lm_head. Every
-    f32 tensor is trainable.
+    f32 tensor is trainable. A config that is not a ModelConfig is a
+    ConfigError.
     """
+    check_type("config", config, ModelConfig)
     config.validate()
     d, ff = config.d_model, config.d_ff
 
@@ -521,8 +514,9 @@ def init_model(config: ModelConfig, seed: int = 0) -> DecoderModel:
     """A fresh trainable f32 model: unit norm gains, seeded Gaussian weights.
 
     Projections and the router draw with std 1/sqrt(d_in), in the order
-    `build_model` asks for them, so a seed fixes every value.
+    `build_model` asks for them, so a seed, an int >= 0, fixes every value.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def gaussian(name: str, shape: tuple[int, ...]) -> np.ndarray:

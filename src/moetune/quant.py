@@ -365,7 +365,7 @@ class QuantizedAdam:
         """Apply one update at `lr` to every parameter that has a gradient,
         clipped to a global norm of `max_norm`; returns the norm before
         clipping (0.0 when no parameter has a gradient)."""
-        if not 0 <= lr < math.inf:  # NaN fails it too
+        if not (is_number(lr) and 0 <= lr < math.inf):  # NaN fails it
             raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
         if not (is_number(max_norm) and max_norm > 0):
             raise ConfigError(f"max_norm must be a number > 0, got "

@@ -39,7 +39,10 @@ _PROMPT_MARKERS = {"system": SYSTEM_ID, "user": USER_ID}
 
 
 def encode_text(text: str) -> list[int]:
-    """Raw UTF-8 bytes of the text; never produces special ids."""
+    """Raw UTF-8 bytes of the text; never produces special ids. A text that
+    is not a str is a VocabError."""
+    if not isinstance(text, str):
+        raise VocabError(f"text must be a str, got {type(text).__name__}")
     return list(text.encode("utf-8"))
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     VocabError, check_rules, check_type, count_rule, is_count,
-                     is_int, is_number)
+                     VocabError, check_rules, check_seed, check_type,
+                     count_rule, is_count, is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam, adam_rules
@@ -347,8 +347,7 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
         raise ConfigError(f"temperature must be >= 0, got {temperature!r}")
     if not (is_number(top_p) and 0 <= top_p <= 1):
         raise ConfigError(f"top_p must be in [0, 1], got {top_p!r}")
-    if not is_count(seed):
-        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+    check_seed(seed)
     if not is_int(stop_id):  # any int, since -1 never stops
         raise ConfigError(f"stop_id must be an int, got {stop_id!r}")
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 errors on bad files."""
 
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -72,17 +73,29 @@ def read(path) -> bytes:
         return f.read()
 
 
+def split(raw: bytes) -> tuple[bytes, bytes, bytes]:
+    """A file's magic and version, its JSON header and its payload."""
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    return raw[:8], raw[24:24 + header_len], raw[24 + header_len:]
+
+
+def sealed(magic_version: bytes, header: bytes) -> bytes:
+    """The prefix and header of a file, with the digest its load checks:
+    the first 8 bytes of the SHA-256 of magic, version and header."""
+    digest = hashlib.sha256(magic_version + header).digest()[:8]
+    return magic_version + struct.pack("<Q", len(header)) + digest + header
+
+
 def base_of(path):
     """The base file that the checkpoint at `path` names."""
     header, _ = header_and_payload_start(read(path))
-    return path.parent / header["base"]["file"]
+    return path.parent / header["base"]
 
 
 def write_container(path, version: int, header) -> None:
-    raw = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<I", version)
-                + struct.pack("<Q", len(raw)) + raw)
+    """A payload-less checkpoint of `version` whose header is sealed."""
+    path.write_bytes(sealed(MAGIC + struct.pack("<I", version),
+                            json.dumps(header).encode("utf-8")))
 
 
 def assert_same_state(want: TrainState, got: TrainState) -> None:
@@ -218,16 +231,23 @@ def test_version_3_is_rejected(tmp_path):
 
 
 def test_version_1_is_rejected(tmp_path):
-    # and version 2, whose header held an entry per tensor, and version 4,
-    # which held the frozen tensors too
+    # and version 2, whose header held an entry per tensor, version 4,
+    # which held the frozen tensors too, and version 5, whose prefix held
+    # no digest
     path = tmp_path / "old.bin"
     save_checkpoint(tiny_state(), path)
     raw = bytearray(read(path))
-    for version in (1, 2, 4):
+    for version in (1, 2, 4, 5):
         raw[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=f"version {version}"):
             load_checkpoint(path)
+    # a v5 file as v5 laid it out: no digest between length and header
+    _, header, payload = split(bytes(raw))
+    path.write_bytes(MAGIC + struct.pack("<IQ", 5, len(header)) + header
+                     + payload)
+    with pytest.raises(FormatError, match="version 5"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("header", [{"tensors": {}, "segments": {}},
@@ -239,16 +259,30 @@ def test_header_without_configs_or_tensors(tmp_path, header):
         load_checkpoint(path)
 
 
-def edit_header(src, dst, edit) -> None:
-    """Copy a checkpoint with its JSON header changed by edit(header)."""
+def edit_header(src, dst, edit, seal: bool = True) -> None:
+    """Copy a file with its JSON header changed by edit(header), and sealed
+    anew unless `seal` is False: then its prefix keeps the old digest. The
+    header is written as save writes it, so an edit that changes nothing
+    copies the file as it is."""
     raw = read(src)
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + header_len])
+    head, header, payload = split(raw)
+    header = json.loads(header)
     edit(header)
-    new = json.dumps(header).encode("utf-8")
-    with open(dst, "wb") as f:
-        f.write(raw[:8] + struct.pack("<Q", len(new)) + new
-                + raw[16 + header_len:])
+    new = sealed(head, json.dumps(header, ensure_ascii=False, sort_keys=True,
+                                  separators=(",", ":")).encode("utf-8"))
+    if not seal:
+        new = new[:16] + raw[16:24] + new[24:]
+    dst.write_bytes(new + payload)
+
+
+def edit_base(src, dst, edit) -> None:
+    """Copy the checkpoint at `src` to `dst`, naming its base as edited by
+    edit(header): the base is sealed anew and renamed after its digest."""
+    base = base_of(src)
+    edit_header(base, base, edit)
+    name = f"base-{read(base)[16:24].hex()}.bin"
+    base.rename(base.parent / name)
+    edit_header(src, dst, lambda h: h.update(base=name))
 
 
 def on_base(edit):
@@ -259,12 +293,12 @@ def on_base(edit):
 
 def saved_and_edited(tmp_path, edit, state=None):
     """A checkpoint of `state` (tiny_state() by default) edited by edit: its
-    own header, or its base's if edit is marked `on_base`."""
+    own header, or its base's if edit is marked `on_base`; sealed anew, so
+    the load gets past the digest to what the edit breaks."""
     good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
     save_checkpoint(state or tiny_state(), good)
     if getattr(edit, "on_base", False):
-        edit_header(base_of(good), base_of(good), edit)
-        shutil.copyfile(good, bad)
+        edit_base(good, bad, edit)
     else:
         edit_header(good, bad, edit)
     return bad
@@ -366,11 +400,11 @@ def set_optim(i: int, value):
 
 
 # v2 stored a {dtype, shape, offset, length} entry per tensor; each of its
-# cases keeps its id and is asked of the v5 header's counterpart: "dtype" of
-# the group a tensor sits in and its block size, "offset" and "length" of
-# the segment table, "shape" of a tensor's [name, shape] entry; the optim
-# step cases of an optim entry [name, n, step]. The cases of a frozen
-# tensor or of the q4 group edit the base's header.
+# cases keeps its id and is asked of the current header's counterpart:
+# "dtype" of the group a tensor sits in and its block size, "offset" and
+# "length" of the segment table, "shape" of a tensor's [name, shape] entry;
+# the optim step cases of an optim entry [name, n, step]. The cases of a
+# frozen tensor or of the q4 group edit the base's header, sealed anew.
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(tensors=list(h["tensors"].values())),
     lambda h: h["configs"].update(trainer_state=[3, 1, 1, 4]),
@@ -464,6 +498,63 @@ def test_tensor_in_both_files_is_an_integrity_error(tmp_path):
         load_checkpoint(path)
 
 
+# two tensors of one shape, in the base and in the checkpoint
+SWAPS = {"base": ("layers.0.attn.wq.weight", "layers.0.attn.wk.weight"),
+         "checkpoint": ("layers.0.attn.wq.lora_b", "layers.0.attn.wk.lora_b")}
+
+
+def swap_names(a: str, b: str):
+    """Header edit: exchange the names of tensors a and b."""
+    def edit(header):
+        ea, eb = entry(header, a), entry(header, b)
+        ea[0], eb[0] = b, a
+    return edit
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "base"])
+def test_names_swapped_in_a_header_are_an_integrity_error(tmp_path, which):
+    # the layout stays valid, and each file its own length and CRCs: only
+    # the digest tells
+    state, (a, b) = tiny_state(), SWAPS[which]
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_checkpoint(state, good)
+    edit_header(good, bad, lambda h: None, seal=False)
+    assert read(bad) == read(good)
+    if which == "base":
+        edit_header(base_of(good), base_of(good), swap_names(a, b),
+                    seal=False)
+        shutil.copyfile(good, bad)
+    else:
+        edit_header(good, bad, swap_names(a, b), seal=False)
+    with pytest.raises(IntegrityError, match="header digest mismatch"):
+        load_checkpoint(bad)
+    # sealed anew, the edit is a file of its own: its weights swapped
+    resealed = tmp_path / "resealed.bin"
+    save_checkpoint(state, good)
+    if which == "base":
+        edit_base(good, resealed, swap_names(a, b))
+        got = load_checkpoint(resealed).model.named_quantized()
+        want = state.model.named_quantized()
+        assert np.array_equal(got[a].codes, want[b].codes)
+    else:
+        edit_header(good, resealed, swap_names(a, b))
+        got = load_checkpoint(resealed).model.named_parameters()
+        assert np.array_equal(got[a].data,
+                              state.model.named_parameters()[b].data)
+
+
+def test_a_base_under_another_bases_name_is_an_integrity_error(tmp_path):
+    # the renamed base is whole and sealed, and its segments are those of
+    # the base whose name it takes: only the name tells
+    good = tmp_path / "good.bin"
+    save_checkpoint(tiny_state(), good)
+    original = base_of(good)
+    edit_base(good, tmp_path / "swapped.bin", swap_names(*SWAPS["base"]))
+    shutil.copyfile(base_of(tmp_path / "swapped.bin"), original)
+    with pytest.raises(IntegrityError, match="is not its name's"):
+        load_checkpoint(good)
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: segment(h, "f32").update(length=segment(h, "f32")["length"] - 4),
     set_segment("f32", "offset", 10 ** 9),
@@ -489,8 +580,8 @@ SEGMENTS = [("f32", False), ("optim.codes", False), ("optim.scales", False),
 
 
 def header_and_payload_start(raw: bytes) -> tuple[dict, int]:
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    return json.loads(raw[16:16 + header_len]), 16 + header_len
+    _, header, payload = split(raw)
+    return json.loads(header), len(raw) - len(payload)
 
 
 def flip_bit(src, dst, label: str) -> None:
@@ -624,7 +715,7 @@ def other_base(base) -> None:
 @pytest.mark.parametrize("damage, says", [
     (lambda base: base.unlink(), "base .* is missing"),
     (lambda base: base.write_bytes(read(base)[:-100]), "runs past the end"),
-    (other_base, "are not those"),
+    (other_base, "is not its name's"),
 ], ids=["missing", "truncated", "another-models"])
 @pytest.mark.parametrize("with_optimizer", [True, False])
 def test_bad_base_is_an_integrity_error(tmp_path, damage, says,
@@ -666,6 +757,14 @@ def test_path_that_names_no_file_is_a_config_error(tmp_path, path):
         os.close(w)
     with pytest.raises(ConfigError, match="state must be a TrainState"):
         save_checkpoint(None, tmp_path / "none.bin")
+    # states that no load would accept
+    model = tiny_state().model
+    for state, says in [(TrainState(model=None), "state.model must be"),
+                        (TrainState(model, step="x"), "step must be"),
+                        (TrainState(model, epoch=-1), "epoch must be"),
+                        (TrainState(model, cursor=1.5), "cursor must be")]:
+        with pytest.raises(ConfigError, match=says):
+            save_checkpoint(state, tmp_path / "bad.bin")
     assert not list(tmp_path.iterdir())
 
 
@@ -830,21 +929,27 @@ def mutated(raw: bytes, rng) -> bytes:
 
 @pytest.mark.parametrize("which", ["checkpoint", "base"])
 def test_mutated_headers_raise_only_typed_errors(tmp_path, which):
-    good = tmp_path / "good.bin"
+    # each mutation is sealed, so it reaches the parser past the digest; a
+    # mutated base is named after its digest and the checkpoint names it
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
     save_checkpoint(moment_state(), good)
-    target = good if which == "checkpoint" else base_of(good)
-    original = read(target)
-    header_len, = struct.unpack("<Q", original[8:16])
-    raw, payload = original[16:16 + header_len], original[16 + header_len:]
+    base = base_of(good)
+    head, raw, payload = split(read(good if which == "checkpoint" else base))
     rng = np.random.default_rng(27 if which == "checkpoint" else 28)
     raised = 0
     for _ in range(300):
-        new = mutated(raw, rng)
-        target.write_bytes(original[:8] + struct.pack("<Q", len(new)) + new
-                           + payload)
+        new = sealed(head, mutated(raw, rng)) + payload
+        if which == "checkpoint":
+            bad.write_bytes(new)
+        else:
+            mutant = base.parent / f"base-{new[16:24].hex()}.bin"
+            mutant.write_bytes(new)
+            edit_header(good, bad, lambda h: h.update(base=mutant.name))
         for with_optimizer in (True, False):
             try:
-                load_checkpoint(good, with_optimizer=with_optimizer)
+                load_checkpoint(bad, with_optimizer=with_optimizer)
             except MoetuneError:
                 raised += 1
+        if which == "base" and mutant != base:
+            mutant.unlink()
     assert raised > 450  # most mutations break the file

@@ -4,7 +4,7 @@ typed error of `errors.py`, before doing any work."""
 import numpy as np
 import pytest
 
-from moetune import lora, quant, tokenizer, trainer
+from moetune import data, lora, quant, tokenizer, trainer
 from moetune.errors import ConfigError, DimensionError, VocabError
 from moetune.model import KVCache, ModelConfig, init_model
 
@@ -54,6 +54,27 @@ CASES = {
          lambda m, path: quant.quantize_4bit(ONES, block_size=64.0)),
     "decode_tokens(None)":
         (VocabError, lambda m, path: tokenizer.decode_tokens(None)),
+    "QuantizedAdam.step(lr='x')":
+        (ConfigError, lambda m, path: quant.QuantizedAdam(
+            m.trainable_parameters()).step(lr="x")),
+    "init_model(None)":
+        (ConfigError, lambda m, path: init_model(None)),
+    "init_model(cfg, seed='x')":
+        (ConfigError, lambda m, path: init_model(TINY, seed="x")),
+    "attach_adapters(model, cfg, seed='x')":
+        (ConfigError, lambda m, path: lora.attach_adapters(m, LORA, seed="x")),
+    "tokenize_corpus(None)":
+        (ConfigError, lambda m, path: data.tokenize_corpus(None)),
+    "tokenize_corpus([1])":
+        (ConfigError, lambda m, path: data.tokenize_corpus([1])),
+    "clean_filter(None)":
+        (ConfigError, lambda m, path: data.clean_filter(None)),
+    "clean_filter([1])":
+        (ConfigError, lambda m, path: data.clean_filter([1])),
+    "render_chat([('user', 5)])":
+        (VocabError, lambda m, path: tokenizer.render_chat([("user", 5)])),
+    "encode_text(None)":
+        (VocabError, lambda m, path: tokenizer.encode_text(None)),
 }
 
 

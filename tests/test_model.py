@@ -211,6 +211,11 @@ def test_moe_router_gradient_finite_difference():
 # decoder forward
 
 
+def full_cache(model) -> KVCache:
+    """A cache for every position the model takes, max_seq_len of them."""
+    return KVCache.for_positions(model.config, model.config.max_seq_len)
+
+
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=300, max_seq_len=32)
 
@@ -253,7 +258,7 @@ def test_token_ids_that_are_not_ints_are_a_vocab_error(ids):
     with pytest.raises(VocabError):
         model.forward(ids)
     with pytest.raises(VocabError):
-        model.forward(ids, cache=KVCache())
+        model.forward(ids, cache=full_cache(model))
 
 
 def test_empty_token_ids_are_a_length_error_before_the_type_check():
@@ -294,7 +299,7 @@ def test_cached_decode_is_bitwise_equal_to_full_forward(tuned_default_model,
                                                         prompt_len):
     model = tuned_default_model
     ids = np.random.default_rng(prompt_len).integers(0, 262, prompt_len + 3)
-    cache = KVCache()
+    cache = full_cache(model)
     prefill = model.forward(ids[:prompt_len], cache=cache).data
     # a cached forward returns its last row, the one generate reads
     assert np.array_equal(prefill, model.forward(ids[:prompt_len]).data[-1:])
@@ -323,7 +328,7 @@ ids = rng.integers(0, 262, 133)
 full = model.forward(ids).data
 for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129):
     assert np.array_equal(model.forward(ids[:n]).data, full[:n]), n
-cache = KVCache()
+cache = KVCache.for_positions(model.config, model.config.max_seq_len)
 assert np.array_equal(model.forward(ids[:63], cache=cache).data, full[62:63])
 for t in (63, 64, 65):
     assert np.array_equal(model.forward(ids[t:t + 1], cache=cache).data,
@@ -361,7 +366,7 @@ def test_cached_forward_that_raises_leaves_the_cache_as_it_was(
         tuned_default_model, monkeypatch):
     model = tuned_default_model
     ids = np.random.default_rng(11).integers(0, 262, 12)
-    cache = KVCache()
+    cache = full_cache(model)
     model.forward(ids[:10], cache=cache)
     broken, real = model.layers[2].moe, model_module.moe_forward
 
@@ -414,7 +419,7 @@ def test_cached_forward_that_raises_midway_leaves_no_stale_rows(
     assert cache.values.tobytes() == values.tobytes()
     shorter = model.forward(ids[prefix:prefix + 5], cache=cache).data
     assert np.array_equal(shorter, full[prefix + 4:prefix + 5])
-    prefill = model.forward(ids[:prefix + 5], cache=KVCache()).data
+    prefill = model.forward(ids[:prefix + 5], cache=full_cache(model)).data
     assert np.array_equal(shorter, prefill)
 
 
@@ -441,7 +446,7 @@ def test_a_cached_prefill_runs_the_last_layers_moe_on_its_last_row(
     model = init_model(TINY, seed=8)
     inputs = []
     monkeypatch.setattr(model_module, "moe_forward", record_moe_inputs(inputs))
-    cache = KVCache()
+    cache = full_cache(model)
     model.forward(np.arange(3, 12), cache=cache)
     model.forward([12], cache=cache)
     model.forward(np.arange(3, 12))
@@ -458,7 +463,8 @@ def test_a_cached_prefill_dequantizes_only_the_last_rows_experts_in_the_last_lay
     model.quantize_frozen(64)
     inputs = []
     monkeypatch.setattr(model_module, "moe_forward", record_moe_inputs(inputs))
-    model.forward(np.arange(3, 23), cache=KVCache() if cached else None)
+    model.forward(np.arange(3, 23),
+                  cache=full_cache(model) if cached else None)
     for layer, h in inputs:
         want = routed_experts(h, layer)
         for e, expert in enumerate(layer.experts):
@@ -488,7 +494,7 @@ def test_a_nan_only_dropped_rows_would_meet_raises_in_a_plain_forward_only(
     layer.experts[spare[0]].w_down.kernel.data[:] = np.nan
     with pytest.raises(NumericError):
         model.forward(ids)
-    cache = KVCache()
+    cache = full_cache(model)
     assert np.isfinite(model.forward(ids, cache=cache).data).all()
     assert cache.length == len(ids)
     assert np.isfinite(cache.keys).all() and np.isfinite(cache.values).all()
@@ -531,10 +537,10 @@ def test_an_unselected_experts_non_finite_router_logit_raises(monkeypatch):
         assert np.isfinite(model.forward(ids).data).all()
     with pytest.raises(NumericError, match="^matmul produced"):
         model.forward(ids)
-    cache = KVCache()
+    cache = full_cache(model)
     with pytest.raises(NumericError, match="^matmul produced"):
         model.forward(ids, cache=cache)
-    assert cache.keys is None and cache.length == 0
+    assert not cache.keys.any() and cache.length == 0
 
 
 def test_an_infinite_key_that_no_row_weighs_still_raises(monkeypatch):
@@ -563,7 +569,7 @@ def test_cached_forward_records_no_tape_and_a_plain_one_does(
     model = tuned_default_model
     ids = np.random.default_rng(13).integers(0, 262, 10)
     targets, mask = ids[1:], np.ones(9)
-    cached = model.forward(ids[:-1], cache=KVCache())
+    cached = model.forward(ids[:-1], cache=full_cache(model))
     assert not cached.requires_grad and cached._parents == ()
     with pytest.raises(TapeError):
         T.masked_cross_entropy(cached, targets[-1:], mask[-1:]).backward()
@@ -585,10 +591,11 @@ def test_cached_forward_peaks_under_a_third_of_a_plain_forward(
     ids = np.random.default_rng(14).integers(0, 262, 300)
     model.forward(ids)  # dequantizes every kernel the prompt routes to
     peaks = []
-    for cache in (None, KVCache()):
+    for cached in (False, True):
         tracemalloc.start()
-        try:
-            logits = model.forward(ids, cache=cache)
+        try:  # the cache is allocated in the window, as a forward's tape is
+            logits = model.forward(ids, cache=full_cache(model) if cached
+                                   else None)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -650,7 +657,7 @@ def test_backward_peaks_under_a_quarter_of_the_tape_above_it(
 
 def test_cache_rejects_training_and_overflow():
     model = init_model(TINY, seed=8)
-    cache = KVCache()
+    cache = full_cache(model)
     with pytest.raises(ConfigError):
         model.forward([1, 2], rng=np.random.default_rng(0), cache=cache)
     model.forward(np.arange(30), cache=cache)
@@ -665,8 +672,9 @@ def test_cache_rejects_training_and_overflow():
     ModelConfig(**{**TINY.to_dict(), "n_layers": 3}),
     ModelConfig(**{**TINY.to_dict(), "d_model": 32})])
 def test_cache_another_models_forward_filled_is_a_config_error(other):
-    cache = KVCache()
-    init_model(other, seed=8).forward([1, 2, 3], cache=cache)
+    filler = init_model(other, seed=8)
+    cache = full_cache(filler)
+    filler.forward([1, 2, 3], cache=cache)
     with pytest.raises(ConfigError):
         init_model(TINY, seed=8).forward([4], cache=cache)
     assert cache.length == 3
@@ -677,8 +685,8 @@ def test_cache_another_models_forward_filled_is_a_config_error(other):
 @pytest.mark.parametrize("values", [None, (2, 128, 16), (2, 4, 16), (1, 64, 16)],
                          ids=["none", "longer", "shorter", "fewer-layers"])
 def test_cache_values_that_do_not_fit_its_keys_are_a_config_error(values):
-    cache = KVCache()
     model = init_model(TINY, seed=8)
+    cache = full_cache(model)
     model.forward([1, 2, 3], cache=cache)
     assert cache.keys.shape == (2, T.KEY_BLOCK, 16)
     keys = cache.keys.copy()
@@ -743,15 +751,17 @@ def test_a_forward_past_the_caches_rows_is_a_length_error():
 
 @pytest.mark.parametrize("length", [-5, -1, 33, 2.0, "3", None])
 def test_cache_length_outside_0_to_max_seq_len_is_a_config_error(length):
-    cache = KVCache(length=length)
+    model = init_model(TINY, seed=8)
+    cache = full_cache(model)
+    cache.length = length
     with pytest.raises(ConfigError):
-        init_model(TINY, seed=8).forward([1], cache=cache)
-    assert cache.keys is None and cache.length == length
+        model.forward([1], cache=cache)
+    assert not cache.keys.any() and cache.length == length
 
 
 def test_cache_length_without_cached_keys_is_a_config_error():
     # the forward would attend to rows that no forward wrote
-    cache = KVCache(length=3)
+    cache = KVCache(None, None, 3)
     with pytest.raises(ConfigError):
         init_model(TINY, seed=8).forward([1], cache=cache)
     assert cache.keys is None and cache.length == 3
