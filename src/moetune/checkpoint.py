@@ -8,38 +8,36 @@ A model with no frozen tensors has no base.
 
 Layout of both files: magic ("AURC" for a checkpoint, "AURB" for a base),
 version u32 LE, header-length u64 LE, digest, UTF-8 JSON header, then the
-payload: at most three flat segments, each a run of raw little-endian
-arrays laid end to end. The digest is the first 8 bytes of the SHA-256 of
-the magic, the version and the JSON header. Load checks it before it
-parses the header, and so finds an edit that leaves the header valid.
+payload. The digest is the first 8 bytes of the SHA-256 of the magic, the
+version and the JSON header; load checks it before it parses the header.
 
-Both headers hold the ordered names and shapes of each group's tensors
-("tensors") and the segment table ("segments"). The groups are:
+The header's "groups" holds one entry per group. The payload is the "f32"
+group's run, then the "q4" or "optim" group's run: raw little-endian
+arrays laid end to end, sealed by the entry's "crc32".
 
-- "f32": f32 parameters as [name, shape], the trainable ones in a
-  checkpoint and the frozen ones in a base; its segment is their values;
-- "q4" (base): the frozen 4-bit kernels, as [name, [rows, cols]];
-- "optim" (checkpoint, only with optimizer state): the trainable
-  parameters in order, as [name, size, update count]; its matrices are the
-  Adam moments m and v as the optimizer holds them, 1 x end over
-  `quant.flat_offsets`.
+- "f32": "tensors" lists [name, shape] of the trainable f32 parameters in
+  a checkpoint, of the frozen ones in a base; the run is their values.
+- "q4" (base): "tensors" lists [name, [rows, cols]] of the 4-bit kernels.
+- "optim" (checkpoint, only with optimizer state): "steps" holds the
+  update count of each f32 parameter, in order; the run holds the Adam
+  moments m and v, 1 x end over `quant.flat_offsets` of their sizes.
 
-A 4-bit group has two segments, "codes" (each matrix's ceil(n / 2) packed
-code bytes) and "scales" (its ceil(n / block_size) f32 block scales), and
-stores its "block_size" beside them. Each segment is {offset, length,
-crc32}, its offset counted from the payload start. A tensor starts where
-the one before it in its group ends, so no per-tensor offset is stored.
+A 4-bit group also stores its "block_size", and its run holds each
+matrix's ceil(n / block_size) f32 scales, then each one's ceil(n / 2)
+packed code bytes; the scales first keep the f32 view 4-byte aligned. A
+run's length follows from its entry: a payload that is not the runs'
+lengths summed, cut or with bytes appended, is an IntegrityError.
 
 A checkpoint header also holds the config blocks and the trainer cursor
 ("configs") and its base ("base"): null without frozen tensors, else the
 base's file name, "base-<the hex of its digest>.bin". A base header holds
-its segments' CRCs, so every checkpoint saved into one directory from one
+its runs' CRCs, so every checkpoint saved into one directory from one
 frozen base shares one base file. Copy or move a checkpoint together with
 the base it names.
 
 Adapters are `lora_a` [d_in, rank] and `lora_b` [rank, d_out], in the
-[d_in, d_out] orientation of the kernel they sit on. Version 6 added the
-digest and made the base reference a name; versions 1 to 5 are rejected.
+[d_in, d_out] orientation of the kernel they sit on. Version 7 states each
+fact once; versions 1 to 6 are rejected.
 
 Save writes the base first, then the checkpoint. Each is written to
 "{file}.tmp", synced, renamed over its name, and the directory synced, so
@@ -50,43 +48,50 @@ its save with its header and size intact is left as it is; the load's CRC
 check finds it. Save deletes no base: one that no checkpoint names any
 more stays until it is removed.
 
-The loader checks each header first, then reads each segment it needs into
-its own buffer, checks its CRC and hands out writable numpy views of it;
-`with_optimizer=False` reads neither optim segment. It builds the model
-through `model.build_model` and `lora.load_adapters`: each weight they ask
-for is taken once, at the shape they ask for. A digest that does not
-match its header, a base that is missing or whose digest is not its
-name's, a weight neither file holds or that no one asks for, a CRC
-mismatch, and a segment that runs past its file or whose length is not
-that of its tensors are IntegrityErrors.
+The loader checks each header and payload size first, then reads each run
+it needs into its own buffer, checks its CRC and hands out writable numpy
+views of it; `with_optimizer=False` reads no moment bytes. It builds the
+model through `model.build_model` and `lora.load_adapters`: each weight
+they ask for is taken once, at the shape they ask for, and an f32
+parameter trains exactly when the checkpoint's own f32 group holds it. A
+digest that does not match its header, a base that is missing or whose
+digest is not its name's, a weight neither file holds or that no one asks
+for, a CRC mismatch and a payload of the wrong size are IntegrityErrors.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import struct
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (ConfigError, FormatError, IntegrityError, check_rules,
-                     check_type, count_rule, is_count)
+from .errors import (ConfigError, FormatError, IntegrityError, check_path,
+                     check_rules, check_type, count_rule, is_count)
 from .lora import LoraConfig, adapter_config, load_adapters
 from .model import DecoderModel, ModelConfig, build_model
 from .quant import (DEFAULT_BLOCK_SIZE, AdamState, QuantizedMatrix,
                     flat_offsets)
 
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
+
 MAGIC = b"AURC"
 BASE_MAGIC = b"AURB"
-VERSION = 6
+VERSION = 7
 _PREFIX = struct.Struct("<4sIQ8s")  # magic, version, header length, digest
 _BASE_FILE = re.compile(r"base-([0-9a-f]{16})\.bin")
 _COUNTERS = ("step", "epoch", "cursor")
+_Run = namedtuple("_Run", "offset names shapes block_size length crc32")
 
 
 @dataclass
@@ -98,52 +103,37 @@ class TrainState:
     """
 
     model: DecoderModel
-    train_config: dict | None = None
+    train_config: TrainConfig | None = None
     optim_state: AdamState | None = None
     step: int = 0
     epoch: int = 0
     cursor: int = 0  # steps done in `epoch`, all of them once it has ended
 
 
-def _file_path(path) -> str:
-    """`path` as a str; ConfigError unless it is a str, bytes or PathLike
-    (a file descriptor names no directory for the base)."""
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise ConfigError(f"checkpoint path must be a str, bytes or "
-                          f"os.PathLike, got {type(path).__name__}")
-    return os.fsdecode(path)
+def _run(blobs: list, arrays: list[np.ndarray], **entry) -> dict:
+    """Append one group's run to `blobs`; its header entry, with its CRC."""
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(a, crc)
+    blobs.extend(arrays)
+    return {**entry, "crc32": crc}
 
 
-class _Payload:
-    """Segments laid end to end: their arrays, and their table entries."""
+def _f32_run(blobs: list, tensors: dict) -> dict:
+    return _run(blobs, [np.ascontiguousarray(t.data, dtype="<f4")
+                        for t in tensors.values()],
+                tensors=[[n, list(t.shape)] for n, t in tensors.items()])
 
-    def __init__(self):
-        self.blobs: list[np.ndarray] = []
-        self.end = 0
 
-    def segment(self, arrays: list[np.ndarray]) -> dict:
-        crc = 0
-        for a in arrays:
-            crc = zlib.crc32(a, crc)
-        length = sum(a.nbytes for a in arrays)
-        self.blobs.extend(arrays)
-        self.end += length
-        return {"offset": self.end - length, "length": length, "crc32": crc}
-
-    def f32(self, tensors) -> dict:
-        return self.segment([np.ascontiguousarray(t.data, dtype="<f4")
-                             for t in tensors])
-
-    def q4(self, group: str, qs: list[QuantizedMatrix]) -> dict:
-        sizes = {q.block_size for q in qs} or {DEFAULT_BLOCK_SIZE}
-        if len(sizes) > 1:
-            raise FormatError(f"{group}: block sizes {sorted(sizes)} differ; "
-                              f"a checkpoint stores one per group")
-        return {"block_size": sizes.pop(),
-                "codes": self.segment([q.codes for q in qs]),
-                "scales": self.segment([np.ascontiguousarray(q.scales,
-                                                             dtype="<f4")
-                                        for q in qs])}
+def _q4_run(blobs: list, group: str, qs: list[QuantizedMatrix],
+            **entry) -> dict:
+    sizes = {q.block_size for q in qs} or {DEFAULT_BLOCK_SIZE}
+    if len(sizes) > 1:
+        raise FormatError(f"{group}: block sizes {sorted(sizes)} differ; "
+                          f"a checkpoint stores one per group")
+    return _run(blobs, [np.ascontiguousarray(q.scales, dtype="<f4")
+                        for q in qs] + [q.codes for q in qs],
+                block_size=sizes.pop(), **entry)
 
 
 def _digest(magic: bytes, raw: bytes) -> bytes:
@@ -197,23 +187,27 @@ def _holds(path: str, head: bytes, size: int) -> bool:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Serialize adapters, optimizer moments and the cursor to `path`, and
-    the frozen tensors to the base beside it, which `path` names.
+    """Serialize the trainable tensors, optimizer moments, train config and
+    cursor to `path`, and the frozen tensors to the base that `path` names.
 
-    The base is written first, and only when its directory lacks it (see
-    the module docstring). Each file is replaced atomically: `path` holds
-    either the previous checkpoint or the new one, never a partial write,
-    and the base it names is durable before it. A save killed midway leaves
-    a "{file}.tmp" behind, which the next save of that file overwrites. A
-    path that is not a str, bytes or os.PathLike, a state that is not a
-    TrainState, a model that is not a DecoderModel, a step, epoch or cursor
-    that is not an int >= 0, and an `optim_state` of other parameters than
-    the model's trainable ones are ConfigErrors, raised before anything is
-    written: no load would accept the file.
+    The base is written first, and only when its directory lacks it. Each
+    file is replaced atomically (see the module docstring); a save killed
+    midway leaves a "{file}.tmp" that the next save of that file overwrites.
+    A path that is not a str, bytes or os.PathLike, a state that is not a
+    TrainState, a model that is not a DecoderModel, a train_config that is
+    not None or a valid TrainConfig, a step, epoch or cursor that is not an
+    int >= 0, and an `optim_state` of other parameters than the model's
+    trainable ones are ConfigErrors, raised before anything is written: no
+    load would accept the file.
     """
-    path = os.path.abspath(_file_path(path))
+    from .trainer import TrainConfig  # trainer imports this module
+
+    path = os.path.abspath(check_path(path))
     check_type("state", state, TrainState)
     check_type("state.model", state.model, DecoderModel)
+    check_type("state.train_config", state.train_config, TrainConfig, True)
+    if state.train_config is not None:
+        state.train_config.validate()
     check_rules(state, [count_rule(state, name, 0) for name in _COUNTERS])
     model = state.model
     params = model.named_parameters()
@@ -226,143 +220,83 @@ def save_checkpoint(state: TrainState, path) -> None:
         if why is not None:
             raise ConfigError(f"optimizer state {why}")
 
-    base = name = None
+    name = None
     if frozen or kernels:
-        base = _Payload()
-        base_head = _head(BASE_MAGIC, {
-            "tensors": {"f32": [[n, list(t.shape)] for n, t in frozen.items()],
-                        "q4": [[n, [q.rows, q.cols]]
-                               for n, q in kernels.items()]},
-            "segments": {"f32": base.f32(frozen.values()),
-                         "q4": base.q4("q4", list(kernels.values()))}})
+        base = []
+        base_head = _head(BASE_MAGIC, {"groups": {
+            "f32": _f32_run(base, frozen),
+            "q4": _q4_run(base, "q4", list(kernels.values()),
+                          tensors=[[n, [q.rows, q.cols]]
+                                   for n, q in kernels.items()])}})
         name = f"base-{_PREFIX.unpack_from(base_head)[3].hex()}.bin"
 
-    own = _Payload()
-    tensors = {"f32": [[n, list(t.shape)] for n, t in trainable.items()]}
-    segments = {"f32": own.f32(trainable.values())}
+    own = []
+    groups = {"f32": _f32_run(own, trainable)}
     if optim is not None:
-        tensors["optim"] = [list(e) for e in zip(optim.names, optim.sizes,
-                                                 optim.steps)]
-        segments["optim"] = own.q4("optim", [optim.m, optim.v])
+        groups["optim"] = _q4_run(own, "optim", [optim.m, optim.v],
+                                  steps=list(optim.steps))
     lora_cfg = adapter_config(model)
+    train_cfg = state.train_config
     head = _head(MAGIC, {
         "configs": {
             "model": model.config.to_dict(),
             "lora": lora_cfg.to_dict() if lora_cfg else None,
-            "train": state.train_config,
+            "train": train_cfg.to_dict() if train_cfg else None,
             "trainer_state": {n: int(getattr(state, n)) for n in _COUNTERS},
         },
-        "tensors": tensors,
-        "segments": segments,
+        "groups": groups,
         "base": name,
     })
-    if base is not None:
+    if name is not None:
         base_path = os.path.join(os.path.dirname(path), name)
-        if not _holds(base_path, base_head, len(base_head) + base.end):
-            _write(base_path, b"".join([base_head, *base.blobs]))
-    _write(path, b"".join([head, *own.blobs]))
+        size = len(base_head) + sum(a.nbytes for a in base)
+        if not _holds(base_path, base_head, size):
+            _write(base_path, b"".join([base_head, *base]))
+    _write(path, b"".join([head, *own]))
 
 
-def _layout(where: str, group: str, entries, meta, room: int):
-    """Entries, shapes, block size and segment spans of one group, checked.
-
-    The spans map a segment's label ("f32", "q4.codes", ...) to its
-    (offset, length, crc32); "optim" has the shapes of its two flat
-    moments. FormatError for a malformed entry or segment; IntegrityError
-    if a segment runs past the `room` payload bytes or its length is not
-    that of its tensors.
-    """
-    if not isinstance(entries, list):
-        raise FormatError(f"{where}: tensors of {group} must be a list")
-    for entry in entries:
-        if group == "optim":  # [name, n, step]
-            ok = (isinstance(entry, list) and len(entry) == 3
-                  and all(map(is_count, entry[1:])))
-        else:  # [name, shape], 2-D in q4
-            ok = (isinstance(entry, list) and len(entry) == 2
-                  and isinstance(entry[1], list)
-                  and all(map(is_count, entry[1]))
-                  and (group == "f32" or len(entry[1]) == 2))
-        if not (ok and isinstance(entry[0], str)):
-            raise FormatError(f"{where}: malformed {group} entry {entry!r}")
-
-    if group != "f32" and not (isinstance(meta, dict)
-                               and is_count(meta.get("block_size"), 1)):
-        raise FormatError(f"{where}: {group} segments lack a block size")
-    block_size = None if group == "f32" else meta["block_size"]
-    shapes = ([(1, flat_offsets([e[1] for e in entries], block_size)[-1])] * 2
-              if group == "optim" else [tuple(e[1]) for e in entries])
-    if group == "f32":
-        want = {"f32": (meta, 4 * sum(map(math.prod, shapes)))}
+def _layout(where: str, group: str, meta, sizes: list[int] | None):
+    """Names, shapes and block size of one group's tensors, and its run's
+    length, from its header entry `meta`; FormatError if that is malformed.
+    "optim" has no names, and its two flat moments span the `sizes` of the
+    f32 group's parameters."""
+    if not (isinstance(meta, dict) and is_count(meta.get("crc32"))):
+        raise FormatError(f"{where}: group {group} lacks a crc32")
+    bs = meta.get("block_size")
+    if group != "f32" and not is_count(bs, 1):
+        raise FormatError(f"{where}: group {group} lacks a block size")
+    if group == "optim":
+        steps = meta.get("steps")
+        if not (isinstance(steps, list) and all(map(is_count, steps))
+                and len(steps) == len(sizes)):
+            raise FormatError(f"{where}: optim steps must be {len(sizes)} "
+                              f"counts, one per f32 parameter")
+        names, shapes = None, [(1, flat_offsets(sizes, bs)[-1])] * 2
     else:
-        sizes = [r * c for r, c in shapes]
-        want = {f"{group}.codes": (meta.get("codes"),
-                                   sum((n + 1) // 2 for n in sizes)),
-                f"{group}.scales": (meta.get("scales"), 4 * sum(
-                    (n + block_size - 1) // block_size for n in sizes))}
-    spans = {}
-    for label, (span, length) in want.items():
-        if not (isinstance(span, dict) and all(
-                is_count(span.get(k)) for k in ("offset", "length", "crc32"))):
-            raise FormatError(f"{where}: malformed segment {label} {span!r}")
-        if span["offset"] + span["length"] > room:
-            raise IntegrityError(f"{where}: segment {label} runs past the "
-                                 f"end of the file")
-        if span["length"] != length:
-            raise IntegrityError(f"{where}: segment {label} holds "
-                                 f"{span['length']} bytes, its tensors {length}")
-        spans[label] = (span["offset"], length, span["crc32"])
-    return entries, shapes, block_size, spans
-
-
-def _read(f, where: str, start: int, label: str, span) -> bytearray:
-    """The bytes of one segment, CRC-checked, in a buffer of their own."""
-    offset, length, crc = span
-    buf = bytearray(length)
-    f.seek(start + offset)
-    if f.readinto(buf) != length:
-        raise IntegrityError(f"{where}: segment {label}: truncated")
-    if zlib.crc32(buf) != crc:
-        raise IntegrityError(f"{where}: segment {label}: CRC mismatch")
-    return buf
-
-
-def _tensors(f, where: str, start: int, shapes, block_size, spans) -> list:
-    """One group's tensors, in order, as views of its segments' buffers:
-    f32 arrays, or QuantizedMatrix when the group has a block size."""
-    bufs = [_read(f, where, start, label, span)
-            for label, span in spans.items()]
-    out = []
-    if block_size is None:
-        flat = np.frombuffer(bufs[0], dtype="<f4")
-        at = 0
-        for shape in shapes:
-            n = math.prod(shape)
-            out.append(flat[at:at + n].reshape(shape))
-            at += n
-        return out
-    codes = np.frombuffer(bufs[0], dtype=np.uint8)
-    scales = np.frombuffer(bufs[1], dtype="<f4")
-    at_code = at_scale = 0
-    for rows, cols in shapes:
-        n = rows * cols
-        n_codes, n_scales = (n + 1) // 2, (n + block_size - 1) // block_size
-        out.append(QuantizedMatrix(rows, cols, block_size,
-                                   codes[at_code:at_code + n_codes],
-                                   scales[at_scale:at_scale + n_scales]))
-        at_code += n_codes
-        at_scale += n_scales
-    return out
+        entries = meta.get("tensors")
+        if not isinstance(entries, list):
+            raise FormatError(f"{where}: tensors of {group} must be a list")
+        for e in entries:  # [name, shape], 2-D in q4
+            if not (isinstance(e, list) and len(e) == 2
+                    and isinstance(e[0], str) and isinstance(e[1], list)
+                    and all(map(is_count, e[1]))
+                    and (group == "f32" or len(e[1]) == 2)):
+                raise FormatError(f"{where}: malformed {group} entry {e!r}")
+        names, shapes = [e[0] for e in entries], [tuple(e[1]) for e in entries]
+    ns = list(map(math.prod, shapes))
+    if group == "f32":
+        return names, shapes, None, 4 * sum(ns)
+    return names, shapes, bs, sum(4 * ((n + bs - 1) // bs) + (n + 1) // 2
+                                  for n in ns)
 
 
 def _header(f, where: str, magic: bytes, keys: set[str], groups: set[str],
             optional: set[str] = frozenset()):
-    """The header of an open file, the layout of each of its groups, where
-    its payload starts, and its digest, checked before the header is parsed.
-
-    The header must hold `keys`, "tensors" and "segments", and those two
-    must both map every one of `groups` and may map the `optional` ones.
-    """
+    """The header of an open file, its digest, checked before the header
+    is parsed, and each group's `_Run`. The header must hold `keys` and
+    "groups", which maps every one of `groups` and may map the `optional`
+    ones; IntegrityError unless the payload is exactly the runs laid end
+    to end."""
     size = os.fstat(f.fileno()).st_size
     prefix = f.read(_PREFIX.size)
     if len(prefix) < _PREFIX.size or prefix[:4] != magic:
@@ -380,17 +314,52 @@ def _header(f, where: str, magic: bytes, keys: set[str], groups: set[str],
         header = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{where}: unreadable header ({e})") from e
-    keys = keys | {"tensors", "segments"}
+    keys = keys | {"groups"}
     if not (isinstance(header, dict) and keys <= header.keys()):
         raise FormatError(f"{where}: header lacks one of {sorted(keys)}")
-    tensors, segments = header["tensors"], header["segments"]
-    if not (isinstance(tensors, dict) and isinstance(segments, dict)
-            and tensors.keys() == segments.keys()
-            and groups <= tensors.keys() <= groups | optional):
-        raise FormatError(f"{where}: tensors and segments must both map "
-                          f"{sorted(groups)} and may map {sorted(optional)}")
-    return header, {g: _layout(where, g, tensors[g], segments[g],
-                               size - start) for g in tensors}, start, digest
+    metas = header["groups"]
+    if not (isinstance(metas, dict)
+            and groups <= metas.keys() <= groups | optional):
+        raise FormatError(f"{where}: groups must map {sorted(groups)} and "
+                          f"may map {sorted(optional)}")
+    runs, at, sizes = {}, start, None
+    for g in sorted(metas):  # "f32" first, and its sizes lay out "optim"
+        names, shapes, bs, length = _layout(where, g, metas[g], sizes)
+        if g == "f32":
+            sizes = [math.prod(s) for s in shapes]
+        runs[g] = _Run(at, names, shapes, bs, length, metas[g]["crc32"])
+        at += length
+    if at != size:
+        raise IntegrityError(f"{where}: payload holds {size - start} bytes, "
+                             f"its groups {at - start}")
+    return header, runs, digest
+
+
+def _cut(flat: np.ndarray, counts) -> list[np.ndarray]:
+    """Consecutive views of `flat`, of `counts` elements each."""
+    ends = [0, *itertools.accumulate(counts)]
+    return [flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _read(f, where: str, group: str, run: _Run) -> list:
+    """One group's tensors, in order, as views of a buffer of their own,
+    CRC-checked: f32 arrays, or QuantizedMatrix when it has a block size."""
+    shapes, bs = run.shapes, run.block_size
+    buf = bytearray(run.length)  # `_header` found the file holds all of it
+    f.seek(run.offset)
+    f.readinto(buf)
+    if zlib.crc32(buf) != run.crc32:
+        raise IntegrityError(f"{where}: group {group}: CRC mismatch")
+    if bs is None:
+        return [a.reshape(s) for a, s in zip(_cut(
+            np.frombuffer(buf, dtype="<f4"), map(math.prod, shapes)), shapes)]
+    ns = [r * c for r, c in shapes]
+    n_scales = [(n + bs - 1) // bs for n in ns]
+    scales = np.frombuffer(buf, dtype="<f4", count=sum(n_scales))
+    codes = np.frombuffer(buf, dtype=np.uint8, offset=scales.nbytes)
+    return [QuantizedMatrix(r, c, bs, code, scale) for (r, c), scale, code
+            in zip(shapes, _cut(scales, n_scales),
+                   _cut(codes, [(n + 1) // 2 for n in ns]))]
 
 
 def _load_base(path: str, file) -> list:
@@ -405,32 +374,33 @@ def _load_base(path: str, file) -> list:
     except FileNotFoundError:
         raise IntegrityError(f"{path}: base {where} is missing") from None
     with f:
-        _, layout, start, digest = _header(f, f"base {where}", BASE_MAGIC,
-                                           set(), {"f32", "q4"})
+        _, runs, digest = _header(f, f"base {where}", BASE_MAGIC, set(),
+                                  {"f32", "q4"})
         if digest.hex() != match[1]:
             raise IntegrityError(f"base {where}: header digest "
                                  f"{digest.hex()} is not its name's")
-        return [(e[0], t) for entries, *rest in layout.values()
-                for e, t in zip(entries,
-                                _tensors(f, f"base {where}", start, *rest))]
+        return [pair for g, run in runs.items()
+                for pair in zip(run.names, _read(f, f"base {where}", g, run))]
 
 
 def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     """Rebuild a TrainState from a checkpoint and its base; load(save(x))
-    reproduces training bit-exactly.
+    reproduces training bit-exactly, with the same parameters trainable.
 
     The base is read from the directory of `path`, from the file the
-    checkpoint names; the digest in that name must be the base's own. With
-    `with_optimizer=False` the moments are not read and `optim_state` is
-    None, as it is for a file saved without them. A path that is not a
-    str, bytes or os.PathLike is a ConfigError, raised before anything is
-    opened.
+    checkpoint names; the digest in that name must be the base's own. The
+    optimizer state is the f32 group's names and sizes with the optim
+    group's steps and moments. With `with_optimizer=False` the moments are
+    not read and `optim_state` is None, as it is for a file saved without
+    them. A path that is not a str, bytes or os.PathLike is a ConfigError,
+    raised before anything is opened.
     """
-    path = _file_path(path)
+    from .trainer import TrainConfig  # trainer imports this module
+
+    path = check_path(path)
     with open(path, "rb") as f:
-        header, layout, start, _ = _header(f, path, MAGIC,
-                                           {"configs", "base"}, {"f32"},
-                                           {"optim"})
+        header, runs, _ = _header(f, path, MAGIC, {"configs", "base"},
+                                  {"f32"}, {"optim"})
         configs = header["configs"]
         if not isinstance(configs, dict):
             raise FormatError(f"{path}: configs must be a dict")
@@ -438,22 +408,21 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
             model_cfg = ModelConfig.from_dict(configs.get("model"))
             lora_cfg = (LoraConfig.from_dict(configs["lora"])
                         if configs.get("lora") else None)
+            train_cfg = (TrainConfig.from_dict(configs["train"])
+                         if configs.get("train") is not None else None)
         except ConfigError as e:
             raise FormatError(f"{path}: malformed configs block ({e})") from e
         ts = configs.get("trainer_state")
-        if not (isinstance(ts, dict)
-                and {"step", "epoch", "cursor"} <= ts.keys()):
-            raise FormatError(f"{path}: trainer_state lacks step, epoch or cursor")
-        step, epoch, cursor = ts["step"], ts["epoch"], ts["cursor"]
-        if not all(map(is_count, [step, epoch, cursor])):
-            raise FormatError(f"{path}: trainer_state counters must be "
-                              f"non-negative ints")
-        groups = {g: (entries, _tensors(f, path, start, *rest))
-                  for g, (entries, *rest) in layout.items()
-                  if g != "optim" or with_optimizer}
+        counters = [ts.get(n) for n in _COUNTERS if isinstance(ts, dict)]
+        if not (counters and all(map(is_count, counters))):
+            raise FormatError(f"{path}: trainer_state must hold a step, epoch "
+                              f"and cursor, each an int >= 0")
+        own = list(zip(runs["f32"].names, _read(f, path, "f32", runs["f32"])))
+        moments = (_read(f, path, "optim", runs["optim"])
+                   if with_optimizer and "optim" in runs else None)
 
     pairs = [] if header["base"] is None else _load_base(path, header["base"])
-    pairs += [(e[0], t) for e, t in zip(*groups["f32"])]
+    pairs += own
     stored = dict(pairs)
     if len(stored) != len(pairs):
         raise IntegrityError(f"{path}: a tensor name is stored twice")
@@ -473,14 +442,16 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
         load_adapters(model, lora_cfg, weight)
     if unused:
         raise IntegrityError(f"{path}: unknown tensors {sorted(unused)[:4]}")
+    params, trains = model.named_parameters(), {n for n, _ in own}
+    for n, t in params.items():
+        t.requires_grad = n in trains
 
-    state = TrainState(model=model, train_config=configs.get("train"),
-                       step=step, epoch=epoch, cursor=cursor)
-    if "optim" in groups:
-        entries, (m, v) = groups["optim"]
-        optim = AdamState([e[0] for e in entries], [e[1] for e in entries],
-                          [e[2] for e in entries], m, v)
-        why = optim.mismatch(model.trainable_parameters())
+    state = TrainState(model=model, train_config=train_cfg,
+                       **dict(zip(_COUNTERS, counters)))
+    if moments is not None:
+        optim = AdamState([n for n, _ in own], [t.size for _, t in own],
+                          list(header["groups"]["optim"]["steps"]), *moments)
+        why = optim.mismatch({n: params[n] for n in params if n in trains})
         if why is not None:
             raise IntegrityError(f"{path}: optimizer state {why}")
         state.optim_state = optim

@@ -15,7 +15,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ParseError, RecordError, is_count
+from .errors import ConfigError, ParseError, RecordError, check_path, is_count
 from .tokenizer import TokenizedSample, render_chat
 
 
@@ -73,8 +73,10 @@ def _ingest(path, source: str, lenient: bool, turns_of) -> IngestResult:
     that is present but not a string; a missing, null or empty one is
     "unknown". Strict mode raises every error; lenient mode counts each
     bad record as skipped, and a file that is not a JSON array as one
-    skipped record.
+    skipped record. A path that is not a str, bytes or os.PathLike is a
+    ConfigError in both modes.
     """
+    path = check_path(path)
     try:
         data = _load_json_array(path)
     except ParseError:
@@ -200,11 +202,15 @@ def _sample_fingerprint(sample: ChatSample) -> str:
 
 
 def _check_samples(samples) -> None:
-    """ConfigError unless `samples` is a list of ChatSample."""
-    if not (isinstance(samples, list)
-            and all(isinstance(s, ChatSample) for s in samples)):
-        raise ConfigError(f"samples must be a list of ChatSample, got "
-                          f"{samples!r:.60}")
+    """ConfigError unless `samples` is a list of ChatSample whose turns are
+    each a list of Turns of str role and text."""
+    if not (isinstance(samples, list) and all(
+            isinstance(s, ChatSample) and isinstance(s.turns, list)
+            and all(isinstance(t, Turn) and isinstance(t.role, str)
+                    and isinstance(t.text, str) for t in s.turns)
+            for s in samples)):
+        raise ConfigError(f"samples must be a list of ChatSample with turns "
+                          f"of str role and text, got {samples!r:.60}")
 
 
 def clean_filter(samples: list[ChatSample], max_seq_len: int = 512

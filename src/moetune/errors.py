@@ -3,6 +3,7 @@ dict reader of the configs."""
 
 import dataclasses
 import numbers
+import os
 
 
 class MoetuneError(Exception):
@@ -112,6 +113,15 @@ def check_seed(seed) -> None:
     """ConfigError unless `seed` is an int >= 0, a seed numpy takes."""
     if not is_count(seed):
         raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+
+
+def check_path(path) -> str:
+    """`path` as a str; ConfigError unless it is a str, bytes or os.PathLike
+    (an int would be taken as a file descriptor, which names no file)."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ConfigError(f"path must be a str, bytes or os.PathLike, got "
+                          f"{type(path).__name__}")
+    return os.fsdecode(path)
 
 
 def check_type(name: str, value, kind: type, optional: bool = False) -> None:

@@ -94,8 +94,13 @@ def render_chat(turns: list[tuple[str, str]]) -> TokenizedSample:
     """Render (role, text) turns to token ids with the assistant-only mask.
 
     An empty system turn is omitted entirely. Mask is 1 on assistant text
-    bytes and the <eot> that terminates the turn, 0 everywhere else.
+    bytes and the <eot> that terminates the turn, 0 everywhere else. Turns
+    that are not a list or tuple of (role, text) pairs are a VocabError.
     """
+    if not (isinstance(turns, (list, tuple)) and all(
+            isinstance(t, (list, tuple)) and len(t) == 2 for t in turns)):
+        raise VocabError(f"turns must be a list of (role, text) pairs, got "
+                         f"{turns!r:.60}")
     ids: list[int] = [BOS_ID]
     mask: list[int] = [0]
     for role, text in turns:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
                      VocabError, check_rules, check_seed, check_type,
-                     count_rule, is_count, is_int, is_number)
+                     config_fields, count_rule, is_count, is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam, adam_rules
@@ -81,6 +81,13 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """The config `to_dict` wrote; ConfigError for a value that is not
+        a dict, that lacks a field or has an unknown key, or that fails
+        `validate`."""
+        return cls(**config_fields(cls, d)).validate()
 
 
 @dataclass
@@ -228,7 +235,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         total_steps = min(total_steps, cfg.max_steps)
 
     optimizer = QuantizedAdam(trainable, cfg.beta1, cfg.beta2, cfg.eps)
-    state = TrainState(model=model, train_config=cfg.to_dict(),
+    state = TrainState(model=model, train_config=replace(cfg),
                        optim_state=optimizer.state)
     if resume is not None:
         _check_resume(cfg, resume, trainable)
@@ -276,7 +283,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
 
 def _check_resume(cfg: TrainConfig, resume: TrainState, trainable) -> None:
     """ConfigError unless `resume` has moments of the `trainable` parameters
-    and was saved with the seed and batch_size of `cfg`, one batch a step."""
+    and was saved with the seed and batch_size of `cfg`."""
     if resume.optim_state is None:
         raise ConfigError("resume state carries no optimizer moments "
                           "(load it with with_optimizer=True)")
@@ -284,15 +291,13 @@ def _check_resume(cfg: TrainConfig, resume: TrainState, trainable) -> None:
     if why is not None:
         raise ConfigError(f"resume state's optimizer {why}")
     saved = resume.train_config
-    if not isinstance(saved, dict):
+    if not isinstance(saved, TrainConfig):
         raise ConfigError("resume state carries no train_config")
     for key in ("seed", "batch_size"):
-        if saved.get(key) != getattr(cfg, key):
+        if getattr(saved, key) != getattr(cfg, key):
             raise ConfigError(f"a resumed run keeps the saved {key} "
-                              f"{saved.get(key)!r}, got {getattr(cfg, key)!r}")
-    if saved.get("grad_accum_steps", 1) != 1:
-        raise ConfigError(f"resume state took grad_accum_steps = "
-                          f"{saved['grad_accum_steps']!r} batches a step, not 1")
+                              f"{getattr(saved, key)!r}, got "
+                              f"{getattr(cfg, key)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ ENTRY_POINTS = {
     "tokenizer.encode_text": "the byte-level text encoding",
     "tokenizer.decode_tokens": "how a caller reads generate's output",
     "tokenizer.render_prompt": "builds a generate prompt from a chat",
-    "trainer.TrainConfig": "train's settings",
     "trainer.LossLogRow": "one row of train's loss log",
     "trainer.write_loss_log": "train's JSONL step log, one LossLogRow "
                               "per line",

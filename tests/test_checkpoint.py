@@ -4,6 +4,7 @@ errors on bad files."""
 import errno
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -27,7 +28,7 @@ from moetune.errors import (ConfigError, FormatError, IntegrityError,
                             MoetuneError)
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
-from moetune.quant import QuantizedAdam
+from moetune.quant import QuantizedAdam, flat_offsets
 from moetune.tensor import Tensor
 from moetune.tokenizer import render_chat
 from moetune.trainer import TrainConfig, train
@@ -47,7 +48,8 @@ def tiny_state():
     rng = np.random.default_rng(3)
     for t in model.trainable_parameters().values():
         t.data[:] = rng.standard_normal(t.data.shape).astype(np.float32)
-    return TrainState(model=model, step=3, epoch=1, cursor=1)
+    return TrainState(model=model, train_config=TrainConfig(seed=5), step=3,
+                      epoch=1, cursor=1)
 
 
 def moment_state(block_size: int = 64) -> TrainState:
@@ -119,8 +121,8 @@ def assert_same_state(want: TrainState, got: TrainState) -> None:
             assert (wm.shape, wm.block_size) == (gm.shape, gm.block_size)
             assert np.array_equal(wm.codes, gm.codes)
             assert np.array_equal(wm.scales, gm.scales)
-    assert ((want.step, want.epoch, want.cursor)
-            == (got.step, got.epoch, got.cursor))
+    assert ((want.train_config, want.step, want.epoch, want.cursor)
+            == (got.train_config, got.step, got.epoch, got.cursor))
 
 
 def test_save_load_save_is_bitwise(tmp_path):
@@ -215,10 +217,9 @@ def test_version_3_is_rejected(tmp_path):
     # version 3 stored a pair of 1 x n moments per parameter, [name, n]
     # entries and the step counts in the trainer state
     def as_v3(header):
-        optim = header["tensors"]["optim"]
-        header["configs"]["trainer_state"]["optim_steps"] = {
-            name: step for name, _, step in optim}
-        header["tensors"]["optim"] = [[name, n] for name, n, _ in optim]
+        names = [name for name, _ in header["groups"]["f32"]["tensors"]]
+        header["configs"]["trainer_state"]["optim_steps"] = dict(
+            zip(names, header["groups"]["optim"].pop("steps")))
 
     good, old = tmp_path / "good.bin", tmp_path / "old.bin"
     save_checkpoint(moment_state(), good)
@@ -232,12 +233,13 @@ def test_version_3_is_rejected(tmp_path):
 
 def test_version_1_is_rejected(tmp_path):
     # and version 2, whose header held an entry per tensor, version 4,
-    # which held the frozen tensors too, and version 5, whose prefix held
-    # no digest
+    # which held the frozen tensors too, version 5, whose prefix held no
+    # digest, and version 6, which stored each trainable parameter's name
+    # and size in its optim entries too, and each segment's offset and length
     path = tmp_path / "old.bin"
     save_checkpoint(tiny_state(), path)
     raw = bytearray(read(path))
-    for version in (1, 2, 4, 5):
+    for version in (1, 2, 4, 5, 6):
         raw[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=f"version {version}"):
@@ -250,8 +252,8 @@ def test_version_1_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("header", [{"tensors": {}, "segments": {}},
-                                    {"configs": {}, "segments": {}}, []])
+@pytest.mark.parametrize("header", [{"groups": {}, "base": None},
+                                    {"configs": {}, "base": None}, []])
 def test_header_without_configs_or_tensors(tmp_path, header):
     path = tmp_path / "bad.bin"
     write_container(path, VERSION, header)
@@ -343,19 +345,13 @@ MISSING = object()
 KERNEL = "layers.0.attn.wq.weight"
 
 
-def entry(header, name: str, groups=("f32", "q4")) -> list:
-    """The [name, shape] entry of `name` in the tensor table of `groups`."""
-    for group in groups:
-        for e in header["tensors"].get(group, []):
+def entry(header, name: str) -> list:
+    """The [name, shape] entry of `name` in the f32 or the q4 group."""
+    for group in ("f32", "q4"):
+        for e in header["groups"].get(group, {}).get("tensors", []):
             if e[0] == name:
                 return e
     raise KeyError(name)
-
-
-def segment(header, label: str) -> dict:
-    """The segment table entry of "f32", "q4.codes", "optim.scales", ..."""
-    group, _, part = label.partition(".")
-    return header["segments"][group][part] if part else header["segments"][group]
 
 
 def set_shape(name, shape):
@@ -370,93 +366,83 @@ def set_shape(name, shape):
     return edit if ".lora_" in name else on_base(edit)
 
 
-def set_segment(label, key, value):
-    """Header edit: set (or, with value MISSING, drop) a field of a segment;
-    a "q4" one is the base's."""
+def set_group(group, key, value):
+    """Header edit: set (or, with value MISSING, drop) a field of a group's
+    entry; the "q4" group's is in the base."""
     def edit(header):
-        seg = segment(header, label)
         if value is MISSING:
-            seg.pop(key)
+            header["groups"][group].pop(key)
         else:
-            seg[key] = value
-    return on_base(edit) if label.startswith("q4") else edit
+            header["groups"][group][key] = value
+    return on_base(edit) if group == "q4" else edit
 
 
 def rename_group(header, old: str, new: str) -> None:
-    header["tensors"][new] = header["tensors"].pop(old)
-    header["segments"][new] = header["segments"].pop(old)
+    header["groups"][new] = header["groups"].pop(old)
 
 
-def set_optim(i: int, value):
-    """Header edit: set (or, with value MISSING, drop) field i of the first
-    optim entry [name, n, step]."""
+def set_step(value):
+    """Header edit: set (or, with value MISSING, drop) the first parameter's
+    update count in the optim group."""
     def edit(header):
-        e = header["tensors"]["optim"][0]
+        steps = header["groups"]["optim"]["steps"]
         if value is MISSING:
-            e.pop(i)
+            steps.pop(0)
         else:
-            e[i] = value
+            steps[0] = value
     return edit
 
 
 # v2 stored a {dtype, shape, offset, length} entry per tensor; each of its
-# cases keeps its id and is asked of the current header's counterpart:
-# "dtype" of the group a tensor sits in and its block size, "offset" and
-# "length" of the segment table, "shape" of a tensor's [name, shape] entry;
-# the optim step cases of an optim entry [name, n, step]. The cases of a
-# frozen tensor or of the q4 group edit the base's header, sealed anew.
+# cases that has a counterpart in the current header keeps its id and is
+# asked of it: "dtype" of the group a tensor sits in and its block size,
+# "shape" of a tensor's [name, shape] entry, a CRC of a group's entry; the
+# optim step cases of the optim group's step counts. The cases of a frozen
+# tensor or of the q4 group edit the base's header, sealed anew.
 @pytest.mark.parametrize("edit", [
-    lambda h: h.update(tensors=list(h["tensors"].values())),
+    lambda h: h.update(groups=list(h["groups"].values())),
     lambda h: h["configs"].update(trainer_state=[3, 1, 1, 4]),
-    set_optim(2, [0]),
-    lambda h: h["tensors"]["f32"].__setitem__(0, {"embedding": [262, 16]}),
+    set_step([0]),
+    lambda h: h["groups"]["f32"]["tensors"].__setitem__(
+        0, {"embedding": [262, 16]}),
     lambda h: rename_group(h, "f32", "bf16"),
-    set_segment("q4", "block_size", 0),
-    set_segment("q4", "block_size", MISSING),
-    set_segment("f32", "offset", MISSING),
-    set_segment("q4.codes", "length", MISSING),
+    set_group("q4", "block_size", 0),
+    set_group("q4", "block_size", MISSING),
     set_shape("final_norm.weight", MISSING),
-    set_segment("f32", "offset", -1024),
-    set_segment("f32", "offset", True),
-    set_segment("f32", "offset", "0"),
-    set_segment("f32", "length", -4),
     set_shape("final_norm.weight", [-16]),
     set_shape("final_norm.weight", "16"),
     lambda h: h["configs"]["trainer_state"].update(step="3"),
     lambda h: h["configs"]["trainer_state"].update(cursor=-5),
     lambda h: h["configs"]["trainer_state"].update(epoch=True),
-    set_optim(2, "2"),
+    set_step("2"),
     lambda h: h["configs"]["model"].update(n_heads=0),
     lambda h: h["configs"]["lora"].update(alpha=float("nan")),
     lambda h: h["configs"]["lora"].update(alpha=float("inf")),
     lambda h: h["configs"]["lora"].update(rank=2.5),
     lambda h: h["configs"]["lora"].update(rank=True),
-    lambda h: h.update(segments=list(h["segments"].values())),
-    on_base(lambda h: h["tensors"].pop("q4")),
-    on_base(lambda h: (h["tensors"].pop("q4"), h["segments"].pop("q4"))),
-    set_segment("q4.scales", "crc32", MISSING),
-    set_segment("q4.scales", "crc32", "0"),
-    on_base(lambda h: h["segments"]["q4"].pop("codes")),
+    on_base(lambda h: h["groups"]["q4"].pop("tensors")),
+    on_base(lambda h: h["groups"].pop("q4")),
+    set_group("q4", "crc32", MISSING),
+    set_group("q4", "crc32", "0"),
     set_shape(KERNEL, [256]),
     on_base(lambda h: entry(h, KERNEL).__setitem__(0, 7)),
-    set_optim(2, MISSING),
-    set_optim(1, -16),
-    set_optim(0, 7),
-    set_segment("optim", "block_size", MISSING),
+    set_step(MISSING),
+    set_group("optim", "block_size", MISSING),
     lambda h: h["configs"].pop("trainer_state"),
     lambda h: h["configs"].update(trainer_state=None),
     lambda h: h["configs"]["trainer_state"].pop("step"),
+    lambda h: h["configs"].update(train=5),
+    lambda h: h["configs"].update(train={"seed": 0}),
+    lambda h: h["configs"].update(train=dict(TrainConfig().to_dict(), lr=-1)),
 ], ids=["tensors-list", "trainer-state-list", "optim-steps-list",
         "entry-list", "unknown-dtype", "unknown-q4-block", "no-dtype",
-        "no-offset", "no-length", "no-shape", "negative-offset",
-        "bool-offset", "str-offset", "negative-length", "negative-shape",
-        "str-shape", "str-step", "negative-cursor", "bool-epoch",
-        "str-optim-step", "zero-heads", "nan-alpha", "inf-alpha",
-        "fractional-rank", "bool-rank", "segments-list", "no-q4-tensors",
-        "no-q4-group", "no-crc", "str-crc", "no-codes-segment",
-        "1d-q4-shape", "int-name", "no-optim-step", "negative-optim-size",
-        "int-optim-name", "no-optim-block", "no-trainer-state",
-        "null-trainer-state", "no-step"])
+        "no-shape", "negative-shape", "str-shape", "str-step",
+        "negative-cursor", "bool-epoch", "str-optim-step", "zero-heads",
+        "nan-alpha", "inf-alpha", "fractional-rank", "bool-rank",
+        "no-q4-tensors", "no-q4-group", "no-crc", "str-crc", "1d-q4-shape",
+        "int-name", "no-optim-step", "no-optim-block", "no-trainer-state",
+        "null-trainer-state", "no-step", "int-train-config",
+        "partial-train-config", "negative-lr"])
 def test_malformed_header_is_a_format_error(tmp_path, edit):
     with pytest.raises(FormatError):
         load_checkpoint(saved_and_edited(tmp_path, edit, moment_state()))
@@ -476,9 +462,9 @@ def test_missing_tensor_is_an_integrity_error(tmp_path, name):
 
 
 def test_unknown_tensor_is_an_integrity_error(tmp_path):
-    # an empty tensor takes no bytes, so every segment still adds up
-    path = saved_and_edited(tmp_path, lambda h: h["tensors"]["f32"].append(
-        ["layers.0.extra.weight", [0]]))
+    # an empty tensor takes no bytes, so the payload still adds up
+    path = saved_and_edited(tmp_path, lambda h: h["groups"]["f32"][
+        "tensors"].append(["layers.0.extra.weight", [0]]))
     with pytest.raises(IntegrityError, match="unknown tensors"):
         load_checkpoint(path)
 
@@ -544,7 +530,7 @@ def test_names_swapped_in_a_header_are_an_integrity_error(tmp_path, which):
 
 
 def test_a_base_under_another_bases_name_is_an_integrity_error(tmp_path):
-    # the renamed base is whole and sealed, and its segments are those of
+    # the renamed base is whole and sealed, and its runs are those of
     # the base whose name it takes: only the name tells
     good = tmp_path / "good.bin"
     save_checkpoint(tiny_state(), good)
@@ -555,14 +541,17 @@ def test_a_base_under_another_bases_name_is_an_integrity_error(tmp_path):
         load_checkpoint(good)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda h: segment(h, "f32").update(length=segment(h, "f32")["length"] - 4),
-    set_segment("f32", "offset", 10 ** 9),
-    set_shape("final_norm.weight", [4, 4]),
-    on_base(lambda h: segment(h, "q4").update(block_size=32)),
+# each edit but the shape's changes a run's length, so the payload no longer
+# adds up: by -4 bytes in the base's f32 run, by +64 in the checkpoint's,
+# and in the base's q4 run by the scales of blocks of 32
+@pytest.mark.parametrize("edit, says", [
+    (set_shape("final_norm.weight", [15]), "payload holds"),
+    (set_shape("layers.0.attn.wq.lora_a", [16, 3]), "payload holds"),
+    (set_shape("final_norm.weight", [4, 4]), "shape"),
+    (set_group("q4", "block_size", 32), "payload holds"),
 ], ids=[f"edit{i}" for i in range(4)])
-def test_entry_that_does_not_fit_is_an_integrity_error(tmp_path, edit):
-    with pytest.raises(IntegrityError):
+def test_entry_that_does_not_fit_is_an_integrity_error(tmp_path, edit, says):
+    with pytest.raises(IntegrityError, match=says):
         load_checkpoint(saved_and_edited(tmp_path, edit))
 
 
@@ -570,13 +559,42 @@ def test_truncated_file_is_an_integrity_error(tmp_path):
     path = tmp_path / "cut.bin"
     save_checkpoint(tiny_state(), path)
     path.write_bytes(read(path)[:-100])
-    with pytest.raises(IntegrityError, match="runs past the end"):
+    with pytest.raises(IntegrityError, match="payload holds"):
         load_checkpoint(path)
 
 
-# (label, in the base): the checkpoint's segments and the base's
-SEGMENTS = [("f32", False), ("optim.codes", False), ("optim.scales", False),
-            ("f32", True), ("q4.codes", True), ("q4.scales", True)]
+@pytest.mark.parametrize("which", ["checkpoint", "base"])
+def test_appended_bytes_are_an_integrity_error(tmp_path, which):
+    path = tmp_path / "long.bin"
+    save_checkpoint(moment_state(), path)
+    grown = path if which == "checkpoint" else base_of(path)
+    grown.write_bytes(read(grown) + bytes(4))
+    for with_optimizer in (True, False):
+        with pytest.raises(IntegrityError, match="payload holds .* groups"):
+            load_checkpoint(path, with_optimizer=with_optimizer)
+
+
+def test_steps_of_another_count_are_a_format_error(tmp_path):
+    # the optim group holds one update count per f32 parameter
+    for edit in (lambda steps: steps.pop(), lambda steps: steps.append(1)):
+        path = saved_and_edited(tmp_path, lambda h: edit(
+            h["groups"]["optim"]["steps"]), moment_state())
+        with pytest.raises(FormatError, match="one per f32 parameter"):
+            load_checkpoint(path)
+
+
+def test_the_header_names_each_trainable_parameter_once(tmp_path):
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "a.bin")
+    _, header, _ = split(read(tmp_path / "a.bin"))
+    for name in state.model.trainable_parameters():
+        assert header.count(json.dumps(name).encode("utf-8")) == 1, name
+
+
+# (label, in the base): the checkpoint's runs, and the base's; a 4-bit run
+# is labelled by its scales and its codes
+PARTS = [("f32", False), ("optim.codes", False), ("optim.scales", False),
+         ("f32", True), ("q4.codes", True), ("q4.scales", True)]
 
 
 def header_and_payload_start(raw: bytes) -> tuple[dict, int]:
@@ -584,16 +602,38 @@ def header_and_payload_start(raw: bytes) -> tuple[dict, int]:
     return json.loads(header), len(raw) - len(payload)
 
 
+def spans(header) -> dict:
+    """Where each part of the payload lies, as label: (offset, length): the
+    f32 run, then a 4-bit run's scales and its codes."""
+    groups = header["groups"]
+    sizes = [math.prod(shape) for _, shape in groups["f32"]["tensors"]]
+    out, at = {"f32": (0, 4 * sum(sizes))}, 4 * sum(sizes)
+    for name in ("q4", "optim"):
+        if name in groups:
+            bs = groups[name]["block_size"]
+            ns = ([flat_offsets(sizes, bs)[-1]] * 2 if name == "optim"
+                  else [r * c for _, (r, c) in groups[name]["tensors"]])
+            scale_bytes = 4 * sum(-(-n // bs) for n in ns)
+            out[f"{name}.scales"] = (at, scale_bytes)
+            n_codes = sum((n + 1) // 2 for n in ns)
+            out[f"{name}.codes"] = (at + scale_bytes, n_codes)
+            at += scale_bytes + n_codes
+    out["end"] = (at, 0)
+    return out
+
+
 def flip_bit(src, dst, label: str) -> None:
-    """Copy a checkpoint with one bit in the middle of a segment flipped."""
+    """Copy a checkpoint with one bit in the middle of a payload part
+    flipped."""
     raw = bytearray(read(src))
     header, base = header_and_payload_start(raw)
-    seg = segment(header, label)
-    raw[base + seg["offset"] + seg["length"] // 2] ^= 0x10
+    assert base + spans(header)["end"][0] == len(raw)
+    offset, length = spans(header)[label]
+    raw[base + offset + length // 2] ^= 0x10
     dst.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("label, in_base", SEGMENTS,
+@pytest.mark.parametrize("label, in_base", PARTS,
                          ids=["f32", "optim.codes", "optim.scales", "base-f32",
                               "q4.codes", "q4.scales"])
 def test_flipped_payload_bit_is_an_integrity_error(tmp_path, label, in_base):
@@ -605,7 +645,8 @@ def test_flipped_payload_bit_is_an_integrity_error(tmp_path, label, in_base):
     else:
         flip_bit(good, bad, label)
     where = f"base .*{base_of(good).name}" if in_base else "bad.bin"
-    with pytest.raises(IntegrityError, match=f"{where}: segment {label}: CRC"):
+    group = label.partition(".")[0]
+    with pytest.raises(IntegrityError, match=f"{where}: group {group}: CRC"):
         load_checkpoint(bad)
     if in_base:  # the moments are not what is damaged
         with pytest.raises(IntegrityError, match="CRC"):
@@ -627,13 +668,16 @@ def test_corrupt_moments_load_without_the_optimizer(tmp_path):
 
 
 def test_moments_of_other_parameters_are_an_integrity_error(tmp_path):
-    name = "layers.0.attn.wq.lora_a"
-    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-    save_checkpoint(moment_state(), good)
-    edit_header(good, bad, lambda h: entry(h, name, ["optim"]).__setitem__(0, "other"))
-    assert load_checkpoint(bad, with_optimizer=False).optim_state is None
-    with pytest.raises(IntegrityError, match="optimizer state"):
-        load_checkpoint(bad)
+    # the moments are laid out in the f32 group's order, which two entries
+    # swapped make another than the model's
+    def swap(header):
+        f32 = header["groups"]["f32"]["tensors"]
+        f32[0], f32[1] = f32[1], f32[0]
+
+    path = saved_and_edited(tmp_path, swap, moment_state())
+    assert load_checkpoint(path, with_optimizer=False).optim_state is None
+    with pytest.raises(IntegrityError, match="optimizer state .* position 0"):
+        load_checkpoint(path)
 
 
 def test_saving_moments_of_other_parameters_is_a_config_error(tmp_path):
@@ -648,18 +692,6 @@ def test_saving_moments_of_other_parameters_is_a_config_error(tmp_path):
         save_checkpoint(other, path)
     assert read(path) == before
     assert sorted(tmp_path.iterdir()) == files
-
-
-def test_optim_entries_in_another_order_are_an_integrity_error(tmp_path):
-    # the flat layout is as long in any order, so only the names tell
-    def swap(header):
-        optim = header["tensors"]["optim"]
-        optim[0], optim[1] = optim[1], optim[0]
-
-    path = saved_and_edited(tmp_path, swap, moment_state())
-    assert load_checkpoint(path, with_optimizer=False).optim_state is None
-    with pytest.raises(IntegrityError, match="optimizer state .* position 0"):
-        load_checkpoint(path)
 
 
 def test_saves_into_one_directory_share_one_base(tmp_path, monkeypatch):
@@ -678,10 +710,10 @@ def test_saves_into_one_directory_share_one_base(tmp_path, monkeypatch):
     # the base holds the frozen tensors, the checkpoint what training changes
     frozen, _ = header_and_payload_start(read(base))
     own, _ = header_and_payload_start(read(tmp_path / "b.bin"))
-    assert ({n for n, _ in frozen["tensors"]["f32"]}
+    assert ({n for n, _ in frozen["groups"]["f32"]["tensors"]}
             == {n for n, t in state.model.named_parameters().items()
                 if not t.requires_grad})
-    assert ([n for n, _ in own["tensors"]["f32"]]
+    assert ([n for n, _ in own["groups"]["f32"]["tensors"]]
             == list(state.model.trainable_parameters()))
     assert_same_state(state, load_checkpoint(tmp_path / "b.bin"))
     # another directory gets a base of its own, of the same name and bytes
@@ -714,7 +746,7 @@ def other_base(base) -> None:
 
 @pytest.mark.parametrize("damage, says", [
     (lambda base: base.unlink(), "base .* is missing"),
-    (lambda base: base.write_bytes(read(base)[:-100]), "runs past the end"),
+    (lambda base: base.write_bytes(read(base)[:-100]), "payload holds"),
     (other_base, "is not its name's"),
 ], ids=["missing", "truncated", "another-models"])
 @pytest.mark.parametrize("with_optimizer", [True, False])
@@ -760,6 +792,11 @@ def test_path_that_names_no_file_is_a_config_error(tmp_path, path):
     # states that no load would accept
     model = tiny_state().model
     for state, says in [(TrainState(model=None), "state.model must be"),
+                        (TrainState(model, 5), "train_config must be"),
+                        (TrainState(model, {"x": object()}),
+                         "train_config must be"),
+                        (TrainState(model, TrainConfig(lr=-1.0)),
+                         "lr must be"),
                         (TrainState(model, step="x"), "step must be"),
                         (TrainState(model, epoch=-1), "epoch must be"),
                         (TrainState(model, cursor=1.5), "cursor must be")]:
@@ -793,6 +830,40 @@ def test_adapted_checkpoint_trains_only_the_adapters(tmp_path):
     assert list(trainable) == list(state.model.trainable_parameters())
     assert trainable and all(n.endswith((".lora_a", ".lora_b"))
                              for n in trainable)
+
+
+def frozen_embedding():
+    """TINY without adapters, training everything but the embedding."""
+    model = init_model(TINY, seed=0)
+    model.embedding.requires_grad = False
+    return model
+
+
+def adapted_with_final_norm():
+    """TINY, quantized, with rank-2 adapters, training final_norm too."""
+    model = init_model(TINY, seed=0)
+    model.quantize_frozen(64)
+    attach_adapters(model, LoraConfig(rank=2), seed=0)
+    model.final_norm.requires_grad = True
+    return model
+
+
+@pytest.mark.parametrize("build", [frozen_embedding, adapted_with_final_norm])
+def test_a_checkpoint_restores_which_parameters_train(tmp_path, build):
+    # neither build_model nor load_adapters would give these trainables
+    model, (_, corpus, cfg) = build(), crash_run()
+    trains = list(model.trainable_parameters())
+    state, log = train(model, corpus, cfg, out_dir=tmp_path)
+    path = tmp_path / "ckpt_step2.bin"
+    bare = load_checkpoint(path, with_optimizer=False).model
+    assert list(bare.trainable_parameters()) == trains
+    save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
+    assert read(tmp_path / "again.bin") == read(path)
+    resumed = load_checkpoint(path)
+    assert (resumed.optim_state.names, resumed.step) == (trains, 2)
+    _, tail = train(resumed.model, corpus, cfg, resume=resumed)
+    assert tail == log[2:]
+    assert_same_state(state, load_checkpoint(tmp_path / "ckpt_final.bin"))
 
 
 def crash_run() -> tuple:

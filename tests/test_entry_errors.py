@@ -16,6 +16,10 @@ def zero_factors(name, shape):
     return np.zeros(shape, np.float32)
 
 
+def sample(turns) -> data.ChatSample:
+    return data.ChatSample(turns=turns, source="test")
+
+
 LORA = lora.LoraConfig()
 ONES = np.ones((2, 64))
 
@@ -75,6 +79,30 @@ CASES = {
         (VocabError, lambda m, path: tokenizer.render_chat([("user", 5)])),
     "encode_text(None)":
         (VocabError, lambda m, path: tokenizer.encode_text(None)),
+    "render_chat(None)":
+        (VocabError, lambda m, path: tokenizer.render_chat(None)),
+    "render_prompt(None)":
+        (VocabError, lambda m, path: tokenizer.render_prompt(None)),
+    "render_chat([('user',)])":
+        (VocabError, lambda m, path: tokenizer.render_chat([("user",)])),
+    "clean_filter(turns=None)":
+        (ConfigError, lambda m, path: data.clean_filter([sample(None)])),
+    "clean_filter(turns='hi')":
+        (ConfigError, lambda m, path: data.clean_filter([sample("hi")])),
+    "clean_filter(text=5)":
+        (ConfigError, lambda m, path: data.clean_filter(
+            [sample([data.Turn("user", "a"), data.Turn("assistant", 5)])])),
+    "tokenize_corpus(turns=None)":
+        (ConfigError, lambda m, path: data.tokenize_corpus([sample(None)])),
+    "tokenize_corpus(turns='hi')":
+        (ConfigError, lambda m, path: data.tokenize_corpus([sample("hi")])),
+    "tokenize_corpus(text=5)":
+        (ConfigError, lambda m, path: data.tokenize_corpus(
+            [sample([data.Turn("user", 5), data.Turn("assistant", "b")])])),
+    "ingest_alpaca(None)":
+        (ConfigError, lambda m, path: data.ingest_alpaca(None)),
+    "ingest_sharegpt(None)":
+        (ConfigError, lambda m, path: data.ingest_sharegpt(None)),
 }
 
 

@@ -116,24 +116,26 @@ def test_completed_run_ends_at_its_last_epoch_and_step_count():
     assert (state.step, state.epoch, state.cursor) == (6, 1, 3)
 
 
-# "saved" edits the state's train_config: earlier builds saved a
-# grad_accum_steps, and a step of theirs took batch_size x it samples
 @pytest.mark.parametrize("change", [
-    {"seed": 1}, {"batch_size": 3}, {"saved": {"grad_accum_steps": 2}},
+    {"seed": 1}, {"batch_size": 3},
     {"train_config": None}, {"train_config": [["seed", 0]]}],
-    ids=["seed", "batch_size", "grad_accum_steps", "no-train-config",
-         "train-config-list"])
+    ids=["seed", "batch_size", "no-train-config", "train-config-list"])
 def test_resume_must_keep_what_fixes_the_samples(change):
     cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
     state, _ = train(adapted_model(), CORPUS, cfg)
     if "train_config" in change:
         state.train_config = change["train_config"]
-    elif "saved" in change:
-        state.train_config.update(change["saved"])
     else:
         cfg = dataclasses.replace(cfg, **change)
     with pytest.raises(ConfigError):
         train(state.model, CORPUS, cfg, resume=state)
+
+
+def test_state_keeps_a_copy_of_the_config():
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
+    state, _ = train(adapted_model(), CORPUS, cfg)
+    cfg.seed = 9
+    assert state.train_config == dataclasses.replace(cfg, seed=0)
 
 
 @pytest.mark.parametrize("adapters, first", [
@@ -152,17 +154,6 @@ def test_resume_into_other_trainable_parameters_is_rejected_before_step_0(
               resume=state)
     for name, t in model.trainable_parameters().items():
         assert np.array_equal(t.data, before[name]), name
-
-
-def test_state_saved_with_grad_accum_steps_1_resumes():
-    # what earlier builds saved for every run without accumulation
-    cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-2)
-    _, log = train(adapted_model(), CORPUS, cfg)
-    state, _ = train(adapted_model(), CORPUS,
-                     dataclasses.replace(cfg, max_steps=2))
-    state.train_config["grad_accum_steps"] = 1
-    _, tail = train(state.model, CORPUS, cfg, resume=state)
-    assert tail == log[2:]
 
 
 def test_resume_may_change_the_optimizer_and_the_stopping_point():
