@@ -42,18 +42,23 @@ fact once; versions 1 to 6 are rejected.
 Save writes the base first, then the checkpoint. Each is written to
 "{file}.tmp", synced, renamed over its name, and the directory synced, so
 the base a checkpoint names is on disk before the checkpoint is. Save
-computes the base's CRCs anew every time and writes the base only when no
-file of its name with its header and size is there. A base damaged after
-its save with its header and size intact is left as it is; the load's CRC
-check finds it. Save deletes no base: one that no checkpoint names any
-more stays until it is removed.
+writes the base only when no file of its name with its header and size is
+there. It computes the base's "f32" CRC anew every time, so a frozen f32
+tensor edited in place names a new base. It computes the "q4" entry and
+run once per model, and keeps them while the model holds the same
+QuantizedMatrix objects, with the same codes and scales arrays, under the
+same names in the same order: those arrays are read-only, so a kernel
+never changes in place. A base damaged after its save with its header and
+size intact is left as it is; the load's CRC check finds it. Save deletes
+no base: one that no checkpoint names any more stays until it is removed.
 
 The loader checks each header and payload size first, then reads each run
-it needs into its own buffer, checks its CRC and hands out writable numpy
-views of it; `with_optimizer=False` reads no moment bytes. It builds the
-model through `model.build_model` and `lora.load_adapters`: each weight
-they ask for is taken once, at the shape they ask for, and an f32
-parameter trains exactly when the checkpoint's own f32 group holds it. A
+it needs into its own buffer, checks its CRC and hands out numpy views of
+it, writable for f32 tensors; `with_optimizer=False` reads no moment
+bytes. It builds the model through `model.build_model` and
+`lora.load_adapters`: each weight they ask for is taken once, at the shape
+they ask for, and an f32 parameter trains exactly when the checkpoint's
+own f32 group holds it. A
 digest that does not match its header, a base that is missing or whose
 digest is not its name's, a weight neither file holds or that no one asks
 for, a CRC mismatch and a payload of the wrong size are IntegrityErrors.
@@ -65,9 +70,11 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import struct
+import weakref
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass
@@ -92,6 +99,8 @@ _PREFIX = struct.Struct("<4sIQ8s")  # magic, version, header length, digest
 _BASE_FILE = re.compile(r"base-([0-9a-f]{16})\.bin")
 _COUNTERS = ("step", "epoch", "cursor")
 _Run = namedtuple("_Run", "offset names shapes block_size length crc32")
+_Q4 = namedtuple("_Q4", "key held entry arrays")
+_q4_of = weakref.WeakKeyDictionary()  # model -> the _Q4 of its last save
 
 
 @dataclass
@@ -134,6 +143,22 @@ def _q4_run(blobs: list, group: str, qs: list[QuantizedMatrix],
     return _run(blobs, [np.ascontiguousarray(q.scales, dtype="<f4")
                         for q in qs] + [q.codes for q in qs],
                 block_size=sizes.pop(), **entry)
+
+
+def _q4_base(model: DecoderModel, kernels: dict) -> tuple[dict, list]:
+    """The base's "q4" entry and run of `model`'s `kernels`: those of its
+    last save while it holds the same QuantizedMatrix objects, with the same
+    codes and scales arrays, names and shapes in the same order."""
+    key = [(n, q.rows, q.cols, q.block_size) for n, q in kernels.items()]
+    held = [a for q in kernels.values() for a in (q, q.codes, q.scales)]
+    memo = _q4_of.get(model)
+    if (memo is None or memo.key != key
+            or not all(map(operator.is_, memo.held, held))):
+        arrays = []
+        entry = _q4_run(arrays, "q4", list(kernels.values()),
+                        tensors=[[n, [r, c]] for n, r, c, _ in key])
+        memo = _q4_of[model] = _Q4(key, held, entry, arrays)
+    return memo.entry, memo.arrays
 
 
 def _digest(magic: bytes, raw: bytes) -> bytes:
@@ -223,11 +248,10 @@ def save_checkpoint(state: TrainState, path) -> None:
     name = None
     if frozen or kernels:
         base = []
+        q4, q4_run = _q4_base(model, kernels)
         base_head = _head(BASE_MAGIC, {"groups": {
-            "f32": _f32_run(base, frozen),
-            "q4": _q4_run(base, "q4", list(kernels.values()),
-                          tensors=[[n, [q.rows, q.cols]]
-                                   for n, q in kernels.items()])}})
+            "f32": _f32_run(base, frozen), "q4": q4}})
+        base += q4_run
         name = f"base-{_PREFIX.unpack_from(base_head)[3].hex()}.bin"
 
     own = []

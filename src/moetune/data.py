@@ -202,15 +202,17 @@ def _sample_fingerprint(sample: ChatSample) -> str:
 
 
 def _check_samples(samples) -> None:
-    """ConfigError unless `samples` is a list of ChatSample whose turns are
-    each a list of Turns of str role and text."""
+    """ConfigError unless `samples` is a list of ChatSample, each with a str
+    source and a list of Turns of str role and text."""
     if not (isinstance(samples, list) and all(
-            isinstance(s, ChatSample) and isinstance(s.turns, list)
+            isinstance(s, ChatSample) and isinstance(s.source, str)
+            and isinstance(s.turns, list)
             and all(isinstance(t, Turn) and isinstance(t.role, str)
                     and isinstance(t.text, str) for t in s.turns)
             for s in samples)):
-        raise ConfigError(f"samples must be a list of ChatSample with turns "
-                          f"of str role and text, got {samples!r:.60}")
+        raise ConfigError(f"samples must be a list of ChatSample with a str "
+                          f"source and turns of str role and text, got "
+                          f"{samples!r:.60}")
 
 
 def clean_filter(samples: list[ChatSample], max_seq_len: int = 512
@@ -221,7 +223,8 @@ def clean_filter(samples: list[ChatSample], max_seq_len: int = 512
 
     Rejections are data, not errors; the report counts them per rule and
     source. The whole pass is idempotent. Samples that are not a list of
-    ChatSample, or a max_seq_len that is not an int >= 1, are a ConfigError.
+    ChatSample with a str source and str roles and texts, or a max_seq_len
+    that is not an int >= 1, are a ConfigError.
     """
     _check_samples(samples)
     if not is_count(max_seq_len, 1):

@@ -5,6 +5,8 @@ import dataclasses
 import numbers
 import os
 
+import numpy as np
+
 
 class MoetuneError(Exception):
     """Base class for all toolkit errors."""
@@ -98,6 +100,15 @@ def is_count(v, lo: int = 0) -> bool:
 def count_rule(config, name: str, lo: int) -> tuple[str, str, bool]:
     """The rule that field `name` of `config` is an int >= lo."""
     return name, f"an int >= {lo}", is_count(getattr(config, name), lo)
+
+
+def _plain_rules(config) -> list[tuple[str, str, bool]]:
+    """The rule, per field of dataclass `config`, that it is no numpy
+    scalar. A checkpoint writes configs as JSON, which has none; coercing
+    one would not do either: an f32 lr read back as an f64 is another lr."""
+    return [(f.name, "a python value, not a numpy scalar",
+             not isinstance(getattr(config, f.name), np.generic))
+            for f in dataclasses.fields(config)]
 
 
 def check_rules(config, rules) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (ConfigError, check_rules, check_seed, check_type,
-                     config_fields, count_rule, is_number)
+                     config_fields, count_rule, is_number, _plain_rules)
 from .model import DecoderModel
 from .quant import QuantizedMatrix
 from .tensor import Tensor
@@ -41,6 +41,7 @@ class LoraConfig:
         names = (isinstance(self.targets, (tuple, list)) and bool(self.targets)
                  and all(isinstance(t, str) for t in self.targets))
         check_rules(self, [
+            *_plain_rules(self),
             count_rule(self, "rank", 1),
             ("alpha", "a finite number > 0",
              is_number(self.alpha) and 0 < self.alpha < math.inf),

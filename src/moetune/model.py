@@ -23,7 +23,8 @@ import numpy as np
 from . import tensor as tz
 from .errors import (ConfigError, DimensionError, LengthError, NumericError,
                      VocabError, check_rules, check_seed, check_type,
-                     config_fields, count_rule, is_count, is_int, is_number)
+                     config_fields, count_rule, is_count, is_int, is_number,
+                     _plain_rules)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
@@ -55,9 +56,10 @@ class ModelConfig:
         # rules divide only once d_model and n_heads are ints, n_heads >= 1
         heads = (is_int(self.d_model) and is_int(self.n_heads)
                  and self.n_heads >= 1)
-        rules = [count_rule(self, name, 1)
-                 for name in ("n_layers", "d_model", "n_heads", "d_ff",
-                              "n_experts", "vocab_size")]
+        rules = _plain_rules(self)
+        rules += [count_rule(self, name, 1)
+                  for name in ("n_layers", "d_model", "n_heads", "d_ff",
+                               "n_experts", "vocab_size")]
         rules += [("max_seq_len", f"an int in [1, {MAX_SEQ_LEN}]",
                    is_int(self.max_seq_len)
                    and 1 <= self.max_seq_len <= MAX_SEQ_LEN),

@@ -57,7 +57,12 @@ def unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class QuantizedMatrix:
-    """Immutable blockwise 4-bit matrix: packed codes plus per-block scales."""
+    """Immutable blockwise 4-bit matrix: packed codes plus per-block scales.
+
+    Its codes and scales are made read-only when it is built: the f32 copy
+    `dequant` caches, and the base a checkpoint save computes once per
+    model, both rely on a matrix never changing in place.
+    """
 
     rows: int
     cols: int
@@ -65,6 +70,10 @@ class QuantizedMatrix:
     codes: np.ndarray   # uint8, ceil(rows*cols / 2) bytes
     scales: np.ndarray  # f32, ceil(rows*cols / block_size) entries
     _dequant_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.codes.setflags(write=False)
+        self.scales.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -323,12 +332,12 @@ def _put(q: QuantizedMatrix, keep: np.ndarray, unit: int,
     """A copy of flat matrix `q` whose units that `keep` marks hold
     `blocks`, as _gather lays them out, quantized."""
     codes, scales = _quantize_blocks(blocks)
-    out = QuantizedMatrix(1, q.cols, q.block_size, q.codes.copy(),
-                          q.scales.copy())
-    for a, new, width in ((out.codes, pack_codes(codes.reshape(-1)), unit // 2),
-                          (out.scales, scales, unit // q.block_size)):
+    out_codes, out_scales = q.codes.copy(), q.scales.copy()
+    for a, new, width in ((out_codes, pack_codes(codes.reshape(-1)), unit // 2),
+                          (out_scales, scales, unit // q.block_size)):
         a.reshape(-1, width)[keep] = new.reshape(-1, width)
-    return out
+    # wrapped once filled: a QuantizedMatrix makes its arrays read-only
+    return QuantizedMatrix(1, q.cols, q.block_size, out_codes, out_scales)
 
 
 def _first_false(finite: np.ndarray, names: list[str], starts) -> str:

@@ -95,7 +95,8 @@ def render_chat(turns: list[tuple[str, str]]) -> TokenizedSample:
 
     An empty system turn is omitted entirely. Mask is 1 on assistant text
     bytes and the <eot> that terminates the turn, 0 everywhere else. Turns
-    that are not a list or tuple of (role, text) pairs are a VocabError.
+    that are not a list or tuple of (role, text) pairs, and a role other
+    than "system", "user" and "assistant", are a VocabError.
     """
     if not (isinstance(turns, (list, tuple)) and all(
             isinstance(t, (list, tuple)) and len(t) == 2 for t in turns)):
@@ -104,7 +105,7 @@ def render_chat(turns: list[tuple[str, str]]) -> TokenizedSample:
     ids: list[int] = [BOS_ID]
     mask: list[int] = [0]
     for role, text in turns:
-        if role in _PROMPT_MARKERS:
+        if isinstance(role, str) and role in _PROMPT_MARKERS:
             if role == "system" and not text:
                 continue
             piece = [_PROMPT_MARKERS[role]] + _NL + encode_text(text) + _NL

@@ -31,8 +31,9 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
 from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     VocabError, check_rules, check_seed, check_type,
-                     config_fields, count_rule, is_count, is_int, is_number)
+                     VocabError, check_path, check_rules, check_seed,
+                     check_type, config_fields, count_rule, is_count, is_int,
+                     is_number, _plain_rules)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam, adam_rules
@@ -63,6 +64,7 @@ class TrainConfig:
         # each rule holds only for a valid value, so NaN fails it, and the
         # range rules run only on numbers
         check_rules(self, [
+            *_plain_rules(self),
             count_rule(self, "epochs", 1),
             ("lr", "a finite number >= 0",
              is_number(self.lr) and 0 <= self.lr < math.inf),
@@ -106,11 +108,13 @@ class LossLogRow:
 def write_loss_log(rows: list[LossLogRow], path) -> None:
     """Write the step log as JSONL: one JSON object per row, keyed by the
     fields of LossLogRow. Floats are written with repr, so they read back
-    exactly. Rows that are not a list of LossLogRow are a ConfigError,
-    raised before the file is opened."""
+    exactly. Rows that are not a list of LossLogRow, and a path that is not
+    a str, bytes or os.PathLike, are a ConfigError, raised before the file
+    is opened."""
     check_type("rows", rows, list)
     for i, r in enumerate(rows):
         check_type(f"row {i}", r, LossLogRow)
+    path = check_path(path)
     with open(path, "w", encoding="utf-8") as f:
         for r in rows:
             f.write(json.dumps(asdict(r)) + "\n")
@@ -188,7 +192,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     only, or ConfigError is raised before the first step; a sample longer
     than max_seq_len + 1 tokens raises LengthError there. A model, cfg,
     corpus entry, lora_config or resume of another type than the signature
-    names is a ConfigError, raised there too.
+    names, and an out_dir that is not None, a str, bytes or os.PathLike,
+    are a ConfigError, raised there too.
     The optimizer step clips the gradients to cfg.max_grad_norm (`.grad`
     keeps them unclipped) and gives the log its norm before clipping. A
     non-finite loss or gradient, or a NumericError from the step's forward,
@@ -201,6 +206,8 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
             ("lora_config", lora_config, LoraConfig, True),
             ("resume", resume, TrainState, True)):
         check_type(name, value, kind, optional)
+    if out_dir is not None:
+        out_dir = check_path(out_dir)
     cfg.validate()
     if lora_config is not None:
         attached = adapter_config(model)

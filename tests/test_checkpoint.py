@@ -2,6 +2,7 @@
 errors on bad files."""
 
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -11,6 +12,8 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from moetune.errors import (ConfigError, FormatError, IntegrityError,
                             MoetuneError)
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import ModelConfig, init_model
-from moetune.quant import QuantizedAdam, flat_offsets
+from moetune.quant import QuantizedAdam, flat_offsets, quantize_4bit
 from moetune.tensor import Tensor
 from moetune.tokenizer import render_chat
 from moetune.trainer import TrainConfig, train
@@ -773,6 +776,106 @@ def test_save_rewrites_a_base_of_another_size(tmp_path):
     assert_same_state(state, load_checkpoint(path))
 
 
+def cold_save(state: TrainState, path) -> None:
+    """Save `state` as its model's first save does, computing every CRC."""
+    checkpoint._q4_of.pop(state.model, None)
+    save_checkpoint(state, path)
+
+
+def test_a_second_save_hashes_no_kernel_byte(tmp_path, monkeypatch):
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "a.bin")
+    hashed, crc32 = [], zlib.crc32
+    monkeypatch.setattr(zlib, "crc32", lambda data, value=0: (
+        hashed.append(data), crc32(data, value))[1])
+    for t in state.model.trainable_parameters().values():
+        t.data *= 2
+    save_checkpoint(state, tmp_path / "b.bin")
+    monkeypatch.undo()
+    assert base_of(tmp_path / "b.bin") == base_of(tmp_path / "a.bin")
+    kernels = [a for q in state.model.named_quantized().values()
+               for a in (q.codes, q.scales)]
+    assert kernels and not any(np.may_share_memory(data, a)
+                               for data in hashed for a in kernels)
+    # the frozen f32 tensors, editable in place, are hashed every time
+    frozen = [t.data for t in state.model.named_parameters().values()
+              if not t.requires_grad]
+    assert frozen and all(any(np.may_share_memory(data, f) for data in hashed)
+                          for f in frozen)
+
+
+def test_warm_and_cold_saves_are_byte_identical(tmp_path):
+    state = moment_state()
+    for d in ("warm", "cold"):
+        (tmp_path / d).mkdir()
+    save_checkpoint(state, tmp_path / "warm" / "a.bin")
+    for t in state.model.trainable_parameters().values():
+        t.data *= 2
+    state.step = 3
+    save_checkpoint(state, tmp_path / "warm" / "b.bin")
+    cold_save(state, tmp_path / "cold" / "b.bin")
+    for which in (lambda d: d / "b.bin", lambda d: base_of(d / "b.bin")):
+        assert read(which(tmp_path / "warm")) == read(which(tmp_path / "cold"))
+
+
+def new_kernel(model) -> None:
+    lin = next(lin for name, _, lin in model._projections()
+               if f"{name}.weight" == KERNEL)
+    lin.kernel = quantize_4bit(2 * lin.kernel.dequant(), lin.kernel.block_size)
+
+
+def new_codes(model) -> None:
+    q = model.named_quantized()[KERNEL]
+    q.codes = q.codes[::-1].copy()  # every nibble stays a code of 0..14
+
+
+def frozen_f32_edit(model) -> None:
+    norm = model.named_parameters()["final_norm.weight"]
+    assert not norm.requires_grad
+    norm.data[0] += 1.0
+
+
+@pytest.mark.parametrize("edit", [new_kernel, new_codes, frozen_f32_edit])
+def test_a_changed_base_is_named_anew_as_a_cold_save_names_it(tmp_path,
+                                                               edit):
+    state = moment_state()
+    for d in ("warm", "cold"):
+        (tmp_path / d).mkdir()
+    save_checkpoint(state, tmp_path / "warm" / "a.bin")
+    edit(state.model)
+    save_checkpoint(state, tmp_path / "warm" / "b.bin")
+    cold_save(state, tmp_path / "cold" / "b.bin")
+    base = base_of(tmp_path / "warm" / "b.bin")
+    assert base != base_of(tmp_path / "warm" / "a.bin")
+    assert read(base) == read(base_of(tmp_path / "cold" / "b.bin"))
+    assert (read(tmp_path / "warm" / "b.bin")
+            == read(tmp_path / "cold" / "b.bin"))
+    assert_same_state(state, load_checkpoint(tmp_path / "warm" / "b.bin"))
+
+
+def test_the_kept_base_entry_dies_with_its_model(tmp_path):
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "a.bin")
+    model = weakref.ref(state.model)
+    del state
+    gc.collect()
+    assert model() is None
+
+
+def test_kernels_and_moments_are_read_only(tmp_path):
+    # `dequant` caches an f32 copy, and a save keeps the base's CRC, of
+    # arrays that are never written in place
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "a.bin")
+    loaded = load_checkpoint(tmp_path / "a.bin")
+    for s in (state, loaded):
+        for q in (s.model.named_quantized()[KERNEL], s.optim_state.m,
+                  s.optim_state.v):
+            for a in (q.codes, q.scales):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+
 @pytest.mark.parametrize("path", [3, None, 2.5])
 def test_path_that_names_no_file_is_a_config_error(tmp_path, path):
     # an int would be taken as a file descriptor and closed
@@ -797,6 +900,10 @@ def test_path_that_names_no_file_is_a_config_error(tmp_path, path):
                          "train_config must be"),
                         (TrainState(model, TrainConfig(lr=-1.0)),
                          "lr must be"),
+                        (TrainState(model, TrainConfig(lr=np.float32(1e-3))),
+                         "lr must be a python value"),
+                        (TrainState(model, TrainConfig(seed=np.int64(3))),
+                         "seed must be a python value"),
                         (TrainState(model, step="x"), "step must be"),
                         (TrainState(model, epoch=-1), "epoch must be"),
                         (TrainState(model, cursor=1.5), "cursor must be")]:

@@ -1,6 +1,8 @@
 """Public entry points reject an argument of the wrong type with the
 typed error of `errors.py`, before doing any work."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,37 @@ def sample(turns) -> data.ChatSample:
 
 LORA = lora.LoraConfig()
 ONES = np.ones((2, 64))
+F32, I64 = np.float32(1e-3), np.int64(3)
+CORPUS = [tokenizer.render_chat([("user", "a"), ("assistant", "b")])]
+
+
+def on_a_pipe(call):
+    """`call(fd)` on the write end of a fresh pipe, an int that open() would
+    take as a file descriptor; the pipe's ends must still be open after."""
+    r, w = os.pipe()
+    try:
+        call(w)
+    finally:
+        os.fstat(r)
+        os.fstat(w)
+        os.close(r)
+        os.close(w)
+
+
+def train_into(out_dir):
+    """One train() step of an adapted model, saving into `out_dir`. Its
+    ConfigError is re-raised once no adapter is seen to have changed."""
+    model = init_model(TINY, seed=0)
+    lora.attach_adapters(model, LORA)
+    before = {n: t.data.copy()
+              for n, t in model.trainable_parameters().items()}
+    try:
+        trainer.train(model, CORPUS, trainer.TrainConfig(epochs=1, seed=1),
+                      out_dir=out_dir)
+    except ConfigError:
+        after = model.trainable_parameters()
+        assert all(np.array_equal(before[n], after[n].data) for n in before)
+        raise
 
 # (error, call(model, path)): the model is a fresh one, the path a file
 # in an empty directory
@@ -103,6 +136,47 @@ CASES = {
         (ConfigError, lambda m, path: data.ingest_alpaca(None)),
     "ingest_sharegpt(None)":
         (ConfigError, lambda m, path: data.ingest_sharegpt(None)),
+    # configs a checkpoint cannot write as JSON
+    "TrainConfig(lr=float32)":
+        (ConfigError, lambda m, path: trainer.TrainConfig(lr=F32).validate()),
+    "TrainConfig(seed=int64)":
+        (ConfigError,
+         lambda m, path: trainer.TrainConfig(seed=I64).validate()),
+    "ModelConfig(d_ff=int64)":
+        (ConfigError, lambda m, path: ModelConfig(d_ff=I64).validate()),
+    "LoraConfig(dropout_p=float32)":
+        (ConfigError,
+         lambda m, path: lora.LoraConfig(dropout_p=F32).validate()),
+    "train(cfg=TrainConfig(lr=float32))":
+        (ConfigError, lambda m, path: trainer.train(
+            m, CORPUS, trainer.TrainConfig(epochs=1, lr=F32))),
+    "attach_adapters(model, LoraConfig(rank=int64))":
+        (ConfigError, lambda m, path: lora.attach_adapters(
+            m, lora.LoraConfig(rank=I64))),
+    # paths, checked before anything is opened or trained
+    "write_loss_log([], 2.5)":
+        (ConfigError, lambda m, path: trainer.write_loss_log([], 2.5)),
+    "write_loss_log([], fd)":
+        (ConfigError,
+         lambda m, path: on_a_pipe(lambda fd: trainer.write_loss_log([], fd))),
+    "train(out_dir=5)":
+        (ConfigError, lambda m, path: train_into(5)),
+    "train(out_dir=2.5)":
+        (ConfigError, lambda m, path: train_into(2.5)),
+    "render_chat([(['user'], 'x')])":
+        (VocabError,
+         lambda m, path: tokenizer.render_chat([(["user"], "x")])),
+    "render_chat([({}, 'x')])":
+        (VocabError, lambda m, path: tokenizer.render_chat([({}, "x")])),
+    "clean_filter(source=list, empty turn)":
+        (ConfigError, lambda m, path: data.clean_filter([data.ChatSample(
+            [data.Turn("user", ""), data.Turn("assistant", "b")], ["x"])])),
+    "clean_filter(source=list)":
+        (ConfigError, lambda m, path: data.clean_filter([data.ChatSample(
+            [data.Turn("user", "a"), data.Turn("assistant", "b")], ["x"])])),
+    "tokenize_corpus(source=None)":
+        (ConfigError, lambda m, path: data.tokenize_corpus([data.ChatSample(
+            [data.Turn("user", "a"), data.Turn("assistant", "b")], None)])),
 }
 
 

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import gc
 import json
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -47,6 +48,17 @@ def test_checkpoint_without_lora_config_loads_back(tmp_path):
     assert want.keys() == got.keys()
     for name in want:
         assert np.array_equal(want[name].data, got[name].data), name
+
+
+def test_out_dir_may_be_bytes_or_a_str(tmp_path):
+    cfg = TrainConfig(epochs=1, batch_size=2, max_steps=1)
+    for out_dir in (os.fsencode(tmp_path / "b"), str(tmp_path / "s")):
+        model = adapted_model()
+        train(model, CORPUS, cfg, out_dir=out_dir)
+        out = os.fsdecode(out_dir)
+        assert {"ckpt_final.bin", "loss_log.jsonl"} <= set(os.listdir(out))
+        loaded = load_checkpoint(os.path.join(out, "ckpt_final.bin"))
+        assert loaded.step == 1
 
 
 def test_lora_config_must_match_the_adapters():
