@@ -46,11 +46,11 @@ writes the base only when no file of its name with its header and size is
 there. It computes the base's "f32" CRC anew every time, so a frozen f32
 tensor edited in place names a new base. It computes the "q4" entry and
 run once per model, and keeps them while the model holds the same
-QuantizedMatrix objects, with the same codes and scales arrays, under the
-same names in the same order: those arrays are read-only, so a kernel
-never changes in place. A base damaged after its save with its header and
-size intact is left as it is; the load's CRC check finds it. Save deletes
-no base: one that no checkpoint names any more stays until it is removed.
+QuantizedMatrix objects under the same names in the same order: a
+QuantizedMatrix is frozen and its arrays are read-only, so a kernel never
+changes. A base damaged after its save with its header and size intact is
+left as it is; the load's CRC check finds it. Save deletes no base: one
+that no checkpoint names any more stays until it is removed.
 
 The loader checks each header and payload size first, then reads each run
 it needs into its own buffer, checks its CRC and hands out numpy views of
@@ -70,7 +70,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import struct
@@ -99,7 +98,7 @@ _PREFIX = struct.Struct("<4sIQ8s")  # magic, version, header length, digest
 _BASE_FILE = re.compile(r"base-([0-9a-f]{16})\.bin")
 _COUNTERS = ("step", "epoch", "cursor")
 _Run = namedtuple("_Run", "offset names shapes block_size length crc32")
-_Q4 = namedtuple("_Q4", "key held entry arrays")
+_Q4 = namedtuple("_Q4", "key entry arrays")
 _q4_of = weakref.WeakKeyDictionary()  # model -> the _Q4 of its last save
 
 
@@ -147,17 +146,15 @@ def _q4_run(blobs: list, group: str, qs: list[QuantizedMatrix],
 
 def _q4_base(model: DecoderModel, kernels: dict) -> tuple[dict, list]:
     """The base's "q4" entry and run of `model`'s `kernels`: those of its
-    last save while it holds the same QuantizedMatrix objects, with the same
-    codes and scales arrays, names and shapes in the same order."""
-    key = [(n, q.rows, q.cols, q.block_size) for n, q in kernels.items()]
-    held = [a for q in kernels.values() for a in (q, q.codes, q.scales)]
+    last save while it holds the same QuantizedMatrix objects under the same
+    names in the same order (a matrix compares by identity)."""
+    key = list(kernels.items())
     memo = _q4_of.get(model)
-    if (memo is None or memo.key != key
-            or not all(map(operator.is_, memo.held, held))):
+    if memo is None or memo.key != key:
         arrays = []
         entry = _q4_run(arrays, "q4", list(kernels.values()),
-                        tensors=[[n, [r, c]] for n, r, c, _ in key])
-        memo = _q4_of[model] = _Q4(key, held, entry, arrays)
+                        tensors=[[n, list(q.shape)] for n, q in key])
+        memo = _q4_of[model] = _Q4(key, entry, arrays)
     return memo.entry, memo.arrays
 
 
@@ -220,7 +217,7 @@ def save_checkpoint(state: TrainState, path) -> None:
     midway leaves a "{file}.tmp" that the next save of that file overwrites.
     A path that is not a str, bytes or os.PathLike, a state that is not a
     TrainState, a model that is not a DecoderModel, a train_config that is
-    not None or a valid TrainConfig, a step, epoch or cursor that is not an
+    not None or a TrainConfig, a step, epoch or cursor that is not an
     int >= 0, and an `optim_state` of other parameters than the model's
     trainable ones are ConfigErrors, raised before anything is written: no
     load would accept the file.
@@ -231,8 +228,6 @@ def save_checkpoint(state: TrainState, path) -> None:
     check_type("state", state, TrainState)
     check_type("state.model", state.model, DecoderModel)
     check_type("state.train_config", state.train_config, TrainConfig, True)
-    if state.train_config is not None:
-        state.train_config.validate()
     check_rules(state, [count_rule(state, name, 0) for name in _COUNTERS])
     model = state.model
     params = model.named_parameters()
@@ -416,12 +411,14 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     optimizer state is the f32 group's names and sizes with the optim
     group's steps and moments. With `with_optimizer=False` the moments are
     not read and `optim_state` is None, as it is for a file saved without
-    them. A path that is not a str, bytes or os.PathLike is a ConfigError,
-    raised before anything is opened.
+    them. A path that is not a str, bytes or os.PathLike, and a
+    `with_optimizer` that is not a bool, are ConfigErrors, raised before
+    anything is opened.
     """
     from .trainer import TrainConfig  # trainer imports this module
 
     path = check_path(path)
+    check_type("with_optimizer", with_optimizer, bool)
     with open(path, "rb") as f:
         header, runs, _ = _header(f, path, MAGIC, {"configs", "base"},
                                   {"f32"}, {"optim"})

@@ -1,5 +1,7 @@
-"""Exception types shared across the toolkit, and the rule check and the
-dict reader of the configs."""
+"""Exception types shared across the toolkit, the checks of entry-point
+arguments, and `Config`, the base of the frozen config dataclasses: a
+config checks its rules when it is built, so every config that exists is
+valid, and it cannot change."""
 
 import dataclasses
 import numbers
@@ -102,15 +104,6 @@ def count_rule(config, name: str, lo: int) -> tuple[str, str, bool]:
     return name, f"an int >= {lo}", is_count(getattr(config, name), lo)
 
 
-def _plain_rules(config) -> list[tuple[str, str, bool]]:
-    """The rule, per field of dataclass `config`, that it is no numpy
-    scalar. A checkpoint writes configs as JSON, which has none; coercing
-    one would not do either: an f32 lr read back as an f64 is another lr."""
-    return [(f.name, "a python value, not a numpy scalar",
-             not isinstance(getattr(config, f.name), np.generic))
-            for f in dataclasses.fields(config)]
-
-
 def check_rules(config, rules) -> None:
     """ConfigError for the first (field, rule, ok) of `rules` whose ok is
     false, naming the field, the rule and the field's value in `config`."""
@@ -143,20 +136,44 @@ def check_type(name: str, value, kind: type, optional: bool = False) -> None:
                           f"{kind.__name__}, got {type(value).__name__}")
 
 
-def config_fields(cls, d) -> dict:
-    """`d` as the keyword arguments of config dataclass `cls`.
+class Config:
+    """Base of the configs: a subclass is declared
+    `@dataclass(frozen=True)` and returns its rules, (field, rule, ok)
+    triples, from `_rules`.
 
-    ConfigError unless `d` is a dict whose keys are the fields of `cls`,
-    each once; the message names a missing or an unknown key.
+    Building one, directly, through `dataclasses.replace` or through
+    `from_dict`, raises ConfigError for the first rule it breaks: first
+    that no field is a numpy scalar, then the class's own. A checkpoint
+    writes configs as JSON, which has no numpy scalars; coercing one would
+    not do either: an f32 lr read back as an f64 is another lr.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{cls.__name__} must be read from a dict, got "
-                          f"{type(d).__name__}")
-    names = [f.name for f in dataclasses.fields(cls)]
-    for key in d:
-        if key not in names:
-            raise ConfigError(f"{cls.__name__} has unknown key {key!r}")
-    for name in names:
-        if name not in d:
-            raise ConfigError(f"{cls.__name__} lacks key {name!r}")
-    return d
+
+    def __post_init__(self):
+        check_rules(self, [
+            *[(f.name, "a python value, not a numpy scalar",
+               not isinstance(getattr(self, f.name), np.generic))
+              for f in dataclasses.fields(self)],
+            *self._rules()])
+
+    def _rules(self) -> list[tuple[str, str, bool]]:
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        """The config `to_dict` wrote. ConfigError unless `d` is a dict
+        whose keys are the fields of `cls`, each once, the message naming a
+        missing or an unknown key, or if the config breaks a rule."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} must be read from a dict, got "
+                              f"{type(d).__name__}")
+        names = [f.name for f in dataclasses.fields(cls)]
+        for key in d:
+            if key not in names:
+                raise ConfigError(f"{cls.__name__} has unknown key {key!r}")
+        for name in names:
+            if name not in d:
+                raise ConfigError(f"{cls.__name__} lacks key {name!r}")
+        return cls(**d)

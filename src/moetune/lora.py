@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import (ConfigError, check_rules, check_seed, check_type,
-                     config_fields, count_rule, is_number, _plain_rules)
+from .errors import (Config, ConfigError, check_seed, check_type, count_rule,
+                     is_number)
 from .model import DecoderModel
 from .quant import QuantizedMatrix
 from .tensor import Tensor
@@ -28,20 +28,25 @@ from .tensor import Tensor
 ALL_TARGETS = ("q", "k", "v", "o", "up", "gate", "down")
 
 
-@dataclass
-class LoraConfig:
+@dataclass(frozen=True)
+class LoraConfig(Config):
     rank: int = 8
     alpha: float = 16.0
     targets: tuple[str, ...] = ALL_TARGETS
     dropout_p: float = 0.05
 
-    def validate(self) -> "LoraConfig":
+    def __post_init__(self):
+        super().__post_init__()
+        # a list of names passes the rules too; kept as a tuple, the config
+        # equals one built with the tuple, and JSON writes a list of either
+        object.__setattr__(self, "targets", tuple(self.targets))
+
+    def _rules(self) -> list[tuple[str, str, bool]]:
         # each rule holds only for a valid value, so NaN fails it, and the
         # range rules run only on numbers; a string is not a list of names
         names = (isinstance(self.targets, (tuple, list)) and bool(self.targets)
                  and all(isinstance(t, str) for t in self.targets))
-        check_rules(self, [
-            *_plain_rules(self),
+        return [
             count_rule(self, "rank", 1),
             ("alpha", "a finite number > 0",
              is_number(self.alpha) and 0 < self.alpha < math.inf),
@@ -49,25 +54,11 @@ class LoraConfig:
             ("targets", f"a subset of {ALL_TARGETS}",
              names and set(self.targets) <= set(ALL_TARGETS)),
             ("dropout_p", "in [0, 1)",
-             is_number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0)])
-        return self
+             is_number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0)]
 
     @property
     def scaling(self) -> float:
         return self.alpha / self.rank
-
-    def to_dict(self) -> dict:
-        return {"rank": self.rank, "alpha": self.alpha,
-                "targets": list(self.targets), "dropout_p": self.dropout_p}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LoraConfig":
-        """The config `to_dict` wrote; ConfigError for a value that is not
-        a dict, or that lacks a field or has an unknown key."""
-        d = dict(config_fields(cls, d))
-        if isinstance(d["targets"], list):  # JSON; other types fail validate
-            d["targets"] = tuple(d["targets"])
-        return cls(**d).validate()
 
 
 class LoraPair:
@@ -107,7 +98,6 @@ def _attach(model: DecoderModel, cfg: LoraConfig, make_pair) -> int:
     a ConfigError."""
     check_type("model", model, DecoderModel)
     check_type("cfg", cfg, LoraConfig)
-    cfg.validate()
     model.freeze_base()
     count = 0
     for name, pname, lin in model._projections():

@@ -16,15 +16,14 @@ runs on that row alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import (ConfigError, DimensionError, LengthError, NumericError,
-                     VocabError, check_rules, check_seed, check_type,
-                     config_fields, count_rule, is_count, is_int, is_number,
-                     _plain_rules)
+from .errors import (Config, ConfigError, DimensionError, LengthError,
+                     NumericError, VocabError, check_seed, check_type,
+                     count_rule, is_count, is_int, is_number)
 from .quant import DEFAULT_BLOCK_SIZE, QuantizedMatrix, qmatmul, quantize_4bit
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
@@ -32,12 +31,12 @@ from .tokenizer import VOCAB_SIZE
 # The longest max_seq_len a config may ask for, 128 times the default 512.
 # A model builds its rotary table for max_seq_len positions, and a cache for
 # them holds 268 MB of keys and values at this length and the default
-# width, so validate caps it before anything is allocated.
+# width, so the config caps it before anything is allocated.
 MAX_SEQ_LEN = 2 ** 16
 
 
-@dataclass
-class ModelConfig:
+@dataclass(frozen=True)
+class ModelConfig(Config):
     """Architecture hyperparameters (SiLU experts, RMSNorm, as in Mixtral)."""
 
     n_layers: int = 4
@@ -51,40 +50,28 @@ class ModelConfig:
     norm_eps: float = 1e-5
     rope_base: float = 10000.0
 
-    def validate(self) -> "ModelConfig":
+    def _rules(self) -> list[tuple[str, str, bool]]:
         # each rule holds only for a valid value, so NaN fails it; the head
         # rules divide only once d_model and n_heads are ints, n_heads >= 1
         heads = (is_int(self.d_model) and is_int(self.n_heads)
                  and self.n_heads >= 1)
-        rules = _plain_rules(self)
-        rules += [count_rule(self, name, 1)
+        return [*[count_rule(self, name, 1)
                   for name in ("n_layers", "d_model", "n_heads", "d_ff",
-                               "n_experts", "vocab_size")]
-        rules += [("max_seq_len", f"an int in [1, {MAX_SEQ_LEN}]",
-                   is_int(self.max_seq_len)
-                   and 1 <= self.max_seq_len <= MAX_SEQ_LEN),
-                  ("top_k", f"an int in [1, n_experts = {self.n_experts}]",
-                   is_int(self.top_k) and is_int(self.n_experts)
-                   and 1 <= self.top_k <= self.n_experts),
-                  ("d_model", f"divisible by n_heads = {self.n_heads}",
-                   heads and self.d_model % self.n_heads == 0),
-                  ("d_model", "n_heads times an even head dim (rotary pairs)",
-                   heads and self.d_model // self.n_heads % 2 == 0),
-                  ("norm_eps", "a number > 0",
-                   is_number(self.norm_eps) and self.norm_eps > 0),
-                  ("rope_base", "a number > 0",
-                   is_number(self.rope_base) and self.rope_base > 0)]
-        check_rules(self, rules)
-        return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config `to_dict` wrote; ConfigError for a value that is not
-        a dict, or that lacks a field or has an unknown key."""
-        return cls(**config_fields(cls, d)).validate()
+                               "n_experts", "vocab_size")],
+                ("max_seq_len", f"an int in [1, {MAX_SEQ_LEN}]",
+                 is_int(self.max_seq_len)
+                 and 1 <= self.max_seq_len <= MAX_SEQ_LEN),
+                ("top_k", f"an int in [1, n_experts = {self.n_experts}]",
+                 is_int(self.top_k) and is_int(self.n_experts)
+                 and 1 <= self.top_k <= self.n_experts),
+                ("d_model", f"divisible by n_heads = {self.n_heads}",
+                 heads and self.d_model % self.n_heads == 0),
+                ("d_model", "n_heads times an even head dim (rotary pairs)",
+                 heads and self.d_model // self.n_heads % 2 == 0),
+                ("norm_eps", "a number > 0",
+                 is_number(self.norm_eps) and self.norm_eps > 0),
+                ("rope_base", "a number > 0",
+                 is_number(self.rope_base) and self.rope_base > 0)]
 
 
 class Linear:
@@ -478,7 +465,6 @@ def build_model(config: ModelConfig, weight) -> DecoderModel:
     ConfigError.
     """
     check_type("config", config, ModelConfig)
-    config.validate()
     d, ff = config.d_model, config.d_ff
 
     def param(name: str, shape: tuple[int, ...]) -> Tensor:

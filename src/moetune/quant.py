@@ -19,9 +19,10 @@ count when it next has one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +56,14 @@ def unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
     return out[:n]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantizedMatrix:
     """Immutable blockwise 4-bit matrix: packed codes plus per-block scales.
 
-    Its codes and scales are made read-only when it is built: the f32 copy
-    `dequant` caches, and the base a checkpoint save computes once per
-    model, both rely on a matrix never changing in place.
+    It is frozen, and its codes and scales are made read-only when it is
+    built: the f32 copy `dequant` keeps, and the base a checkpoint save
+    computes once per model, both rely on a matrix never changing. Two
+    matrices are equal only when they are the same object.
     """
 
     rows: int
@@ -69,7 +71,6 @@ class QuantizedMatrix:
     block_size: int
     codes: np.ndarray   # uint8, ceil(rows*cols / 2) bytes
     scales: np.ndarray  # f32, ceil(rows*cols / block_size) entries
-    _dequant_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.codes.setflags(write=False)
@@ -84,10 +85,15 @@ class QuantizedMatrix:
         return self.rows * self.cols
 
     def dequant(self) -> np.ndarray:
-        """Reconstruct the f32 matrix; cached, the matrix is immutable."""
-        if self._dequant_cache is None:
-            self._dequant_cache = dequantize(self)
-        return self._dequant_cache
+        """The f32 matrix, read-only: `dequantize` of it, run at the first
+        call and kept."""
+        return self._f32
+
+    @functools.cached_property
+    def _f32(self) -> np.ndarray:
+        w = dequantize(self)
+        w.setflags(write=False)
+        return w
 
 
 def quantize_4bit(m: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedMatrix:

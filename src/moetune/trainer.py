@@ -24,24 +24,23 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as tz
 from .checkpoint import TrainState, save_checkpoint
-from .errors import (ConfigError, LengthError, NumericError, TrainingAborted,
-                     VocabError, check_path, check_rules, check_seed,
-                     check_type, config_fields, count_rule, is_count, is_int,
-                     is_number, _plain_rules)
+from .errors import (Config, ConfigError, LengthError, NumericError,
+                     TrainingAborted, VocabError, check_path, check_seed,
+                     check_type, count_rule, is_count, is_int, is_number)
 from .lora import LoraConfig, adapter_config
 from .model import DecoderModel, KVCache
 from .quant import QuantizedAdam, adam_rules
 from .tokenizer import EOT_ID, PAD_ID, TokenizedSample
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(Config):
     """Hyperparameters of one `train` run. A step is one batch: a GPU
     recipe's per-device batch x accumulation steps is `batch_size`, at a
     cost: batch 2 x accum 4 becomes batch 8, which pads each sample to the
@@ -60,11 +59,10 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def validate(self) -> "TrainConfig":
+    def _rules(self) -> list[tuple[str, str, bool]]:
         # each rule holds only for a valid value, so NaN fails it, and the
         # range rules run only on numbers
-        check_rules(self, [
-            *_plain_rules(self),
+        return [
             count_rule(self, "epochs", 1),
             ("lr", "a finite number >= 0",
              is_number(self.lr) and 0 <= self.lr < math.inf),
@@ -78,18 +76,7 @@ class TrainConfig:
             ("max_grad_norm", "a number > 0",
              is_number(self.max_grad_norm) and self.max_grad_norm > 0),
             count_rule(self, "warmup_steps", 0),
-            *adam_rules(self)])
-        return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """The config `to_dict` wrote; ConfigError for a value that is not
-        a dict, that lacks a field or has an unknown key, or that fails
-        `validate`."""
-        return cls(**config_fields(cls, d)).validate()
+            *adam_rules(self)]
 
 
 @dataclass
@@ -191,9 +178,9 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     2 tokens and a non-zero loss_mask[1:], and a loss_mask of 0s and 1s
     only, or ConfigError is raised before the first step; a sample longer
     than max_seq_len + 1 tokens raises LengthError there. A model, cfg,
-    corpus entry, lora_config or resume of another type than the signature
-    names, and an out_dir that is not None, a str, bytes or os.PathLike,
-    are a ConfigError, raised there too.
+    corpus, corpus entry, lora_config or resume of another type than the
+    signature names, and an out_dir that is not None, a str, bytes or
+    os.PathLike, are a ConfigError, raised there too.
     The optimizer step clips the gradients to cfg.max_grad_norm (`.grad`
     keeps them unclipped) and gives the log its norm before clipping. A
     non-finite loss or gradient, or a NumericError from the step's forward,
@@ -203,17 +190,15 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     for name, value, kind, optional in (
             ("model", model, DecoderModel, False),
             ("cfg", cfg, TrainConfig, False),
+            ("corpus", corpus, list, False),
             ("lora_config", lora_config, LoraConfig, True),
             ("resume", resume, TrainState, True)):
         check_type(name, value, kind, optional)
     if out_dir is not None:
         out_dir = check_path(out_dir)
-    cfg.validate()
-    if lora_config is not None:
-        attached = adapter_config(model)
-        if attached is None or attached.to_dict() != lora_config.to_dict():
-            raise ConfigError(
-                "lora_config does not match the adapters attached to the model")
+    if lora_config is not None and adapter_config(model) != lora_config:
+        raise ConfigError(
+            "lora_config does not match the adapters attached to the model")
     if not corpus:
         raise ConfigError("training corpus is empty")
     trainable = model.trainable_parameters()
@@ -242,7 +227,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         total_steps = min(total_steps, cfg.max_steps)
 
     optimizer = QuantizedAdam(trainable, cfg.beta1, cfg.beta2, cfg.eps)
-    state = TrainState(model=model, train_config=replace(cfg),
+    state = TrainState(model=model, train_config=cfg,
                        optim_state=optimizer.state)
     if resume is not None:
         _check_resume(cfg, resume, trainable)

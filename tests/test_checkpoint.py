@@ -1,6 +1,7 @@
 """AURC checkpoints and their AURB bases: bitwise round trips and typed
 errors on bad files."""
 
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -29,8 +30,8 @@ from moetune.checkpoint import (
 )
 from moetune.errors import (ConfigError, FormatError, IntegrityError,
                             MoetuneError)
-from moetune.lora import LoraConfig, attach_adapters
-from moetune.model import ModelConfig, init_model
+from moetune.lora import LoraConfig, adapter_config, attach_adapters
+from moetune.model import Linear, ModelConfig, init_model
 from moetune.quant import QuantizedAdam, flat_offsets, quantize_4bit
 from moetune.tensor import Tensor
 from moetune.tokenizer import render_chat
@@ -818,15 +819,21 @@ def test_warm_and_cold_saves_are_byte_identical(tmp_path):
         assert read(which(tmp_path / "warm")) == read(which(tmp_path / "cold"))
 
 
+def kernel_of(model) -> Linear:
+    return next(lin for name, _, lin in model._projections()
+                if f"{name}.weight" == KERNEL)
+
+
 def new_kernel(model) -> None:
-    lin = next(lin for name, _, lin in model._projections()
-               if f"{name}.weight" == KERNEL)
+    lin = kernel_of(model)
     lin.kernel = quantize_4bit(2 * lin.kernel.dequant(), lin.kernel.block_size)
 
 
 def new_codes(model) -> None:
-    q = model.named_quantized()[KERNEL]
-    q.codes = q.codes[::-1].copy()  # every nibble stays a code of 0..14
+    # a matrix is frozen: new codes come in a new matrix of the same shape
+    lin = kernel_of(model)
+    lin.kernel = dataclasses.replace(
+        lin.kernel, codes=lin.kernel.codes[::-1].copy())  # codes of 0..14
 
 
 def frozen_f32_edit(model) -> None:
@@ -898,24 +905,82 @@ def test_path_that_names_no_file_is_a_config_error(tmp_path, path):
                         (TrainState(model, 5), "train_config must be"),
                         (TrainState(model, {"x": object()}),
                          "train_config must be"),
-                        (TrainState(model, TrainConfig(lr=-1.0)),
-                         "lr must be"),
-                        (TrainState(model, TrainConfig(lr=np.float32(1e-3))),
-                         "lr must be a python value"),
-                        (TrainState(model, TrainConfig(seed=np.int64(3))),
-                         "seed must be a python value"),
                         (TrainState(model, step="x"), "step must be"),
                         (TrainState(model, epoch=-1), "epoch must be"),
                         (TrainState(model, cursor=1.5), "cursor must be")]:
         with pytest.raises(ConfigError, match=says):
             save_checkpoint(state, tmp_path / "bad.bin")
     assert not list(tmp_path.iterdir())
+    # nor can a TrainConfig that no load would accept be built
+    for change, says in [({"lr": -1.0}, "lr must be"),
+                         ({"lr": np.float32(1e-3)}, "lr must be a python"),
+                         ({"seed": np.int64(3)}, "seed must be a python")]:
+        with pytest.raises(ConfigError, match=says):
+            TrainConfig(**change)
 
 
 def test_path_may_be_bytes_or_a_str(tmp_path):
     state = tiny_state()
     save_checkpoint(state, os.fsencode(tmp_path / "a.bin"))
     assert_same_state(state, load_checkpoint(str(tmp_path / "a.bin")))
+
+
+# the prefix and JSON header that format v7 writes for the state below,
+# written out by hand: a config's JSON does not depend on how it is built
+V7_HEADER = (
+    b'AURC\x07\x00\x00\x00b\x02\x00\x00\x00\x00\x00\x00\xdb0:n\x01[SD'
+    b'{"base":"base-9f9abbc653b4e059.bin","configs":{"lora":{"alpha":16.0,'
+    b'"dropout_p":0.05,"rank":1,"targets":["q"]},"model":{"d_ff":4,'
+    b'"d_model":4,"max_seq_len":8,"n_experts":1,"n_heads":2,"n_layers":1,'
+    b'"norm_eps":1e-05,"rope_base":10000.0,"top_k":1,"vocab_size":8},'
+    b'"train":{"batch_size":8,"beta1":0.9,"beta2":0.999,"epochs":3,'
+    b'"eps":1e-08,"lr":0.001,"max_grad_norm":1.0,"max_steps":2,'
+    b'"save_every":1000,"schedule":"cosine","seed":5,"warmup_steps":10},'
+    b'"trainer_state":{"cursor":2,"epoch":1,"step":3}},"groups":{"f32":'
+    b'{"crc32":3013198700,"tensors":[["layers.0.attn.wq.lora_a",[4,1]],'
+    b'["layers.0.attn.wq.lora_b",[1,4]]]}}}')
+
+
+def test_a_saved_header_is_the_hand_written_one(tmp_path):
+    model = init_model(ModelConfig(n_layers=1, d_model=4, n_heads=2, d_ff=4,
+                                   n_experts=1, top_k=1, vocab_size=8,
+                                   max_seq_len=8), seed=1)
+    model.quantize_frozen(64)
+    # targets given as a list are kept as a tuple and written as a list
+    attach_adapters(model, LoraConfig(rank=1, targets=["q"]), seed=2)
+    train_cfg = TrainConfig(lr=1e-3, seed=5, max_steps=2, schedule="cosine")
+    save_checkpoint(TrainState(model, train_cfg, step=3, epoch=1, cursor=2),
+                    tmp_path / "c.bin")
+    raw = read(tmp_path / "c.bin")
+    assert raw[:len(V7_HEADER)] == V7_HEADER
+    assert len(raw) == len(V7_HEADER) + 4 * 8  # the two factors
+    loaded = load_checkpoint(tmp_path / "c.bin")
+    assert loaded.train_config == train_cfg
+    assert adapter_config(loaded.model) == LoraConfig(rank=1, targets=("q",))
+
+
+def assert_frozen(q) -> None:
+    """`q` cannot be changed: not its fields, not its arrays, not the f32
+    copy that `dequant` returns."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.codes = q.codes.copy()
+    for a in (q.codes, q.scales, q.dequant()):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        q.dequant()[0, 0] = 99.0
+
+
+def test_every_quantized_matrix_is_frozen_with_read_only_arrays(tmp_path):
+    # kernels from quantize_frozen and moments from QuantizedAdam.step, then
+    # both as load_checkpoint reads them
+    state = moment_state()
+    save_checkpoint(state, tmp_path / "c.bin")
+    for s in (state, load_checkpoint(tmp_path / "c.bin")):
+        matrices = [*s.model.named_quantized().values(), s.optim_state.m,
+                    s.optim_state.v]
+        assert len(matrices) > 2
+        for q in matrices:
+            assert_frozen(q)
 
 
 def test_bare_checkpoint_loads_with_init_model_trainables(tmp_path):

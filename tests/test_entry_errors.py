@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from moetune import data, lora, quant, tokenizer, trainer
+from moetune import checkpoint, data, lora, quant, tokenizer, trainer
 from moetune.errors import ConfigError, DimensionError, VocabError
 from moetune.model import KVCache, ModelConfig, init_model
 
@@ -41,15 +41,16 @@ def on_a_pipe(call):
         os.close(w)
 
 
-def train_into(out_dir):
-    """One train() step of an adapted model, saving into `out_dir`. Its
-    ConfigError is re-raised once no adapter is seen to have changed."""
+def train_into(out_dir, corpus=CORPUS):
+    """One train() step of an adapted model on `corpus`, saving into
+    `out_dir`. Its ConfigError is re-raised once no adapter is seen to have
+    changed."""
     model = init_model(TINY, seed=0)
     lora.attach_adapters(model, LORA)
     before = {n: t.data.copy()
               for n, t in model.trainable_parameters().items()}
     try:
-        trainer.train(model, CORPUS, trainer.TrainConfig(epochs=1, seed=1),
+        trainer.train(model, corpus, trainer.TrainConfig(epochs=1, seed=1),
                       out_dir=out_dir)
     except ConfigError:
         after = model.trainable_parameters()
@@ -138,15 +139,13 @@ CASES = {
         (ConfigError, lambda m, path: data.ingest_sharegpt(None)),
     # configs a checkpoint cannot write as JSON
     "TrainConfig(lr=float32)":
-        (ConfigError, lambda m, path: trainer.TrainConfig(lr=F32).validate()),
+        (ConfigError, lambda m, path: trainer.TrainConfig(lr=F32)),
     "TrainConfig(seed=int64)":
-        (ConfigError,
-         lambda m, path: trainer.TrainConfig(seed=I64).validate()),
+        (ConfigError, lambda m, path: trainer.TrainConfig(seed=I64)),
     "ModelConfig(d_ff=int64)":
-        (ConfigError, lambda m, path: ModelConfig(d_ff=I64).validate()),
+        (ConfigError, lambda m, path: ModelConfig(d_ff=I64)),
     "LoraConfig(dropout_p=float32)":
-        (ConfigError,
-         lambda m, path: lora.LoraConfig(dropout_p=F32).validate()),
+        (ConfigError, lambda m, path: lora.LoraConfig(dropout_p=F32)),
     "train(cfg=TrainConfig(lr=float32))":
         (ConfigError, lambda m, path: trainer.train(
             m, CORPUS, trainer.TrainConfig(epochs=1, lr=F32))),
@@ -163,6 +162,20 @@ CASES = {
         (ConfigError, lambda m, path: train_into(5)),
     "train(out_dir=2.5)":
         (ConfigError, lambda m, path: train_into(2.5)),
+    "load_checkpoint(with_optimizer=zeros(3))":
+        (ConfigError, lambda m, path: checkpoint.load_checkpoint(
+            path, with_optimizer=np.zeros(3))),
+    "load_checkpoint(with_optimizer='x')":
+        (ConfigError, lambda m, path: checkpoint.load_checkpoint(
+            path, with_optimizer="x")),
+    "load_checkpoint(with_optimizer=5)":
+        (ConfigError, lambda m, path: checkpoint.load_checkpoint(
+            path, with_optimizer=5)),
+    # a corpus that is not a list, checked before step 0
+    "train(corpus=5)":
+        (ConfigError, lambda m, path: train_into(None, 5)),
+    "train(corpus=generator)":
+        (ConfigError, lambda m, path: train_into(None, (s for s in CORPUS))),
     "render_chat([(['user'], 'x')])":
         (VocabError,
          lambda m, path: tokenizer.render_chat([(["user"], "x")])),

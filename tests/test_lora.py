@@ -117,21 +117,21 @@ def test_dropout_runs_exactly_when_a_generator_is_given():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        LoraConfig(rank=0).validate()
+        LoraConfig(rank=0)
     with pytest.raises(ConfigError):
-        LoraConfig(alpha=0.0).validate()
+        LoraConfig(alpha=0.0)
     with pytest.raises(ConfigError):
-        LoraConfig(targets=()).validate()
+        LoraConfig(targets=())
     with pytest.raises(ConfigError):
-        LoraConfig(targets=("q", "router")).validate()
+        LoraConfig(targets=("q", "router"))
     with pytest.raises(ConfigError):
-        LoraConfig(dropout_p=1.0).validate()
+        LoraConfig(dropout_p=1.0)
     for field, value in [("rank", 2.5), ("rank", True), ("rank", "8"),
                          ("alpha", math.nan), ("alpha", math.inf),
                          ("alpha", True), ("alpha", "16"),
                          ("dropout_p", math.nan)]:
         with pytest.raises(ConfigError):
-            LoraConfig(**{field: value}).validate()
+            LoraConfig(**{field: value})
 
 
 @pytest.mark.parametrize("targets", ["qkv", "gate", 5, ("q", 5), [["q"]]])
@@ -139,7 +139,7 @@ def test_targets_must_be_a_tuple_or_list_of_names(targets):
     # a string would be read as its letters, and an int is not iterable
     rule = "targets must be a non-empty tuple or list of names"
     with pytest.raises(ConfigError, match=rule):
-        LoraConfig(targets=targets).validate()
+        LoraConfig(targets=targets)
     with pytest.raises(ConfigError, match=rule):
         LoraConfig.from_dict({**LoraConfig().to_dict(), "targets": targets})
 
@@ -162,8 +162,10 @@ def test_from_dict_names_the_missing_or_unknown_key(config, d, says):
 
 
 def test_targets_as_list_validates_and_round_trips():
-    cfg = LoraConfig(targets=["q", "down"]).validate()
-    assert LoraConfig.from_dict(cfg.to_dict()).targets == ("q", "down")
+    cfg = LoraConfig(targets=["q", "down"])
+    assert cfg.targets == ("q", "down")
+    assert cfg == LoraConfig(targets=("q", "down"))
+    assert LoraConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------

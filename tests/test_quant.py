@@ -116,7 +116,8 @@ def test_quantize_rejects_nonfinite():
 
 def test_dequantize_rejects_corrupt_code():
     q = Q.quantize_4bit(np.ones((1, 2), dtype=np.float32), block_size=2)
-    q.codes = np.array([0xFF], dtype=np.uint8)  # both nibbles = 15
+    q = dataclasses.replace(q, codes=np.array([0xFF], dtype=np.uint8))
+    # both nibbles = 15
     with pytest.raises(FormatError):
         Q.dequantize(q)
 

@@ -146,8 +146,10 @@ def test_resume_must_keep_what_fixes_the_samples(change):
 def test_state_keeps_a_copy_of_the_config():
     cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
     state, _ = train(adapted_model(), CORPUS, cfg)
-    cfg.seed = 9
-    assert state.train_config == dataclasses.replace(cfg, seed=0)
+    # the state holds the config itself, which cannot change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 9
+    assert state.train_config is cfg
 
 
 @pytest.mark.parametrize("adapters, first", [
@@ -185,7 +187,7 @@ def test_resume_may_change_the_optimizer_and_the_stopping_point():
     ("lr", float("inf")), ("lr", float("nan")), ("lr", -1e-3)])
 def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
     with pytest.raises(ConfigError):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("config, field, value", [
@@ -198,7 +200,32 @@ def test_config_rejects_values_that_stall_invert_or_nan_a_run(field, value):
 def test_config_rejects_a_count_that_is_not_an_int_in_range(config, field,
                                                             value):
     with pytest.raises(ConfigError, match=field):
-        config(**{field: value}).validate()
+        config(**{field: value})
+
+
+CONFIGS = [ModelConfig(n_layers=2, max_seq_len=64, norm_eps=1e-6),
+           LoraConfig(rank=4, alpha=8, targets=["q", "v"], dropout_p=0.0),
+           TrainConfig(lr=1e-3, max_steps=5, schedule="cosine")]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=["model", "lora", "train"])
+def test_a_config_reads_back_from_its_dict(cfg):
+    assert type(cfg).from_dict(cfg.to_dict()) == cfg
+    assert type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("cfg, change, says", [
+    (CONFIGS[0], {"top_k": 9}, "top_k must be an int in"),
+    (CONFIGS[1], {"targets": ("router",)}, "targets must be a subset"),
+    (CONFIGS[2], {"lr": np.float32(1e-3)}, "lr must be a python value")],
+    ids=["model", "lora", "train"])
+def test_a_config_is_checked_when_replaced_and_cannot_change(cfg, change,
+                                                             says):
+    with pytest.raises(ConfigError, match=says):
+        dataclasses.replace(cfg, **change)
+    (name, value), = change.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, value)
 
 
 ONE_EPOCH = TrainConfig(epochs=1)
