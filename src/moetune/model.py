@@ -11,7 +11,9 @@ A forward without a cache gives the logits of every position, and training
 runs it. A forward with a `KVCache` is for decoding: it caches every
 position's keys and values and gives the logits of its last position only,
 the one row a decoder reads, so past its keys and values the last layer
-runs on that row alone.
+runs on that row alone. A cache is built for one config and a number of
+positions, and only the forward changes it, so a forward checks just that
+the cache is a KVCache of its own config.
 """
 
 from __future__ import annotations
@@ -164,40 +166,39 @@ def moe_forward(hidden_states: Tensor, layer: MoELayer,
     return tz.combine_rows(gates, parts, hidden_states.data.shape[0])
 
 
-@dataclass
 class KVCache:
     """Post-rotary keys and values of every decoder layer, for decoding.
 
-    `keys` and `values` are [n_layers, rows, d_model] f32 buffers, rows a
-    multiple of `tensor.KEY_BLOCK`; layer i's rows [:length] hold the
-    positions seen so far, and every row from `length` on is zero, which
-    lets attention read whole key blocks of the buffers in place. Start
-    with `for_positions`, sized to the positions the sequence will feed,
-    and pass it to every `DecoderModel.forward` call of one sequence. A
+    `KVCache(config, positions)` is an empty cache for a model of `config`
+    that will be fed `positions` positions: `keys` and `values` are zero
+    [n_layers, rows, d_model] f32 buffers, rows `positions` rounded up to
+    whole `tensor.KEY_BLOCK`s, so attention reads whole key blocks of them
+    in place. A config that is not a ModelConfig, or a `positions` that is
+    not an int in [0, config.max_seq_len], is a ConfigError, raised before
+    allocating. Pass the cache to every `DecoderModel.forward` call of one
+    sequence: layer i's rows [:length] hold the positions seen so far, and
+    every row from `length` on is zero. `config`, `keys`, `values` and
+    `length` cannot be reassigned; only the forward moves `length`. A
     forward given a cache returns the logits of its last position only and
     records no autograd tape: decoding holds the cache and one op's working
     set, not the intermediates of the whole forward.
     """
 
-    keys: np.ndarray
-    values: np.ndarray
-    length: int = 0
-
-    @classmethod
-    def for_positions(cls, config: ModelConfig, positions: int) -> "KVCache":
-        """An empty cache with zero rows for `positions` positions, rounded
-        up to whole key blocks. A config that is not a ModelConfig, or a
-        `positions` that is not an int in [0, config.max_seq_len], is a
-        ConfigError, raised before allocating."""
+    def __init__(self, config: ModelConfig, positions: int):
         check_type("config", config, ModelConfig)
         if not (is_int(positions) and 0 <= positions <= config.max_seq_len):
             raise ConfigError(
                 f"cache positions must be an int in [0, max_seq_len = "
                 f"{config.max_seq_len}], got {positions!r}")
         rows = -(-positions // tz.KEY_BLOCK) * tz.KEY_BLOCK
-        keys, values = np.zeros((2, config.n_layers, rows, config.d_model),
-                                dtype=tz.DTYPE)
-        return cls(keys, values)
+        self._config, self._length = config, 0
+        self._keys, self._values = np.zeros(
+            (2, config.n_layers, rows, config.d_model), dtype=tz.DTYPE)
+
+    config = property(lambda self: self._config)
+    keys = property(lambda self: self._keys)
+    values = property(lambda self: self._values)
+    length = property(lambda self: self._length)
 
 
 class DecoderLayer:
@@ -245,10 +246,8 @@ class DecoderModel:
         projection, MoE, the final norm and the lm head on the last row
         alone. Causal prefix stability makes the result bitwise equal to the
         last row of a forward over the whole sequence. A cache that is not
-        a KVCache, keys and values that are not f32 arrays of one shape
-        [n_layers, rows, d_model], rows a multiple of KEY_BLOCK, or a length
-        that is not an int in [0, max_seq_len] is a ConfigError; an end
-        past the cache's rows is a LengthError. Both are raised before the
+        a KVCache, or one built for another config, is a ConfigError; an
+        end past its rows is a LengthError. Both are raised before the
         cache is touched.
 
         Adapter dropout runs only when a generator `rng` is given, and draws
@@ -282,21 +281,9 @@ class DecoderModel:
                               f"{type(rng).__name__}")
         if cache is not None and rng is not None:
             raise ConfigError("a key/value cache is for inference only")
-        if cache is not None:
-            if not isinstance(cache, KVCache):
-                raise ConfigError(f"cache must be a KVCache, got "
-                                  f"{type(cache).__name__}")
-            if not (is_int(cache.length)
-                    and 0 <= cache.length <= cfg.max_seq_len):
-                raise ConfigError(
-                    f"cache length must be an int in [0, max_seq_len = "
-                    f"{cfg.max_seq_len}], got {cache.length!r}")
-            if not self._fits(cache):
-                raise ConfigError(
-                    f"cache keys {getattr(cache.keys, 'shape', None)} and "
-                    "values must be f32 arrays of one shape [n_layers = "
-                    f"{cfg.n_layers}, rows, d_model = {cfg.d_model}], rows "
-                    f"a multiple of KEY_BLOCK = {tz.KEY_BLOCK}")
+        check_type("cache", cache, KVCache, optional=True)
+        if cache is not None and cache.config != cfg:
+            raise ConfigError("the cache was built for another config")
         start = 0 if cache is None else cache.length
         end = start + ids.size
         if ids.size == 0:
@@ -325,18 +312,8 @@ class DecoderModel:
                 cache.keys[:, start:end] = 0
                 cache.values[:, start:end] = 0
                 raise
-        cache.length = end
+        cache._length = end
         return logits
-
-    def _fits(self, cache: KVCache) -> bool:
-        """Whether the cache's buffers are this model's f32 key/value rows."""
-        keys, values = cache.keys, cache.values
-        return (isinstance(keys, np.ndarray) and isinstance(values, np.ndarray)
-                and keys.shape == values.shape and keys.ndim == 3
-                and keys.dtype == values.dtype == tz.DTYPE
-                and keys.shape[0] == self.config.n_layers
-                and keys.shape[2] == self.config.d_model
-                and keys.shape[1] % tz.KEY_BLOCK == 0)
 
     def _checked(self, ids: np.ndarray, rng: np.random.Generator | None,
                  cache: KVCache | None) -> Tensor:

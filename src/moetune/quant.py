@@ -37,7 +37,7 @@ def _n_blocks(n: int, block_size: int) -> int:
     return (n + block_size - 1) // block_size
 
 
-def pack_codes(codes: np.ndarray) -> np.ndarray:
+def _pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack 4-bit codes two per byte, low nibble first; odd tail pads 0."""
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.size % 2:
@@ -47,8 +47,8 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
     return packed
 
 
-def unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_codes for the first n codes."""
+def _unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _pack_codes for the first n codes."""
     packed = np.asarray(packed, dtype=np.uint8)
     out = np.empty(packed.size * 2, dtype=np.uint8)
     out[0::2] = packed & 0x0F
@@ -126,7 +126,7 @@ def quantize_4bit(m: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quanti
     padded[:n] = flat
     codes, scales = _quantize_blocks(padded.reshape(n_blocks, block_size))
     return QuantizedMatrix(rows, cols, block_size,
-                           pack_codes(codes.reshape(-1)[:n]), scales)
+                           _pack_codes(codes.reshape(-1)[:n]), scales)
 
 
 def _quantize_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +161,7 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     n_blocks = _n_blocks(n, q.block_size)
     if q.scales.size != n_blocks:
         raise FormatError(f"scale count {q.scales.size} != expected {n_blocks}")
-    codes = unpack_codes(q.codes, n)
+    codes = _unpack_codes(q.codes, n)
     if codes.max(initial=0) > 14:
         raise FormatError("corrupt packing: code value 15 is not in the codebook")
     values = codes.astype(np.float32)
@@ -339,7 +339,7 @@ def _put(q: QuantizedMatrix, keep: np.ndarray, unit: int,
     `blocks`, as _gather lays them out, quantized."""
     codes, scales = _quantize_blocks(blocks)
     out_codes, out_scales = q.codes.copy(), q.scales.copy()
-    for a, new, width in ((out_codes, pack_codes(codes.reshape(-1)), unit // 2),
+    for a, new, width in ((out_codes, _pack_codes(codes.reshape(-1)), unit // 2),
                           (out_scales, scales, unit // q.block_size)):
         a.reshape(-1, width)[keep] = new.reshape(-1, width)
     # wrapped once filled: a QuantizedMatrix makes its arrays read-only

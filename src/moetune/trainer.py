@@ -97,14 +97,20 @@ def write_loss_log(rows: list[LossLogRow], path) -> None:
     fields of LossLogRow. Floats are written with repr, so they read back
     exactly. Rows that are not a list of LossLogRow, and a path that is not
     a str, bytes or os.PathLike, are a ConfigError, raised before the file
-    is opened."""
+    is opened; so is a row whose fields JSON cannot write, such as a numpy
+    int or bytes, which leaves the file at `path` as it was."""
     check_type("rows", rows, list)
+    lines = []
     for i, r in enumerate(rows):
         check_type(f"row {i}", r, LossLogRow)
+        try:
+            lines.append(json.dumps(asdict(r)) + "\n")
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"row {i} cannot be written as JSON: "
+                              f"{e}") from None
     path = check_path(path)
     with open(path, "w", encoding="utf-8") as f:
-        for r in rows:
-            f.write(json.dumps(asdict(r)) + "\n")
+        f.writelines(lines)
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -310,9 +316,10 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
 
     One forward over the prompt fills a key/value cache and gives the logits
     of its last position, those of the first token, alone; every further
-    token runs as a single row against that cache. The cache has rows for
-    the positions fed, the prompt and every new token but the last, rounded
-    up to whole key blocks. The logits are bitwise equal to the last row of
+    token runs as a single row against that cache. The cache is
+    `KVCache(model.config, positions)` for the positions fed, the prompt
+    and every new token but the last, so it has their rows rounded up to
+    whole key blocks. The logits are bitwise equal to the last row of
     a forward over the whole prefix, so the tokens are those a full-prefix
     loop would pick.
 
@@ -348,8 +355,7 @@ def generate(model: DecoderModel, prompt_tokens, max_new: int,
     if not is_int(stop_id):  # any int, since -1 never stops
         raise ConfigError(f"stop_id must be an int, got {stop_id!r}")
     rng = np.random.default_rng(seed)
-    cache = KVCache.for_positions(model.config,
-                                  max(len(prompt) + max_new - 1, 0))
+    cache = KVCache(model.config, max(len(prompt) + max_new - 1, 0))
     step_ids = prompt
     out: list[int] = []
     while len(out) < max_new:

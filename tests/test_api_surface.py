@@ -30,8 +30,6 @@ ENTRY_POINTS = {
     "model.DecoderLayer": "a layer of the model build_model assembles",
     "model.moe_forward": "DecoderModel.forward's MoE block",
     "model.init_model": "builds a fresh model",
-    "quant.pack_codes": "the packed 4-bit code format",
-    "quant.unpack_codes": "the packed 4-bit code format",
     "quant.dequantize": "the 4-bit value format; QuantizedMatrix.dequant",
     "tokenizer.encode_text": "the byte-level text encoding",
     "tokenizer.decode_tokens": "how a caller reads generate's output",

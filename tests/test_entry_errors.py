@@ -72,8 +72,8 @@ CASES = {
          lambda m, path: lora.load_adapters(m, None, zero_factors)),
     "generate(None)":
         (ConfigError, lambda m, path: trainer.generate(None, [1], 1)),
-    "KVCache.for_positions(None)":
-        (ConfigError, lambda m, path: KVCache.for_positions(None, 3)),
+    "KVCache(None)":
+        (ConfigError, lambda m, path: KVCache(None, 3)),
     "QuantizedAdam(None)":
         (ConfigError, lambda m, path: quant.QuantizedAdam(None)),
     "QuantizedAdam(arrays)":

@@ -45,7 +45,7 @@ def test_hand_block_oracle():
     q = Q.quantize_4bit(m, block_size=4)
     scale = q.scales[0]
     assert abs(scale - 1.0 / 7.0) < 1e-7
-    codes = Q.unpack_codes(q.codes, 4)
+    codes = Q._unpack_codes(q.codes, 4)
     assert list(codes) == [4 + 7, -7 + 7, 2 + 7, 0 + 7]
     deq = Q.dequantize(q)[0]
     assert abs(deq[0] - 4.0 / 7.0) < 1e-6
@@ -95,7 +95,7 @@ def test_pack_unpack_bitwise():
     rng = np.random.default_rng(3)
     for n in [1, 2, 7, 64, 129]:
         codes = rng.integers(0, 15, n).astype(np.uint8)
-        assert np.array_equal(Q.unpack_codes(Q.pack_codes(codes), n), codes)
+        assert np.array_equal(Q._unpack_codes(Q._pack_codes(codes), n), codes)
 
 
 def test_random_8x8_block4_bound():
@@ -467,8 +467,8 @@ def assert_same_as_oracle(params, state, oracle_params, oracle_states):
             assert (q.rows, q.cols, q.block_size) == (w.rows, w.cols,
                                                       w.block_size), name
             n = w.n_elements
-            assert np.array_equal(Q.unpack_codes(q.codes, n),
-                                  Q.unpack_codes(w.codes, n)), name
+            assert np.array_equal(Q._unpack_codes(q.codes, n),
+                                  Q._unpack_codes(w.codes, n)), name
             assert q.scales.tobytes() == w.scales.tobytes(), name
 
 
@@ -571,7 +571,7 @@ def test_flat_pass_is_bitwise_the_per_tensor_loop(tmp_path):
     st = opt.state
     offsets = Q.flat_offsets(st.sizes, st.m.block_size)
     for q in (st.m, st.v):
-        codes = Q.unpack_codes(q.codes, q.n_elements)
+        codes = Q._unpack_codes(q.codes, q.n_elements)
         for n, lo, hi in zip(st.sizes, offsets, offsets[1:]):
             assert np.all(codes[lo + n:hi] == 7), n
 

@@ -22,7 +22,8 @@ from moetune.errors import ConfigError, LengthError, NumericError, TrainingAbort
 from moetune.lora import LoraConfig, attach_adapters
 from moetune.model import DecoderModel, ModelConfig, init_model
 from moetune.tokenizer import TokenizedSample, render_chat
-from moetune.trainer import TrainConfig, _lr_at, batch_loss, train
+from moetune.trainer import (LossLogRow, TrainConfig, _lr_at, batch_loss,
+                             train, write_loss_log)
 
 TINY = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24, n_experts=4,
                    top_k=2, vocab_size=262, max_seq_len=32)
@@ -438,6 +439,21 @@ def test_log_reports_grad_norm_and_clipping(tmp_path, max_norm, clipped):
     assert rows == [dataclasses.asdict(r) for r in log]
     assert [r["grad_norm"] for r in rows] == [r.grad_norm for r in log]
     assert all(r["clipped"] is clipped for r in rows)
+
+
+@pytest.mark.parametrize("field, value", [("loss", np.float32(0.5)),
+                                          ("step", np.int64(2)),
+                                          ("clipped", np.bool_(True)),
+                                          ("epoch", b"0")])
+def test_a_loss_log_row_json_cannot_write_is_a_config_error_before_the_file(
+        tmp_path, field, value):
+    path = tmp_path / "loss_log.jsonl"
+    path.write_text("earlier log\n", encoding="utf-8")
+    good = LossLogRow(1, 0, 0.25, 1e-3, 0.5, False)
+    bad = dataclasses.replace(good, **{"step": 2, field: value})
+    with pytest.raises(ConfigError, match="^row 1 "):
+        write_loss_log([good, bad], path)
+    assert path.read_text(encoding="utf-8") == "earlier log\n"
 
 
 def test_first_step_sees_the_gradient_of_batch_loss_under_its_key(
