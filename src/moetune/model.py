@@ -341,7 +341,14 @@ class DecoderModel:
         """The layers over positions start .. end - 1; a cache's rows
         start .. end - 1 are written and its length left as it was. With a
         cache, the last layer runs past its keys and values on the last
-        row alone, and only that row's logits are returned."""
+        row alone, and only that row's logits are returned.
+
+        Once each is read, a layer releases (`Tensor.release`) its
+        queries and keys before rotary, the output projection's result and
+        the MoE output: the backwards of `rotary` and of the residual `add`
+        read only their gradient, so a training tape need not keep them.
+        The ffn norm's output stays: the router's matmul reads it when the
+        router trains."""
         cfg = self.config
         start = 0 if cache is None else cache.length
         end = start + ids.size
@@ -354,8 +361,12 @@ class DecoderModel:
                 last = [ids.size - 1]
                 x, h_q = tz.index_rows(x, last), tz.index_rows(h, last)
                 cos_q, sin_q = cos[-1:], sin[-1:]
-            q = tz.rotary(layer.wq.forward(h_q, rng), cos_q, sin_q)
-            k = tz.rotary(layer.wk.forward(h, rng), cos, sin)
+            q_pre = layer.wq.forward(h_q, rng)
+            q = tz.rotary(q_pre, cos_q, sin_q)
+            k_pre = layer.wk.forward(h, rng)
+            k = tz.rotary(k_pre, cos, sin)
+            q_pre.release()
+            k_pre.release()
             # an Inf key that scores -Inf in every row that sees it gets
             # weight 0 there, and so would not reach the logits
             tz.check_finite(k.data, "the keys")
@@ -366,9 +377,13 @@ class DecoderModel:
                 cache.values[i, start:end] = v.data
                 k, v = Tensor(cache.keys[i]), Tensor(cache.values[i])
             attn = tz.causal_attention(q, k, v, cfg.n_heads, end)
-            x = tz.add(x, layer.wo.forward(attn, rng))
+            o = layer.wo.forward(attn, rng)
+            x = tz.add(x, o)
+            o.release()
             h = tz.rms_norm(x, layer.ffn_norm, cfg.norm_eps)
-            x = tz.add(x, moe_forward(h, layer.moe, rng))
+            moe = moe_forward(h, layer.moe, rng)
+            x = tz.add(x, moe)
+            moe.release()
         x = tz.rms_norm(x, self.final_norm, cfg.norm_eps)
         return self.lm_head.forward(x, rng)
 

@@ -15,6 +15,12 @@ the parameters that have a gradient, updates them in one vectorized pass
 and writes their codes and scales back. A parameter without a gradient
 keeps its value, moments and step count, and bias-corrects with its own
 count when it next has one.
+
+The one block quantizer, `_quantize_blocks`, behind `quantize_4bit` and the
+Adam pass, works through CHUNK_BLOCKS blocks at a time: its f64 working
+arrays are a chunk's, not the whole matrix's or state's. A block's codes
+and scale depend on that block alone, so they are the same whatever the
+chunking.
 """
 
 from __future__ import annotations
@@ -31,6 +37,12 @@ from .errors import (ConfigError, DimensionError, FormatError, NumericError,
 from .tensor import Tensor, matmul
 
 DEFAULT_BLOCK_SIZE = 64
+
+# Blocks per pass of `_quantize_blocks`: 32,768 values at the default block
+# size, so a default-config kernel is one chunk, and the pass's two f64
+# working arrays hold 512 KiB, where an Adam state's whole moment would
+# need several MB each.
+CHUNK_BLOCKS = 512
 
 
 def _n_blocks(n: int, block_size: int) -> int:
@@ -131,7 +143,18 @@ def quantize_4bit(m: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quanti
 
 def _quantize_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes (uint8, the shape of `blocks`) and per-row scales of finite f32
-    blocks [n_blocks, block_size], as quantize_4bit defines them."""
+    blocks [n_blocks, block_size], as quantize_4bit defines them, computed
+    CHUNK_BLOCKS rows at a time."""
+    codes = np.empty(blocks.shape, dtype=np.uint8)
+    scales = np.empty(len(blocks), dtype=np.float32)
+    for lo in range(0, len(blocks), CHUNK_BLOCKS):
+        hi = lo + CHUNK_BLOCKS
+        codes[lo:hi], scales[lo:hi] = _quantize_chunk(blocks[lo:hi])
+    return codes, scales
+
+
+def _quantize_chunk(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-block formula of `_quantize_blocks` on one chunk of blocks."""
     absmax = np.abs(blocks).max(axis=1).astype(np.float64)
     scales = (absmax / 7.0).astype(np.float32)
     # Canonicalize so quantize(dequantize(q)) reproduces the scale bitwise:
@@ -152,7 +175,9 @@ def _quantize_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
-    """Reconstruct value = (code - 7) * block_scale, shape restored."""
+    """Reconstruct value = (code - 7) * block_scale, shape restored. A `q`
+    that is not a QuantizedMatrix is a ConfigError."""
+    check_type("q", q, QuantizedMatrix)
     n = q.n_elements
     expected_bytes = (n + 1) // 2
     if q.codes.size != expected_bytes:
@@ -253,10 +278,12 @@ def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
     exceeds `max_norm`; returns that norm. The grads stay as given.
 
     Their segments are gathered by whole units into one flat buffer, each
-    bias-corrected with its own step count. A non-finite gradient or moment
-    raises NumericError before anything is written; otherwise each such
-    param is updated in place, and m and v become copies with new codes and
-    scales in those units (the matrices are never written in place).
+    bias-corrected with its own step count. A gradient that is not an
+    ndarray of its parameter's shape raises DimensionError, and a
+    non-finite gradient or moment NumericError, before anything is
+    written; otherwise each such param is updated in place, and m and v
+    become copies with new codes and scales in those units (the matrices
+    are never written in place).
     """
     bs = state.m.block_size
     unit = bs * (1 + bs % 2)
@@ -270,10 +297,12 @@ def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
     g = np.zeros(seg.sum(), dtype=np.float32)
     norm = 0.0
     for i, lo in zip(live, starts):
-        grad = params[i].grad
-        if grad.size != state.sizes[i]:
-            raise DimensionError(f"{state.names[i]}: grad holds {grad.size} "
-                                 f"elements, the parameter {state.sizes[i]}")
+        grad, shape = params[i].grad, params[i].data.shape
+        if not (isinstance(grad, np.ndarray) and grad.shape == shape):
+            got = (grad.shape if isinstance(grad, np.ndarray)
+                   else type(grad).__name__)
+            raise DimensionError(f"{state.names[i]}: grad is {got}, the "
+                                 f"parameter {shape}")
         part = g[lo:lo + grad.size]
         part[:] = grad.reshape(-1)
         # f32 squares are exact in f64; each segment's sum skips its pad
@@ -360,8 +389,10 @@ class QuantizedAdam:
     per parameter dequantizes both moments, updates the param and
     requantizes them. Params that are not a dict of Tensors, betas outside
     [0, 1), an eps or max_norm that is not a number > 0, an lr that is not
-    a finite number >= 0 and a state of other parameters are ConfigErrors;
-    a non-finite gradient or moment is a NumericError that changes nothing.
+    a finite number >= 0 and a state of other parameters are ConfigErrors.
+    A gradient that is not an ndarray of its parameter's shape is a
+    DimensionError naming the parameter, and a non-finite gradient or
+    moment a NumericError; either changes nothing.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,

@@ -4,6 +4,10 @@ Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` traces the graph into a topologically ordered
 tape and replays it in reverse, accumulating gradients into the leaves'
 ``.grad`` and freeing each op output's closure once it has run.
+An op output whose readers' backwards need nothing of it can drop its data
+before the backward with ``Tensor.release()``, and stay on the tape: the
+decoder releases its pre-rotary queries and keys and the two branches it
+adds to the residual stream, and the trainer its logits.
 Inside ``no_tape()`` ops compute the same values but record nothing: their
 outputs keep no parents or closure, so each op's intermediates are freed
 when it returns. The decoder's cached (inference-only) forward runs there.
@@ -210,6 +214,17 @@ class Tensor:
                 node.grad = node._backward = None
                 node._parents = ()
                 node.requires_grad = False
+
+    def release(self) -> None:
+        """Drop this op output's data once every op that reads it exists and
+        no backward reads it: `data` is None from then on. The tensor keeps
+        its grad, parents and closure, so it keeps its place on the tape and
+        passes its gradient on. The decoder releases what it feeds only to
+        a `rotary` or a residual `add`, whose backwards read nothing but
+        their gradient, and the trainer releases the logits once
+        `masked_cross_entropy`, which keeps its own exponentials, has read
+        them. Reading a released tensor's data is a bug."""
+        self.data = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -131,14 +131,18 @@ def _sample_losses(model: DecoderModel, samples: list[TokenizedSample],
                    rng: np.random.Generator | None):
     """Yield each sample's masked CE, in order, over the sample padded to
     the batch's max length; adapter dropout draws from `rng`, and runs only
-    when it is given. Each forward runs when the caller asks for its loss."""
+    when it is given. Each forward runs when the caller asks for its loss.
+    The logits are released (`Tensor.release`) once the loss is built: its
+    backward reads the exponentials it keeps, not the logits."""
     max_len = max(len(s.token_ids) for s in samples)
     for s in samples:
         pad = max_len - len(s.token_ids)
         ids = s.token_ids + [PAD_ID] * pad
         mask = s.loss_mask + [0] * pad
-        yield tz.masked_cross_entropy(model.forward(ids[:-1], rng=rng),
-                                      ids[1:], mask[1:])
+        logits = model.forward(ids[:-1], rng=rng)
+        loss = tz.masked_cross_entropy(logits, ids[1:], mask[1:])
+        logits.release()
+        yield loss
 
 
 def batch_loss(model: DecoderModel, samples: list[TokenizedSample],

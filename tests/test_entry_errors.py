@@ -90,6 +90,12 @@ CASES = {
     "quantize_4bit(block_size=64.0)":
         (DimensionError,
          lambda m, path: quant.quantize_4bit(ONES, block_size=64.0)),
+    "dequantize(None)":
+        (ConfigError, lambda m, path: quant.dequantize(None)),
+    "dequantize('x')":
+        (ConfigError, lambda m, path: quant.dequantize("x")),
+    "dequantize(zeros(3))":
+        (ConfigError, lambda m, path: quant.dequantize(np.zeros(3))),
     "decode_tokens(None)":
         (VocabError, lambda m, path: tokenizer.decode_tokens(None)),
     "QuantizedAdam.step(lr='x')":

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,6 +541,8 @@ def test_step_clips_like_clip_then_step(max_norm, clipped):
 
 
 SIZES = [1, 3, 10, 63, 64, 65, 130, 1024]
+# values per chunk of the block quantizer
+CHUNK = Q.CHUNK_BLOCKS * Q.DEFAULT_BLOCK_SIZE
 TINY_CKPT = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24,
                         n_experts=2, vocab_size=262, max_seq_len=32)
 
@@ -563,6 +566,11 @@ def test_flat_pass_is_bitwise_the_per_tensor_loop(tmp_path):
                                 requires_grad=True) for n in SIZES}
     params["square"] = T.Tensor(rng.standard_normal((16, 8)).astype(np.float32),
                                 requires_grad=True)
+    # more than a chunk: the quantizer's chunk edges fall inside segments,
+    # at offsets that move with the parameters a step skips
+    params["wide"] = T.Tensor(
+        rng.standard_normal((2, CHUNK // 2 + 300)).astype(np.float32),
+        requires_grad=True)
     oracle_params, oracle_states = oracle_of(params)
     opt = Q.QuantizedAdam(params)
     run_both(params, opt, oracle_params, oracle_states, rng, steps=300)
@@ -613,3 +621,95 @@ def test_resume_continues_like_the_per_tensor_loop(tmp_path):
              resumed_oracle_states, tail_rng, steps=20)
     assert_same_as_oracle(resumed_params, resumed_opt.state, oracle_params,
                           oracle_states)
+
+
+def one_shot_quantize_blocks(blocks):
+    """The block quantizer's formula over all blocks at once, as it ran
+    before it worked in chunks: the oracle of the chunked pass."""
+    absmax = np.abs(blocks).max(axis=1).astype(np.float64)
+    scales = (absmax / 7.0).astype(np.float32)
+    scales = ((np.float32(7.0) * scales).astype(np.float64) / 7.0).astype(np.float32)
+    ratio = np.multiply(blocks, 7.0, dtype=np.float64)
+    ratio /= np.where(absmax > 0, absmax, 1.0)[:, None]
+    rounded = np.copysign(0.5, ratio)
+    rounded += ratio
+    codes = rounded.astype(np.int8)
+    codes += 7
+    return codes.view(np.uint8), scales
+
+
+def test_chunked_block_quantizer_is_the_one_shot_formula():
+    rng = np.random.default_rng(43)
+    bs = Q.DEFAULT_BLOCK_SIZE
+    n_blocks = 3 * Q.CHUNK_BLOCKS + 37
+    # each block is normal values over 60 decades, all zeros, exact ties
+    # or subnormals (kinds 0-3), and each chunk edge has all four beside it
+    kind = rng.integers(0, 4, n_blocks)
+    for edge in range(Q.CHUNK_BLOCKS, n_blocks, Q.CHUNK_BLOCKS):
+        kind[edge - 2:edge + 2] = [0, 1, 2, 3]
+    blocks = (rng.standard_normal((n_blocks, bs))
+              * 10.0 ** rng.uniform(-30, 30, (n_blocks, 1))).astype(np.float32)
+    blocks[kind == 1] = 0.0
+    # absmax 14 puts each odd integer v at a ratio of exactly v / 2
+    ties = np.zeros(bs, np.float32)
+    ties[:14] = np.arange(-13, 14, 2)
+    ties[-1] = 14.0
+    blocks[kind == 2] = ties
+    tiny = np.finfo(np.float32).smallest_subnormal
+    blocks[kind == 3] = rng.integers(-2000, 2000, ((kind == 3).sum(), bs)) * tiny
+    assert (np.abs(blocks[kind == 3]) < np.finfo(np.float32).tiny).all()
+    codes, scales = Q._quantize_blocks(blocks)
+    want_codes, want_scales = one_shot_quantize_blocks(blocks)
+    assert codes.dtype == np.uint8 and codes.shape == blocks.shape
+    assert codes.tobytes() == want_codes.tobytes()
+    assert scales.tobytes() == want_scales.tobytes()
+    # ties round away from zero: code 7 + sign(v) * (|v| // 2 + 1)
+    assert (codes[kind == 2][:, :14] == [0, 1, 2, 3, 4, 5, 6,
+                                         8, 9, 10, 11, 12, 13, 14]).all()
+    assert (codes[kind == 1] == 7).all() and (scales[kind == 1] == 0).all()
+
+
+def test_adam_step_rejects_a_grad_of_another_shape_or_type():
+    # a [3, 2] gradient holds as many elements as a [2, 3] parameter, but
+    # not in its order; a list is not a gradient
+    params = {"a": T.Tensor(np.ones((2, 3), np.float32), requires_grad=True),
+              "b": T.Tensor(np.ones(4, np.float32), requires_grad=True)}
+    opt = Q.QuantizedAdam(params)
+    params["b"].grad = np.ones(4, np.float32)
+    opt.step(0.1)
+    before = {n: t.data.copy() for n, t in params.items()}
+    moments = [x.tobytes() for q in (opt.state.m, opt.state.v)
+               for x in (q.codes, q.scales)]
+    for grad in (np.ones((3, 2), np.float32), [[1.0] * 3] * 2,
+                 np.ones(6, np.float32)):
+        params["a"].grad = grad
+        with pytest.raises(DimensionError, match="a: grad"):
+            opt.step(0.1)
+        assert all(np.array_equal(t.data, before[n])
+                   for n, t in params.items())
+        assert opt.state.steps == [0, 1]
+        assert [x.tobytes() for q in (opt.state.m, opt.state.v)
+                for x in (q.codes, q.scales)] == moments
+
+
+def test_one_adam_step_holds_under_6x_its_parameters():
+    # the default config's adapters: the step's transient (f32 gradients,
+    # both moments and the update, plus one chunk of the quantizer's f64
+    # working arrays) stays below 6x their f32 bytes
+    model = init_model(ModelConfig(), seed=0)
+    attach_adapters(model, LoraConfig(), seed=0)
+    params = model.trainable_parameters()
+    nbytes = sum(t.data.nbytes for t in params.values())
+    rng = np.random.default_rng(47)
+    opt = Q.QuantizedAdam(params)
+    for _ in range(2):
+        for t in params.values():
+            t.grad = rng.standard_normal(t.data.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            opt.step(1e-3)
+            transient = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert transient < 6 * nbytes, (transient, nbytes)

@@ -503,3 +503,41 @@ def test_lr_warms_up_linearly_then_never_rises(schedule):
         assert after == [3e-4] * len(after)
     else:
         assert after[1] < 3e-4 and after[-1] == 0.0
+
+
+def test_released_arrays_change_no_gradient_and_leave_the_tape(monkeypatch):
+    # each layer releases its pre-rotary q and k, the o projection's output
+    # and the MoE output, and the trainer the logits: the gradients are
+    # bitwise those of a tape that keeps them, and the tape holds fewer
+    # bytes when the backward starts, by at least what was released
+    release = tz.Tensor.release
+
+    def forward_and_backward(release_fn):
+        model = adapted_model()
+        released = []
+
+        def counted(t):
+            released.append(t.data.nbytes)
+            release_fn(t)
+
+        monkeypatch.setattr(tz.Tensor, "release", counted)
+        tracemalloc.start()
+        try:
+            loss = batch_loss(model, CORPUS[:2], np.random.default_rng(3))
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        loss.backward()
+        # an expert that no row reaches has no gradient
+        grads = {n: None if t.grad is None else t.grad.tobytes()
+                 for n, t in model.trainable_parameters().items()}
+        return live, released, grads
+
+    forward_and_backward(release)  # warm-up: one-time allocations
+    live, released, grads = forward_and_backward(release)
+    live_kept, released_kept, grads_kept = forward_and_backward(
+        lambda t: None)
+    assert grads == grads_kept
+    assert released == released_kept
+    assert len(released) == 2 * (4 * TINY.n_layers + 1)  # per sample
+    assert live_kept - live >= sum(released), (live_kept, live, released)
