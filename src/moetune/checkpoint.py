@@ -20,7 +20,8 @@ arrays laid end to end, sealed by the entry's "crc32".
 - "q4" (base): "tensors" lists [name, [rows, cols]] of the 4-bit kernels.
 - "optim" (checkpoint, only with optimizer state): "steps" holds the
   update count of each f32 parameter, in order; the run holds the Adam
-  moments m and v, 1 x end over `quant.flat_offsets` of their sizes.
+  moments m and v, 1 x end over `quant.flat_offsets` of their sizes, in
+  blocks of 64: a load rejects another "block_size".
 
 A 4-bit group also stores its "block_size", and its run holds each
 matrix's ceil(n / block_size) f32 scales, then each one's ceil(n / 2)
@@ -282,15 +283,16 @@ def _layout(where: str, group: str, meta, sizes: list[int] | None):
     if not (isinstance(meta, dict) and is_count(meta.get("crc32"))):
         raise FormatError(f"{where}: group {group} lacks a crc32")
     bs = meta.get("block_size")
-    if group != "f32" and not is_count(bs, 1):
-        raise FormatError(f"{where}: group {group} lacks a block size")
+    if group != "f32" and not (is_count(bs, 1) and (
+            group == "q4" or bs == DEFAULT_BLOCK_SIZE)):
+        raise FormatError(f"{where}: group {group} lacks a valid block size")
     if group == "optim":
         steps = meta.get("steps")
         if not (isinstance(steps, list) and all(map(is_count, steps))
                 and len(steps) == len(sizes)):
             raise FormatError(f"{where}: optim steps must be {len(sizes)} "
                               f"counts, one per f32 parameter")
-        names, shapes = None, [(1, flat_offsets(sizes, bs)[-1])] * 2
+        names, shapes = None, [(1, flat_offsets(sizes)[-1])] * 2
     else:
         entries = meta.get("tensors")
         if not isinstance(entries, list):
@@ -470,8 +472,9 @@ def load_checkpoint(path, with_optimizer: bool = True) -> TrainState:
     state = TrainState(model=model, train_config=train_cfg,
                        **dict(zip(_COUNTERS, counters)))
     if moments is not None:
-        optim = AdamState([n for n, _ in own], [t.size for _, t in own],
-                          list(header["groups"]["optim"]["steps"]), *moments)
+        optim = AdamState(tuple(n for n, _ in own),
+                          tuple(t.size for _, t in own),
+                          tuple(header["groups"]["optim"]["steps"]), *moments)
         why = optim.mismatch({n: params[n] for n in params if n in trains})
         if why is not None:
             raise IntegrityError(f"{path}: optimizer state {why}")

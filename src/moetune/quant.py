@@ -7,14 +7,14 @@ Codes are unsigned 0..14 with value = (code - 7) * scale, so the grid is
 
 The 4-bit Adam keeps all its moments in one AdamState: two 1 x end such
 matrices, m and v, and a step count per parameter. Each parameter is a
-segment of the flat layout, padded to whole blocks and to a whole byte of
-codes, so no block straddles two parameters; a pad holds code 7, which
-reads 0 and which Adam keeps at 0. So every code and scale is the one a
-pass over that parameter alone computes. A step gathers the segments of
-the parameters that have a gradient, updates them in one vectorized pass
-and writes their codes and scales back. A parameter without a gradient
-keeps its value, moments and step count, and bias-corrects with its own
-count when it next has one.
+segment of the flat layout, padded to whole blocks of DEFAULT_BLOCK_SIZE,
+the one block size of the optimizer, so no block straddles two parameters;
+a pad holds code 7, which reads 0 and which Adam keeps at 0. So every code
+and scale is the one a pass over that parameter alone computes. A state is
+never changed: a step runs one vectorized pass over the whole layout and
+returns the next state, whose blocks of the parameters that had a gradient
+are new. A parameter without a gradient keeps its value, moments and step
+count, and bias-corrects with its own count when it next has one.
 
 The one block quantizer, `_quantize_blocks`, behind `quantize_4bit` and the
 Adam pass, works through CHUNK_BLOCKS blocks at a time: its f64 working
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,34 +228,34 @@ def adam_rules(config) -> list[tuple[str, str, bool]]:
             ("eps", "a number > 0", is_number(eps) and eps > 0)]
 
 
-def flat_offsets(sizes, block_size: int) -> list[int]:
+def flat_offsets(sizes) -> list[int]:
     """The start of each parameter's segment of the flat layout, then its
-    end: segments are padded to whole blocks and whole bytes of codes."""
-    unit = block_size * (1 + block_size % 2)
-    return [0, *itertools.accumulate(_n_blocks(n, unit) * unit for n in sizes)]
+    end: segments are padded to whole blocks of DEFAULT_BLOCK_SIZE."""
+    bs = DEFAULT_BLOCK_SIZE
+    return [0, *itertools.accumulate(_n_blocks(n, bs) * bs for n in sizes)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
     """The parameters' names, sizes and update counts, in order, and their
     moments m and v: parameter i holds elements offsets[i] to offsets[i] +
-    sizes[i] of each, offsets = flat_offsets(sizes, m.block_size)."""
+    sizes[i] of each, offsets = flat_offsets(sizes)."""
 
-    names: list[str]
-    sizes: list[int]
-    steps: list[int]
+    names: tuple[str, ...]
+    sizes: tuple[int, ...]
+    steps: tuple[int, ...]
     m: QuantizedMatrix
     v: QuantizedMatrix
 
     @classmethod
     def zeros(cls, params: dict[str, Tensor]) -> "AdamState":
         """quantize_4bit of zero moments, and zero steps, for `params`."""
-        sizes, bs = [t.data.size for t in params.values()], DEFAULT_BLOCK_SIZE
-        end = flat_offsets(sizes, bs)[-1]
+        sizes = tuple(t.data.size for t in params.values())
+        end, bs = flat_offsets(sizes)[-1], DEFAULT_BLOCK_SIZE
         # one matrix serves as m and v: no pass writes a moment in place
         zero = QuantizedMatrix(1, end, bs, np.full(end // 2, 0x77, np.uint8),
                                np.zeros(end // bs, dtype=np.float32))
-        return cls(list(params), sizes, [0] * len(sizes), zero, zero)
+        return cls(tuple(params), sizes, (0,) * len(sizes), zero, zero)
 
     def mismatch(self, params: dict[str, Tensor]) -> str | None:
         """None when the state holds `params`, the same names and sizes in
@@ -271,39 +271,36 @@ class AdamState:
 
 def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
                beta1: float, beta2: float, eps: float,
-               max_norm: float) -> float:
+               max_norm: float) -> tuple[AdamState, float]:
     """One Adam step for every parameter of `state` that has a gradient, on
     the gradients scaled by f32(max_norm / (norm + 1e-6)) when their global
     norm, the sum of each one's f64 sum of squares in parameter order,
-    exceeds `max_norm`; returns that norm. The grads stay as given.
+    exceeds `max_norm`; returns the next state and that norm. The grads and
+    `state` stay as given.
 
-    Their segments are gathered by whole units into one flat buffer, each
+    It runs over the whole flat layout, each segment at its own offset and
     bias-corrected with its own step count. A gradient that is not an
-    ndarray of its parameter's shape raises DimensionError, and a
-    non-finite gradient or moment NumericError, before anything is
-    written; otherwise each such param is updated in place, and m and v
-    become copies with new codes and scales in those units (the matrices
-    are never written in place).
+    ndarray of its parameter's shape and the state's size raises
+    DimensionError, and a non-finite gradient or moment NumericError, before
+    anything is written; otherwise each param with a gradient is updated in
+    place.
     """
-    bs = state.m.block_size
-    unit = bs * (1 + bs % 2)
-    seg = np.diff(flat_offsets(state.sizes, bs))
-    has_grad = [t.grad is not None for t in params]
-    live = np.flatnonzero(has_grad)
-    keep = np.repeat(has_grad, seg // unit)  # the units of live segments
-    seg = seg[live]
-    starts = np.cumsum(seg) - seg
-    names = [state.names[i] for i in live]
-    g = np.zeros(seg.sum(), dtype=np.float32)
+    bs = DEFAULT_BLOCK_SIZE
+    offsets = flat_offsets(state.sizes)
+    live = [t.grad is not None for t in params]
+    g = np.zeros(offsets[-1], dtype=np.float32)
     norm = 0.0
-    for i, lo in zip(live, starts):
-        grad, shape = params[i].grad, params[i].data.shape
-        if not (isinstance(grad, np.ndarray) and grad.shape == shape):
+    for name, t, n, lo in zip(state.names, params, state.sizes, offsets):
+        grad, shape = t.grad, t.data.shape
+        if grad is None:
+            continue
+        if not (isinstance(grad, np.ndarray) and grad.shape == shape
+                and t.data.size == n):
             got = (grad.shape if isinstance(grad, np.ndarray)
                    else type(grad).__name__)
-            raise DimensionError(f"{state.names[i]}: grad is {got}, the "
-                                 f"parameter {shape}")
-        part = g[lo:lo + grad.size]
+            raise DimensionError(f"{name}: grad is {got}, the parameter "
+                                 f"{shape}, its state {n} elements")
+        part = g[lo:lo + n]
         part[:] = grad.reshape(-1)
         # f32 squares are exact in f64; each segment's sum skips its pad
         norm += float(np.square(part, dtype=np.float64).sum())
@@ -311,13 +308,13 @@ def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
     finite = np.isfinite(g)
     if not finite.all():
         raise NumericError(f"4-bit Adam: non-finite gradient for "
-                           f"{_first_false(finite, names, starts)}")
+                           f"{_first_false(finite, state.names, offsets)}")
     norm = math.sqrt(norm)
     if norm > max_norm:
         g *= np.float32(max_norm / (norm + 1e-6))
     # a pad reads 0, as quantize_4bit pads, and Adam keeps it at 0 (code 7),
     # so every code and scale is the one a pass over its parameter computes
-    m, v = _gather(state.m, keep, unit), _gather(state.v, keep, unit)
+    m, v = (dequantize(q).reshape(-1, bs) for q in (state.m, state.v))
 
     # Adam's f32 arithmetic in the per-tensor order, in place:
     # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
@@ -333,10 +330,11 @@ def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
     if not (np.isfinite(m).all() and np.isfinite(v).all()):
         finite = np.isfinite(m) & np.isfinite(v)
         raise NumericError(f"4-bit Adam: non-finite moment for "
-                           f"{_first_false(finite, names, starts)}")
-    c1, c2 = (np.repeat(np.array([1.0 - b ** (state.steps[i] + 1)
-                                  for i in live], dtype=np.float32),
-                        seg // bs)[:, None] for b in (beta1, beta2))
+                           f"{_first_false(finite, state.names, offsets)}")
+    blocks = np.diff(offsets) // bs
+    c1, c2 = (np.repeat(np.array([1.0 - b ** (t + 1) for t in state.steps],
+                                 dtype=np.float32), blocks)[:, None]
+              for b in (beta1, beta2))
     denom = np.divide(v, c2, out=g)
     np.sqrt(denom, out=denom)
     denom += eps
@@ -345,67 +343,68 @@ def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
     update /= denom
     update = update.reshape(-1)
 
-    for i, lo in zip(live, starts):
-        param = params[i].data
-        param -= update[lo:lo + param.size].reshape(param.shape)
-        state.steps[i] += 1
-    state.m, state.v = (_put(state.m, keep, unit, m),
-                        _put(state.v, keep, unit, v))
-    return norm
+    for t, n, lo, has in zip(params, state.sizes, offsets, live):
+        if has:
+            t.data -= update[lo:lo + n].reshape(t.data.shape)
+    keep = np.repeat(live, blocks)
+    steps = tuple(t + has for t, has in zip(state.steps, live))
+    return replace(state, steps=steps, m=_put(state.m, keep, m),
+                   v=_put(state.v, keep, v)), norm
 
 
-def _gather(q: QuantizedMatrix, keep: np.ndarray, unit: int) -> np.ndarray:
-    """The blocks of flat matrix `q` in the units `keep` marks, dequantized."""
-    codes = q.codes.reshape(-1, unit // 2)[keep].reshape(-1)
-    scales = q.scales.reshape(-1, unit // q.block_size)[keep].reshape(-1)
-    return dequantize(QuantizedMatrix(1, 2 * codes.size, q.block_size, codes,
-                                      scales)).reshape(-1, q.block_size)
-
-
-def _put(q: QuantizedMatrix, keep: np.ndarray, unit: int,
+def _put(q: QuantizedMatrix, keep: np.ndarray,
          blocks: np.ndarray) -> QuantizedMatrix:
-    """A copy of flat matrix `q` whose units that `keep` marks hold
-    `blocks`, as _gather lays them out, quantized."""
+    """Flat matrix `q` with the blocks that `keep` marks quantized from
+    `blocks` [n_blocks, block_size] and the others as they were."""
     codes, scales = _quantize_blocks(blocks)
-    out_codes, out_scales = q.codes.copy(), q.scales.copy()
-    for a, new, width in ((out_codes, _pack_codes(codes.reshape(-1)), unit // 2),
-                          (out_scales, scales, unit // q.block_size)):
-        a.reshape(-1, width)[keep] = new.reshape(-1, width)
-    # wrapped once filled: a QuantizedMatrix makes its arrays read-only
-    return QuantizedMatrix(1, q.cols, q.block_size, out_codes, out_scales)
+    codes = _pack_codes(codes.reshape(-1)).reshape(len(blocks), -1)
+    np.copyto(codes, q.codes.reshape(codes.shape), where=~keep[:, None])
+    np.copyto(scales, q.scales, where=~keep)
+    return QuantizedMatrix(1, q.cols, q.block_size, codes.reshape(-1), scales)
 
 
-def _first_false(finite: np.ndarray, names: list[str], starts) -> str:
+def _first_false(finite: np.ndarray, names, offsets) -> str:
     """Name of the segment that holds the first False of `finite`."""
-    return names[np.searchsorted(starts, np.argmin(finite), "right") - 1]
+    return names[np.searchsorted(offsets, np.argmin(finite), "right") - 1]
 
 
 class QuantizedAdam:
     """Adam over named f32 tensors with 4-bit moment storage.
 
-    `state` is one AdamState over `params`, in their order. `step` clips the
-    gradients to one global norm and updates the parameters that have one,
-    and their moments (see _adam_pass), bitwise as a loop that clips, then
-    per parameter dequantizes both moments, updates the param and
-    requantizes them. Params that are not a dict of Tensors, betas outside
-    [0, 1), an eps or max_norm that is not a number > 0, an lr that is not
-    a finite number >= 0 and a state of other parameters are ConfigErrors.
-    A gradient that is not an ndarray of its parameter's shape is a
-    DimensionError naming the parameter, and a non-finite gradient or
-    moment a NumericError; either changes nothing.
+    `state` is one AdamState over `params`, in their order, zeros unless
+    given. `step` clips the gradients to one global norm and updates the
+    parameters that have one, and their moments (see _adam_pass), bitwise as
+    a loop that clips, then per parameter dequantizes both moments, updates
+    the param and requantizes them, and makes the state it returns `state`.
+    Params that are not a dict of Tensors, betas outside [0, 1), an eps or
+    max_norm that is not a number > 0, an lr that is not a finite number >=
+    0 and a state that `AdamState.mismatch` rejects are ConfigErrors. A
+    gradient that is not an ndarray of its parameter's shape is a
+    DimensionError naming the parameter, and a non-finite gradient or moment
+    a NumericError; either changes nothing.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999, eps: float = 1e-8,
+                 state: AdamState | None = None):
         check_type("params", params, dict)
         for name, t in params.items():
             check_type(f"param {name!r}", t, Tensor)
-        self.params = params
+        self.params = dict(params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         check_rules(self, adam_rules(self))
-        self.state = AdamState.zeros(params)
+        self._state = AdamState.zeros(params) if state is None else state
+        check_type("state", self._state, AdamState)
+        why = self._state.mismatch(params)
+        if why is not None:
+            raise ConfigError(f"optimizer state {why}")
+
+    @property
+    def state(self) -> AdamState:
+        """The moments and step counts the last step left."""
+        return self._state
 
     def step(self, lr: float, max_norm: float = math.inf) -> float:
         """Apply one update at `lr` to every parameter that has a gradient,
@@ -416,11 +415,9 @@ class QuantizedAdam:
         if not (is_number(max_norm) and max_norm > 0):
             raise ConfigError(f"max_norm must be a number > 0, got "
                               f"{max_norm!r}")
-        why = self.state.mismatch(self.params)
-        if why is not None:
-            raise ConfigError(f"optimizer state {why}")
         params = list(self.params.values())
         if all(t.grad is None for t in params):
             return 0.0
-        return _adam_pass(self.state, params, lr, self.beta1, self.beta2,
-                          self.eps, max_norm)
+        self._state, norm = _adam_pass(self._state, params, lr, self.beta1,
+                                       self.beta2, self.eps, max_norm)
+        return norm

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -181,8 +181,9 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     training bit for bit. `cfg` must keep the state's seed and batch_size,
     and the state's moments must be those of the model's trainable
     parameters, or ConfigError is raised; the rest may change. The optimizer
-    takes its hyperparameters from `cfg`, the state only its moments, step
-    counts and position (see the module docstring). `lora_config`, when
+    is built with the state's moments and step counts and takes its
+    hyperparameters from `cfg`; `resume` is left as it was, as each step
+    returns a new optimizer state (see `quant`). `lora_config`, when
     given, must equal the config of the adapters attached to the model,
     which is what checkpoints record. Every sample needs a target, at least
     2 tokens and a non-zero loss_mask[1:], and a loss_mask of 0s and 1s
@@ -236,14 +237,13 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
 
-    optimizer = QuantizedAdam(trainable, cfg.beta1, cfg.beta2, cfg.eps)
-    state = TrainState(model=model, train_config=cfg,
-                       optim_state=optimizer.state)
+    state = TrainState(model=model, train_config=cfg)
     if resume is not None:
-        _check_resume(cfg, resume, trainable)
-        optimizer.state = state.optim_state = resume.optim_state
-        state.step, state.epoch, state.cursor = (resume.step, resume.epoch,
-                                                 resume.cursor)
+        _check_resume(cfg, resume)
+        state = replace(resume, model=model, train_config=cfg)
+    optimizer = QuantizedAdam(trainable, cfg.beta1, cfg.beta2, cfg.eps,
+                              state.optim_state)
+    state.optim_state = optimizer.state
 
     def maybe_save(name: str) -> None:
         if out_dir is not None:
@@ -273,6 +273,7 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
         except NumericError as e:
             raise TrainingAborted(state.step, f"step {state.step}: {e}") from e
         state.step, state.epoch, state.cursor = state.step + 1, epoch, cursor
+        state.optim_state = optimizer.state
         log.append(LossLogRow(state.step, epoch, loss_value, lr_t,
                               grad_norm, grad_norm > cfg.max_grad_norm))
         if state.step % cfg.save_every == 0:
@@ -283,15 +284,12 @@ def train(model: DecoderModel, corpus: list[TokenizedSample], cfg: TrainConfig,
     return state, log
 
 
-def _check_resume(cfg: TrainConfig, resume: TrainState, trainable) -> None:
-    """ConfigError unless `resume` has moments of the `trainable` parameters
+def _check_resume(cfg: TrainConfig, resume: TrainState) -> None:
+    """ConfigError unless `resume` has moments, which the optimizer checks,
     and was saved with the seed and batch_size of `cfg`."""
     if resume.optim_state is None:
         raise ConfigError("resume state carries no optimizer moments "
                           "(load it with with_optimizer=True)")
-    why = resume.optim_state.mismatch(trainable)
-    if why is not None:
-        raise ConfigError(f"resume state's optimizer {why}")
     saved = resume.train_config
     if not isinstance(saved, TrainConfig):
         raise ConfigError("resume state carries no train_config")

@@ -167,8 +167,7 @@ def test_save_load_save_with_moments_is_bitwise(tmp_path, block_size):
     for t in params.values():
         t.grad = np.ones_like(t.data)
     before = {n: t.data.copy() for n, t in params.items()}
-    opt = QuantizedAdam(params)
-    opt.state = loaded.optim_state
+    opt = QuantizedAdam(params, state=loaded.optim_state)
     opt.step(1e-2)
     assert all(not np.array_equal(before[n], t.data) for n, t in params.items())
 
@@ -615,7 +614,7 @@ def spans(header) -> dict:
     for name in ("q4", "optim"):
         if name in groups:
             bs = groups[name]["block_size"]
-            ns = ([flat_offsets(sizes, bs)[-1]] * 2 if name == "optim"
+            ns = ([flat_offsets(sizes)[-1]] * 2 if name == "optim"
                   else [r * c for _, (r, c) in groups[name]["tensors"]])
             scale_bytes = 4 * sum(-(-n // bs) for n in ns)
             out[f"{name}.scales"] = (at, scale_bytes)
@@ -681,6 +680,16 @@ def test_moments_of_other_parameters_are_an_integrity_error(tmp_path):
     path = saved_and_edited(tmp_path, swap, moment_state())
     assert load_checkpoint(path, with_optimizer=False).optim_state is None
     with pytest.raises(IntegrityError, match="optimizer state .* position 0"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("block_size", [32, 128, 64.0])
+def test_an_optim_block_size_other_than_64_is_a_format_error(tmp_path,
+                                                              block_size):
+    # the flat layout is in whole blocks of 64, which a save always writes
+    path = saved_and_edited(tmp_path, set_group("optim", "block_size",
+                                                block_size), moment_state())
+    with pytest.raises(FormatError, match="optim lacks a valid block size"):
         load_checkpoint(path)
 
 
@@ -1032,7 +1041,7 @@ def test_a_checkpoint_restores_which_parameters_train(tmp_path, build):
     save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
     assert read(tmp_path / "again.bin") == read(path)
     resumed = load_checkpoint(path)
-    assert (resumed.optim_state.names, resumed.step) == (trains, 2)
+    assert (list(resumed.optim_state.names), resumed.step) == (trains, 2)
     _, tail = train(resumed.model, corpus, cfg, resume=resumed)
     assert tail == log[2:]
     assert_same_state(state, load_checkpoint(tmp_path / "ckpt_final.bin"))

@@ -197,7 +197,7 @@ def test_zero_state_is_byte_equal_to_quantizing_zeros(n):
     end = 64 * -(-n // 64)
     want = Q.quantize_4bit(np.zeros((1, end), dtype=np.float32))
     state = Q.AdamState.zeros({"p": T.Tensor(np.zeros((1, n)))})
-    assert (state.names, state.sizes, state.steps) == (["p"], [n], [0])
+    assert (state.names, state.sizes, state.steps) == (("p",), (n,), (0,))
     for got in (state.m, state.v):
         assert (got.rows, got.cols, got.block_size) == (1, end, want.block_size)
         assert got.codes.dtype == want.codes.dtype
@@ -227,7 +227,7 @@ def test_adam_zero_grad_step_is_noop():
     before = p.copy()
     step(np.zeros(3, dtype=np.float32))
     assert np.array_equal(p, before)
-    assert opt.state.steps == [1]
+    assert opt.state.steps == (1,)
 
 
 def test_adam_scalar_one_step_matches_f32():
@@ -314,7 +314,7 @@ def test_optimizer_skips_a_parameter_without_grad_and_keeps_its_own_step():
     sb = segment(opt.state, "b")
     assert all(np.array_equal(x, y) for x, y in
                zip(moments, (sb.m.codes, sb.m.scales, sb.v.codes, sb.v.scales)))
-    assert opt.state.steps == [2, 1]
+    assert opt.state.steps == (2, 1)
 
     a.grad, b.grad = grad(a), grad(b)
     own_t = OracleState(sb.m, sb.v, step=1)
@@ -323,7 +323,7 @@ def test_optimizer_skips_a_parameter_without_grad_and_keeps_its_own_step():
     per_tensor_adam_step(want, b.grad, own_t, lr=0.01)
     per_tensor_adam_step(wrong, b.grad, global_t, lr=0.01)
     opt.step(0.01)
-    assert opt.state.steps == [3, 2]
+    assert opt.state.steps == (3, 2)
     assert np.array_equal(b.data, want)
     assert not np.array_equal(b.data, wrong)
 
@@ -334,7 +334,7 @@ def test_adam_step_rejects_a_nan_infinite_or_negative_lr(lr):
     opt, step = one_param_adam(p, lr=0.1)
     with pytest.raises(ConfigError):
         step(np.ones(3, dtype=np.float32), lr)
-    assert np.array_equal(p, np.ones(3)) and opt.state.steps == [0]
+    assert np.array_equal(p, np.ones(3)) and opt.state.steps == (0,)
 
 
 @pytest.mark.parametrize("max_norm", [math.nan, 0.0, -1.0, "1"])
@@ -346,7 +346,7 @@ def test_adam_step_rejects_a_max_norm_that_is_not_a_number_above_0(max_norm):
     codes = opt.state.m.codes.copy()
     with pytest.raises(ConfigError, match="max_norm"):
         opt.step(0.1, max_norm)
-    assert np.array_equal(p, np.ones(3)) and opt.state.steps == [0]
+    assert np.array_equal(p, np.ones(3)) and opt.state.steps == (0,)
     assert np.array_equal(opt.state.m.codes, codes)
 
 
@@ -366,13 +366,56 @@ def test_adam_rejects_a_state_of_other_parameters():
     rng = np.random.default_rng(43)
     a, b = (T.Tensor(rng.standard_normal(n).astype(np.float32),
                      requires_grad=True) for n in (3, 5))
-    opt = Q.QuantizedAdam({"a": a, "b": b})
-    opt.state = Q.QuantizedAdam({"b": b, "a": a}).state
-    a.grad = np.ones(3, dtype=np.float32)
-    before = a.data.copy()
+    other = Q.QuantizedAdam({"b": b, "a": a}).state
     with pytest.raises(ConfigError, match="position 0"):
+        Q.QuantizedAdam({"a": a, "b": b}, state=other)
+
+
+def test_a_step_returns_the_next_state_and_leaves_the_old_one_whole():
+    rng = np.random.default_rng(53)
+    params = {n: T.Tensor(rng.standard_normal(k).astype(np.float32),
+                          requires_grad=True) for n, k in (("a", 3), ("b", 70))}
+    opt = Q.QuantizedAdam(params)
+    before = opt.state
+    moments = [x.tobytes() for q in (before.m, before.v)
+               for x in (q.codes, q.scales)]
+    params["a"].grad = rng.standard_normal(3).astype(np.float32)
+    opt.step(0.01)
+    assert before.steps == (0, 0) and opt.state.steps == (1, 0)
+    assert moments == [x.tobytes() for q in (before.m, before.v)
+                       for x in (q.codes, q.scales)]
+    with pytest.raises(AttributeError):
+        opt.state = before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opt.state.steps = (0, 0)
+    # an optimizer built with a state continues from it
+    again = Q.QuantizedAdam(params, state=opt.state)
+    params["b"].grad = rng.standard_normal(70).astype(np.float32)
+    again.step(0.01)
+    assert again.state.steps == (2, 1) and opt.state.steps == (1, 0)
+
+
+def test_the_optimizer_keeps_its_own_copy_of_the_params_dict():
+    params = {"a": T.Tensor(np.ones(3, np.float32), requires_grad=True)}
+    opt = Q.QuantizedAdam(params)
+    params["b"] = T.Tensor(np.ones(2, np.float32), requires_grad=True)
+    params["b"].grad = np.ones(2, np.float32)
+    params["a"].grad = np.ones(3, np.float32)
+    opt.step(0.1)
+    assert list(opt.params) == ["a"] and opt.state.steps == (1,)
+
+
+def test_a_parameter_that_changed_size_is_a_dimension_error():
+    # the state is checked once, when the optimizer is built; a parameter
+    # given new data of another size no longer fits its segment
+    params = {"a": T.Tensor(np.ones(3, np.float32), requires_grad=True)}
+    opt = Q.QuantizedAdam(params)
+    params["a"].data = np.ones(70, np.float32)
+    params["a"].grad = np.ones(70, np.float32)
+    with pytest.raises(DimensionError, match="a: grad .* its state 3"):
         opt.step(0.1)
-    assert np.array_equal(a.data, before)
+    assert opt.state.steps == (0,)
+    assert np.array_equal(params["a"].data, np.ones(70))
 
 
 def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing():
@@ -393,7 +436,7 @@ def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing
     for n, t in params.items():
         assert np.array_equal(t.data, before[n])
     assert opt.state.m is m and opt.state.v is v
-    assert opt.state.steps == [1, 1, 1]
+    assert opt.state.steps == (1, 1, 1)
     assert all(np.array_equal(x, y) for x, y in
                zip(moments, (m.codes, m.scales, v.codes, v.scales)))
 
@@ -418,7 +461,7 @@ def segment(state, name: str) -> OracleState:
     bytes and block scales as 1 x n matrices, and its step count."""
     i = state.names.index(name)
     n, bs = state.sizes[i], state.m.block_size
-    lo = Q.flat_offsets(state.sizes, bs)[i]
+    lo = Q.flat_offsets(state.sizes)[i]
     m, v = (Q.QuantizedMatrix(1, n, bs, q.codes[lo // 2:(lo + n + 1) // 2],
                               q.scales[lo // bs:(lo + n + bs - 1) // bs])
             for q in (state.m, state.v))
@@ -458,7 +501,7 @@ def mixed_grad(rng, shape):
 def assert_same_as_oracle(params, state, oracle_params, oracle_states):
     """Each parameter and its part of the flat `state` (its n codes, its
     scales and its step count) are bitwise the per-tensor oracle's."""
-    assert state.names == list(params)
+    assert state.names == tuple(params)
     for name, t in params.items():
         want, got = oracle_states[name], segment(state, name)
         assert np.array_equal(t.data.view(np.uint32),
@@ -537,7 +580,7 @@ def test_step_clips_like_clip_then_step(max_norm, clipped):
                               {n: segment(oracle_opt.state, n) for n in oracle})
         assert all(g is None or np.array_equal(params[n].grad, g)
                    for n, g in grads.items())  # left unclipped
-    assert opt.state.steps == [6, 6, 3, 6]
+    assert opt.state.steps == (6, 6, 3, 6)
 
 
 SIZES = [1, 3, 10, 63, 64, 65, 130, 1024]
@@ -577,7 +620,7 @@ def test_flat_pass_is_bitwise_the_per_tensor_loop(tmp_path):
     assert min(opt.state.steps) > 150
     # every pad, the odd sizes' half bytes among them, is still code 7
     st = opt.state
-    offsets = Q.flat_offsets(st.sizes, st.m.block_size)
+    offsets = Q.flat_offsets(st.sizes)
     for q in (st.m, st.v):
         codes = Q._unpack_codes(q.codes, q.n_elements)
         for n, lo, hi in zip(st.sizes, offsets, offsets[1:]):
@@ -614,8 +657,7 @@ def test_resume_continues_like_the_per_tensor_loop(tmp_path):
 
     tail_rng = np.random.default_rng(37)
     run_both(params, opt, oracle_params, oracle_states, tail_rng, steps=20)
-    resumed_opt = Q.QuantizedAdam(resumed_params)
-    resumed_opt.state = resumed.optim_state
+    resumed_opt = Q.QuantizedAdam(resumed_params, state=resumed.optim_state)
     tail_rng = np.random.default_rng(37)
     run_both(resumed_params, resumed_opt, resumed_oracle_params,
              resumed_oracle_states, tail_rng, steps=20)
@@ -687,7 +729,7 @@ def test_adam_step_rejects_a_grad_of_another_shape_or_type():
             opt.step(0.1)
         assert all(np.array_equal(t.data, before[n])
                    for n, t in params.items())
-        assert opt.state.steps == [0, 1]
+        assert opt.state.steps == (0, 1)
         assert [x.tobytes() for q in (opt.state.m, opt.state.v)
                 for x in (q.codes, q.scales)] == moments
 

@@ -171,6 +171,20 @@ def test_resume_into_other_trainable_parameters_is_rejected_before_step_0(
         assert np.array_equal(t.data, before[name]), name
 
 
+def test_resume_leaves_the_state_it_resumes_from_as_it_was(tmp_path):
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, save_every=1)
+    train(adapted_model(), CORPUS, cfg, out_dir=tmp_path)
+    resumed = load_checkpoint(tmp_path / "ckpt_step1.bin")
+    optim = resumed.optim_state
+    moments = [x.tobytes() for q in (optim.m, optim.v)
+               for x in (q.codes, q.scales)]
+    state, _ = train(resumed.model, CORPUS, cfg, resume=resumed)
+    assert resumed.optim_state is optim and resumed.step == 1
+    assert [x.tobytes() for q in (optim.m, optim.v)
+            for x in (q.codes, q.scales)] == moments
+    assert state.optim_state.steps != optim.steps
+
+
 def test_resume_may_change_the_optimizer_and_the_stopping_point():
     cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2, max_steps=1)
     state, _ = train(adapted_model(), CORPUS, cfg)
