@@ -219,9 +219,10 @@ def save_checkpoint(state: TrainState, path) -> None:
     A path that is not a str, bytes or os.PathLike, a state that is not a
     TrainState, a model that is not a DecoderModel, a train_config that is
     not None or a TrainConfig, a step, epoch or cursor that is not an
-    int >= 0, and an `optim_state` of other parameters than the model's
-    trainable ones are ConfigErrors, raised before anything is written: no
-    load would accept the file.
+    int >= 0, and an `optim_state` that is not None or an AdamState of the
+    model's trainable parameters (see `AdamState.mismatch`: short steps or
+    moments are caught there) are ConfigErrors, raised before anything is
+    written: no load would accept the file.
     """
     from .trainer import TrainConfig  # trainer imports this module
 
@@ -236,6 +237,7 @@ def save_checkpoint(state: TrainState, path) -> None:
     frozen = {n: t for n, t in params.items() if not t.requires_grad}
     kernels = model.named_quantized()
     optim = state.optim_state
+    check_type("state.optim_state", optim, AdamState, True)
     if optim is not None:
         why = optim.mismatch(trainable)
         if why is not None:

@@ -15,7 +15,8 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ParseError, RecordError, check_path, is_count
+from .errors import (ConfigError, ParseError, RecordError, check_path,
+                     check_type, is_count)
 from .tokenizer import TokenizedSample, render_chat
 
 
@@ -73,9 +74,12 @@ def _ingest(path, source: str, lenient: bool, turns_of) -> IngestResult:
     that is present but not a string; a missing, null or empty one is
     "unknown". Strict mode raises every error; lenient mode counts each
     bad record as skipped, and a file that is not a JSON array as one
-    skipped record. A path that is not a str, bytes or os.PathLike is a
-    ConfigError in both modes.
+    skipped record. A path that is not a str, bytes or os.PathLike, a
+    source that is not a str and a lenient that is not a bool are
+    ConfigErrors in both modes, raised before the file is opened.
     """
+    check_type("source", source, str)
+    check_type("lenient", lenient, bool)
     path = check_path(path)
     try:
         data = _load_json_array(path)

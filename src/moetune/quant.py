@@ -43,6 +43,7 @@ DEFAULT_BLOCK_SIZE = 64
 # working arrays hold 512 KiB, where an Adam state's whole moment would
 # need several MB each.
 CHUNK_BLOCKS = 512
+_UINT8, _FLOAT32 = np.dtype(np.uint8), np.dtype(np.float32)
 
 
 def _n_blocks(n: int, block_size: int) -> int:
@@ -52,9 +53,8 @@ def _n_blocks(n: int, block_size: int) -> int:
 def _pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack 4-bit codes two per byte, low nibble first; odd tail pads 0."""
     codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size % 2:
-        codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
-    packed = codes[1::2] << 4
+    packed = np.zeros((codes.size + 1) // 2, dtype=np.uint8)
+    np.left_shift(codes[1::2], 4, out=packed[:codes.size // 2])
     packed |= codes[0::2]
     return packed
 
@@ -75,7 +75,11 @@ class QuantizedMatrix:
     It is frozen, and its codes and scales are made read-only when it is
     built: the f32 copy `dequant` keeps, and the base a checkpoint save
     computes once per model, both rely on a matrix never changing. Two
-    matrices are equal only when they are the same object.
+    matrices are equal only when they are the same object. Rows or cols
+    that are not an int >= 0, a block_size that is not an int >= 1, and
+    codes or scales that are not a 1-D uint8 or f32 array are ConfigErrors,
+    raised when it is built; so are codes of other than ceil(n / 2) bytes
+    or scales of other than ceil(n / block_size) entries, as FormatErrors.
     """
 
     rows: int
@@ -85,8 +89,26 @@ class QuantizedMatrix:
     scales: np.ndarray  # f32, ceil(rows*cols / block_size) entries
 
     def __post_init__(self):
-        self.codes.setflags(write=False)
-        self.scales.setflags(write=False)
+        rows, cols, bs = self.rows, self.cols, self.block_size
+        codes, scales = self.codes, self.scales
+        if not (is_count(rows) and is_count(cols) and is_count(bs, 1)):
+            raise ConfigError(f"rows and cols must be ints >= 0 and block_size "
+                              f"an int >= 1, got {rows!r}, {cols!r}, {bs!r}")
+        if not (isinstance(codes, np.ndarray) and codes.ndim == 1
+                and codes.dtype == _UINT8 and isinstance(scales, np.ndarray)
+                and scales.ndim == 1 and scales.dtype == _FLOAT32):
+            got = [f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray)
+                   else type(a).__name__ for a in (codes, scales)]
+            raise ConfigError(f"codes and scales must be 1-D uint8 and "
+                              f"float32 arrays, got {got[0]} and {got[1]}")
+        n = rows * cols
+        if codes.size != (n + 1) // 2 or scales.size != _n_blocks(n, bs):
+            raise FormatError(
+                f"{codes.size} packed code bytes and {scales.size} scales, "
+                f"where {rows} x {cols} in blocks of {bs} has "
+                f"{(n + 1) // 2} and {_n_blocks(n, bs)}")
+        codes.setflags(write=False)
+        scales.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -179,13 +201,6 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     that is not a QuantizedMatrix is a ConfigError."""
     check_type("q", q, QuantizedMatrix)
     n = q.n_elements
-    expected_bytes = (n + 1) // 2
-    if q.codes.size != expected_bytes:
-        raise FormatError(
-            f"packed codes length {q.codes.size} != expected {expected_bytes}")
-    n_blocks = _n_blocks(n, q.block_size)
-    if q.scales.size != n_blocks:
-        raise FormatError(f"scale count {q.scales.size} != expected {n_blocks}")
     codes = _unpack_codes(q.codes, n)
     if codes.max(initial=0) > 14:
         raise FormatError("corrupt packing: code value 15 is not in the codebook")
@@ -259,13 +274,29 @@ class AdamState:
 
     def mismatch(self, params: dict[str, Tensor]) -> str | None:
         """None when the state holds `params`, the same names and sizes in
-        the same order; otherwise the first difference."""
+        the same order, a tuple of one python int >= 0 per name as steps
+        and 1 x flat_offsets(sizes)[-1] moments in blocks of
+        DEFAULT_BLOCK_SIZE; otherwise the first difference."""
         want = [(name, t.data.size) for name, t in params.items()]
         for i, (h, w) in enumerate(itertools.zip_longest(
                 zip(self.names, self.sizes), want)):
             if h != w:
                 return (f"holds {h} at position {i} where the parameters "
                         f"have {w}")
+        steps = self.steps
+        if not (isinstance(steps, tuple) and len(steps) == len(want)
+                and all(type(t) is int and t >= 0 for t in steps)):
+            return (f"steps must be a tuple of {len(want)} python ints "
+                    f">= 0, one per parameter")
+        end, bs = flat_offsets(self.sizes)[-1], DEFAULT_BLOCK_SIZE
+        for key, q in (("m", self.m), ("v", self.v)):
+            if not (isinstance(q, QuantizedMatrix) and q.shape == (1, end)
+                    and q.block_size == bs):
+                got = (f"{q.shape} in blocks of {q.block_size}"
+                       if isinstance(q, QuantizedMatrix)
+                       else type(q).__name__)
+                return (f"moment {key} must be 1 x {end} in blocks of {bs}, "
+                        f"got {got}")
         return None
 
 

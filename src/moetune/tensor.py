@@ -49,6 +49,7 @@ from .errors import (
     RankError,
     TapeError,
     VocabError,
+    is_int,
 )
 
 DTYPE = np.float32
@@ -567,20 +568,30 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean of -log softmax(logits)[target] over positions where mask is 1.
 
     Fused log-sum-exp form; masked-out positions contribute nothing to the
-    value or the gradient. A mask value other than 0 and 1 is a ConfigError:
-    a 2 would count a position twice. A mask of 0s only is an
-    EmptyMaskError.
+    value or the gradient. Targets that are not ints (a bool is not one)
+    are a VocabError. A mask that is not numbers, or holds a value other
+    than 0 and 1, is a ConfigError: a 2 would count a position twice. A mask
+    of 0s only is an EmptyMaskError.
     """
     if logits.data.ndim != 2:
         raise DimensionError(
             f"masked_cross_entropy logits must be 2-D, got {logits.data.shape}")
     t_count, vocab = logits.data.shape
-    targets = np.asarray(targets, dtype=np.int64)
-    mask_arr = np.asarray(mask, dtype=logits.data.dtype)
-    if targets.shape != (t_count,) or mask_arr.shape != (t_count,):
+    ids, mask_arr = np.asarray(targets), np.asarray(mask)
+    if ids.shape != (t_count,) or mask_arr.shape != (t_count,):
         raise DimensionError(
             f"targets/mask length must be {t_count}, got "
-            f"{targets.shape} and {mask_arr.shape}")
+            f"{ids.shape} and {mask_arr.shape}")
+    # np.asarray turns a bool among ints into an int, and a float or a str
+    # would be cast to one below, so a list is checked element by element
+    if not (ids.dtype.kind in "iu" if isinstance(targets, np.ndarray)
+            else all(map(is_int, targets))):
+        raise VocabError("masked_cross_entropy: targets must be ints")
+    if mask_arr.dtype.kind not in "biuf":
+        raise ConfigError(f"masked_cross_entropy: mask must be numbers, got "
+                          f"{mask_arr.dtype}")
+    targets = ids.astype(np.int64)
+    mask_arr = mask_arr.astype(logits.data.dtype)
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise VocabError(f"target id out of range [0, {vocab})")
     if not np.all((mask_arr == 0) | (mask_arr == 1)):

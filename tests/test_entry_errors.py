@@ -1,13 +1,14 @@
 """Public entry points reject an argument of the wrong type with the
 typed error of `errors.py`, before doing any work."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from moetune import checkpoint, data, lora, quant, tokenizer, trainer
-from moetune.errors import ConfigError, DimensionError, VocabError
+from moetune import checkpoint, data, lora, quant, tensor, tokenizer, trainer
+from moetune.errors import ConfigError, DimensionError, FormatError, VocabError
 from moetune.model import KVCache, ModelConfig, init_model
 
 TINY = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=24, n_experts=2,
@@ -56,6 +57,27 @@ def train_into(out_dir, corpus=CORPUS):
         after = model.trainable_parameters()
         assert all(np.array_equal(before[n], after[n].data) for n in before)
         raise
+
+def save_optim(model, path, **edit):
+    """save_checkpoint of `model` with the zero Adam state of its trainable
+    parameters, each field in `edit` replaced by its function of that
+    state."""
+    zero = quant.AdamState.zeros(model.trainable_parameters())
+    optim = dataclasses.replace(zero, **{k: f(zero) for k, f in edit.items()})
+    checkpoint.save_checkpoint(
+        checkpoint.TrainState(model=model, optim_state=optim), path)
+
+
+def fixture(name):
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)
+
+
+def cross_entropy(targets, mask=(1, 1)):
+    return tensor.masked_cross_entropy(
+        tensor.Tensor(np.zeros((2, 4), np.float32)), targets, mask)
+
+
+U8, F32 = np.zeros(1, np.uint8), np.zeros(1, np.float32)
 
 # (error, call(model, path)): the model is a fresh one, the path a file
 # in an empty directory
@@ -193,6 +215,58 @@ CASES = {
     "clean_filter(source=list)":
         (ConfigError, lambda m, path: data.clean_filter([data.ChatSample(
             [data.Turn("user", "a"), data.Turn("assistant", "b")], ["x"])])),
+    # optimizer states that do not hold themselves, checked before a save
+    # writes anything
+    "save_checkpoint(optim steps short)":
+        (ConfigError, lambda m, path: save_optim(
+            m, path, steps=lambda z: z.steps[1:])),
+    "save_checkpoint(optim steps int64)":
+        (ConfigError, lambda m, path: save_optim(
+            m, path, steps=lambda z: tuple(map(np.int64, z.steps)))),
+    "save_checkpoint(optim moment small)":
+        (ConfigError, lambda m, path: save_optim(
+            m, path, m=lambda z: quant.quantize_4bit(np.zeros((1, 64))))),
+    "save_checkpoint(optim_state=5)":
+        (ConfigError, lambda m, path: checkpoint.save_checkpoint(
+            checkpoint.TrainState(model=m, optim_state=5), path)),
+    "QuantizedAdam(state=5)":
+        (ConfigError, lambda m, path: quant.QuantizedAdam(
+            m.trainable_parameters(), state=5)),
+    # 4-bit matrices, checked when built
+    "QuantizedMatrix(block_size=0)":
+        (ConfigError, lambda m, path: quant.QuantizedMatrix(1, 2, 0, U8, F32)),
+    "QuantizedMatrix(rows='a')":
+        (ConfigError,
+         lambda m, path: quant.QuantizedMatrix("a", 2, 64, U8, F32)),
+    "QuantizedMatrix(codes=list)":
+        (ConfigError,
+         lambda m, path: quant.QuantizedMatrix(1, 2, 64, [0], F32)),
+    "QuantizedMatrix(too few codes)":
+        (FormatError, lambda m, path: quant.QuantizedMatrix(1, 4, 64, U8, F32)),
+    # cross entropy targets and masks
+    "masked_cross_entropy(targets=[1.5, 2.7])":
+        (VocabError, lambda m, path: cross_entropy([1.5, 2.7])),
+    "masked_cross_entropy(targets=['1', '2'])":
+        (VocabError, lambda m, path: cross_entropy(["1", "2"])),
+    "masked_cross_entropy(targets=[True, 1])":
+        (VocabError, lambda m, path: cross_entropy([True, 1])),
+    "masked_cross_entropy(targets=float array)":
+        (VocabError, lambda m, path: cross_entropy(np.array([1.0, 2.0]))),
+    "masked_cross_entropy(mask=['1', '1'])":
+        (ConfigError, lambda m, path: cross_entropy([1, 2], ["1", "1"])),
+    # ingest's source and lenient, checked before the file is opened
+    "ingest_alpaca(source=None)":
+        (ConfigError, lambda m, path: data.ingest_alpaca(
+            fixture("alpaca_fixture.json"), source=None)),
+    "ingest_sharegpt(source=['x'])":
+        (ConfigError, lambda m, path: data.ingest_sharegpt(
+            fixture("sharegpt_fixture.json"), source=["x"])),
+    "ingest_alpaca(lenient='no')":
+        (ConfigError, lambda m, path: data.ingest_alpaca(
+            fixture("alpaca_fixture.json"), lenient="no")),
+    "ingest_sharegpt(lenient=1)":
+        (ConfigError, lambda m, path: data.ingest_sharegpt(
+            fixture("sharegpt_fixture.json"), lenient=1)),
     "tokenize_corpus(source=None)":
         (ConfigError, lambda m, path: data.tokenize_corpus([data.ChatSample(
             [data.Turn("user", "a"), data.Turn("assistant", "b")], None)])),

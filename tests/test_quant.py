@@ -115,6 +115,29 @@ def test_quantize_rejects_nonfinite():
         Q.quantize_4bit(bad)
 
 
+U8, F32 = np.zeros(1, np.uint8), np.zeros(1, np.float32)
+
+
+@pytest.mark.parametrize("fields, error, says", [
+    ((1, 2, 0, U8, F32), ConfigError, "got 1, 2, 0"),
+    ((1, 2, 2.0, U8, F32), ConfigError, "got 1, 2, 2.0"),
+    (("a", 2, 64, U8, F32), ConfigError, "got 'a', 2, 64"),
+    ((1, -2, 64, U8, F32), ConfigError, "got 1, -2, 64"),
+    ((1, 2, 64, [0], F32), ConfigError, "got list and 1-D float32"),
+    ((1, 2, 64, U8.astype(np.int8), F32), ConfigError, "got 1-D int8 and"),
+    ((1, 2, 64, U8, F32.astype(np.float64)), ConfigError, "and 1-D float64"),
+    ((1, 2, 64, U8, F32.reshape(1, 1)), ConfigError, "and 2-D float32"),
+    ((1, 4, 64, U8, F32), FormatError, "1 packed code bytes and 1 scales, "
+                                       "where 1 x 4 in blocks of 64 has 2 and 1"),
+    ((1, 2, 1, U8, F32), FormatError, "has 1 and 2"),
+])
+def test_a_matrix_checks_its_fields_when_built(fields, error, says):
+    # too few codes would save a base no load accepts, block size 0 divide
+    # by zero at the first forward
+    with pytest.raises(error, match=says):
+        Q.QuantizedMatrix(*fields)
+
+
 def test_dequantize_rejects_corrupt_code():
     q = Q.quantize_4bit(np.ones((1, 2), dtype=np.float32), block_size=2)
     q = dataclasses.replace(q, codes=np.array([0xFF], dtype=np.uint8))
@@ -416,6 +439,29 @@ def test_a_parameter_that_changed_size_is_a_dimension_error():
         opt.step(0.1)
     assert opt.state.steps == (0,)
     assert np.array_equal(params["a"].data, np.ones(70))
+
+
+@pytest.mark.parametrize("field, value, says", [
+    ("steps", lambda z: z.steps[1:], "steps"),
+    ("steps", lambda z: list(z.steps), "steps"),
+    ("steps", lambda z: (np.int64(0), 0), "steps"),
+    ("steps", lambda z: (True, 0), "steps"),
+    ("steps", lambda z: (-1, 0), "steps"),
+    ("m", lambda z: Q.quantize_4bit(np.zeros((1, 64))), "moment m"),
+    ("v", lambda z: Q.quantize_4bit(np.zeros((1, 128)), 32), "moment v"),
+    ("v", lambda z: None, "moment v"),
+])
+def test_adam_rejects_a_state_that_does_not_hold_itself(field, value, says):
+    # a step would raise a bare IndexError or ValueError on it, and a save
+    # write a checkpoint that no load accepts
+    params = {n: T.Tensor(np.ones(k, np.float32), requires_grad=True)
+              for n, k in (("a", 3), ("b", 70))}
+    zero = Q.AdamState.zeros(params)
+    bad = dataclasses.replace(zero, **{field: value(zero)})
+    with pytest.raises(ConfigError, match=says):
+        Q.QuantizedAdam(params, state=bad)
+    with pytest.raises(ConfigError, match="state must be"):
+        Q.QuantizedAdam(params, state=[zero])
 
 
 def test_optimizer_names_the_parameter_with_a_nonfinite_grad_and_changes_nothing():
