@@ -96,7 +96,8 @@ def is_int(v) -> bool:
 
 def is_count(v, lo: int = 0) -> bool:
     """Whether `v` is an int >= lo; a bool is not a count."""
-    return is_int(v) and v >= lo
+    # is_int's fast path, inlined: a load asks this of every dim
+    return (type(v) is int or is_int(v)) and v >= lo
 
 
 def count_rule(config, name: str, lo: int) -> tuple[str, str, bool]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -285,7 +286,8 @@ class AdamState:
                         f"have {w}")
         steps = self.steps
         if not (isinstance(steps, tuple) and len(steps) == len(want)
-                and all(type(t) is int and t >= 0 for t in steps)):
+                and set(map(type, steps)) <= {int}
+                and min(steps, default=0) >= 0):
             return (f"steps must be a tuple of {len(want)} python ints "
                     f">= 0, one per parameter")
         end, bs = flat_offsets(self.sizes)[-1], DEFAULT_BLOCK_SIZE
@@ -377,20 +379,20 @@ def _adam_pass(state: AdamState, params: list[Tensor], lr: float,
     for t, n, lo, has in zip(params, state.sizes, offsets, live):
         if has:
             t.data -= update[lo:lo + n].reshape(t.data.shape)
-    keep = np.repeat(live, blocks)
+    stale = np.repeat(np.logical_not(live), blocks)
     steps = tuple(t + has for t, has in zip(state.steps, live))
-    return replace(state, steps=steps, m=_put(state.m, keep, m),
-                   v=_put(state.v, keep, v)), norm
+    return replace(state, steps=steps, m=_put(state.m, stale, m),
+                   v=_put(state.v, stale, v)), norm
 
 
-def _put(q: QuantizedMatrix, keep: np.ndarray,
+def _put(q: QuantizedMatrix, stale: np.ndarray,
          blocks: np.ndarray) -> QuantizedMatrix:
-    """Flat matrix `q` with the blocks that `keep` marks quantized from
-    `blocks` [n_blocks, block_size] and the others as they were."""
+    """Flat matrix `q` with `blocks` [n_blocks, block_size] quantized into
+    every block but those `stale` marks, which stay as they were."""
     codes, scales = _quantize_blocks(blocks)
     codes = _pack_codes(codes.reshape(-1)).reshape(len(blocks), -1)
-    np.copyto(codes, q.codes.reshape(codes.shape), where=~keep[:, None])
-    np.copyto(scales, q.scales, where=~keep)
+    np.copyto(codes, q.codes.reshape(codes.shape), where=stale[:, None])
+    np.copyto(scales, q.scales, where=stale)
     return QuantizedMatrix(1, q.cols, q.block_size, codes.reshape(-1), scales)
 
 
@@ -421,7 +423,7 @@ class QuantizedAdam:
         check_type("params", params, dict)
         for name, t in params.items():
             check_type(f"param {name!r}", t, Tensor)
-        self.params = dict(params)
+        self._params = types.MappingProxyType(dict(params))
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -431,6 +433,11 @@ class QuantizedAdam:
         why = self._state.mismatch(params)
         if why is not None:
             raise ConfigError(f"optimizer state {why}")
+
+    @property
+    def params(self) -> types.MappingProxyType:
+        """A read-only copy of the params it was built with."""
+        return self._params
 
     @property
     def state(self) -> AdamState:
@@ -446,7 +453,7 @@ class QuantizedAdam:
         if not (is_number(max_norm) and max_norm > 0):
             raise ConfigError(f"max_norm must be a number > 0, got "
                               f"{max_norm!r}")
-        params = list(self.params.values())
+        params = list(self._params.values())
         if all(t.grad is None for t in params):
             return 0.0
         self._state, norm = _adam_pass(self._state, params, lr, self.beta1,

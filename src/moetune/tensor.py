@@ -568,16 +568,21 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean of -log softmax(logits)[target] over positions where mask is 1.
 
     Fused log-sum-exp form; masked-out positions contribute nothing to the
-    value or the gradient. Targets that are not ints (a bool is not one)
-    are a VocabError. A mask that is not numbers, or holds a value other
-    than 0 and 1, is a ConfigError: a 2 would count a position twice. A mask
-    of 0s only is an EmptyMaskError.
+    value or the gradient. Targets and a mask that are not 1-D of one entry
+    per row are a DimensionError, and targets that are not ints (a bool is
+    not one) a VocabError. A mask that is not numbers, or holds a value
+    other than 0 and 1, is a ConfigError: a 2 would count a position twice.
+    A mask of 0s only is an EmptyMaskError.
     """
     if logits.data.ndim != 2:
         raise DimensionError(
             f"masked_cross_entropy logits must be 2-D, got {logits.data.shape}")
     t_count, vocab = logits.data.shape
-    ids, mask_arr = np.asarray(targets), np.asarray(mask)
+    try:
+        ids, mask_arr = np.asarray(targets), np.asarray(mask)
+    except ValueError:  # a ragged nest of sequences
+        raise DimensionError(f"targets/mask must be 1-D of length "
+                             f"{t_count}") from None
     if ids.shape != (t_count,) or mask_arr.shape != (t_count,):
         raise DimensionError(
             f"targets/mask length must be {t_count}, got "

@@ -252,6 +252,10 @@ CASES = {
         (VocabError, lambda m, path: cross_entropy([True, 1])),
     "masked_cross_entropy(targets=float array)":
         (VocabError, lambda m, path: cross_entropy(np.array([1.0, 2.0]))),
+    "masked_cross_entropy(targets=ragged)":
+        (DimensionError, lambda m, path: cross_entropy([[1], [1, 2]])),
+    "masked_cross_entropy(mask=ragged)":
+        (DimensionError, lambda m, path: cross_entropy([1, 2], [[1], [1, 0]])),
     "masked_cross_entropy(mask=['1', '1'])":
         (ConfigError, lambda m, path: cross_entropy([1, 2], ["1", "1"])),
     # ingest's source and lenient, checked before the file is opened

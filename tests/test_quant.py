@@ -426,6 +426,12 @@ def test_the_optimizer_keeps_its_own_copy_of_the_params_dict():
     params["a"].grad = np.ones(3, np.float32)
     opt.step(0.1)
     assert list(opt.params) == ["a"] and opt.state.steps == (1,)
+    # nor can its params change after: two of a size swapped would step
+    # each with the other's moments
+    with pytest.raises(AttributeError):
+        opt.params = {"b": params["b"]}
+    with pytest.raises(TypeError):
+        opt.params["a"] = params["b"]
 
 
 def test_a_parameter_that_changed_size_is_a_dimension_error():
